@@ -2,12 +2,10 @@
 generalized power iteration, with a statistical lower bound on the
 sum spectral efficiency under imperfect cascaded-channel knowledge."""
 
-from .baselines import BaselineSpec, random_phases, rzf_precoder, rzf_regularizer
-from .channel import (ChannelEstimate, ChannelSet, cascade, dump_channel_estimate,
-                      dump_channel_set, error_covariance_dft, error_scale_dft,
-                      estimate_channels, load_channel_estimate, load_channel_set,
-                      perfect_estimate, steering_ula, steering_upa,
-                      synthesize_channels)
+from .baselines import random_phases, rzf_precoder, rzf_regularizer
+from .channel import (ChannelEstimate, ChannelSet, cascade, error_covariance_dft,
+                      error_scale_dft, estimate_channels, perfect_estimate,
+                      steering_ula, steering_upa, synthesize_channels)
 from .gpi_precoder import (GpiSettings, PrecoderQuadratics,
                            build_precoder_quadratics, lambda_bs, run_gpi_precoder)
 from .gpi_ris import (RegularizerSettings, RisGpiResult, RisQuadratics,
@@ -29,23 +27,22 @@ from .scenario import (Geometry, PathlossModel, Scenario, SystemConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmSettings", "BaselineSpec", "BenchResult", "ChannelEstimate",
-    "ChannelSet", "ExperimentSpec", "Geometry", "GpiSettings", "JointResult",
+    "AlgorithmSettings", "BenchResult", "ChannelEstimate", "ChannelSet",
+    "ExperimentSpec", "Geometry", "GpiSettings", "JointResult",
     "LineSearchPlan", "PathlossModel", "PhaseShifts", "Precoder",
     "PrecoderQuadratics", "RegularizerSettings", "ResultRow", "RisGpiResult",
     "RisQuadratics", "Scenario", "SystemConfig", "bench_from_spec",
     "bench_ris_stage", "build_precoder_quadratics", "build_ris_quadratics",
     "cascade", "commutation_matrix", "compute_r_sigma", "db_to_linear",
-    "default_geometry", "default_tau", "dump_channel_estimate",
-    "dump_channel_set", "effective_channels", "error_covariance_dft",
-    "error_scale_dft", "estimate_channels", "exact_sum_se", "initial_pair",
-    "lambda_bs", "lambda_ris", "linear_to_db", "load_channel_estimate",
-    "load_channel_set", "load_scenario", "load_spec", "log2_lambda_ris",
-    "lower_bound_phase_form", "lower_bound_sum_se", "mc_instantaneous_se",
-    "nmse_unit_modulus", "noise_power_dbm", "pathloss_db", "perfect_estimate",
-    "place_users", "random_phases", "run_experiment", "run_gpi_precoder",
-    "run_gpi_ris", "run_joint", "run_joint_fixed_mu", "rzf_precoder",
-    "rzf_regularizer", "scenario_from_dict", "smooth_max", "smooth_min",
-    "steering_ula", "steering_upa", "synthesize_channels", "theta_matrices",
-    "write_results", "xi_matrices",
+    "default_geometry", "default_tau", "effective_channels",
+    "error_covariance_dft", "error_scale_dft", "estimate_channels",
+    "exact_sum_se", "initial_pair", "lambda_bs", "lambda_ris", "linear_to_db",
+    "load_scenario", "load_spec", "log2_lambda_ris", "lower_bound_phase_form",
+    "lower_bound_sum_se", "mc_instantaneous_se", "nmse_unit_modulus",
+    "noise_power_dbm", "pathloss_db", "perfect_estimate", "place_users",
+    "random_phases", "run_experiment", "run_gpi_precoder", "run_gpi_ris",
+    "run_joint", "run_joint_fixed_mu", "rzf_precoder", "rzf_regularizer",
+    "scenario_from_dict", "smooth_max", "smooth_min", "steering_ula",
+    "steering_upa", "synthesize_channels", "theta_matrices", "write_results",
+    "xi_matrices",
 ]

@@ -12,8 +12,9 @@ found on PATH, tuned for the host CPU (``-march=native``).  The library is
 cached in the package's ``__pycache__`` (or, when that is read-only, in a
 private directory under the system temp directory) under a name keyed by the
 source, the flags, the compiler and the host CPU, so a host-tuned build is
-never loaded on another CPU.  Callers check ``available()`` and fall back to
-the numpy loop in ``gpi_ris`` when no compiler is found.
+never loaded on another CPU; a new build removes the older ones beside it.
+Callers check ``available()`` and fall back to the numpy loop in ``gpi_ris``
+when no compiler is found.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ def _build(compiler: str) -> Path:
             raise RuntimeError(f"building {_SOURCE.name} with {compiler} "
                                f"failed:\n{proc.stderr}")
         os.replace(tmp, target)
+        for stale in cache.glob("_ris_loop-*.so"):
+            if stale != target:
+                stale.unlink(missing_ok=True)
         return target
     raise OSError("no writable cache directory for the compiled RIS loop")
 
@@ -188,27 +192,6 @@ class Prepared:
 def _soa(x, axes):
     t = np.transpose(np.asarray(x, dtype=np.complex128), axes)
     return np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
-
-
-def prepare(c_blocks, d_blocks, u_vecs, w0) -> Prepared:
-    """Repack (K, L, M, M) complex stacks into the kernel's batched layout."""
-    return Prepared(c_blocks, d_blocks, u_vecs, w0)
-
-
-def ris_loop(c_blocks, d_blocks, u_vecs, noise_over_p, inv_rs_ln2, mu, tau,
-             alpha1, alpha2, w0, tol, max_iters, prep=None):
-    """Run the compiled iteration; returns (w, iterations).
-
-    c_blocks / d_blocks are (K, L, M, M) complex stacks, u_vecs the (K, L, M)
-    signal columns and w0 a unit-norm (L*M,) complex vector.  Pass a
-    ``prepare(...)`` result as ``prep`` to keep the repacking cost out of
-    timed sections.
-    """
-    if prep is None:
-        prep = prepare(c_blocks, d_blocks, u_vecs, w0)
-    iters = prep.bind(noise_over_p, inv_rs_ln2, mu, tau, alpha1, alpha2,
-                      tol, max_iters)()
-    return prep.w(), iters
 
 
 def warm_up():

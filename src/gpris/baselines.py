@@ -2,30 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .metrics import PhaseShifts, Precoder, exact_unit_modulus
-
-PRECODER_KINDS = ("rzf", "gpi")
-PHASE_KINDS = ("random", "gpi_regularized")
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    precoder_kind: str = "rzf"
-    phase_kind: str = "random"
-    rzf_regularizer: float = 1.0
-
-    def __post_init__(self):
-        if self.precoder_kind not in PRECODER_KINDS:
-            raise ValueError(f"unknown precoder kind {self.precoder_kind!r}")
-        if self.phase_kind not in PHASE_KINDS:
-            raise ValueError(f"unknown phase kind {self.phase_kind!r}")
-        if self.rzf_regularizer <= 0:
-            raise ValueError("rzf_regularizer must be > 0")
-
 
 def rzf_regularizer(k: int, noise_over_p: float) -> float:
     """MMSE-style loading K * sigma^2 / P for the sum-power constraint."""

@@ -9,7 +9,6 @@ keep as a scalar fast path alongside the dense route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +137,8 @@ class ChannelSet:
         return n, k, l, m
 
 
-def synthesize_channels(scenario: Scenario, rng: np.random.Generator,
-                        shared_fading: bool = False) -> ChannelSet:
-    """Draw one full channel realization for the scenario.
-
-    ``shared_fading``: use a single CN(0,1) scalar per (k, l) link instead of
-    i.i.d. per-path fading.
-    """
+def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> ChannelSet:
+    """Draw one full channel realization for the scenario."""
     cfg = scenario.config
     geo = scenario.geometry
     pl = scenario.pathloss
@@ -172,10 +166,7 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator,
             d = float(np.linalg.norm(ris_pos[li] - users[ki]))
             gamma2[ki, li] = path_gain_linear(pl, d, rng.standard_normal(), noise_dbm)
             angles = draw_ris_user_angles(cfg.n_paths_ris_user, rng)
-            if shared_fading:
-                fading = np.repeat(_cn_scalar(rng), cfg.n_paths_ris_user)
-            else:
-                fading = _cn_vector(cfg.n_paths_ris_user, rng)
+            fading = _cn_vector(cfg.n_paths_ris_user, rng)
             ris_user[ki, li] = synth_ris_user(my, mz, cfg.carrier_spacing_ratios,
                                               gamma2[ki, li], angles, fading)
 
@@ -184,10 +175,6 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator,
         for li in range(l):
             cascaded[ki, li] = cascade(bs_ris[li], ris_user[ki, li])
     return ChannelSet(bs_ris, ris_user, cascaded, gamma1, gamma2)
-
-
-def _cn_scalar(rng: np.random.Generator) -> complex:
-    return (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
 
 
 def _cn_vector(size, rng: np.random.Generator) -> np.ndarray:
@@ -231,14 +218,12 @@ class ChannelEstimate:
 
     cascaded_est: (K, L, N, M).  The per-link NM x NM error covariance is
     either isotropic (err_scale[k, l] * I, err_dense None) or dense
-    (err_dense[k][l]).  prior_scale / prior_dense follow the same convention.
+    (err_dense[k][l]).
     """
 
     cascaded_est: np.ndarray
     err_scale: np.ndarray | None = None
     err_dense: list[list[np.ndarray]] | None = None
-    prior_scale: np.ndarray | None = None
-    prior_dense: list[list[np.ndarray]] | None = None
 
     def __post_init__(self):
         if (self.err_scale is None) == (self.err_dense is None):
@@ -264,15 +249,12 @@ class ChannelEstimate:
 def perfect_estimate(truth: ChannelSet) -> ChannelEstimate:
     """Zero-error estimate (R^e = 0), useful as a limit case."""
     k, l = truth.cascaded.shape[:2]
-    return ChannelEstimate(truth.cascaded.copy(), err_scale=np.zeros((k, l)),
-                           prior_scale=truth.gamma.copy())
+    return ChannelEstimate(truth.cascaded.copy(), err_scale=np.zeros((k, l)))
 
 
 def draw_estimate(truth: ChannelSet, err_scale: np.ndarray | None,
                   rng: np.random.Generator,
-                  err_dense: list[list[np.ndarray]] | None = None,
-                  prior_scale: np.ndarray | None = None,
-                  prior_dense: list[list[np.ndarray]] | None = None) -> ChannelEstimate:
+                  err_dense: list[list[np.ndarray]] | None = None) -> ChannelEstimate:
     """Draw hat(c) = c - e with e ~ CN(0, R^e) per (k, l) link."""
     k, l, n, m = truth.cascaded.shape
     est = np.empty_like(truth.cascaded)
@@ -292,8 +274,7 @@ def draw_estimate(truth: ChannelSet, err_scale: np.ndarray | None,
                     ) from exc
                 e_vec = chol @ _cn_vector(n * m, rng)
                 est[ki, li] = truth.cascaded[ki, li] - e_vec.reshape((n, m), order="F")
-    return ChannelEstimate(est, err_scale=err_scale, err_dense=err_dense,
-                           prior_scale=prior_scale, prior_dense=prior_dense)
+    return ChannelEstimate(est, err_scale=err_scale, err_dense=err_dense)
 
 
 def _psd_factor(r: np.ndarray) -> np.ndarray:
@@ -316,88 +297,4 @@ def estimate_channels(truth: ChannelSet, scenario: Scenario,
     for idx, g in np.ndenumerate(gamma):
         err[idx] = error_scale_dft(g, cfg.ul_train_len, cfg.ul_train_power_linear,
                                    cfg.noise_variance)
-    return draw_estimate(truth, err, rng, prior_scale=gamma.copy())
-
-
-# --- binary regression-fixture dump/load -----------------------------------
-
-def _write_array(fh, arr: np.ndarray):
-    inter = np.empty(arr.shape + (2,), dtype="<f8")
-    inter[..., 0] = arr.real
-    inter[..., 1] = arr.imag
-    fh.write(inter.tobytes())
-
-
-def _read_array(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape)) * 2
-    flat = np.frombuffer(fh.read(count * 8), dtype="<f8")
-    inter = flat.reshape(tuple(shape) + (2,))
-    return (inter[..., 0] + 1j * inter[..., 1]).astype(complex)
-
-
-def dump_channel_set(path: str, chans: ChannelSet) -> None:
-    header = {
-        "kind": "channel_set",
-        "bs_ris": list(chans.bs_ris.shape),
-        "ris_user": list(chans.ris_user.shape),
-        "cascaded": list(chans.cascaded.shape),
-        "gamma1": list(chans.gamma1.shape),
-        "gamma2": list(chans.gamma2.shape),
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        _write_array(fh, chans.bs_ris)
-        _write_array(fh, chans.ris_user)
-        _write_array(fh, chans.cascaded)
-        fh.write(chans.gamma1.astype("<f8").tobytes())
-        fh.write(chans.gamma2.astype("<f8").tobytes())
-
-
-def load_channel_set(path: str) -> ChannelSet:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("kind") != "channel_set":
-            raise ValueError("not a channel_set dump")
-        bs_ris = _read_array(fh, header["bs_ris"])
-        ris_user = _read_array(fh, header["ris_user"])
-        cascaded = _read_array(fh, header["cascaded"])
-        g1 = np.frombuffer(fh.read(int(np.prod(header["gamma1"])) * 8), dtype="<f8")
-        g2 = np.frombuffer(
-            fh.read(int(np.prod(header["gamma2"])) * 8), dtype="<f8"
-        ).reshape(header["gamma2"])
-    return ChannelSet(bs_ris, ris_user, cascaded, g1.copy(), g2.copy())
-
-
-def dump_channel_estimate(path: str, est: ChannelEstimate) -> None:
-    if not est.is_isotropic:
-        raise NotImplementedError("dump supports isotropic estimates only")
-    header = {
-        "kind": "channel_estimate",
-        "cascaded_est": list(est.cascaded_est.shape),
-        "err_scale": list(est.err_scale.shape),
-        "prior_scale": list(est.prior_scale.shape) if est.prior_scale is not None else None,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        _write_array(fh, est.cascaded_est)
-        fh.write(est.err_scale.astype("<f8").tobytes())
-        if est.prior_scale is not None:
-            fh.write(est.prior_scale.astype("<f8").tobytes())
-
-
-def load_channel_estimate(path: str) -> ChannelEstimate:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("kind") != "channel_estimate":
-            raise ValueError("not a channel_estimate dump")
-        cascaded = _read_array(fh, header["cascaded_est"])
-        err = np.frombuffer(
-            fh.read(int(np.prod(header["err_scale"])) * 8), dtype="<f8"
-        ).reshape(header["err_scale"])
-        prior = None
-        if header["prior_scale"] is not None:
-            prior = np.frombuffer(
-                fh.read(int(np.prod(header["prior_scale"])) * 8), dtype="<f8"
-            ).reshape(header["prior_scale"])
-    return ChannelEstimate(cascaded, err_scale=err.copy(),
-                           prior_scale=None if prior is None else prior.copy())
+    return draw_estimate(truth, err, rng)

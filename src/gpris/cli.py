@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,8 +16,6 @@ from .scenario import load_scenario
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario rng seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
     parser.add_argument("--out", type=str, default=None,
                         help="output path stem (.csv / .jsonl are appended)")
 
@@ -42,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    rows = run_experiment(spec, AlgorithmSettings(), threads=max(1, args.threads),
-                          base_seed=args.seed)
+    rows = run_experiment(spec, AlgorithmSettings(), base_seed=args.seed)
     out = args.out or spec.output_path
     csv_path, jsonl_path = write_results(rows, out)
     print(f"wrote {len(rows)} rows to {csv_path} and {jsonl_path}")
@@ -66,9 +64,8 @@ def cmd_bench(args) -> int:
         print(f"expected a bench spec, got kind={spec.kind!r}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        base = dict(spec.base_config)
-        base["rng_seed"] = args.seed
-        spec = type(spec)(**{**_spec_asdict(spec), "base_config": base})
+        spec = dataclasses.replace(
+            spec, base_config={**spec.base_config, "rng_seed": args.seed})
     result = bench_from_spec(spec)
     report = {
         "rows": [vars(r) for r in result.rows],
@@ -83,11 +80,6 @@ def cmd_bench(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _spec_asdict(spec) -> dict:
-    import dataclasses
-    return dataclasses.asdict(spec)
 
 
 def cmd_validate(args) -> int:

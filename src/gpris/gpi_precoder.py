@@ -116,8 +116,10 @@ def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
 def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve blkdiag(blocks) x = rhs for Hermitian PD blocks.
 
-    blocks is (K, N, N) and rhs has length K*N (column-stacked).  Raises with
-    the offending block index if a block is not positive definite.
+    blocks is (K, N, N) and rhs holds K*N entries, block by block (a
+    column-stacked vector or a (K, N) array); returns x column-stacked.
+    Raises with the offending block index if a block is not positive
+    definite.  Both GPI stages solve through here.
     """
     k, n, _ = blocks.shape
     try:
@@ -152,9 +154,8 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
         iters += 1
         f_mat = f.reshape((n, k), order="F")
         apply_abar, bbar_blocks, _ = gpi_matrices(q, f_mat)
-        rhs = apply_abar(f_mat)  # (N, K) columns of Abar f
-        new_cols = np.linalg.solve(bbar_blocks, rhs.T[:, :, None])[:, :, 0].T
-        f_new = new_cols.flatten(order="F")
+        # Abar f as (K, N) rows, i.e. the column-stacked right-hand side
+        f_new = block_diag_solve(bbar_blocks, apply_abar(f_mat).T)
         f_new = f_new / np.linalg.norm(f_new)
         step = min(np.linalg.norm(f_new - f), np.linalg.norm(f_new + f))
         f = f_new
@@ -162,6 +163,6 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
             break
     f_mat = f.reshape((n, k), order="F")
     apply_abar, bbar_blocks, lam = gpi_matrices(q, f_mat)
-    image = np.linalg.solve(bbar_blocks, apply_abar(f_mat).T[:, :, None])[:, :, 0].T
-    residual = float(np.linalg.norm(image.flatten(order="F") - lam * f) / abs(lam))
+    image = block_diag_solve(bbar_blocks, apply_abar(f_mat).T)
+    residual = float(np.linalg.norm(image - lam * f) / abs(lam))
     return f, iters, residual

@@ -17,7 +17,7 @@ from scipy.special import logsumexp, softmax
 
 from . import _kernel
 from .channel import ChannelEstimate
-from .gpi_precoder import GpiSettings
+from .gpi_precoder import GpiSettings, block_diag_solve
 from .metrics import PhaseShifts, Precoder, theta_matrices
 
 
@@ -112,13 +112,6 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
                          u_vecs=u_vecs)
 
 
-def penalty_quadratic(w: np.ndarray, i: int) -> float:
-    """|w_i|^2 == w^H X_i w without materializing the selector matrix (0-based i)."""
-    if not 0 <= i < w.size:
-        raise IndexError(f"index {i} out of range for length {w.size}")
-    return float(np.abs(w[i]) ** 2)
-
-
 def smooth_max(values, alpha: float) -> float:
     """LogSumExp upper surrogate (1/alpha) ln sum exp(alpha x_i); >= max."""
     values = np.asarray(values, dtype=float)
@@ -211,27 +204,45 @@ class RisGpiResult:
     loop_seconds: float = 0.0    # wall time of the iteration loop body
 
 
+def _numpy_loop(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray,
+                settings: GpiSettings) -> tuple[np.ndarray, int]:
+    """Reference fixed-point loop from unit-norm w; returns (w, iterations).
+
+    Runs when no C compiler is found, and is the oracle the compiled loop
+    is tested against.
+    """
+    iters = 0
+    for _ in range(settings.max_iters):
+        iters += 1
+        cbar, dbar = ris_gpi_matrices(q, reg, w)
+        rhs = np.einsum("lab,lb->la", cbar, w.reshape((q.l, q.m)))
+        w_new = block_diag_solve(dbar, rhs)
+        w_new = w_new / np.linalg.norm(w_new)
+        step = np.linalg.norm(w_new - w)
+        w = w_new
+        if step <= settings.tol:
+            break
+    return w, iters
+
+
 def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
-                settings: GpiSettings, backend: str = "auto") -> RisGpiResult:
+                settings: GpiSettings) -> RisGpiResult:
     """Iterate w <- Dbar^-1 Cbar w with normalization, then project phases.
 
-    backend: "auto" takes the compiled loop when a C compiler is found,
-    "kernel" demands it, "numpy" forces the reference loop.
+    The loop runs compiled when a C compiler is found (see ``_kernel``) and
+    in numpy otherwise; a non-positive-definite Dbar block raises
+    ``np.linalg.LinAlgError`` on either path.
     """
     from .metrics import nmse_unit_modulus
 
-    if backend not in ("auto", "kernel", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
     w = np.asarray(w_init, dtype=complex)
     norm = np.linalg.norm(w)
     if norm == 0:
         raise ValueError("initial w must be nonzero")
     w = w / norm
-    # "kernel" without a C compiler raises from _kernel.prepare
-    use_kernel = backend == "kernel" or (backend == "auto" and _kernel.available())
 
-    if use_kernel:
-        prep = _kernel.prepare(q.c_blocks, q.d_blocks, q.u_vecs, w)
+    if _kernel.available():
+        prep = _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w)
         loop = prep.bind(q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), reg.mu,
                          reg.tau, reg.alpha1, reg.alpha2, settings.tol,
                          settings.max_iters)
@@ -242,22 +253,12 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
             raise np.linalg.LinAlgError("denominator block not positive definite")
         w = prep.w()
     else:
-        iters = 0
         t0 = time.perf_counter()
-        for _ in range(settings.max_iters):
-            iters += 1
-            cbar, dbar = ris_gpi_matrices(q, reg, w)
-            rhs = np.einsum("lab,lb->la", cbar, w.reshape((q.l, q.m)))
-            w_new = np.linalg.solve(dbar, rhs[:, :, None])[:, :, 0].flatten()
-            w_new = w_new / np.linalg.norm(w_new)
-            step = np.linalg.norm(w_new - w)
-            w = w_new
-            if step <= settings.tol:
-                break
+        w, iters = _numpy_loop(q, reg, w, settings)
         loop_seconds = time.perf_counter() - t0
     cbar, dbar = ris_gpi_matrices(q, reg, w)
     rhs = np.einsum("lab,lb->la", cbar, w.reshape((q.l, q.m)))
-    image = np.linalg.solve(dbar, rhs[:, :, None])[:, :, 0].flatten()
+    image = block_diag_solve(dbar, rhs)
     # lambda-free form of ||Dbar^-1 (lam Cbar) w - lam w|| / lam
     residual = float(np.linalg.norm(image - w))
     phases = PhaseShifts.from_normalized(w, q.l, q.m).project()

@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -190,8 +189,7 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
 
 
 def run_experiment(spec: ExperimentSpec, settings: AlgorithmSettings | None = None,
-                   threads: int = 1, base_seed: int | None = None
-                   ) -> list[ResultRow]:
+                   base_seed: int | None = None) -> list[ResultRow]:
     """Run every (sweep value, seed) point; deterministic row order."""
     if spec.kind == "bench":
         raise ValueError("bench specs go through bench_ris_stage")
@@ -200,18 +198,11 @@ def run_experiment(spec: ExperimentSpec, settings: AlgorithmSettings | None = No
     if base_seed is not None:
         base = Scenario(config=replace(base.config, rng_seed=base_seed),
                         geometry=base.geometry, pathloss=base.pathloss)
-    tasks = []
+    rows = []
     for value in spec.sweep_values:
         scenario = _apply_sweep(base, spec.kind, value)
         for seed in range(spec.n_seeds):
-            tasks.append((scenario, value, seed))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda t: _run_point(spec, t[0], t[1], t[2], settings), tasks))
-    else:
-        chunks = [_run_point(spec, sc, v, s, settings) for sc, v, s in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+            rows.extend(_run_point(spec, scenario, value, seed, settings))
     rows.sort(key=lambda r: (r.sweep_value, r.seed, SCHEMES.index(r.scheme)))
     return rows
 

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cn, rand_psd
-from gpris.channel import (cascade, draw_estimate, dump_channel_estimate,
-                           dump_channel_set, error_covariance_dft,
+from gpris.channel import (cascade, draw_estimate, error_covariance_dft,
                            error_scale_dft, estimate_channels,
-                           load_channel_estimate, load_channel_set,
                            perfect_estimate, steering_ula, steering_upa,
                            synth_bs_ris, synth_ris_user, synthesize_channels)
 from gpris.scenario import scenario_from_dict
@@ -238,33 +236,3 @@ def test_vectorization_column_major(rng):
     assert v[1 + 3 * 2] == x[1, 2]
     assert np.array_equal(v.reshape((3, 4), order="F"), x)
 
-
-class TestBinaryDump:
-    def test_channel_set_round_trip(self, rng, tmp_path):
-        truth = synthesize_channels(small_scenario(), rng)
-        path = str(tmp_path / "chans.bin")
-        dump_channel_set(path, truth)
-        back = load_channel_set(path)
-        assert np.array_equal(back.cascaded, truth.cascaded)
-        assert np.array_equal(back.bs_ris, truth.bs_ris)
-        assert np.array_equal(back.ris_user, truth.ris_user)
-        assert np.array_equal(back.gamma1, truth.gamma1)
-        assert np.array_equal(back.gamma2, truth.gamma2)
-
-    def test_channel_estimate_round_trip(self, rng, tmp_path):
-        scn = small_scenario()
-        truth = synthesize_channels(scn, rng)
-        est = estimate_channels(truth, scn, rng)
-        path = str(tmp_path / "est.bin")
-        dump_channel_estimate(path, est)
-        back = load_channel_estimate(path)
-        assert np.array_equal(back.cascaded_est, est.cascaded_est)
-        assert np.array_equal(back.err_scale, est.err_scale)
-        assert np.array_equal(back.prior_scale, est.prior_scale)
-
-    def test_kind_mismatch_rejected(self, rng, tmp_path):
-        truth = synthesize_channels(small_scenario(), rng)
-        path = str(tmp_path / "chans.bin")
-        dump_channel_set(path, truth)
-        with pytest.raises(ValueError):
-            load_channel_estimate(path)

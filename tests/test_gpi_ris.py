@@ -13,7 +13,7 @@ from gpris import _kernel
 from gpris.gpi_precoder import GpiSettings
 from gpris.gpi_ris import (RegularizerSettings, RisQuadratics,
                            build_ris_quadratics, default_tau, lambda_ris,
-                           log2_lambda_ris, penalty_quadratic, penalty_weights,
+                           _numpy_loop, log2_lambda_ris, penalty_weights,
                            ris_gpi_matrices, run_gpi_ris, smooth_max,
                            smooth_min)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
@@ -101,16 +101,6 @@ class TestQuadratics:
 
 
 class TestPenalty:
-    def test_penalty_quadratic_selects_element(self, rng):
-        w = rand_phases(2, 3, rng).normalized
-        for i in range(6):
-            assert penalty_quadratic(w, i) == pytest.approx(abs(w[i]) ** 2)
-
-    def test_penalty_quadratic_out_of_range(self, rng):
-        w = rand_phases(1, 2, rng).normalized
-        with pytest.raises(IndexError):
-            penalty_quadratic(w, 2)
-
     def test_smooth_max_two_equal_values(self):
         # alpha=1 on (x, x) gives x + ln(2); alpha scales the gap
         assert smooth_max(np.array([0.0, 0.0]), 1.0) == pytest.approx(np.log(2))
@@ -274,11 +264,10 @@ class TestRunGpiRis:
                                       r_sigma=1.2)
             w0 = rand_phases(2, 3, rng).normalized
             s = GpiSettings(tol=1e-10, max_iters=100)
-            a = run_gpi_ris(q, reg, w0, s, backend="numpy")
-            b = run_gpi_ris(q, reg, w0, s, backend="kernel")
-            assert a.iterations == b.iterations
-            assert np.allclose(a.w, b.w, atol=1e-10)
-            assert a.residual == pytest.approx(b.residual, abs=1e-9)
+            res = run_gpi_ris(q, reg, w0, s)
+            w_ref, iters_ref = _numpy_loop(q, reg, w0 / np.linalg.norm(w0), s)
+            assert res.iterations == iters_ref
+            assert np.allclose(res.w, w_ref, atol=1e-10)
 
     def test_without_compiler_auto_falls_back(self, rng, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
@@ -286,11 +275,43 @@ class TestRunGpiRis:
         q = self._problem(rng)
         w0 = rand_phases(2, 3, rng).normalized
         s = GpiSettings(tol=1e-10, max_iters=100)
-        auto = run_gpi_ris(q, RegularizerSettings(), w0, s)
-        ref = run_gpi_ris(q, RegularizerSettings(), w0, s, backend="numpy")
-        assert np.array_equal(auto.w, ref.w)
+        res = run_gpi_ris(q, RegularizerSettings(), w0, s)
+        w_ref, iters_ref = _numpy_loop(q, RegularizerSettings(),
+                                       w0 / np.linalg.norm(w0), s)
+        assert res.iterations == iters_ref
+        assert np.array_equal(res.w, w_ref)
         with pytest.raises(RuntimeError, match="no C compiler"):
-            run_gpi_ris(q, RegularizerSettings(), w0, s, backend="kernel")
+            _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+
+    @staticmethod
+    def _indefinite_problem():
+        """K=1, L=2 with a negative definite first D block.
+
+        Every quadratic form stays positive, so only the block solve of the
+        fixed-point step can notice that Dbar is not positive definite.
+        """
+        d_blocks = np.stack([-0.5 * np.eye(2), 10.0 * np.eye(2)])[None] + 0j
+        u_vecs = np.ones((1, 2, 2), dtype=complex)
+        c_blocks = d_blocks + np.einsum("kla,klb->klab", u_vecs, u_vecs.conj())
+        q = RisQuadratics(c_blocks=c_blocks, d_blocks=d_blocks,
+                          q_mat=np.eye(1), qbar_mats=np.zeros((1, 1, 1)),
+                          noise_over_p=0.1, u_vecs=u_vecs)
+        w0 = np.full(4, 0.5, dtype=complex)
+        qc, qd = q.quad_forms(w0.reshape(2, 2))
+        assert np.all(qc > 0) and np.all(qd > 0)
+        return q, w0
+
+    @needs_compiler
+    def test_indefinite_block_raises_compiled(self):
+        q, w0 = self._indefinite_problem()
+        with pytest.raises(np.linalg.LinAlgError):
+            run_gpi_ris(q, RegularizerSettings(), w0, GpiSettings())
+
+    def test_indefinite_block_raises_numpy(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+        q, w0 = self._indefinite_problem()
+        with pytest.raises(np.linalg.LinAlgError, match="block 0"):
+            run_gpi_ris(q, RegularizerSettings(), w0, GpiSettings())
 
     def test_fixed_point_exits_in_one_iteration(self, rng):
         # run to convergence, then restart from the converged point
@@ -339,22 +360,21 @@ class TestKernelDirect:
         q = build_ris_quadratics(est, f, 0.1)
         w0 = rand_phases(2, 3, rng).normalized
         reg = RegularizerSettings(mu=10.0, tau=default_tau(2, 3), r_sigma=1.1)
-        inv_rs_ln2 = 1.0 / (reg.r_sigma * np.log(2))
-        w_a, it_a = _kernel.ris_loop(q.c_blocks, q.d_blocks, q.u_vecs,
-                                     q.noise_over_p, inv_rs_ln2, reg.mu,
-                                     reg.tau, reg.alpha1, reg.alpha2, w0,
-                                     1e-9, 200)
-        prep = _kernel.prepare(q.c_blocks, q.d_blocks, q.u_vecs, w0)
-        w_b, it_b = _kernel.ris_loop(q.c_blocks, q.d_blocks, q.u_vecs,
-                                     q.noise_over_p, inv_rs_ln2, reg.mu,
-                                     reg.tau, reg.alpha1, reg.alpha2, w0,
-                                     1e-9, 200, prep=prep)
-        assert it_a == it_b
-        assert np.allclose(w_a, w_b, atol=1e-13)
+        args = (q.noise_over_p, 1.0 / (reg.r_sigma * np.log(2)), reg.mu,
+                reg.tau, reg.alpha1, reg.alpha2, 1e-9, 200)
+        prep_a = _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+        # the split re/im layout unpacks to the iterate it was given
+        assert np.array_equal(prep_a.w(), w0)
+        it_a = prep_a.bind(*args)()
+        prep_b = _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+        it_b = prep_b.bind(*args)()
+        assert it_a == it_b > 0
+        assert np.allclose(prep_a.w(), prep_b.w(), atol=1e-13)
 
     @needs_compiler
     def test_build_is_cached_per_host(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernel, "_cache_dirs", lambda: iter([tmp_path]))
+        real_run = _kernel.subprocess.run
         compiler = _kernel.find_compiler()
         lib = _kernel._build(compiler)
         # written under its final name only, no temporary left behind
@@ -368,6 +388,11 @@ class TestKernelDirect:
         monkeypatch.setattr(_kernel, "_host_cpu", lambda: "another cpu")
         with pytest.raises(AssertionError, match="compiler invoked"):
             _kernel._build(compiler)
+        # the rebuild for the other CPU leaves no stale library behind
+        monkeypatch.setattr(_kernel.subprocess, "run", real_run)
+        other = _kernel._build(compiler)
+        assert other != lib
+        assert [p.name for p in tmp_path.iterdir()] == [other.name]
 
     def test_import_builds_nothing(self):
         code = ("import gpris, gpris._kernel as k; "

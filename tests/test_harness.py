@@ -122,12 +122,6 @@ class TestRunExperiment:
         b = run_experiment(spec, FAST)
         assert [stable_line(r) for r in a] == [stable_line(r) for r in b]
 
-    def test_threads_do_not_change_results(self):
-        spec = small_spec()
-        a = run_experiment(spec, FAST, threads=1)
-        b = run_experiment(spec, FAST, threads=4)
-        assert [stable_line(r) for r in a] == [stable_line(r) for r in b]
-
     def test_base_seed_changes_draws(self):
         spec = small_spec()
         a = run_experiment(spec, FAST, base_seed=1)
