@@ -45,23 +45,19 @@ def default_tau(l: int, m: int) -> float:
 
 @dataclass
 class RisQuadratics:
-    """Blockwise C_k / D_k plus the precoder Gram matrices.
+    """Blockwise C_k / D_k of the RIS stage.
 
     c_blocks[k, l] = Upsilon_{k,l} + Theta_{k,l} and d_blocks[k, l] =
-    Upsilon-bar_{k,l} + Theta_{k,l} (both before the sigma^2/P shift),
-    with Upsilon_{k,l} = LM * Hhat^H Q Hhat using the l-matched estimate.
+    Upsilon-bar_{k,l} + Theta_{k,l} (both before the sigma^2/P shift).
+    With G_{k,l} = Hhat_{k,l}^H F (M x K, the l-matched estimate),
+    Upsilon_{k,l} = LM * Hhat^H Q Hhat = LM * G G^H and Upsilon-bar_{k,l} =
+    Upsilon_{k,l} - u u^H, where u = sqrt(LM) * (column k of G).
     """
 
     c_blocks: np.ndarray     # (K, L, M, M)
     d_blocks: np.ndarray     # (K, L, M, M)
-    q_mat: np.ndarray        # (N, N)
-    qbar_mats: np.ndarray    # (K, N, N)
     noise_over_p: float
     u_vecs: np.ndarray       # (K, L, M), C_k - D_k == u_k u_k^H
-
-    @property
-    def k(self) -> int:
-        return self.c_blocks.shape[0]
 
     @property
     def l(self) -> int:
@@ -80,36 +76,25 @@ class RisQuadratics:
                        w_blocks).real + self.noise_over_p * power
         return qc, qd
 
-    def dense_matrix(self, k: int, numerator: bool) -> np.ndarray:
-        """Dense LM x LM C_k (numerator=True) or D_k (test oracle)."""
-        blocks = self.c_blocks[k] if numerator else self.d_blocks[k]
-        lm = self.l * self.m
-        out = np.zeros((lm, lm), dtype=complex)
-        for li in range(self.l):
-            s = slice(li * self.m, (li + 1) * self.m)
-            out[s, s] = blocks[li]
-        return out + self.noise_over_p * np.eye(lm)
-
 
 def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
                          noise_over_p: float) -> RisQuadratics:
-    n, k, l, m = est.dims
-    f = precoder.matrix
-    q_mat = f @ f.conj().T
-    qbar = q_mat[None, :, :] - np.einsum("nk,mk->knm", f, f.conj())
+    _, _, l, m = est.dims
     lm = l * m
     h = est.cascaded_est  # (K, L, N, M)
-    upsilon = lm * np.einsum("klan,ab,klbm->klnm", h.conj(), q_mat, h)
-    upsilon_bar = lm * np.einsum("klan,kab,klbm->klnm", h.conj(), qbar, h)
+    # batched matmuls keep the cost at O(K L N M K + K L M^2 K), where the
+    # sandwich Hhat^H Q Hhat would cost O(K L N^2 M^2)
+    g = np.conj(np.swapaxes(h, 2, 3)) @ precoder.matrix  # (K, L, M, K)
+    upsilon = lm * (g @ np.conj(np.swapaxes(g, 2, 3)))
+    # signal-column factors: C_k - D_k = LM (Hhat^H f_k)(Hhat^H f_k)^H
+    u_vecs = np.sqrt(lm) * np.einsum("klmk->klm", g)  # own-user columns
+    upsilon_bar = upsilon - u_vecs[..., :, None] * np.conj(u_vecs[..., None, :])
     # theta_matrices is the quadratic for the unit-modulus phases phi; the
     # relaxed vector satisfies phi = sqrt(LM) w, so the same LM factor that
     # scales Upsilon applies to the error term as well
     theta = lm * theta_matrices(est, precoder)
-    # signal-column factors: C_k - D_k = LM (Hhat^H f_k)(Hhat^H f_k)^H
-    u_vecs = np.sqrt(lm) * np.einsum("klam,ak->klm", h.conj(), f)
     return RisQuadratics(c_blocks=upsilon + theta, d_blocks=upsilon_bar + theta,
-                         q_mat=q_mat, qbar_mats=qbar, noise_over_p=noise_over_p,
-                         u_vecs=u_vecs)
+                         noise_over_p=noise_over_p, u_vecs=u_vecs)
 
 
 def smooth_max(values, alpha: float) -> float:

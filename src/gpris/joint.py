@@ -59,6 +59,10 @@ class AlgorithmSettings:
     alpha1: float = 2.0
     alpha2: float = 2.0
 
+    def __post_init__(self):
+        if self.t3_max < 1:
+            raise ValueError("t3_max must be >= 1")
+
     @property
     def precoder(self) -> GpiSettings:
         return GpiSettings(tol=self.eps1, max_iters=self.t1_max)
@@ -125,13 +129,23 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     best = None  # (objective, precoder, phases, w, mu)
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
 
+    # the first precoder stage sees only (est, f0, phi0), so all mu points
+    # share it; when it fails, every mu point fails with it
+    try:
+        first = _precoder_stage(est, noise_over_p, settings, f0, phi0, timing)
+    except _STAGE_ERRORS as exc:
+        errors = dict.fromkeys(map(float, plan.grid),
+                               f"{type(exc).__name__}: {exc}")
+        raise RuntimeError(f"every mu point failed: {errors}") from exc
+
     for mu in plan.grid:
         mu = float(mu)
         reg = RegularizerSettings(mu=mu, tau=tau, r_sigma=r_sigma,
                                   alpha1=settings.alpha1, alpha2=settings.alpha2)
         try:
-            outcome = _alternate(est, noise_over_p, reg, settings, f0, phi0, timing)
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+            outcome = _alternate(est, noise_over_p, reg, settings, init, r_sigma,
+                                 first, timing)
+        except _STAGE_ERRORS as exc:
             errors[mu] = f"{type(exc).__name__}: {exc}"
             continue
         obj, precoder, phases, w, trace, iters, conv = outcome
@@ -162,30 +176,45 @@ def run_joint_fixed_mu(est: ChannelEstimate, noise_over_p: float, mu: float,
     return run_joint(est, noise_over_p, plan, settings, rng, init=init)
 
 
-def _alternate(est, noise_over_p, reg, settings, f0, phi0, timing):
-    """One inner alternation from the shared initial pair at a fixed mu."""
-    n, k, l, m = est.dims
-    precoder, phases = f0, phi0
+_STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
+def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
+    """Precoder GPI against fixed phases, then the RIS quadratics it yields."""
+    n, k, _, _ = est.dims
+    t0 = time.perf_counter()
+    quad = build_precoder_quadratics(est, phases, noise_over_p)
+    f_star, _, _ = run_gpi_precoder(quad, precoder.stacked, settings.precoder)
+    precoder = Precoder.from_stacked(f_star, n, k)
+    t1 = time.perf_counter()
+    ris_quad = build_ris_quadratics(est, precoder, noise_over_p)
+    timing["precoder"] += t1 - t0
+    timing["ris"] += time.perf_counter() - t1
+    return precoder, ris_quad
+
+
+def _alternate(est, noise_over_p, reg, settings, init, obj_init, first, timing):
+    """One inner alternation at a fixed mu from the shared initial pair, its
+    objective ``obj_init`` and the shared first precoder stage ``first``."""
+    precoder, phases = init
     w = phases.normalized
-    obj_prev = lower_bound_sum_se(est, precoder, phases, noise_over_p)
+    obj_prev = obj_init
     trace: list[float] = []
     best = (obj_prev, precoder, phases, w)
     converged = False
     iters = 0
+    precoder, ris_quad = first
     for _ in range(settings.t3_max):
+        if iters:
+            precoder, ris_quad = _precoder_stage(est, noise_over_p, settings,
+                                                 precoder, phases, timing)
         iters += 1
-        t0 = time.perf_counter()
-        quad = build_precoder_quadratics(est, phases, noise_over_p)
-        f_star, _, _ = run_gpi_precoder(quad, precoder.stacked, settings.precoder)
-        precoder = Precoder.from_stacked(f_star, n, k)
         t1 = time.perf_counter()
-        ris_quad = build_ris_quadratics(est, precoder, noise_over_p)
         ris = run_gpi_ris(ris_quad, reg, w, settings.ris)
         phases, w = ris.phases, ris.w
         t2 = time.perf_counter()
         obj = lower_bound_sum_se(est, precoder, phases, noise_over_p)
         t3 = time.perf_counter()
-        timing["precoder"] += t1 - t0
         timing["ris"] += t2 - t1
         timing["objective"] += t3 - t2
         trace.append(obj)

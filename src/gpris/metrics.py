@@ -5,7 +5,7 @@ with Xi_k built from phase shifts) or as phi_l^H Theta_{k,l} phi_l
 (phase-quadratic, with Theta built from the precoder through the commutation
 matrix).  Both are contractions of the same NM x NM error covariance and agree
 exactly; the reshape-based routines below avoid materializing Kronecker
-products, and dense Kronecker references are kept for tests.
+products (the tests hold dense Kronecker references).
 """
 
 from __future__ import annotations
@@ -85,6 +85,11 @@ class PhaseShifts:
                            projected=True)
 
 
+# (re, im) rows of the -2..+2 ulp ladder, in order of increasing perturbation
+_ULP_STEPS = np.array(sorted(np.ndindex(5, 5), key=lambda s: (
+    abs(s[0] - 2) + abs(s[1] - 2), s))[1:])
+
+
 def exact_unit_modulus(angles: np.ndarray) -> np.ndarray:
     """e^{j angle} with every modulus exactly 1.0 in float64.
 
@@ -92,37 +97,32 @@ def exact_unit_modulus(angles: np.ndarray) -> np.ndarray:
     stragglers by their own modulus pulls them onto it exactly.
     """
     z = np.exp(1j * np.asarray(angles, dtype=float))
-    off = np.abs(z) != 1.0
-    if not np.any(off):
+    idx = np.flatnonzero(np.abs(z) != 1.0)
+    if idx.size == 0:
         return z
     # for a float64 component pair a step of at most 2 ulps in each
     # coordinate always reaches a representable point with |.| == 1.0;
-    # try the candidates in order of increasing perturbation
+    # each straggler takes the first such candidate in _ULP_STEPS order
     shape = z.shape
-    z = z.ravel()
-    off = off.ravel()
-    re, im = z.real.copy(), z.imag.copy()
-
-    def _step(x, d):
-        for _ in range(abs(d)):
-            x = np.nextafter(x, np.inf if d > 0 else -np.inf)
-        return x
-
-    steps = sorted(((dr, di) for dr in range(-2, 3) for di in range(-2, 3)),
-                   key=lambda s: (abs(s[0]) + abs(s[1]), s))
-    for dr, di in steps[1:]:
-        idx = np.flatnonzero(off)
-        if idx.size == 0:
-            break
-        rr = _step(re[idx], dr)
-        ii = _step(im[idx], di)
-        good = np.abs(rr + 1j * ii) == 1.0
-        sel = idx[good]
-        re[sel] = rr[good]
-        im[sel] = ii[good]
-        off[sel] = False
-    if np.any(off):
+    re, im = z.real.flatten(), z.imag.flatten()
+    ladder = np.empty((5, idx.size), dtype=complex)
+    rungs = ladder.view(float)  # both coordinates step together
+    rungs[2] = z.ravel()[idx].view(float)
+    np.nextafter(rungs[2], np.inf, out=rungs[3])
+    np.nextafter(rungs[3], np.inf, out=rungs[4])
+    np.nextafter(rungs[2], -np.inf, out=rungs[1])
+    np.nextafter(rungs[1], -np.inf, out=rungs[0])
+    cand = np.empty((len(_ULP_STEPS), idx.size), dtype=complex)
+    cand.real = ladder.real[_ULP_STEPS[:, 0]]
+    cand.imag = ladder.imag[_ULP_STEPS[:, 1]]
+    good = np.abs(cand) == 1.0
+    cols = np.arange(idx.size)
+    first = good.argmax(axis=0)
+    if not good[first, cols].all():
         raise FloatingPointError("could not renormalize phases to unit modulus")
+    pick = cand[first, cols]
+    re[idx] = pick.real
+    im[idx] = pick.imag
     return (re + 1j * im).reshape(shape)
 
 
@@ -213,24 +213,6 @@ def commutation_matrix(n: int, m: int) -> np.ndarray:
         for j in range(m):
             p[j + m * i, i + n * j] = 1.0
     return p
-
-
-def xi_dense_reference(err_cov: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
-    """Dense-Kronecker Xi contribution of one (k, l) link (test oracle)."""
-    sel = np.kron(phi[np.newaxis, :], np.eye(n))  # phi^T kron I_N, N x NM
-    return sel @ err_cov @ sel.conj().T
-
-
-def theta_dense_reference(err_cov: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
-    """Dense-Kronecker Theta contribution of one (k, l) link and all users."""
-    n = f.shape[0]
-    p = commutation_matrix(n, m)
-    mid = p @ err_cov.conj() @ p.T
-    theta = np.zeros((m, m), dtype=complex)
-    for i in range(f.shape[1]):
-        sel = np.kron(f[:, i][np.newaxis, :], np.eye(m))  # f_i^T kron I_M
-        theta += sel @ mid @ sel.conj().T
-    return theta
 
 
 def nmse_unit_modulus(w: np.ndarray) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.special import softmax
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder
@@ -17,7 +18,7 @@ from gpris.gpi_ris import (RegularizerSettings, RisQuadratics,
                            ris_gpi_matrices, run_gpi_ris, smooth_max,
                            smooth_min)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
-                           nmse_unit_modulus)
+                           nmse_unit_modulus, theta_matrices)
 
 # the compiled loop is built on first use with the C compiler found on PATH
 needs_compiler = pytest.mark.skipif(not _kernel.available(),
@@ -63,9 +64,10 @@ class TestQuadratics:
         w = rand_phases(2, 3, rng).normalized.reshape(2, 3)
         qc, qd = q.quad_forms(w)
         x = w.flatten()
+        eye = 0.05 * np.eye(6)
         for k in range(2):
-            c = q.dense_matrix(k, numerator=True)
-            d = q.dense_matrix(k, numerator=False)
+            c = block_diag(*q.c_blocks[k]) + eye
+            d = block_diag(*q.d_blocks[k]) + eye
             assert qc[k] == pytest.approx(np.real(x.conj() @ c @ x), rel=1e-9)
             assert qd[k] == pytest.approx(np.real(x.conj() @ d @ x), rel=1e-9)
 
@@ -85,6 +87,29 @@ class TestQuadratics:
             gap = sum(abs(np.vdot(q.u_vecs[k, li], wb[li])) ** 2
                       for li in range(2))
             assert qc[k] - qd[k] == pytest.approx(gap, rel=1e-9)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_matches_sandwich_definition(self, rng, dense):
+        # Upsilon = LM Hhat^H Q Hhat and Upsilon-bar = LM Hhat^H Qbar_k Hhat
+        # contracted directly, against the batched G G^H form
+        n, k, l, m = 5, 3, 2, 4
+        est = rand_estimate(n, k, l, m, rng, err=0.2, dense=dense)
+        f = rand_precoder(n, k, rng)
+        q = build_ris_quadratics(est, f, 0.05)
+        lm = l * m
+        h, fm = est.cascaded_est, f.matrix
+        q_mat = fm @ fm.conj().T
+        qbar = q_mat[None] - np.einsum("nk,mk->knm", fm, fm.conj())
+        theta = lm * theta_matrices(est, f)
+        c_ref = lm * np.einsum("klan,ab,klbm->klnm", h.conj(), q_mat, h) + theta
+        d_ref = lm * np.einsum("klan,kab,klbm->klnm", h.conj(), qbar, h) + theta
+        u_ref = np.sqrt(lm) * np.einsum("klam,ak->klm", h.conj(), fm)
+        np.testing.assert_allclose(q.c_blocks, c_ref, rtol=1e-12)
+        np.testing.assert_allclose(q.d_blocks, d_ref, rtol=1e-12)
+        np.testing.assert_allclose(q.u_vecs, u_ref, rtol=1e-12)
+        outer = np.einsum("kla,klb->klab", q.u_vecs, q.u_vecs.conj())
+        np.testing.assert_allclose(q.c_blocks - q.d_blocks, outer, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(q.c_blocks)))
 
     def test_objective_matches_phase_form_bound_single_ris(self, rng):
         # with one RIS there are no cross-block terms, so the blockwise
@@ -294,7 +319,6 @@ class TestRunGpiRis:
         u_vecs = np.ones((1, 2, 2), dtype=complex)
         c_blocks = d_blocks + np.einsum("kla,klb->klab", u_vecs, u_vecs.conj())
         q = RisQuadratics(c_blocks=c_blocks, d_blocks=d_blocks,
-                          q_mat=np.eye(1), qbar_mats=np.zeros((1, 1, 1)),
                           noise_over_p=0.1, u_vecs=u_vecs)
         w0 = np.full(4, 0.5, dtype=complex)
         qc, qd = q.quad_forms(w0.reshape(2, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_estimate, rand_phases, rand_precoder
+import gpris.joint
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                          initial_pair, run_joint, run_joint_fixed_mu)
 from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
@@ -32,6 +33,10 @@ class TestPlanAndSettings:
     def test_plan_validation(self, kwargs):
         with pytest.raises(ValueError):
             LineSearchPlan(**kwargs)
+
+    def test_settings_require_one_alternation(self):
+        with pytest.raises(ValueError, match="t3_max"):
+            AlgorithmSettings(t3_max=0)
 
     def test_settings_expose_inner_loops(self):
         s = AlgorithmSettings(eps1=1e-3, t1_max=10)
@@ -172,3 +177,61 @@ class TestFixedMu:
             free.append(a.nmse)
             tight.append(b.nmse)
         assert np.median(tight) <= np.median(free) + 1e-12
+
+
+class TestSharedFirstStage:
+    """The mu-independent first precoder stage runs once per run_joint."""
+
+    PLAN = LineSearchPlan(mu_min=0.0, mu_max=100.0, n_points=5)
+    SETTINGS = AlgorithmSettings(t3_max=4)
+
+    def _instance(self):
+        est, rng = small_problem(21)
+        return est, initial_pair(est, NOP, rng)
+
+    def test_grid_points_equal_single_mu_runs(self):
+        est, init = self._instance()
+        res = run_joint(est, NOP, self.PLAN, self.SETTINGS,
+                        np.random.default_rng(0), init=init)
+        assert not res.errors
+        for mu in self.PLAN.grid:
+            mu = float(mu)
+            one = run_joint_fixed_mu(est, NOP, mu, self.SETTINGS,
+                                     np.random.default_rng(0), init=init)
+            assert res.per_mu_final[mu] == one.per_mu_final[mu]
+            assert res.iterations[mu] == one.iterations[mu]
+            assert res.converged[mu] == one.converged[mu]
+
+    def test_precoder_gpi_calls(self, monkeypatch):
+        est, init = self._instance()
+        calls = []
+        original = gpris.joint.run_gpi_precoder
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gpris.joint, "run_gpi_precoder", counting)
+        res = run_joint(est, NOP, self.PLAN, self.SETTINGS,
+                        np.random.default_rng(0), init=init)
+        assert len(calls) == sum(res.iterations.values()) - (self.PLAN.n_points - 1)
+
+    def test_failed_first_stage_fails_every_mu(self, monkeypatch):
+        est, init = self._instance()
+        calls = []
+        original = gpris.joint.run_gpi_precoder
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("block 0 is not positive definite")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gpris.joint, "run_gpi_precoder", first_fails)
+        with pytest.raises(RuntimeError, match="every mu point failed") as info:
+            run_joint(est, NOP, self.PLAN, self.SETTINGS,
+                      np.random.default_rng(0), init=init)
+        assert len(calls) == 1
+        message = str(info.value)
+        for mu in self.PLAN.grid:
+            assert f"{float(mu)}: 'LinAlgError: block 0" in message

@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris.channel import ChannelEstimate
 from gpris.metrics import (PhaseShifts, Precoder, commutation_matrix,
-                           effective_channels, exact_sum_se,
+                           effective_channels, exact_sum_se, exact_unit_modulus,
                            lower_bound_phase_form, lower_bound_sum_se,
                            mc_instantaneous_se, nmse_unit_modulus,
-                           theta_dense_reference, theta_matrices,
-                           xi_dense_reference, xi_matrices)
+                           theta_matrices, xi_matrices)
 
 
 class TestPrecoderType:
@@ -56,6 +55,75 @@ class TestPhaseShiftsType:
         ph = rand_phases(2, 4, rng)
         back = PhaseShifts.from_normalized(ph.normalized, 2, 4)
         assert np.allclose(back.per_ris, ph.per_ris)
+
+
+def _unit_modulus_loop(angles):
+    """Candidate-by-candidate ulp search, the reference for exact_unit_modulus."""
+    z = np.exp(1j * np.asarray(angles, dtype=float))
+    off = np.abs(z) != 1.0
+    if not np.any(off):
+        return z
+    shape = z.shape
+    z = z.ravel()
+    off = off.ravel()
+    re, im = z.real.copy(), z.imag.copy()
+
+    def _step(x, d):
+        for _ in range(abs(d)):
+            x = np.nextafter(x, np.inf if d > 0 else -np.inf)
+        return x
+
+    steps = sorted(((dr, di) for dr in range(-2, 3) for di in range(-2, 3)),
+                   key=lambda s: (abs(s[0]) + abs(s[1]), s))
+    for dr, di in steps[1:]:
+        idx = np.flatnonzero(off)
+        if idx.size == 0:
+            break
+        rr = _step(re[idx], dr)
+        ii = _step(im[idx], di)
+        good = np.abs(rr + 1j * ii) == 1.0
+        sel = idx[good]
+        re[sel] = rr[good]
+        im[sel] = ii[good]
+        off[sel] = False
+    if np.any(off):
+        raise FloatingPointError("could not renormalize phases to unit modulus")
+    return (re + 1j * im).reshape(shape)
+
+
+class TestExactUnitModulus:
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                     b.view(np.uint64))
+
+    def test_matches_loop_bit_for_bit(self, rng):
+        special = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+        angles = np.concatenate([special, rng.uniform(-np.pi, np.pi, 200_000),
+                                 rng.uniform(-50.0, 50.0, 20_000)])
+        off = np.abs(np.exp(1j * angles)) != 1.0
+        assert 0.1 < off.mean() < 0.9  # both branches are exercised
+        got = exact_unit_modulus(angles)
+        assert self._same_bits(got, _unit_modulus_loop(angles))
+        assert np.all(np.abs(got) == 1.0)
+        # (L, M) input keeps its shape
+        grid = angles[:64 * 50].reshape(50, 8, 8)
+        for block in grid:
+            assert self._same_bits(exact_unit_modulus(block),
+                                   _unit_modulus_loop(block))
+
+    def test_all_on_circle_returns_exp(self, rng):
+        angles = rng.uniform(-np.pi, np.pi, 5_000)
+        exact = angles[np.abs(np.exp(1j * angles)) == 1.0]
+        assert exact.size > 0
+        got = exact_unit_modulus(exact)
+        assert self._same_bits(got, np.exp(1j * exact))
+        assert self._same_bits(got, _unit_modulus_loop(exact))
+
+    def test_unreachable_point_raises(self):
+        for fn in (exact_unit_modulus, _unit_modulus_loop):
+            with pytest.raises(FloatingPointError, match="unit modulus"):
+                fn(np.array([0.3, np.nan]))
 
 
 class TestExactSumSe:
@@ -133,6 +201,24 @@ class TestLowerBound:
                 fn(est, f, ph, 0.1), abs=1e-9)
         assert exact_sum_se(est.cascaded_est, f, rotated, 0.1) == pytest.approx(
             exact_sum_se(est.cascaded_est, f, ph, 0.1), abs=1e-9)
+
+
+def xi_dense_reference(err_cov: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
+    """Dense-Kronecker Xi contribution of one (k, l) link."""
+    sel = np.kron(phi[np.newaxis, :], np.eye(n))  # phi^T kron I_N, N x NM
+    return sel @ err_cov @ sel.conj().T
+
+
+def theta_dense_reference(err_cov: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+    """Dense-Kronecker Theta contribution of one (k, l) link and all users."""
+    n = f.shape[0]
+    p = commutation_matrix(n, m)
+    mid = p @ err_cov.conj() @ p.T
+    theta = np.zeros((m, m), dtype=complex)
+    for i in range(f.shape[1]):
+        sel = np.kron(f[:, i][np.newaxis, :], np.eye(m))  # f_i^T kron I_M
+        theta += sel @ mid @ sel.conj().T
+    return theta
 
 
 class TestXiTheta:
