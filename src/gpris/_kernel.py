@@ -2,10 +2,11 @@
 
 The plain numpy loop spends most of its time in per-call overhead once the
 per-RIS blocks are small, which hides the L * (M_tot/L)^3 scaling of the
-block solves.  ``_ris_loop.c`` runs the whole loop in one compiled call,
-batches the L independent blocks along the innermost axis (struct-of-arrays,
-real and imaginary parts split), and keeps every inner loop free of
-cross-lane reductions so it vectorizes without reassociation.
+block solves.  ``_ris_loop.c`` runs the whole loop of every lane (one per
+penalty weight mu) in one compiled call, batches the L independent blocks
+along the innermost axis (struct-of-arrays, real and imaginary parts
+split), and keeps every inner loop free of cross-block reductions so it
+vectorizes without reassociation.
 
 The C file is built on first use, never at import, with the first C compiler
 found on PATH, tuned for the host CPU (``-march=native``).  The library is
@@ -135,8 +136,9 @@ def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(compiler)))
     lib.gpris_ris_loop_work.argtypes = [_int, _int, _int]
     lib.gpris_ris_loop_work.restype = ctypes.c_long
-    lib.gpris_ris_loop.argtypes = ([_int] * 3 + [_ptr] * 6 + [_dbl] * 6
-                                   + [_ptr] * 2 + [_dbl, _int, _ptr])
+    lib.gpris_ris_loop.argtypes = ([_int] * 4 + [_ptr] * 4 + [_dbl] * 2
+                                   + [_ptr] + [_dbl] * 3 + [_ptr] * 2
+                                   + [_dbl, _int] + [_ptr] * 3)
     lib.gpris_ris_loop.restype = _int
     return lib
 
@@ -144,49 +146,80 @@ def _library() -> ctypes.CDLL:
 class Prepared:
     """Repacked kernel inputs plus the ctypes arguments that point at them.
 
-    The kernel wants the RIS index innermost with real and imaginary parts
-    split, so its inner loops run over independent blocks.  This is
-    iteration-independent, so callers can keep it outside timed regions.
-    The arrays are held here for as long as the pointers are in use; the
-    iterate (wr, wi) is updated in place by each call.
+    The kernel wants the lane index outermost and the RIS index innermost,
+    with real and imaginary parts split, so its inner loops run over
+    independent blocks.  It takes C_k and u_k and forms each lane's
+    D_k = C_k - u_k u_k^H itself.  ``w0`` is (LM,) or (P, LM), and the
+    blocks carry the same leading lane axis.  This is iteration-independent,
+    so callers can keep it outside timed regions.  The arrays are held here
+    for as long as the pointers are in use; the iterates (wr, wi) are
+    updated in place by each call.
     """
 
-    def __init__(self, c_blocks, d_blocks, u_vecs, w0):
+    def __init__(self, c_blocks, u_vecs, w0):
         lib = _library()
-        k_users, l_ris, m, _ = c_blocks.shape
-        if d_blocks.shape != c_blocks.shape or u_vecs.shape != (k_users, l_ris, m):
-            raise ValueError("c_blocks, d_blocks and u_vecs disagree on shape")
         w0 = np.asarray(w0)
-        if w0.shape != (l_ris * m,):
-            raise ValueError(f"w0 must have {l_ris * m} entries, got {w0.shape}")
-        self.shape = (k_users, l_ris, m)
-        self.cr, self.ci = _soa(c_blocks, (0, 2, 3, 1))
-        self.dr, self.di = _soa(d_blocks, (0, 2, 3, 1))
-        self.ur, self.ui = _soa(u_vecs, (0, 2, 1))
-        self.wr, self.wi = _soa(w0.reshape(l_ris, m), (1, 0))
+        lanes = w0.shape[:-1]
+        k_users, l_ris, m, _ = c_blocks.shape[-4:]
+        if (c_blocks.shape != lanes + (k_users, l_ris, m, m)
+                or u_vecs.shape != c_blocks.shape[:-1]):
+            raise ValueError("c_blocks, u_vecs and w0 disagree on shape")
+        if w0.shape[-1] != l_ris * m:
+            raise ValueError(f"w0 must have {l_ris * m} entries per lane, "
+                             f"got {w0.shape}")
+        p = int(np.prod(lanes))
+        self.lanes = lanes
+        self.shape = (p, k_users, l_ris, m)
+        blocks = (p, k_users, l_ris, m, m)
+        self.cr, self.ci = _soa(c_blocks.reshape(blocks), (0, 1, 3, 4, 2))
+        self.ur, self.ui = _soa(u_vecs.reshape(blocks[:-1]), (0, 1, 3, 2))
+        self.wr, self.wi = _soa(w0.reshape(p, l_ris, m), (0, 2, 1))
+        self.mu = np.zeros(p)
+        self.iters = np.zeros(p, dtype=np.intc)
+        self.res = np.zeros(p)
         self.work = np.empty(lib.gpris_ris_loop_work(k_users, m, l_ris))
         self._loop = lib.gpris_ris_loop
         self._arrays = [_ptr(a.ctypes.data) for a in (
-            self.cr, self.ci, self.dr, self.di, self.ur, self.ui)]
-        self._w = [_ptr(self.wr.ctypes.data), _ptr(self.wi.ctypes.data)]
+            self.cr, self.ci, self.ur, self.ui)]
 
     def bind(self, noise_over_p, inv_rs_ln2, mu, tau, alpha1, alpha2, tol,
              max_iters):
-        """Zero-argument call running the loop; returns the iteration count.
+        """Zero-argument call running every lane's loop.
 
-        A negative count flags a non-positive-definite denominator block.
+        ``mu`` is a float or one weight per lane.  The call returns the
+        iteration counts (an int for an unbatched ``w0``, else one per
+        lane); a negative count flags a non-positive-definite denominator
+        block in that lane, whose iterate is then left at the previous one.
         """
-        k_users, l_ris, m = self.shape
-        args = (_int(k_users), _int(m), _int(l_ris), *self._arrays,
-                *(_dbl(float(x)) for x in (noise_over_p, inv_rs_ln2, mu, tau,
-                                           alpha1, alpha2)),
-                *self._w, _dbl(float(tol)), _int(int(max_iters)),
+        p, k_users, l_ris, m = self.shape
+        self.mu[:] = np.broadcast_to(mu, self.lanes).reshape(p)
+        args = (_int(p), _int(k_users), _int(m), _int(l_ris), *self._arrays,
+                _dbl(float(noise_over_p)), _dbl(float(inv_rs_ln2)),
+                _ptr(self.mu.ctypes.data),
+                *(_dbl(float(x)) for x in (tau, alpha1, alpha2)),
+                _ptr(self.wr.ctypes.data), _ptr(self.wi.ctypes.data),
+                _dbl(float(tol)), _int(int(max_iters)),
+                _ptr(self.iters.ctypes.data), _ptr(self.res.ctypes.data),
                 _ptr(self.work.ctypes.data))
-        return functools.partial(self._loop, *args)
+        loop = functools.partial(self._loop, *args)
+
+        def run():
+            loop()
+            counts = self.iters.reshape(self.lanes)
+            return int(counts) if counts.ndim == 0 else counts.copy()
+
+        return run
 
     def w(self) -> np.ndarray:
-        """Current iterate as an (L*M,) complex vector."""
-        return np.transpose(self.wr + 1j * self.wi).reshape(-1)
+        """Current iterates as (LM,) or (P, LM) complex vectors."""
+        w = np.swapaxes(self.wr + 1j * self.wi, -1, -2)
+        return w.reshape(self.lanes + (-1,))
+
+    def residual(self):
+        """Fixed-point residual ||Dbar^-1 Cbar w - w|| of each lane at the
+        iterate the last call returned (a float for an unbatched ``w0``)."""
+        res = self.res.reshape(self.lanes)
+        return float(res) if res.ndim == 0 else res.copy()
 
 
 def _soa(x, axes):

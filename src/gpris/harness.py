@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import time
@@ -95,10 +97,15 @@ class ResultRow:
     error: str = ""
 
     def csv_line(self) -> str:
-        return (f"{self.experiment},{self.seed},{self.sweep_value!r},{self.scheme},"
-                f"{self.lb_sum_se!r},{self.exact_sum_se!r},{self.mc_se!r},"
-                f"{self.nmse!r},{self.mu!r},{self.iterations},"
-                f"{self.precoder_s!r},{self.ris_s!r},{self.error}")
+        """One CSV line without its terminator; a field holding a comma, a
+        quote or a line break (an error message, say) is quoted."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([
+            self.experiment, self.seed, repr(self.sweep_value), self.scheme,
+            repr(self.lb_sum_se), repr(self.exact_sum_se), repr(self.mc_se),
+            repr(self.nmse), repr(self.mu), self.iterations,
+            repr(self.precoder_s), repr(self.ris_s), self.error])
+        return buf.getvalue()[:-1]
 
 
 def _square_factor(m: int) -> tuple[int, int]:
@@ -243,8 +250,9 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
     """Median wall time per RIS-stage iteration for each config.
 
     All scenarios must share the same total element count L*M.  The timer
-    wraps only the fixed-point loop body; channel synthesis and quadratic
-    assembly are excluded.
+    wraps only the compiled call, the fixed-point loop plus the one image
+    that gives its exit residual; channel synthesis and quadratic assembly
+    are excluded.
     """
     m_tot = {s.config.m_ris * s.config.n_ris for s in scenarios}
     if len(m_tot) != 1:

@@ -6,6 +6,12 @@ with Xi_k built from phase shifts) or as phi_l^H Theta_{k,l} phi_l
 matrix).  Both are contractions of the same NM x NM error covariance and agree
 exactly; the reshape-based routines below avoid materializing Kronecker
 products (the tests hold dense Kronecker references).
+
+Precoders, phase shifts and the bound take an optional leading lane axis
+(one lane per penalty weight of the line search).  Lanes only ever enter
+the stacked dimensions of a matmul and reductions run over trailing axes,
+so each lane is computed by the same operations whatever other lanes share
+its batch.
 """
 
 from __future__ import annotations
@@ -19,41 +25,52 @@ from .channel import ChannelEstimate, _cn_vector, _psd_factor
 
 @dataclass
 class Precoder:
-    """K beamforming vectors as columns of an N x K matrix, total power <= 1."""
+    """K beamforming vectors as columns of an N x K matrix, total power <= 1.
+
+    ``matrix`` may carry leading lane axes, (..., N, K).
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2:
+        matrix = np.asarray(self.matrix, dtype=complex)
+        if matrix.ndim < 2:
             raise ValueError("precoder must be an N x K matrix")
-        if self.total_power > 1.0 + 1e-9:
+        # column-major within each lane (the layout of the stacked vector),
+        # so sums over a precoder run in one order whatever built it
+        self.matrix = np.swapaxes(np.ascontiguousarray(
+            np.swapaxes(matrix, -1, -2)), -1, -2)
+        if np.any(self.total_power > 1.0 + 1e-9):
             raise ValueError(f"total power {self.total_power} exceeds 1")
 
     @classmethod
     def from_stacked(cls, stacked: np.ndarray, n: int, k: int) -> "Precoder":
-        return cls(np.asarray(stacked, dtype=complex).reshape((n, k), order="F"))
+        stacked = np.asarray(stacked, dtype=complex)
+        return cls(np.swapaxes(stacked.reshape(stacked.shape[:-1] + (k, n)),
+                               -1, -2))
 
     @property
     def stacked(self) -> np.ndarray:
-        """Column-stacked vector [f_1; ...; f_K] of length NK."""
-        return self.matrix.flatten(order="F")
+        """Column-stacked vector [f_1; ...; f_K] of length NK (per lane)."""
+        return np.swapaxes(self.matrix, -1, -2).reshape(
+            self.matrix.shape[:-2] + (-1,))
 
     @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+    def total_power(self):
+        """float, or one value per lane."""
+        return _lanes_out(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
 
 
 @dataclass
 class PhaseShifts:
-    """Per-RIS phase vectors, shape (L, M); ``projected`` marks unit modulus."""
+    """Per-RIS phase vectors, shape (..., L, M); ``projected`` marks unit modulus."""
 
     per_ris: np.ndarray
     projected: bool = False
 
     def __post_init__(self):
-        self.per_ris = np.asarray(self.per_ris, dtype=complex)
-        if self.per_ris.ndim != 2:
+        self.per_ris = np.ascontiguousarray(self.per_ris, dtype=complex)
+        if self.per_ris.ndim < 2:
             raise ValueError("per_ris must be (L, M)")
         if self.projected:
             if np.max(np.abs(np.abs(self.per_ris) - 1.0)) > 1e-12:
@@ -62,7 +79,8 @@ class PhaseShifts:
     @classmethod
     def from_stacked(cls, stacked: np.ndarray, l: int, m: int,
                      projected: bool = False) -> "PhaseShifts":
-        return cls(np.asarray(stacked, dtype=complex).reshape((l, m)), projected)
+        stacked = np.asarray(stacked, dtype=complex)
+        return cls(stacked.reshape(stacked.shape[:-1] + (l, m)), projected)
 
     @classmethod
     def from_normalized(cls, w: np.ndarray, l: int, m: int) -> "PhaseShifts":
@@ -71,12 +89,12 @@ class PhaseShifts:
 
     @property
     def stacked(self) -> np.ndarray:
-        return self.per_ris.flatten()
+        return self.per_ris.reshape(self.per_ris.shape[:-2] + (-1,))
 
     @property
     def normalized(self) -> np.ndarray:
         """w = stacked / sqrt(LM); unit norm whenever projected."""
-        l, m = self.per_ris.shape
+        l, m = self.per_ris.shape[-2:]
         return self.stacked / np.sqrt(l * m)
 
     def project(self) -> "PhaseShifts":
@@ -127,67 +145,95 @@ def exact_unit_modulus(angles: np.ndarray) -> np.ndarray:
 
 
 def effective_channels(cascaded: np.ndarray, phases: PhaseShifts) -> np.ndarray:
-    """h_k = sum_l H^r_{k,l} phi_l for every user, shape (K, N)."""
-    return np.einsum("klnm,lm->kn", cascaded, phases.per_ris)
+    """h_k = sum_l H^r_{k,l} phi_l for every user, shape (..., K, N)."""
+    k, l, n, m = cascaded.shape
+    phi = phases.per_ris
+    # one (KN x LM) matrix-vector product per lane
+    stack = cascaded.transpose(0, 2, 1, 3).reshape(k * n, l * m)
+    h = stack @ phi.reshape(phi.shape[:-2] + (l * m, 1))
+    return h.reshape(phi.shape[:-2] + (k, n))
+
+
+def _lanes_out(x):
+    """A Python float for an unbatched result, the per-lane array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def block_quad_forms(blocks: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_i f_i^H B_k f_i for every k; blocks (..., K, N, N), f (..., N, K).
+
+    The K blocks are stacked into one KN x N matrix, so each lane costs a
+    single matmul.
+    """
+    k, n = blocks.shape[-3], blocks.shape[-1]
+    bf = (blocks.reshape(blocks.shape[:-3] + (k * n, n)) @ f).reshape(
+        blocks.shape[:-3] + (k, n, f.shape[-1]))
+    return np.sum(np.conj(f)[..., None, :, :] * bf, axis=(-2, -1)).real
 
 
 def _sum_se_from_channels(h: np.ndarray, f: np.ndarray, extra_noise: np.ndarray,
-                          noise_over_p: float) -> float:
-    """Sum of log2(1 + SINR_k); h is (K, N), f is (N, K), extra_noise is (K,)."""
+                          noise_over_p: float):
+    """Sum of log2(1 + SINR_k); h is (..., K, N), f is (..., N, K), extra_noise (..., K)."""
     g = np.abs(h.conj() @ f) ** 2  # g[k, i] = |h_k^H f_i|^2
-    signal = np.diag(g)
-    interference = g.sum(axis=1) - signal
+    signal = np.diagonal(g, axis1=-2, axis2=-1)
+    interference = g.sum(axis=-1) - signal
     sinr = signal / (interference + extra_noise + noise_over_p)
-    return float(np.sum(np.log2(1.0 + sinr)))
+    return _lanes_out(np.sum(np.log2(1.0 + sinr), axis=-1))
 
 
 def exact_sum_se(cascaded: np.ndarray, precoder: Precoder, phases: PhaseShifts,
                  noise_over_p: float) -> float:
     """Sum SE on the given (true or estimated) cascaded channels."""
     h = effective_channels(cascaded, phases)
-    k = h.shape[0]
+    k = h.shape[-2]
     return _sum_se_from_channels(h, precoder.matrix, np.zeros(k), noise_over_p)
 
 
 def xi_matrices(est: ChannelEstimate, phases: PhaseShifts) -> np.ndarray:
-    """Xi_k = sum_l (phi_l^T kron I_N) R^e_{k,l} (phi_l^T kron I_N)^H, shape (K, N, N)."""
+    """Xi_k = sum_l (phi_l^T kron I_N) R^e_{k,l} (phi_l^T kron I_N)^H, shape (..., K, N, N)."""
     n, k, l, m = est.dims
     phi = phases.per_ris
     if est.is_isotropic:
-        scale = np.einsum("kl,l->k", est.err_scale, np.sum(np.abs(phi) ** 2, axis=1))
-        return scale[:, None, None] * np.eye(n)[None, :, :]
-    xi = np.zeros((k, n, n), dtype=complex)
+        scale = np.einsum("kl,...l->...k", est.err_scale,
+                          np.sum(np.abs(phi) ** 2, axis=-1))
+        return scale[..., None, None] * np.eye(n)
+    xi = np.zeros(phi.shape[:-2] + (k, n, n), dtype=complex)
     for ki in range(k):
         for li in range(l):
             r4 = est.err_dense[ki][li].reshape(m, n, m, n)
-            xi[ki] += np.einsum("a,anbp,b->np", phi[li], r4, phi[li].conj())
+            xi[..., ki, :, :] += np.einsum("...a,anbp,...b->...np", phi[..., li, :],
+                                           r4, phi[..., li, :].conj())
     return xi
 
 
 def theta_matrices(est: ChannelEstimate, precoder: Precoder) -> np.ndarray:
-    """Theta_{k,l} = sum_i (f_i^T kron I_M) P (R^e)^* P^T (...)^H, shape (K, L, M, M)."""
+    """Theta_{k,l} = sum_i (f_i^T kron I_M) P (R^e)^* P^T (...)^H, shape (..., K, L, M, M)."""
     n, k, l, m = est.dims
     f = precoder.matrix
     if est.is_isotropic:
-        total_power = float(np.sum(np.abs(f) ** 2))
-        return (est.err_scale * total_power)[:, :, None, None] * np.eye(m)[None, None]
-    theta = np.zeros((k, l, m, m), dtype=complex)
+        total_power = np.sum(np.abs(f) ** 2, axis=(-2, -1))
+        return (est.err_scale * total_power[..., None, None])[..., None, None] \
+            * np.eye(m)
+    theta = np.zeros(f.shape[:-2] + (k, l, m, m), dtype=complex)
     for ki in range(k):
         for li in range(l):
             r4c = est.err_dense[ki][li].conj().reshape(m, n, m, n)
-            for i in range(f.shape[1]):
-                theta[ki, li] += np.einsum("n,anbq,q->ab", f[:, i], r4c,
-                                           f[:, i].conj())
+            for i in range(f.shape[-1]):
+                theta[..., ki, li, :, :] += np.einsum(
+                    "...n,anbq,...q->...ab", f[..., :, i], r4c, f[..., :, i].conj())
     return theta
 
 
 def lower_bound_sum_se(est: ChannelEstimate, precoder: Precoder,
-                       phases: PhaseShifts, noise_over_p: float) -> float:
-    """Jensen lower bound on the sum instantaneous SE, precoder-quadratic form."""
+                       phases: PhaseShifts, noise_over_p: float):
+    """Jensen lower bound on the sum instantaneous SE, precoder-quadratic form.
+
+    A float, or one value per lane when the pair carries a lane axis.
+    """
     h_hat = effective_channels(est.cascaded_est, phases)
     xi = xi_matrices(est, phases)
     f = precoder.matrix
-    extra = np.einsum("ni,knm,mi->k", f.conj(), xi, f).real
+    extra = block_quad_forms(xi, f)
     return _sum_se_from_channels(h_hat, f, extra, noise_over_p)
 
 
@@ -215,14 +261,17 @@ def commutation_matrix(n: int, m: int) -> np.ndarray:
     return p
 
 
-def nmse_unit_modulus(w: np.ndarray) -> float:
-    """||sqrt(LM)|w| - 1||^2 / LM: distance of a relaxed vector from unit modulus."""
+def nmse_unit_modulus(w: np.ndarray):
+    """||sqrt(LM)|w| - 1||^2 / LM: distance of a relaxed vector from unit modulus.
+
+    w is (..., LM); a float, or one value per lane.
+    """
     w = np.asarray(w)
-    if np.all(w == 0):
+    if np.any(np.all(w == 0, axis=-1)):
         raise ValueError("zero vector has no modulus profile")
-    lm = w.size
+    lm = w.shape[-1]
     dev = np.sqrt(lm) * np.abs(w) - 1.0
-    return float(np.sum(dev**2) / lm)
+    return _lanes_out(np.sum(dev**2, axis=-1) / lm)
 
 
 def mc_instantaneous_se(est: ChannelEstimate, precoder: Precoder,

@@ -8,6 +8,16 @@ from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics,
 from gpris.metrics import Precoder, lower_bound_sum_se
 
 
+def dense_matrix(q, k, with_signal):
+    """Dense NK x NK A_k (with_signal=True) or B_k of unbatched quadratics."""
+    n, nk = q.n, q.n * q.k
+    a = np.kron(np.eye(q.k), q.g_blocks[k]) + q.noise_over_p * np.eye(nk)
+    if not with_signal:
+        sig = np.outer(q.h_hat[k], q.h_hat[k].conj())
+        a[k * n:(k + 1) * n, k * n:(k + 1) * n] -= sig
+    return a
+
+
 class TestSettings:
     def test_defaults(self):
         s = GpiSettings()
@@ -47,8 +57,8 @@ class TestQuadratics:
         qa, qb = q.quad_forms(f)
         x = f.flatten(order="F")
         for k in range(3):
-            a_dense = q.dense_matrix(k, with_signal=True)
-            b_dense = q.dense_matrix(k, with_signal=False)
+            a_dense = dense_matrix(q, k, with_signal=True)
+            b_dense = dense_matrix(q, k, with_signal=False)
             assert qa[k] == pytest.approx(np.real(x.conj() @ a_dense @ x),
                                           rel=1e-10)
             assert qb[k] == pytest.approx(np.real(x.conj() @ b_dense @ x),

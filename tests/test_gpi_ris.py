@@ -290,9 +290,11 @@ class TestRunGpiRis:
             w0 = rand_phases(2, 3, rng).normalized
             s = GpiSettings(tol=1e-10, max_iters=100)
             res = run_gpi_ris(q, reg, w0, s)
-            w_ref, iters_ref = _numpy_loop(q, reg, w0 / np.linalg.norm(w0), s)
+            w_ref, iters_ref, res_ref = _numpy_loop(q, reg,
+                                                    w0 / np.linalg.norm(w0), s)
             assert res.iterations == iters_ref
             assert np.allclose(res.w, w_ref, atol=1e-10)
+            assert res.residual == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
 
     def test_without_compiler_auto_falls_back(self, rng, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
@@ -301,12 +303,13 @@ class TestRunGpiRis:
         w0 = rand_phases(2, 3, rng).normalized
         s = GpiSettings(tol=1e-10, max_iters=100)
         res = run_gpi_ris(q, RegularizerSettings(), w0, s)
-        w_ref, iters_ref = _numpy_loop(q, RegularizerSettings(),
-                                       w0 / np.linalg.norm(w0), s)
+        w_ref, iters_ref, res_ref = _numpy_loop(q, RegularizerSettings(),
+                                                w0 / np.linalg.norm(w0), s)
         assert res.iterations == iters_ref
         assert np.array_equal(res.w, w_ref)
+        assert res.residual == res_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
-            _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+            _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
 
     @staticmethod
     def _indefinite_problem():
@@ -318,8 +321,8 @@ class TestRunGpiRis:
         d_blocks = np.stack([-0.5 * np.eye(2), 10.0 * np.eye(2)])[None] + 0j
         u_vecs = np.ones((1, 2, 2), dtype=complex)
         c_blocks = d_blocks + np.einsum("kla,klb->klab", u_vecs, u_vecs.conj())
-        q = RisQuadratics(c_blocks=c_blocks, d_blocks=d_blocks,
-                          noise_over_p=0.1, u_vecs=u_vecs)
+        q = RisQuadratics(c_blocks=c_blocks, noise_over_p=0.1, u_vecs=u_vecs)
+        assert np.array_equal(q.d_blocks, d_blocks)
         w0 = np.full(4, 0.5, dtype=complex)
         qc, qd = q.quad_forms(w0.reshape(2, 2))
         assert np.all(qc > 0) and np.all(qd > 0)
@@ -386,14 +389,42 @@ class TestKernelDirect:
         reg = RegularizerSettings(mu=10.0, tau=default_tau(2, 3), r_sigma=1.1)
         args = (q.noise_over_p, 1.0 / (reg.r_sigma * np.log(2)), reg.mu,
                 reg.tau, reg.alpha1, reg.alpha2, 1e-9, 200)
-        prep_a = _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+        prep_a = _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
         # the split re/im layout unpacks to the iterate it was given
         assert np.array_equal(prep_a.w(), w0)
         it_a = prep_a.bind(*args)()
-        prep_b = _kernel.Prepared(q.c_blocks, q.d_blocks, q.u_vecs, w0)
+        prep_b = _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
         it_b = prep_b.bind(*args)()
         assert it_a == it_b > 0
         assert np.allclose(prep_a.w(), prep_b.w(), atol=1e-13)
+
+    @needs_compiler
+    def test_indefinite_lane_is_isolated(self, rng):
+        # lane 1 has a negative definite D block; lanes 0 and 2 are regular
+        bad, w_bad = TestRunGpiRis._indefinite_problem()
+        goods, ws = [], []
+        for _ in range(2):
+            est = rand_estimate(3, 1, 2, 2, rng, err=0.1)
+            goods.append(build_ris_quadratics(est, rand_precoder(3, 1, rng), 0.1))
+            ws.append(rand_phases(2, 2, rng).normalized)
+        quads, w0 = [goods[0], bad, goods[1]], [ws[0], w_bad, ws[1]]
+        mus = np.array([0.0, 0.0, 5.0])
+        shared = (0.1, 1.0 / np.log(2), default_tau(2, 2), 2.0, 2.0, 1e-9, 100)
+
+        def args(mu):
+            return shared[:2] + (mu,) + shared[2:]
+
+        prep = _kernel.Prepared(*(np.stack([getattr(q, name) for q in quads])
+                                  for name in ("c_blocks", "u_vecs")),
+                                np.stack(w0))
+        counts = prep.bind(*args(mus))()
+        assert counts[1] < 0
+        for i in (0, 2):
+            one = _kernel.Prepared(quads[i].c_blocks, quads[i].u_vecs, w0[i])
+            alone = one.bind(*args(mus[i]))()
+            assert type(alone) is int
+            assert counts[i] == alone > 0
+            assert np.array_equal(prep.w()[i], one.w())
 
     @needs_compiler
     def test_build_is_cached_per_host(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpris.harness import (BenchRow, CSV_HEADER, EXPERIMENT_KINDS,
-                           ExperimentSpec, SCHEMES, _apply_sweep,
+                           ExperimentSpec, ResultRow, SCHEMES, _apply_sweep,
                            _square_factor, bench_from_spec, load_spec,
                            run_experiment, spec_from_dict, write_results)
 from gpris.joint import AlgorithmSettings
@@ -169,6 +169,23 @@ class TestWriteResults:
             docs = [json.loads(line) for line in fh]
         assert len(docs) == len(rows)
         assert docs[0]["scheme"] == rows[0].scheme
+
+    def test_error_with_commas_stays_one_field(self, tmp_path):
+        error = ("RuntimeError: every mu point failed: {0.0: 'LinAlgError: "
+                 "a, b', 50.0: \"x\"}")
+        rows = [ResultRow(experiment="power_sweep", seed=1, sweep_value=0.0,
+                          scheme="gpi_pris", error=error),
+                ResultRow(experiment="power_sweep", seed=2, sweep_value=10.0,
+                          scheme="rzf_random", lb_sum_se=1.5, iterations=3)]
+        csv_path, _ = write_results(rows, str(tmp_path / "res"))
+        with open(csv_path, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert [len(r) for r in records] == [13, 13, 13]
+        assert records[1][-1] == error
+        assert records[2][4] == "1.5" and records[2][9] == "3"
+        # a row without a comma or quote is written unquoted, as before
+        assert rows[1].csv_line() == ("power_sweep,2,10.0,rzf_random,1.5,nan,"
+                                      "nan,nan,nan,3,0.0,0.0,")
 
     def test_append_only_single_header(self, tmp_path):
         rows = run_experiment(small_spec(), FAST)

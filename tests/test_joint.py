@@ -1,8 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import rand_estimate, rand_phases, rand_precoder
 import gpris.joint
+from gpris.gpi_precoder import build_precoder_quadratics, run_gpi_precoder
+from gpris.gpi_ris import (RegularizerSettings, build_ris_quadratics,
+                           default_tau, run_gpi_ris)
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                          initial_pair, run_joint, run_joint_fixed_mu)
 from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
@@ -214,7 +219,8 @@ class TestSharedFirstStage:
         monkeypatch.setattr(gpris.joint, "run_gpi_precoder", counting)
         res = run_joint(est, NOP, self.PLAN, self.SETTINGS,
                         np.random.default_rng(0), init=init)
-        assert len(calls) == sum(res.iterations.values()) - (self.PLAN.n_points - 1)
+        # the shared first stage, then one call per later round of the lanes
+        assert len(calls) == max(res.iterations.values())
 
     def test_failed_first_stage_fails_every_mu(self, monkeypatch):
         est, init = self._instance()
@@ -235,3 +241,149 @@ class TestSharedFirstStage:
         message = str(info.value)
         for mu in self.PLAN.grid:
             assert f"{float(mu)}: 'LinAlgError: block 0" in message
+
+
+def _old_precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
+    """The sequential code's precoder stage, kept as the oracle."""
+    n, k, _, _ = est.dims
+    t0 = time.perf_counter()
+    quad = build_precoder_quadratics(est, phases, noise_over_p)
+    f_star, _, _ = run_gpi_precoder(quad, precoder.stacked, settings.precoder)
+    precoder = Precoder.from_stacked(f_star, n, k)
+    t1 = time.perf_counter()
+    ris_quad = build_ris_quadratics(est, precoder, noise_over_p)
+    timing["precoder"] += t1 - t0
+    timing["ris"] += time.perf_counter() - t1
+    return precoder, ris_quad
+
+
+def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timing):
+    """The sequential code's alternation at one mu, kept as the oracle."""
+    precoder, phases = init
+    w = phases.normalized
+    obj_prev = obj_init
+    trace = []
+    best = (obj_prev, precoder, phases, w)
+    converged = False
+    iters = 0
+    precoder, ris_quad = first
+    for _ in range(settings.t3_max):
+        if iters:
+            precoder, ris_quad = _old_precoder_stage(est, noise_over_p, settings,
+                                                     precoder, phases, timing)
+        iters += 1
+        t1 = time.perf_counter()
+        ris = run_gpi_ris(ris_quad, reg, w, settings.ris)
+        phases, w = ris.phases, ris.w
+        t2 = time.perf_counter()
+        obj = lower_bound_sum_se(est, precoder, phases, noise_over_p)
+        t3 = time.perf_counter()
+        timing["ris"] += t2 - t1
+        timing["objective"] += t3 - t2
+        trace.append(obj)
+        if obj > best[0]:
+            best = (obj, precoder, phases, w)
+        if obj_prev > 0 and abs(obj - obj_prev) / obj_prev <= settings.eps3:
+            converged = True
+            break
+        obj_prev = obj
+    obj, precoder, phases, w = best
+    return obj, precoder, phases, w, trace, iters, converged
+
+
+def _old_line_search(est, plan, settings, init):
+    """One unbatched _old_alternate per grid point: (finals, iters, conv, best_mu)."""
+    _, _, l, m = est.dims
+    r_sigma = compute_r_sigma(est, *init, NOP)
+    timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
+    first = _old_precoder_stage(est, NOP, settings, *init, timing)
+    finals, iters, conv, best = {}, {}, {}, None
+    for mu in map(float, plan.grid):
+        reg = RegularizerSettings(mu=mu, tau=default_tau(l, m), r_sigma=r_sigma,
+                                  alpha1=settings.alpha1, alpha2=settings.alpha2)
+        obj, _, _, _, _, iters[mu], conv[mu] = _old_alternate(
+            est, NOP, reg, settings, init, r_sigma, first, timing)
+        finals[mu] = obj
+        if best is None or obj > finals[best]:
+            best = mu
+    return finals, iters, conv, best
+
+
+class TestLanes:
+    """The grid points advance as lanes of one batch."""
+
+    @pytest.mark.parametrize("seed,dense", [(0, False), (1, False), (2, False),
+                                            (3, True)])
+    def test_matches_sequential_alternation(self, seed, dense):
+        rng = np.random.default_rng(seed + 500)
+        if dense:
+            est = rand_estimate(4, 2, 2, 3, rng, err=0.1, dense=True)
+        else:
+            est = rand_estimate(16, 4, 8, 8, rng, err=0.05)
+        init = initial_pair(est, NOP, rng)
+        plan, settings = LineSearchPlan(n_points=30), AlgorithmSettings()
+        res = run_joint(est, NOP, plan, settings, rng, init=init)
+        finals, iters, conv, best_mu = _old_line_search(est, plan, settings, init)
+        assert not res.errors
+        assert res.per_mu_final.keys() == finals.keys()
+        for mu, value in finals.items():
+            assert res.per_mu_final[mu] == pytest.approx(value, rel=1e-9, abs=0)
+        assert res.iterations == iters
+        assert res.converged == conv
+        assert res.best_mu == best_mu
+
+    def test_failing_lane_leaves_the_others_alone(self, monkeypatch):
+        est, rng = small_problem(31)
+        init = initial_pair(est, NOP, rng)
+        plan, settings = LineSearchPlan(n_points=5), AlgorithmSettings(t3_max=4)
+        clean = run_joint(est, NOP, plan, settings, np.random.default_rng(0),
+                          init=init)
+        bad_mu = float(plan.grid[2])
+        original = gpris.joint.run_gpi_ris
+
+        def fails_for_bad_mu(quad, reg, w, ris_settings):
+            if bad_mu in np.atleast_1d(reg.mu):
+                raise np.linalg.LinAlgError("forced failure")
+            return original(quad, reg, w, ris_settings)
+
+        monkeypatch.setattr(gpris.joint, "run_gpi_ris", fails_for_bad_mu)
+        res = run_joint(est, NOP, plan, settings, np.random.default_rng(0),
+                        init=init)
+        assert res.errors == {bad_mu: "LinAlgError: forced failure"}
+        others = [float(mu) for mu in plan.grid if mu != bad_mu]
+        assert list(res.per_mu_final) == others
+        for mu in others:
+            assert res.per_mu_final[mu] == clean.per_mu_final[mu]
+            assert res.objective_trace[mu] == clean.objective_trace[mu]
+            assert res.iterations[mu] == clean.iterations[mu]
+            assert res.converged[mu] == clean.converged[mu]
+
+    def test_stage_calls_through_joint_names(self, monkeypatch):
+        est, rng = small_problem(32)
+        init = initial_pair(est, NOP, rng)
+        plan = LineSearchPlan(n_points=6)
+        calls = {}
+        results = {}
+        for name in ("build_precoder_quadratics", "run_gpi_precoder",
+                     "build_ris_quadratics", "run_gpi_ris", "lower_bound_sum_se"):
+            original = getattr(gpris.joint, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                out = _fn(*args, **kwargs)
+                results.setdefault(_name, []).append(out)
+                return out
+
+            monkeypatch.setattr(gpris.joint, name, counting)
+        res = run_joint(est, NOP, plan, AlgorithmSettings(t3_max=5),
+                        np.random.default_rng(0), init=init)
+        rounds = max(res.iterations.values())
+        assert calls == {"build_precoder_quadratics": rounds,
+                         "run_gpi_precoder": rounds,
+                         "build_ris_quadratics": rounds,
+                         "run_gpi_ris": rounds,
+                         "lower_bound_sum_se": rounds + 1}
+        assert all(type(out[1]) is int for out in results["run_gpi_precoder"])
+        for out in results["run_gpi_ris"]:
+            assert type(out.iterations) is int and out.iterations > 0
+            assert type(out.loop_seconds) is float
