@@ -7,7 +7,7 @@ from .channel import (ChannelEstimate, ChannelSet, cascade, error_covariance_dft
                       error_scale_dft, estimate_channels, perfect_estimate,
                       steering_ula, steering_upa, synthesize_channels)
 from .gpi_precoder import (GpiSettings, PrecoderQuadratics,
-                           build_precoder_quadratics, lambda_bs, run_gpi_precoder)
+                           build_precoder_quadratics, run_gpi_precoder)
 from .gpi_ris import (RegularizerSettings, RisGpiResult, RisQuadratics,
                       build_ris_quadratics, default_tau, lambda_ris,
                       log2_lambda_ris, run_gpi_ris, smooth_max, smooth_min)
@@ -36,7 +36,7 @@ __all__ = [
     "cascade", "commutation_matrix", "compute_r_sigma", "db_to_linear",
     "default_geometry", "default_tau", "effective_channels",
     "error_covariance_dft", "error_scale_dft", "estimate_channels",
-    "exact_sum_se", "initial_pair", "lambda_bs", "lambda_ris", "linear_to_db",
+    "exact_sum_se", "initial_pair", "lambda_ris", "linear_to_db",
     "load_scenario", "load_spec", "log2_lambda_ris", "lower_bound_phase_form",
     "lower_bound_sum_se", "mc_instantaneous_se", "nmse_unit_modulus",
     "noise_power_dbm", "pathloss_db", "perfect_estimate", "place_users",

@@ -1,21 +1,27 @@
-"""Compiled inner loop for the RIS-stage fixed-point iteration.
+"""Compiled inner loops of both GPI stages, in one library built on first use.
 
-The plain numpy loop spends most of its time in per-call overhead once the
-per-RIS blocks are small, which hides the L * (M_tot/L)^3 scaling of the
-block solves.  ``_ris_loop.c`` runs the whole loop of every lane (one per
-penalty weight mu) in one compiled call, batches the L independent blocks
-along the innermost axis (struct-of-arrays, real and imaginary parts
-split), and keeps every inner loop free of cross-block reductions so it
-vectorizes without reassociation.
+The plain numpy loops spend most of their time in per-call overhead once
+the blocks are small and the lanes exit at ragged times.  Two C files are
+built into one shared library and called through ctypes, each running the
+whole loop of every lane (one per penalty weight mu) in one call:
 
-The C file is built on first use, never at import, with the first C compiler
-found on PATH, tuned for the host CPU (``-march=native``).  The library is
+- ``_ris_loop.c``, the RIS stage: it batches the L independent blocks
+  along the innermost axis (struct-of-arrays, real and imaginary parts
+  split) and keeps every inner loop free of cross-block reductions so it
+  vectorizes without reassociation (see ``Prepared``);
+- ``_precoder_loop.c``, the precoder stage: one Cholesky factor of the
+  common denominator block per lane-iteration and a Sherman-Morrison
+  correction per user, on the complex arrays as numpy holds them (see
+  ``precoder_loop``).
+
+The library is built on first use, never at import, with the first C
+compiler found on PATH, tuned for the host CPU (``-march=native``).  It is
 cached in the package's ``__pycache__`` (or, when that is read-only, in a
-private directory under the system temp directory) under a name keyed by the
-source, the flags, the compiler and the host CPU, so a host-tuned build is
-never loaded on another CPU; a new build removes the older ones beside it.
-Callers check ``available()`` and fall back to the numpy loop in ``gpi_ris``
-when no compiler is found.
+private directory under the system temp directory) under a name keyed by
+the sources, the flags, the compiler and the host CPU, so a host-tuned
+build is never loaded on another CPU; a new build removes the older ones
+beside it.  Callers check ``available()`` and fall back to the numpy loops
+in ``gpi_ris`` and ``gpi_precoder`` when no compiler is found.
 """
 
 from __future__ import annotations
@@ -38,7 +44,10 @@ import numpy as np
 HAVE_NUMBA = False
 
 _COMPILERS = ("cc", "gcc", "clang")
-_SOURCE = Path(__file__).with_name("_ris_loop.c")
+_DIR = Path(__file__).parent
+# every C source of the library; pyproject.toml ships them as package data
+_SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c")
+_LIBRARY = "_kernel"
 # no FP contraction: the same rounding as the numpy reference on every CPU
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -58,7 +67,7 @@ def find_compiler() -> str | None:
 
 
 def available() -> bool:
-    """True when the compiled loop can be built (a C compiler is present)."""
+    """True when the compiled loops can be built (a C compiler is present)."""
     return find_compiler() is not None
 
 
@@ -89,7 +98,7 @@ def _private_temp_dir() -> Path | None:
 
 
 def _cache_dirs():
-    pycache = _SOURCE.parent / "__pycache__"
+    pycache = _DIR / "__pycache__"
     try:
         pycache.mkdir(exist_ok=True)
     except OSError:
@@ -102,36 +111,36 @@ def _cache_dirs():
 
 
 def _build(compiler: str) -> Path:
-    """Compile the loop into the cache (atomically) unless already there."""
+    """Compile the loops into the cache (atomically) unless already there."""
     key = hashlib.sha256(b"\0".join([
-        _SOURCE.read_bytes(), " ".join(_FLAGS).encode(), compiler.encode(),
-        _host_cpu().encode()])).hexdigest()[:16]
-    name = f"_ris_loop-{key}.so"
+        *(src.read_bytes() for src in _SOURCES), " ".join(_FLAGS).encode(),
+        compiler.encode(), _host_cpu().encode()])).hexdigest()[:16]
+    name = f"{_LIBRARY}-{key}.so"
     for cache in _cache_dirs():
         target = cache / name
         if target.exists():
             return target
         tmp = cache / f"{name}.{os.getpid()}.tmp"
         proc = subprocess.run(
-            [compiler, *_FLAGS, "-o", str(tmp), str(_SOURCE), "-lm"],
+            [compiler, *_FLAGS, "-o", str(tmp), *map(str, _SOURCES), "-lm"],
             capture_output=True, text=True, check=False)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
-            raise RuntimeError(f"building {_SOURCE.name} with {compiler} "
+            raise RuntimeError(f"building {name} with {compiler} "
                                f"failed:\n{proc.stderr}")
         os.replace(tmp, target)
-        for stale in cache.glob("_ris_loop-*.so"):
+        for stale in cache.glob(f"{_LIBRARY}-*.so"):
             if stale != target:
                 stale.unlink(missing_ok=True)
         return target
-    raise OSError("no writable cache directory for the compiled RIS loop")
+    raise OSError("no writable cache directory for the compiled loops")
 
 
 @functools.cache
 def _library() -> ctypes.CDLL:
     compiler = find_compiler()
     if compiler is None:
-        raise RuntimeError("compiled RIS loop unavailable: no C compiler "
+        raise RuntimeError("compiled loops unavailable: no C compiler "
                            f"({', '.join(_COMPILERS)}) found on PATH")
     lib = ctypes.CDLL(str(_build(compiler)))
     lib.gpris_ris_loop_work.argtypes = [_int, _int, _int]
@@ -140,6 +149,11 @@ def _library() -> ctypes.CDLL:
                                    + [_ptr] + [_dbl] * 3 + [_ptr] * 2
                                    + [_dbl, _int] + [_ptr] * 3)
     lib.gpris_ris_loop.restype = _int
+    lib.gpris_precoder_loop_work.argtypes = [_int, _int]
+    lib.gpris_precoder_loop_work.restype = ctypes.c_long
+    lib.gpris_precoder_loop.argtypes = ([_int] * 3 + [_ptr] * 2
+                                        + [_dbl, _ptr, _dbl, _int] + [_ptr] * 4)
+    lib.gpris_precoder_loop.restype = _int
     return lib
 
 
@@ -222,12 +236,43 @@ class Prepared:
         return float(res) if res.ndim == 0 else res.copy()
 
 
+def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
+    """Run the precoder fixed-point loop of every lane in one compiled call.
+
+    ``h_hat`` (P, K, N) and ``g_blocks`` (P, K, N, N) are the lanes'
+    quadratics as ``PrecoderQuadratics`` holds them; ``f`` holds the (P, KN)
+    unit-norm column-stacked iterates, C-contiguous complex128, and is
+    updated in place.  Returns the per-lane iteration counts, failed blocks
+    and exit residuals ||Bbar^-1 Abar f - lambda f|| / lambda.  A negative
+    count flags a failed lane, whose iterate is left at the previous one;
+    its block entry names the Bbar block that is not positive definite, or
+    is -1 when a quadratic form is not positive.
+    """
+    lib = _library()
+    h = np.ascontiguousarray(h_hat, dtype=np.complex128)
+    g = np.ascontiguousarray(g_blocks, dtype=np.complex128)
+    p, k, n = h.shape
+    if (g.shape != (p, k, n, n) or f.shape != (p, k * n)
+            or f.dtype != np.complex128 or not f.flags.c_contiguous):
+        raise ValueError("h_hat, g_blocks and f disagree on shape or layout")
+    iters = np.zeros(p, dtype=np.intc)
+    block = np.zeros(p, dtype=np.intc)
+    residual = np.zeros(p)
+    work = np.empty(lib.gpris_precoder_loop_work(k, n))
+    lib.gpris_precoder_loop(p, k, n, h.ctypes.data, g.ctypes.data,
+                            float(noise_over_p), f.ctypes.data, float(tol),
+                            int(max_iters), iters.ctypes.data,
+                            block.ctypes.data, residual.ctypes.data,
+                            work.ctypes.data)
+    return iters, block, residual
+
+
 def _soa(x, axes):
     t = np.transpose(np.asarray(x, dtype=np.complex128), axes)
     return np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
 
 
 def warm_up():
-    """Build and load the compiled loop so timings exclude it."""
+    """Build and load the compiled loops so timings exclude it."""
     if available():
         _library()

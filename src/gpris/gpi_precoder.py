@@ -2,8 +2,8 @@
 
 Each user contributes a Rayleigh quotient f^H A_k f / f^H B_k f where A_k and
 B_k are NK x NK block-diagonal with a repeated N x N block, so quadratic forms
-and the fixed-point solve are done blockwise (K solves of size N instead of
-one of size NK).
+are done blockwise, and each fixed-point step factors only the one N x N
+block common to all K denominator blocks (see ``gpi_matrices``).
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .channel import ChannelEstimate
-from .metrics import (PhaseShifts, Precoder, _lanes_out, block_quad_forms,
+from .metrics import (PhaseShifts, _lanes_out, block_quad_forms,
                       effective_channels, xi_matrices)
 
 
@@ -71,12 +72,7 @@ def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
     return PrecoderQuadratics(h_hat=h_hat, g_blocks=g, noise_over_p=noise_over_p)
 
 
-def lambda_bs(q: PrecoderQuadratics, f_mat: np.ndarray) -> float:
-    """Product of Rayleigh quotients, the generalized eigenvalue at f."""
-    qa, qb = q.quad_forms(f_mat)
-    if np.any(qb <= 0):
-        raise FloatingPointError("vanishing denominator quadratic form")
-    return float(np.prod(qa / qb))
+_VANISHING = "vanishing quadratic form in GPI matrices"
 
 
 def _weighted_block_sum(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -89,68 +85,63 @@ def _weighted_block_sum(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
-    """Fixed-point pair at f: returns (apply_abar, bbar_blocks, lambda_bs).
+    """Fixed-point image at f: returns (Bbar^-1 Abar f column-stacked, lambda_bs).
 
     With the split lambda_num = lambda_BS and lambda_den = 1, Abar folds the
     eigenvalue and Bbar is the plain weighted sum.  Abar is block diagonal
-    with one repeated N x N block; Bbar's k-th block additionally subtracts
-    the k-th signal outer product.  With lane axes, lambda_bs holds one
-    value per lane.
+    with one repeated N x N block lambda A; Bbar's k-th block is the common
+    block B minus the k-th signal outer product h_k h_k^H / qb_k.  So one
+    Cholesky factor of B solves lambda A f_k -> y_k and h_k -> z_k, and
+    Sherman-Morrison gives the k-th image column y_k + z_k (h_k^H y_k) / s_k
+    with s_k = qb_k - h_k^H z_k.  Bbar_k is positive definite exactly when
+    B is and s_k > 0.  With lane axes, lambda_bs holds one value per lane.
+    This is the reference the compiled loop (``_precoder_loop.c``) mirrors.
     """
+    # imported here: only this fallback needs scipy.linalg, and importing it
+    # would add to every import of the package
+    from scipy.linalg import cho_solve
+
     qa, qb = q.quad_forms(f_mat)
     if np.any(qa <= 0) or np.any(qb <= 0):
-        raise FloatingPointError("vanishing quadratic form in GPI matrices")
+        raise FloatingPointError(_VANISHING)
     lam = np.prod(qa / qb, axis=-1)
     inv = 1.0 / np.stack([qa, qb], axis=-2)  # (..., 2, K)
     # the weighted sums of A's and B's common block, then their noise floors
     ab = _weighted_block_sum(inv, q.g_blocks)
     diag = np.arange(q.n)
     ab[..., diag, diag] += (q.noise_over_p * np.sum(inv, axis=-1))[..., None]
-    a_block, b_common = ab[..., 0, :, :], ab[..., 1, :, :]
-    # Bbar_k = common block - h_k h_k^H / qb_k, formed in one buffer
-    bbar_blocks = (q.h_hat / qb[..., None])[..., :, None] * q.h_hat[..., None, :].conj()
-    np.subtract(b_common[..., None, :, :], bbar_blocks, out=bbar_blocks)
-
-    def apply_abar(f_cols: np.ndarray) -> np.ndarray:
-        return lam[..., None, None] * (a_block @ f_cols)
-
-    return apply_abar, bbar_blocks, lam
-
-
-def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve blkdiag(blocks) x = rhs for Hermitian PD blocks.
-
-    blocks is (..., K, N, N) and rhs holds K*N entries per lane, block by
-    block (a column-stacked (..., K*N) vector or a (..., K, N) array);
-    returns x column-stacked, (..., K*N).  Raises with the offending block
-    index if a block is not positive definite.  Both GPI stages solve
-    through here.
-    """
-    k, n = blocks.shape[-3], blocks.shape[-1]
     try:
-        np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        for idx in np.ndindex(blocks.shape[:-2]):
-            try:
-                np.linalg.cholesky(blocks[idx])
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"block {idx[-1]} is not positive definite") from exc
-        raise
-    lanes = blocks.shape[:-3]
-    cols = np.asarray(rhs).reshape(lanes + (k, n, 1))
-    return np.linalg.solve(blocks, cols).reshape(lanes + (k * n,))
+        chol = np.linalg.cholesky(ab[..., 1, :, :])
+    except np.linalg.LinAlgError as exc:
+        # every Bbar_k lies below B, so the first block fails with it
+        raise np.linalg.LinAlgError("block 0 is not positive definite") from exc
+    h_cols = np.swapaxes(q.h_hat, -1, -2)
+    rhs = np.concatenate([lam[..., None, None] * (ab[..., 0, :, :] @ f_mat),
+                          h_cols], axis=-1)
+    yz = cho_solve((chol, True), rhs)
+    y, z = yz[..., :q.k], yz[..., q.k:]
+    s = qb - np.sum(h_cols.conj() * z, axis=-2).real
+    bad = np.argwhere(s <= 0)
+    if bad.size:
+        raise np.linalg.LinAlgError(f"block {bad[0, -1]} is not positive definite")
+    x = y + z * (np.sum(h_cols.conj() * y, axis=-2) / s)[..., None, :]
+    return np.swapaxes(x, -1, -2).reshape(x.shape[:-2] + (-1,)), lam
 
 
 def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
                      settings: GpiSettings):
     """Iterate f <- Bbar^-1 Abar f with normalization until the step is small.
 
-    Returns (unit-norm stacked precoder, iterations, fixed-point residual).
-    The step norm is minimized over the +-f sign ambiguity.  With a leading
-    lane axis (f_init (P, NK) against lane-stacked quadratics) each lane
-    stops once its own step reaches the tolerance; the iteration count is
-    then the total over all lanes and the residual holds one value per lane.
+    Returns (unit-norm stacked precoder, iterations, fixed-point residual
+    ||Bbar^-1 Abar f - lambda f|| / lambda).  The step norm is minimized
+    over the +-f sign ambiguity.  With a leading lane axis (f_init (P, NK)
+    against lane-stacked quadratics) each lane stops once its own step
+    reaches the tolerance; the iteration count is then the total over all
+    lanes and the residual holds one value per lane.  The loop runs
+    compiled when a C compiler is found (see ``_kernel``), all lanes in one
+    call, and in numpy otherwise.  A Bbar block that is not positive
+    definite raises ``np.linalg.LinAlgError`` naming the block, and a
+    vanishing quadratic form ``FloatingPointError``.
     """
     f = np.asarray(f_init, dtype=complex)
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
@@ -162,16 +153,35 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     f = (f / norm).reshape(-1, n * k)
     quad = PrecoderQuadratics(q.h_hat.reshape((-1, k, n)),
                               q.g_blocks.reshape((-1, k, n, n)), q.noise_over_p)
+    if _kernel.available():
+        counts, block, residual = _kernel.precoder_loop(
+            quad.h_hat, quad.g_blocks, f, q.noise_over_p, settings.tol,
+            settings.max_iters)
+        failed = np.flatnonzero(counts < 0)
+        if failed.size:
+            bad = block[failed[0]]
+            if bad < 0:
+                raise FloatingPointError(_VANISHING)
+            raise np.linalg.LinAlgError(f"block {bad} is not positive definite")
+        iters = int(np.sum(counts))
+    else:
+        iters, residual = _numpy_loop(quad, f, settings)
+    return (f.reshape(lanes + (n * k,)), iters,
+            _lanes_out(residual.reshape(lanes)))
+
+
+def _numpy_loop(q: PrecoderQuadratics, f: np.ndarray, settings: GpiSettings):
+    """Reference loop over the running lanes of the unit-norm (P, NK)
+    iterates ``f``, updated in place; returns (total iterations, residual
+    per lane).  Runs when no C compiler is found, and is the oracle the
+    compiled loop is tested against."""
+    n, k = q.n, q.k
     # the running lanes: their indices, iterates and quadratics
-    idx, f_run, q_run = np.arange(f.shape[0]), f, quad
+    idx, f_run, q_run = np.arange(f.shape[0]), f, q
     iters = 0
     for _ in range(settings.max_iters):
         iters += idx.size
-        f_mat = _as_matrix(f_run, n, k)
-        apply_abar, bbar_blocks, _ = gpi_matrices(q_run, f_mat)
-        # Abar f as (K, N) rows, i.e. the column-stacked right-hand side
-        f_new = block_diag_solve(bbar_blocks,
-                                 np.swapaxes(apply_abar(f_mat), -1, -2))
+        f_new, _ = gpi_matrices(q_run, _as_matrix(f_run, n, k))
         f_new = f_new / np.linalg.norm(f_new, axis=-1, keepdims=True)
         step = np.minimum(np.linalg.norm(f_new - f_run, axis=-1),
                           np.linalg.norm(f_new + f_run, axis=-1))
@@ -187,12 +197,8 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
                                        q.noise_over_p)
     else:
         f[idx] = f_run
-    f_mat = _as_matrix(f, n, k)
-    apply_abar, bbar_blocks, lam = gpi_matrices(quad, f_mat)
-    image = block_diag_solve(bbar_blocks, np.swapaxes(apply_abar(f_mat), -1, -2))
-    residual = np.linalg.norm(image - lam[:, None] * f, axis=-1) / np.abs(lam)
-    return (f.reshape(lanes + (n * k,)), iters,
-            _lanes_out(residual.reshape(lanes)))
+    image, lam = gpi_matrices(q, _as_matrix(f, n, k))
+    return iters, np.linalg.norm(image - lam[:, None] * f, axis=-1) / np.abs(lam)
 
 
 def _as_matrix(f: np.ndarray, n: int, k: int) -> np.ndarray:

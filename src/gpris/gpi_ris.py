@@ -22,7 +22,7 @@ from scipy.special import logsumexp, softmax
 
 from . import _kernel
 from .channel import ChannelEstimate
-from .gpi_precoder import GpiSettings, block_diag_solve
+from .gpi_precoder import GpiSettings
 from .metrics import (PhaseShifts, Precoder, _lanes_out, nmse_unit_modulus,
                       theta_matrices)
 
@@ -216,6 +216,31 @@ class RisGpiResult:
     residual: float | np.ndarray  # fixed-point residual at exit
     nmse: float | np.ndarray     # unit-modulus deviation of the relaxed w
     loop_seconds: float = 0.0    # wall time of the loop and its exit residual
+
+
+def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve blkdiag(blocks) x = rhs for Hermitian PD blocks.
+
+    blocks is (..., K, N, N) and rhs holds K*N entries per lane, block by
+    block (a column-stacked (..., K*N) vector or a (..., K, N) array);
+    returns x column-stacked, (..., K*N).  Raises with the offending block
+    index if a block is not positive definite.  The numpy RIS loop solves
+    through here.
+    """
+    k, n = blocks.shape[-3], blocks.shape[-1]
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        for idx in np.ndindex(blocks.shape[:-2]):
+            try:
+                np.linalg.cholesky(blocks[idx])
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"block {idx[-1]} is not positive definite") from exc
+        raise
+    lanes = blocks.shape[:-3]
+    cols = np.asarray(rhs).reshape(lanes + (k, n, 1))
+    return np.linalg.solve(blocks, cols).reshape(lanes + (k * n,))
 
 
 def _numpy_loop(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray,

@@ -13,10 +13,10 @@ import pytest
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris.channel import estimate_channels, synthesize_channels
-from gpris.gpi_precoder import (GpiSettings, block_diag_solve,
-                                build_precoder_quadratics, run_gpi_precoder)
-from gpris.gpi_ris import (RegularizerSettings, build_ris_quadratics,
-                           default_tau, run_gpi_ris)
+from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
+                                run_gpi_precoder)
+from gpris.gpi_ris import (RegularizerSettings, block_diag_solve,
+                           build_ris_quadratics, default_tau, run_gpi_ris)
 from gpris.harness import _square_factor, bench_ris_stage
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, initial_pair,
                          run_joint, run_joint_fixed_mu)

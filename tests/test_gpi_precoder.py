@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
-from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics,
-                                block_diag_solve, build_precoder_quadratics,
-                                gpi_matrices, lambda_bs, run_gpi_precoder)
-from gpris.metrics import Precoder, lower_bound_sum_se
+from gpris import _kernel
+from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics, _numpy_loop,
+                                build_precoder_quadratics, gpi_matrices,
+                                run_gpi_precoder)
+from gpris.gpi_ris import block_diag_solve
+from gpris.metrics import lower_bound_sum_se
+
+needs_compiler = pytest.mark.skipif(not _kernel.available(),
+                                    reason="no C compiler for the compiled loop")
 
 
 def dense_matrix(q, k, with_signal):
@@ -16,6 +21,58 @@ def dense_matrix(q, k, with_signal):
         sig = np.outer(q.h_hat[k], q.h_hat[k].conj())
         a[k * n:(k + 1) * n, k * n:(k + 1) * n] -= sig
     return a
+
+
+def lambda_bs(q: PrecoderQuadratics, f_mat: np.ndarray) -> float:
+    """Product of Rayleigh quotients, the generalized eigenvalue at f."""
+    qa, qb = q.quad_forms(f_mat)
+    if np.any(qb <= 0):
+        raise FloatingPointError("vanishing denominator quadratic form")
+    return float(np.prod(qa / qb))
+
+
+def dense_image(q, x):
+    """Bbar^-1 Abar x and lambda_BS at the stacked x, from the dense NK x NK
+    A_k and B_k: Abar = lambda sum_k A_k / x^H A_k x, Bbar = sum_k B_k / x^H B_k x,
+    so Bbar = blkdiag(Bbar_k) is solved as one KN x KN system."""
+    a_mats = [dense_matrix(q, k, with_signal=True) for k in range(q.k)]
+    b_mats = [dense_matrix(q, k, with_signal=False) for k in range(q.k)]
+    qa = np.array([np.real(x.conj() @ a @ x) for a in a_mats])
+    qb = np.array([np.real(x.conj() @ b @ x) for b in b_mats])
+    lam = np.prod(qa / qb)
+    abar = lam * sum(a / v for a, v in zip(a_mats, qa))
+    bbar = sum(b / v for b, v in zip(b_mats, qb))
+    return np.linalg.solve(bbar, abar @ x), lam
+
+
+def indefinite_problem(bad_block):
+    """N=2, K=2 quadratics whose Bbar has exactly the blocks >= bad_block
+    not positive definite at f0, while every quadratic form stays positive.
+
+    Xi = diag(-1, 0) pushes (sigma^2/P - 1) sum_k 1/qb_k onto Bbar's first
+    diagonal entry, which only the other user's signal, h_1 in block 0, can
+    lift.  With bad_block=0 the first user's qb is so small that even the
+    common block B fails.
+    """
+    x, y = (3.0, 3.0) if bad_block else (1.2806, 1.5)
+    h = np.array([[0.0, x], [y, 0.0]], dtype=complex)
+    g = np.diag([-1.0, 0.0])[None] + h[:, :, None] * h[:, None, :].conj()
+    q = PrecoderQuadratics(h_hat=h, g_blocks=g, noise_over_p=0.1)
+    f0 = np.full(4, 0.5, dtype=complex)
+    qa, qb = q.quad_forms(f0.reshape(2, 2, order="F"))
+    assert np.all(qa > 0) and np.all(qb > 0)
+    return q, f0
+
+
+@pytest.fixture(params=[False, True], ids=["isotropic", "dense"])
+def quad(request, rng):
+    est = rand_estimate(5, 3, 2, 2, rng, err=0.2, dense=request.param)
+    return build_precoder_quadratics(est, rand_phases(2, 2, rng), 0.1)
+
+
+def without_compiler(monkeypatch):
+    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+    _kernel._library.cache_clear()
 
 
 class TestSettings:
@@ -197,8 +254,138 @@ class TestRunGpi:
         f0 = rand_precoder(4, 2, rng).stacked
         f, _, res = run_gpi_precoder(q, f0, GpiSettings(tol=1e-8,
                                                         max_iters=100))
-        f_mat = f.reshape(4, 2, order="F")
-        apply_abar, bbar, lam = gpi_matrices(q, f_mat)
-        image = block_diag_solve(bbar, apply_abar(f_mat).flatten(order="F"))
+        image, lam = dense_image(q, f)
         assert res == pytest.approx(np.linalg.norm(image - lam * f) / lam,
                                     rel=1e-6)
+
+    @needs_compiler
+    def test_backends_agree(self, quad, rng):
+        # three lanes of the same quadratics from different starts
+        lanes = PrecoderQuadratics(np.stack([quad.h_hat] * 3),
+                                   np.stack([quad.g_blocks] * 3), quad.noise_over_p)
+        f0 = np.stack([rand_precoder(5, 3, rng).stacked for _ in range(3)])
+        for tol in (1e-3, 1e-10):
+            s = GpiSettings(tol=tol, max_iters=100)
+            f, iters, res = run_gpi_precoder(lanes, f0, s)
+            f_ref = f0 / np.linalg.norm(f0, axis=-1, keepdims=True)
+            iters_ref, res_ref = _numpy_loop(lanes, f_ref, s)
+            assert iters == iters_ref
+            assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
+            assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
+
+    def test_without_compiler_falls_back(self, quad, rng, monkeypatch):
+        without_compiler(monkeypatch)
+        f0 = rand_precoder(5, 3, rng).stacked
+        s = GpiSettings(tol=1e-10, max_iters=100)
+        f, iters, res = run_gpi_precoder(quad, f0, s)
+        lanes = PrecoderQuadratics(quad.h_hat[None], quad.g_blocks[None],
+                                   quad.noise_over_p)
+        f_ref = (f0 / np.linalg.norm(f0))[None]
+        iters_ref, res_ref = _numpy_loop(lanes, f_ref, s)
+        assert iters == iters_ref
+        assert np.array_equal(f, f_ref[0]) and res == res_ref[0]
+        with pytest.raises(RuntimeError, match="no C compiler"):
+            _kernel.precoder_loop(lanes.h_hat, lanes.g_blocks, f_ref,
+                                  quad.noise_over_p, 1e-3, 10)
+
+
+class TestImageOracle:
+    """The image the precoder loop iterates, on both paths, against one
+    dense KN x KN solve of Bbar = blkdiag(Bbar_k)."""
+
+    def test_numpy_image_matches_dense_solve(self, quad, rng):
+        f = rand_precoder(5, 3, rng)
+        image, lam = gpi_matrices(quad, f.matrix)
+        dense, dense_lam = dense_image(quad, f.stacked)
+        assert lam == pytest.approx(dense_lam, rel=1e-12)
+        assert np.linalg.norm(image - dense) < 1e-10 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("compiled", [
+        pytest.param(True, marks=needs_compiler), False],
+        ids=["compiled", "numpy"])
+    def test_one_step_matches_dense_solve(self, quad, rng, monkeypatch,
+                                          compiled):
+        # one step returns the normalized image; its residual needs the
+        # full-scale image at the new iterate
+        if not compiled:
+            without_compiler(monkeypatch)
+        f0 = rand_precoder(5, 3, rng).stacked
+        f1, iters, res = run_gpi_precoder(quad, f0, GpiSettings(max_iters=1))
+        dense, _ = dense_image(quad, f0)
+        assert iters == 1
+        assert np.allclose(f1, dense / np.linalg.norm(dense), rtol=0, atol=1e-12)
+        image, lam = dense_image(quad, f1)
+        assert res == pytest.approx(np.linalg.norm(image - lam * f1) / lam,
+                                    rel=1e-8)
+
+    @pytest.mark.parametrize("bad_block", [0, 1])
+    @pytest.mark.parametrize("compiled", [
+        pytest.param(True, marks=needs_compiler), False],
+        ids=["compiled", "numpy"])
+    def test_indefinite_block_is_named(self, monkeypatch, compiled, bad_block):
+        q, f0 = indefinite_problem(bad_block)
+        # the dense oracle agrees on which blocks fail
+        _, qb = q.quad_forms(f0.reshape(2, 2, order="F"))
+        bbar = sum(dense_matrix(q, k, with_signal=False) / qb[k]
+                   for k in range(2))
+        eig = [np.linalg.eigvalsh(bbar[2 * k:2 * k + 2, 2 * k:2 * k + 2]).min()
+               for k in range(2)]
+        assert [e <= 0 for e in eig] == [k >= bad_block for k in range(2)]
+        if not compiled:
+            without_compiler(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"block {bad_block} is not positive definite"):
+            run_gpi_precoder(q, f0, GpiSettings())
+
+    @pytest.mark.parametrize("compiled", [
+        pytest.param(True, marks=needs_compiler), False],
+        ids=["compiled", "numpy"])
+    def test_vanishing_quadratic_form_raises(self, monkeypatch, compiled):
+        h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        q = PrecoderQuadratics(h, np.zeros((2, 2, 2), dtype=complex), 0.0)
+        if not compiled:
+            without_compiler(monkeypatch)
+        with pytest.raises(FloatingPointError):
+            run_gpi_precoder(q, np.ones(4, dtype=complex), GpiSettings())
+
+
+class TestPrecoderKernel:
+    @needs_compiler
+    def test_failing_lane_is_isolated(self, rng):
+        # lane 2 holds the indefinite problem; every other lane must equal
+        # its single-lane run bit for bit
+        bad, bad_f0 = indefinite_problem(1)
+        quads = [build_precoder_quadratics(rand_estimate(2, 2, 2, 2, rng,
+                                                         err=0.1),
+                                           rand_phases(2, 2, rng), 0.1)
+                 for _ in range(4)]
+        quads[2] = bad
+        f0 = [rand_precoder(2, 2, rng).stacked for _ in range(4)]
+        f0[2] = bad_f0
+        h = np.stack([q.h_hat for q in quads])
+        g = np.stack([q.g_blocks for q in quads])
+        start = np.stack(f0) / np.linalg.norm(np.stack(f0), axis=-1,
+                                               keepdims=True)
+        f = start.copy()
+        iters, block, res = _kernel.precoder_loop(h, g, f, 0.1, 1e-8, 50)
+        assert iters[2] == -1 and block[2] == 1
+        # the failed lane keeps its iterate
+        assert np.array_equal(f[2], start[2])
+        for i in (0, 1, 3):
+            one = start[i:i + 1].copy()
+            it_one, block_one, res_one = _kernel.precoder_loop(
+                h[i:i + 1], g[i:i + 1], one, 0.1, 1e-8, 50)
+            assert iters[i] == it_one[0] > 0 and block[i] == block_one[0] == -1
+            assert np.array_equal(f[i], one[0]) and res[i] == res_one[0]
+
+    @needs_compiler
+    def test_rejects_mismatched_shapes(self, rng):
+        q = build_precoder_quadratics(rand_estimate(3, 2, 1, 2, rng),
+                                      rand_phases(1, 2, rng), 0.1)
+        f = rand_precoder(3, 2, rng).stacked[None]
+        with pytest.raises(ValueError, match="disagree"):
+            _kernel.precoder_loop(q.h_hat[None], q.g_blocks[None], f.T.copy(),
+                                  0.1, 1e-3, 5)
+        with pytest.raises(ValueError, match="disagree"):
+            _kernel.precoder_loop(q.h_hat[None], q.g_blocks[None],
+                                  f.astype(np.complex64), 0.1, 1e-3, 5)

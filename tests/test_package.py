@@ -1,4 +1,9 @@
+from pathlib import Path
+
+import pytest
+
 import gpris
+from gpris import _kernel
 
 
 def test_public_names_resolve():
@@ -6,3 +11,15 @@ def test_public_names_resolve():
     missing = [name for name in gpris.__all__ if not hasattr(gpris, name)]
     assert missing == []
     assert len(set(gpris.__all__)) == len(gpris.__all__)
+
+
+def test_package_data_ships_every_kernel_source():
+    # an installed package builds its compiled loops from these files
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(gpris.__file__).parents[2] / "pyproject.toml"
+    data = tomllib.loads(pyproject.read_text())
+    shipped = set(data["tool"]["setuptools"]["package-data"]["gpris"])
+    sources = {src.name for src in _kernel._SOURCES}
+    assert sources <= shipped
+    # and the library is built from every C file of the package
+    assert sources == {p.name for p in Path(gpris.__file__).parent.glob("*.c")}
