@@ -5,6 +5,19 @@ n + N*m, and reshape uses order='F'.  The error covariance of the cascaded
 channel estimate is (C^-1 + T*rho/(gamma*sigma^2) I)^-1; with the default
 isotropic prior C = gamma*I this collapses to a scalar multiple of I, which we
 keep as a scalar fast path alongside the dense route.
+
+A realization is synthesized in two phases.  The draw phase walks the links
+in stream order (the L BS-RIS links, then the K*L RIS-user links, users
+outer) and writes each link's shadowing normal, path angles and fading
+normals into preallocated arrays.  The array phase then forms every
+steering vector, path sum and cascade for all links in one broadcast pass.
+The draws stay in a per-link loop because the stream interleaves normals
+and uniforms link by link, and ziggurat normals consume a variable number
+of words: no bulk draw reproduces that interleaving, so bulk draws would
+change every realization.  The steering, synthesis and cascade helpers take
+leading batch axes and keep each entry's operation order (and the path sum
+accumulates from zeros in path order), so the array phase gives the same
+channels bit for bit as forming the links one at a time.
 """
 
 from __future__ import annotations
@@ -16,12 +29,16 @@ import numpy as np
 from .scenario import Scenario, path_gain_linear, noise_power_dbm, place_users
 
 
-def steering_ula(n: int, spacing_ratio: float, angle: float) -> np.ndarray:
-    """ULA steering vector, element i = exp(j*2*pi*i*ratio*sin(angle))."""
+def steering_ula(n: int, spacing_ratio: float, angle) -> np.ndarray:
+    """ULA steering vector, element i = exp(j*2*pi*i*ratio*sin(angle)).
+
+    ``angle`` may carry leading batch axes; the result has shape
+    ``np.shape(angle) + (n,)``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     idx = np.arange(n)
-    return np.exp(2j * np.pi * idx * spacing_ratio * np.sin(angle))
+    return np.exp(2j * np.pi * idx * spacing_ratio * np.sin(angle)[..., None])
 
 
 def steering_upa(
@@ -29,32 +46,23 @@ def steering_upa(
     m_z: int,
     ratio_y: float,
     ratio_z: float,
-    azimuth: float,
-    elevation: float,
+    azimuth,
+    elevation,
 ) -> np.ndarray:
-    """UPA steering vector a_y kron a_z of length m_y*m_z."""
+    """UPA steering vector a_y kron a_z of length m_y*m_z.
+
+    ``azimuth`` and ``elevation`` may carry leading batch axes, which
+    broadcast; the Kronecker product is taken along the last axis.
+    """
     if m_y < 1 or m_z < 1:
         raise ValueError("array dimensions must be >= 1")
     iy = np.arange(m_y)
     iz = np.arange(m_z)
-    a_y = np.exp(2j * np.pi * iy * ratio_y * np.sin(azimuth) * np.sin(elevation))
-    a_z = np.exp(2j * np.pi * iz * ratio_z * np.cos(elevation))
-    return np.kron(a_y, a_z)
-
-
-def draw_bs_ris_angles(n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-path (BS AoD, RIS azimuth, RIS elevation), shape (n_paths, 3)."""
-    aod = rng.uniform(0.0, np.pi, size=n_paths)
-    az = rng.uniform(-np.pi, np.pi, size=n_paths)
-    el = rng.uniform(-np.pi / 2, np.pi / 2, size=n_paths)
-    return np.stack([aod, az, el], axis=1)
-
-
-def draw_ris_user_angles(n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-path (azimuth, elevation) at the RIS, shape (n_paths, 2)."""
-    az = rng.uniform(-np.pi, np.pi, size=n_paths)
-    el = rng.uniform(-np.pi / 2, np.pi / 2, size=n_paths)
-    return np.stack([az, el], axis=1)
+    a_y = np.exp(2j * np.pi * iy * ratio_y * np.sin(azimuth)[..., None]
+                 * np.sin(elevation)[..., None])
+    a_z = np.exp(2j * np.pi * iz * ratio_z * np.cos(elevation)[..., None])
+    kron = a_y[..., :, None] * a_z[..., None, :]
+    return kron.reshape(kron.shape[:-2] + (m_y * m_z,))
 
 
 def synth_bs_ris(
@@ -62,55 +70,89 @@ def synth_bs_ris(
     m_y: int,
     m_z: int,
     ratios: tuple[float, float, float],
-    gain: float,
+    gain,
     angles: np.ndarray,
 ) -> np.ndarray:
-    """SV BS-RIS channel (1/sqrt(Lp)) * sum_i sqrt(gain) a_B a_R^H, shape N x M."""
-    if gain < 0:
+    """SV BS-RIS channel (1/sqrt(Lp)) * sum_i sqrt(gain) a_B a_R^H, shape N x M.
+
+    ``angles`` holds (BS AoD, RIS azimuth, RIS elevation) per path, shape
+    (..., Lp, 3); ``gain`` broadcasts against its leading axes, and the
+    result has shape (..., N, M).
+    """
+    gain = np.asarray(gain, dtype=float)
+    if (gain < 0).any():
         raise ValueError("gain must be >= 0")
     angles = np.atleast_2d(angles)
-    if angles.shape[0] == 0:
+    n_paths = angles.shape[-2]
+    if n_paths == 0:
         raise ValueError("at least one path required")
-    n_paths = angles.shape[0]
-    h = np.zeros((n, m_y * m_z), dtype=complex)
-    for aod, az, el in angles:
-        a_b = steering_ula(n, ratios[0], aod)
-        a_r = steering_upa(m_y, m_z, ratios[1], ratios[2], az, el)
-        h += np.sqrt(gain) * np.outer(a_b, a_r.conj())
-    return h / np.sqrt(n_paths)
+    a_b = steering_ula(n, ratios[0], angles[..., 0])
+    a_r = steering_upa(m_y, m_z, ratios[1], ratios[2], angles[..., 1],
+                       angles[..., 2])
+    terms = np.sqrt(gain)[..., None, None, None] * (
+        a_b[..., :, None] * a_r.conj()[..., None, :])
+    return _path_sum(terms, axis=-3)
 
 
 def synth_ris_user(
     m_y: int,
     m_z: int,
     ratios: tuple[float, float, float],
-    gain: float,
+    gain,
     angles: np.ndarray,
     fading: np.ndarray,
 ) -> np.ndarray:
     """SV RIS-user channel (1/sqrt(Lp)) * sum_i sqrt(gain) alpha_i a_R, length M.
 
-    ``fading`` holds the CN(0,1) small-scale coefficients, one per path (pass
-    a repeated scalar for the literal one-per-link reading).
+    ``angles`` holds (azimuth, elevation) per path, shape (..., Lp, 2), and
+    ``fading`` the CN(0,1) small-scale coefficients, shape (..., Lp) (pass a
+    repeated scalar for the literal one-per-link reading).  Leading axes of
+    ``gain``, ``angles`` and ``fading`` broadcast; the result has shape
+    (..., M).
     """
-    if gain < 0:
+    gain = np.asarray(gain, dtype=float)
+    if (gain < 0).any():
         raise ValueError("gain must be >= 0")
     angles = np.atleast_2d(angles)
-    if angles.shape[0] == 0:
-        raise ValueError("at least one path required")
     fading = np.atleast_1d(fading)
-    n_paths = angles.shape[0]
-    h = np.zeros(m_y * m_z, dtype=complex)
-    for (az, el), alpha in zip(angles, fading):
-        h += np.sqrt(gain) * alpha * steering_upa(m_y, m_z, ratios[1], ratios[2], az, el)
-    return h / np.sqrt(n_paths)
+    n_paths = angles.shape[-2]
+    if n_paths == 0:
+        raise ValueError("at least one path required")
+    if fading.shape[-1] != n_paths:
+        raise ValueError(f"angles hold {n_paths} paths, fading "
+                         f"{fading.shape[-1]}")
+    a_r = steering_upa(m_y, m_z, ratios[1], ratios[2], angles[..., 0],
+                       angles[..., 1])
+    terms = (np.sqrt(gain)[..., None] * fading)[..., None] * a_r
+    return _path_sum(terms, axis=-2)
+
+
+def _path_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """(1/sqrt(Lp)) * sum over the (negative) path ``axis``, accumulated from
+    zeros in path order so every entry rounds as a per-path ``h += term``
+    loop does.
+
+    numpy divides a complex by a real c as (re, im) * fl(1/c) (Smith's
+    method with a zero imaginary part), so scaling by the rounded
+    reciprocal gives the quotient h / sqrt(Lp) without the slow division.
+    """
+    n_paths = terms.shape[axis]
+    h = np.zeros(terms.shape[:axis] + terms.shape[axis + 1:], dtype=complex)
+    trailing = (slice(None),) * (-axis - 1)
+    for i in range(n_paths):
+        h += terms[(Ellipsis, i, *trailing)]
+    h *= 1.0 / np.sqrt(n_paths)
+    return h
 
 
 def cascade(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Cascaded channel H1 * diag(h2): column m of h1 scaled by h2[m]."""
-    if h1.ndim != 2 or h2.ndim != 1 or h1.shape[1] != h2.shape[0]:
+    """Cascaded channel H1 * diag(h2): column m of h1 scaled by h2[m].
+
+    h1 (..., N, M) and h2 (..., M) broadcast over their leading axes.
+    """
+    if h1.ndim < 2 or h2.ndim < 1 or h1.shape[-1] != h2.shape[-1]:
         raise ValueError(f"shape mismatch: {h1.shape} vs {h2.shape}")
-    return h1 * h2[np.newaxis, :]
+    return h1 * h2[..., np.newaxis, :]
 
 
 @dataclass
@@ -144,37 +186,50 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> Channel
     pl = scenario.pathloss
     n, k, l = cfg.n_bs_antennas, cfg.n_users, cfg.n_ris
     my, mz = cfg.ris_elems_y, cfg.ris_elems_z
-    m = my * mz
+    p1, p2 = cfg.n_paths_bs_ris, cfg.n_paths_ris_user
     noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db)
     bs = np.asarray(geo.bs_position, dtype=float)
     ris_pos = np.asarray(geo.ris_positions, dtype=float)
     users = place_users(geo, k, rng)
+    d1 = _norms(ris_pos - bs)
+    d2 = _norms(ris_pos[np.newaxis, :, :] - users[:, np.newaxis, :])
 
+    # draw phase: every link's draws in stream order
     gamma1 = np.empty(l)
-    bs_ris = np.empty((l, n, m), dtype=complex)
+    angles1 = np.empty((l, p1, 3))
     for li in range(l):
-        d = float(np.linalg.norm(ris_pos[li] - bs))
-        gamma1[li] = path_gain_linear(pl, d, rng.standard_normal(), noise_dbm)
-        angles = draw_bs_ris_angles(cfg.n_paths_bs_ris, rng)
-        bs_ris[li] = synth_bs_ris(n, my, mz, cfg.carrier_spacing_ratios,
-                                  gamma1[li], angles)
+        gamma1[li] = path_gain_linear(pl, d1[li], rng.standard_normal(), noise_dbm)
+        angles1[li, :, 0] = rng.uniform(0.0, np.pi, size=p1)
+        angles1[li, :, 1] = rng.uniform(-np.pi, np.pi, size=p1)
+        angles1[li, :, 2] = rng.uniform(-np.pi / 2, np.pi / 2, size=p1)
 
     gamma2 = np.empty((k, l))
-    ris_user = np.empty((k, l, m), dtype=complex)
+    angles2 = np.empty((k, l, p2, 2))
+    normals = np.empty((k, l, 2, p2))
     for ki in range(k):
         for li in range(l):
-            d = float(np.linalg.norm(ris_pos[li] - users[ki]))
-            gamma2[ki, li] = path_gain_linear(pl, d, rng.standard_normal(), noise_dbm)
-            angles = draw_ris_user_angles(cfg.n_paths_ris_user, rng)
-            fading = _cn_vector(cfg.n_paths_ris_user, rng)
-            ris_user[ki, li] = synth_ris_user(my, mz, cfg.carrier_spacing_ratios,
-                                              gamma2[ki, li], angles, fading)
+            gamma2[ki, li] = path_gain_linear(pl, d2[ki][li], rng.standard_normal(),
+                                              noise_dbm)
+            angles2[ki, li, :, 0] = rng.uniform(-np.pi, np.pi, size=p2)
+            angles2[ki, li, :, 1] = rng.uniform(-np.pi / 2, np.pi / 2, size=p2)
+            rng.standard_normal(out=normals[ki, li])  # real parts, then imaginary
 
-    cascaded = np.empty((k, l, n, m), dtype=complex)
-    for ki in range(k):
-        for li in range(l):
-            cascaded[ki, li] = cascade(bs_ris[li], ris_user[ki, li])
+    # array phase: all links at once (the fading as _cn_vector forms it)
+    fading = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2)
+    ratios = cfg.carrier_spacing_ratios
+    bs_ris = synth_bs_ris(n, my, mz, ratios, gamma1, angles1)
+    ris_user = synth_ris_user(my, mz, ratios, gamma2, angles2, fading)
+    cascaded = cascade(bs_ris, ris_user)
     return ChannelSet(bs_ris, ris_user, cascaded, gamma1, gamma2)
+
+
+def _norms(x: np.ndarray) -> list:
+    """Euclidean norms along the last axis, as nested floats.
+
+    Each is the dot product np.linalg.norm takes, so the distances (and the
+    path gains) are the ones a per-link np.linalg.norm gives.
+    """
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]).tolist()
 
 
 def _cn_vector(size, rng: np.random.Generator) -> np.ndarray:
@@ -204,9 +259,12 @@ def error_covariance_dft(
     return 0.5 * (r + r.conj().T)
 
 
-def error_scale_dft(gamma: float, t_ul: int, rho_ul_linear: float,
-                    sigma2: float = 1.0) -> float:
-    """Isotropic fast path of error_covariance_dft for C = gamma*I."""
+def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float,
+                    sigma2: float = 1.0):
+    """Isotropic fast path of error_covariance_dft for C = gamma*I.
+
+    ``gamma`` is a float or an array of gains, one error scale each.
+    """
     if rho_ul_linear <= 0:
         raise ValueError("rho_ul_linear must be > 0")
     return 1.0 / (1.0 / gamma + t_ul * rho_ul_linear / (gamma * sigma2))
@@ -292,9 +350,6 @@ def estimate_channels(truth: ChannelSet, scenario: Scenario,
                       rng: np.random.Generator) -> ChannelEstimate:
     """LMMSE estimate under the DFT training scheme with prior C = gamma*I."""
     cfg = scenario.config
-    gamma = truth.gamma
-    err = np.empty_like(gamma)
-    for idx, g in np.ndenumerate(gamma):
-        err[idx] = error_scale_dft(g, cfg.ul_train_len, cfg.ul_train_power_linear,
-                                   cfg.noise_variance)
+    err = error_scale_dft(truth.gamma, cfg.ul_train_len,
+                          cfg.ul_train_power_linear, cfg.noise_variance)
     return draw_estimate(truth, err, rng)

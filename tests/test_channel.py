@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cn, rand_psd
-from gpris.channel import (cascade, draw_estimate, error_covariance_dft,
-                           error_scale_dft, estimate_channels,
-                           perfect_estimate, steering_ula, steering_upa,
-                           synth_bs_ris, synth_ris_user, synthesize_channels)
-from gpris.scenario import scenario_from_dict
+from gpris.channel import (ChannelSet, _cn_vector, cascade, draw_estimate,
+                           error_covariance_dft, error_scale_dft,
+                           estimate_channels, perfect_estimate, steering_ula,
+                           steering_upa, synth_bs_ris, synth_ris_user,
+                           synthesize_channels)
+from gpris.scenario import (noise_power_dbm, path_gain_linear, place_users,
+                            scenario_from_dict)
 
 RATIOS = (0.5, 0.5, 0.5)
 
@@ -86,14 +88,60 @@ class TestSynthesis:
     def test_ris_user_mean_energy(self):
         rng = np.random.default_rng(7)
         gain, m = 1.3, 6
-        draws = np.empty(10_000)
         angles = np.zeros((2, 2))
-        for i in range(draws.size):
-            fading = cn(2, rng)
-            h = synth_ris_user(3, 2, RATIOS, gain, angles, fading)
-            draws[i] = np.sum(np.abs(h) ** 2)
+        fading = np.array([cn(2, rng) for _ in range(10_000)])
+        h = synth_ris_user(3, 2, RATIOS, gain, angles, fading)
+        draws = np.sum(np.abs(h) ** 2, axis=-1)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - gain * m) < 3 * se
+
+    @pytest.mark.parametrize("n_fading", [1, 3])
+    def test_ris_user_fading_must_match_paths(self, n_fading):
+        angles = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="paths"):
+            synth_ris_user(2, 2, RATIOS, 1.0, angles, np.ones(n_fading))
+
+
+class TestBatchAxes:
+    """A batched helper call equals the unbatched calls it stacks, bit for bit."""
+
+    def test_steering(self, rng):
+        az = rng.uniform(-np.pi, np.pi, size=(3, 2))
+        el = rng.uniform(-np.pi / 2, np.pi / 2, size=(3, 2))
+        ula = steering_ula(5, 0.5, az)
+        upa = steering_upa(3, 2, 0.5, 0.4, az, el)
+        assert ula.shape == (3, 2, 5) and upa.shape == (3, 2, 6)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(ula[idx], steering_ula(5, 0.5, az[idx]))
+            assert np.array_equal(upa[idx], steering_upa(3, 2, 0.5, 0.4,
+                                                         az[idx], el[idx]))
+
+    def test_synthesis_and_cascade(self, rng):
+        gain1 = rng.uniform(size=3)
+        gain2 = rng.uniform(size=(2, 3))
+        angles1 = rng.uniform(-1.0, 1.0, size=(3, 2, 3))
+        angles2 = rng.uniform(-1.0, 1.0, size=(2, 3, 2, 2))
+        fading = cn((2, 3, 2), rng)
+        h1 = synth_bs_ris(4, 3, 2, RATIOS, gain1, angles1)
+        h2 = synth_ris_user(3, 2, RATIOS, gain2, angles2, fading)
+        c = cascade(h1, h2)
+        assert h1.shape == (3, 4, 6) and h2.shape == (2, 3, 6)
+        assert c.shape == (2, 3, 4, 6)
+        for li in range(3):
+            assert np.array_equal(
+                h1[li], synth_bs_ris(4, 3, 2, RATIOS, gain1[li], angles1[li]))
+            for ki in range(2):
+                assert np.array_equal(h2[ki, li], synth_ris_user(
+                    3, 2, RATIOS, gain2[ki, li], angles2[ki, li], fading[ki, li]))
+                assert np.array_equal(c[ki, li], cascade(h1[li], h2[ki, li]))
+
+    def test_negative_gain_anywhere_rejected(self, rng):
+        gain = np.array([1.0, -1e-3])
+        with pytest.raises(ValueError, match="gain"):
+            synth_bs_ris(2, 2, 2, RATIOS, gain, rng.uniform(size=(2, 1, 3)))
+        with pytest.raises(ValueError, match="gain"):
+            synth_ris_user(2, 2, RATIOS, gain, rng.uniform(size=(2, 1, 2)),
+                           np.ones((2, 1)))
 
 
 class TestCascade:
@@ -228,6 +276,110 @@ class TestSynthesizeChannels:
         expected = error_scale_dft(1.0, cfg.ul_train_len,
                                    cfg.ul_train_power_linear)
         assert np.allclose(est.err_scale, expected)
+
+
+def _oracle_steering_ula(n, spacing_ratio, angle):
+    idx = np.arange(n)
+    return np.exp(2j * np.pi * idx * spacing_ratio * np.sin(angle))
+
+
+def _oracle_steering_upa(m_y, m_z, ratio_y, ratio_z, azimuth, elevation):
+    iy = np.arange(m_y)
+    iz = np.arange(m_z)
+    a_y = np.exp(2j * np.pi * iy * ratio_y * np.sin(azimuth) * np.sin(elevation))
+    a_z = np.exp(2j * np.pi * iz * ratio_z * np.cos(elevation))
+    return np.kron(a_y, a_z)
+
+
+def oracle_synthesize_channels(scenario, rng):
+    """Per-link synthesis: one steering call per path, one link at a time."""
+    cfg = scenario.config
+    geo = scenario.geometry
+    pl = scenario.pathloss
+    n, k, l = cfg.n_bs_antennas, cfg.n_users, cfg.n_ris
+    my, mz = cfg.ris_elems_y, cfg.ris_elems_z
+    m = my * mz
+    _, ry, rz = cfg.carrier_spacing_ratios
+    noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db)
+    bs = np.asarray(geo.bs_position, dtype=float)
+    ris_pos = np.asarray(geo.ris_positions, dtype=float)
+    users = place_users(geo, k, rng)
+
+    gamma1 = np.empty(l)
+    bs_ris = np.empty((l, n, m), dtype=complex)
+    for li in range(l):
+        d = float(np.linalg.norm(ris_pos[li] - bs))
+        gamma1[li] = path_gain_linear(pl, d, rng.standard_normal(), noise_dbm)
+        aod = rng.uniform(0.0, np.pi, size=cfg.n_paths_bs_ris)
+        az = rng.uniform(-np.pi, np.pi, size=cfg.n_paths_bs_ris)
+        el = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.n_paths_bs_ris)
+        h = np.zeros((n, m), dtype=complex)
+        for p in range(cfg.n_paths_bs_ris):
+            a_b = _oracle_steering_ula(n, cfg.carrier_spacing_ratios[0], aod[p])
+            a_r = _oracle_steering_upa(my, mz, ry, rz, az[p], el[p])
+            h += np.sqrt(gamma1[li]) * np.outer(a_b, a_r.conj())
+        bs_ris[li] = h / np.sqrt(cfg.n_paths_bs_ris)
+
+    gamma2 = np.empty((k, l))
+    ris_user = np.empty((k, l, m), dtype=complex)
+    for ki in range(k):
+        for li in range(l):
+            d = float(np.linalg.norm(ris_pos[li] - users[ki]))
+            gamma2[ki, li] = path_gain_linear(pl, d, rng.standard_normal(),
+                                              noise_dbm)
+            az = rng.uniform(-np.pi, np.pi, size=cfg.n_paths_ris_user)
+            el = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.n_paths_ris_user)
+            fading = _cn_vector(cfg.n_paths_ris_user, rng)
+            h = np.zeros(m, dtype=complex)
+            for p in range(cfg.n_paths_ris_user):
+                h += (np.sqrt(gamma2[ki, li]) * fading[p]
+                      * _oracle_steering_upa(my, mz, ry, rz, az[p], el[p]))
+            ris_user[ki, li] = h / np.sqrt(cfg.n_paths_ris_user)
+
+    cascaded = np.empty((k, l, n, m), dtype=complex)
+    for ki in range(k):
+        for li in range(l):
+            cascaded[ki, li] = bs_ris[li] * ris_user[ki, li][np.newaxis, :]
+    return ChannelSet(bs_ris, ris_user, cascaded, gamma1, gamma2)
+
+
+PAPER_SIZE = {"n_bs_antennas": 16, "n_users": 4}
+SMALL = {"n_bs_antennas": 4, "n_users": 2, "n_ris": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    {**PAPER_SIZE, "n_ris": 2, "ris_elems_y": 8, "ris_elems_z": 8},
+    {**PAPER_SIZE, "n_ris": 8, "ris_elems_y": 4, "ris_elems_z": 2},
+    {**SMALL, "ris_elems_y": 2, "ris_elems_z": 2,
+     "n_paths_bs_ris": 1, "n_paths_ris_user": 3},
+    {**SMALL, "ris_elems_y": 2, "ris_elems_z": 2,
+     "n_paths_bs_ris": 3, "n_paths_ris_user": 1},
+    {**SMALL, "ris_elems_y": 2, "ris_elems_z": 2,
+     "pathloss": {"enabled": False}},
+    {**SMALL, "ris_elems_y": 2, "ris_elems_z": 5},
+], ids=["L2_M64", "L8_M8", "paths_1_3", "paths_3_1", "no_pathloss",
+        "my_ne_mz"])
+def test_synthesis_matches_per_link_oracle(doc):
+    scn = scenario_from_dict(doc)
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synthesize_channels(scn, rng)
+        ref = oracle_synthesize_channels(scn, ref_rng)
+        for name in ("bs_ris", "ris_user", "cascaded", "gamma1", "gamma2"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (
+                seed, name)
+        # estimation and the initial pair draw from the same generator next
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
+def test_estimate_error_scales_match_scalar_calls(rng):
+    scn = small_scenario()
+    truth = synthesize_channels(scn, rng)
+    est = estimate_channels(truth, scn, rng)
+    cfg = scn.config
+    expected = [error_scale_dft(g, cfg.ul_train_len, cfg.ul_train_power_linear,
+                                cfg.noise_variance) for g in truth.gamma.flat]
+    assert np.array_equal(est.err_scale.ravel(), expected)
 
 
 def test_vectorization_column_major(rng):

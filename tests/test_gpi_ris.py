@@ -426,14 +426,22 @@ class TestKernelDirect:
             assert counts[i] == alone > 0
             assert np.array_equal(prep.w()[i], one.w())
 
-    @needs_compiler
     def test_build_is_cached_per_host(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_kernel, "_cache_dirs", lambda: iter([tmp_path]))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setattr(_kernel, "_cache_dirs", lambda: iter([cache]))
+        # the caching is under test, not the compile: a stub compiler writes
+        # an empty file at its -o path
+        stub = tmp_path / "stub-cc"
+        stub.write_text('#!/bin/sh\n'
+                        'while [ "$#" -gt 1 ] && [ "$1" != -o ]; do shift; done\n'
+                        '[ "$1" = -o ] && : > "$2"\n')
+        stub.chmod(0o755)
         real_run = _kernel.subprocess.run
-        compiler = _kernel.find_compiler()
+        compiler = str(stub)
         lib = _kernel._build(compiler)
         # written under its final name only, no temporary left behind
-        assert [p.name for p in tmp_path.iterdir()] == [lib.name]
+        assert [p.name for p in cache.iterdir()] == [lib.name]
 
         def no_compile(*args, **kwargs):
             raise AssertionError("compiler invoked")
@@ -447,7 +455,7 @@ class TestKernelDirect:
         monkeypatch.setattr(_kernel.subprocess, "run", real_run)
         other = _kernel._build(compiler)
         assert other != lib
-        assert [p.name for p in tmp_path.iterdir()] == [other.name]
+        assert [p.name for p in cache.iterdir()] == [other.name]
 
     def test_import_builds_nothing(self):
         code = ("import gpris, gpris._kernel as k; "
