@@ -3,16 +3,21 @@
 The plain numpy loops spend most of their time in per-call overhead once
 the blocks are small and the lanes exit at ragged times.  Two C files are
 built into one shared library and called through ctypes, each running the
-whole loop of every lane (one per penalty weight mu) in one call:
+whole loop of every lane (one per penalty weight mu) in one call, on the
+complex arrays as numpy holds them:
 
-- ``_ris_loop.c``, the RIS stage: it batches the L independent blocks
-  along the innermost axis (struct-of-arrays, real and imaginary parts
-  split) and keeps every inner loop free of cross-block reductions so it
-  vectorizes without reassociation (see ``Prepared``);
-- ``_precoder_loop.c``, the precoder stage: one Cholesky factor of the
-  common denominator block per lane-iteration and a Sherman-Morrison
-  correction per user, on the complex arrays as numpy holds them (see
-  ``precoder_loop``).
+- ``_ris_loop.c``, the RIS stage (see ``ris_loop``): it copies each lane,
+  as it reaches it, into a scratch layout with real and imaginary parts
+  split and the L independent blocks along the innermost axis; lanes that
+  share their blocks (a broadcast view, lane stride 0) share one copy;
+- ``_precoder_loop.c``, the precoder stage (see ``precoder_loop``): one
+  Cholesky factor of the common denominator block per lane-iteration and a
+  Sherman-Morrison correction per user, on split re/im scratch as well.
+
+In both, every inner loop runs over independent outputs (the rows of a
+matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
+each output keeps its accumulation order, so the loops vectorize without
+reassociating a reduction.
 
 The library is built on first use, never at import, with the first C
 compiler found on PATH, tuned for the host CPU (``-march=native``).  It is
@@ -29,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import shutil
@@ -48,11 +54,17 @@ _DIR = Path(__file__).parent
 # every C source of the library; pyproject.toml ships them as package data
 _SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c")
 _LIBRARY = "_kernel"
-# no FP contraction: the same rounding as the numpy reference on every CPU
+# this library's older builds, and those of the RIS loop alone it replaced
+_STALE = (f"{_LIBRARY}-*.so", "_ris_loop-*.so")
+# no FP contraction: the same rounding as the numpy reference on every CPU.
+# gcc 12 honours it only with real and imaginary parts in separate arrays: on
+# interleaved complex arithmetic it still emits vfmaddsub, so both loops
+# work on split re/im copies (tests/test_package.py checks the library)
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
 _dbl = ctypes.c_double
 _int = ctypes.c_int
+_long = ctypes.c_long
 _ptr = ctypes.c_void_p
 
 
@@ -129,9 +141,10 @@ def _build(compiler: str) -> Path:
             raise RuntimeError(f"building {name} with {compiler} "
                                f"failed:\n{proc.stderr}")
         os.replace(tmp, target)
-        for stale in cache.glob(f"{_LIBRARY}-*.so"):
-            if stale != target:
-                stale.unlink(missing_ok=True)
+        for pattern in _STALE:
+            for stale in cache.glob(pattern):
+                if stale != target:
+                    stale.unlink(missing_ok=True)
         return target
     raise OSError("no writable cache directory for the compiled loops")
 
@@ -145,9 +158,9 @@ def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(compiler)))
     lib.gpris_ris_loop_work.argtypes = [_int, _int, _int]
     lib.gpris_ris_loop_work.restype = ctypes.c_long
-    lib.gpris_ris_loop.argtypes = ([_int] * 4 + [_ptr] * 4 + [_dbl] * 2
-                                   + [_ptr] + [_dbl] * 3 + [_ptr] * 2
-                                   + [_dbl, _int] + [_ptr] * 3)
+    lib.gpris_ris_loop.argtypes = ([_int] * 4 + [_ptr, _long] * 2
+                                   + [_dbl] * 2 + [_ptr] + [_dbl] * 3
+                                   + [_ptr, _dbl, _int] + [_ptr] * 4)
     lib.gpris_ris_loop.restype = _int
     lib.gpris_precoder_loop_work.argtypes = [_int, _int]
     lib.gpris_precoder_loop_work.restype = ctypes.c_long
@@ -157,83 +170,52 @@ def _library() -> ctypes.CDLL:
     return lib
 
 
-class Prepared:
-    """Repacked kernel inputs plus the ctypes arguments that point at them.
+def _lanes(x, inner):
+    """``x`` as (P,) + ``inner`` complex128 lanes, each C-contiguous, and its
+    lane stride in complex entries: 0 when every lane is the same memory,
+    as for a broadcast view, which is then passed without a copy."""
+    x = np.asarray(x, dtype=np.complex128).reshape((-1,) + inner)
+    if x.strides[0] == 0 and x[0].flags.c_contiguous:
+        return x, 0
+    return np.ascontiguousarray(x), math.prod(inner)
 
-    The kernel wants the lane index outermost and the RIS index innermost,
-    with real and imaginary parts split, so its inner loops run over
-    independent blocks.  It takes C_k and u_k and forms each lane's
-    D_k = C_k - u_k u_k^H itself.  ``w0`` is (LM,) or (P, LM), and the
-    blocks carry the same leading lane axis.  This is iteration-independent,
-    so callers can keep it outside timed regions.  The arrays are held here
-    for as long as the pointers are in use; the iterates (wr, wi) are
-    updated in place by each call.
+
+def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
+             alpha2, tol, max_iters):
+    """Run the RIS fixed-point loop of every lane in one compiled call.
+
+    ``c_blocks`` (..., K, L, M, M) and ``u_vecs`` (..., K, L, M) are the
+    quadratics of the P lanes as ``RisQuadratics`` holds them, possibly as
+    broadcast views that share one set across the lanes; ``mu`` holds one
+    weight per lane; ``w`` holds the (P, LM) unit-norm iterates,
+    C-contiguous complex128, and is updated in place.  The kernel copies each lane into its own layout
+    as it reaches it.  Returns the per-lane iteration counts and exit
+    residuals ||Dbar^-1 Cbar w - w||, and the wall time of the compiled
+    call.  A negative count flags a non-positive-definite denominator block
+    in that lane, whose iterate is then left at the previous one.
     """
-
-    def __init__(self, c_blocks, u_vecs, w0):
-        lib = _library()
-        w0 = np.asarray(w0)
-        lanes = w0.shape[:-1]
-        k_users, l_ris, m, _ = c_blocks.shape[-4:]
-        if (c_blocks.shape != lanes + (k_users, l_ris, m, m)
-                or u_vecs.shape != c_blocks.shape[:-1]):
-            raise ValueError("c_blocks, u_vecs and w0 disagree on shape")
-        if w0.shape[-1] != l_ris * m:
-            raise ValueError(f"w0 must have {l_ris * m} entries per lane, "
-                             f"got {w0.shape}")
-        p = int(np.prod(lanes))
-        self.lanes = lanes
-        self.shape = (p, k_users, l_ris, m)
-        blocks = (p, k_users, l_ris, m, m)
-        self.cr, self.ci = _soa(c_blocks.reshape(blocks), (0, 1, 3, 4, 2))
-        self.ur, self.ui = _soa(u_vecs.reshape(blocks[:-1]), (0, 1, 3, 2))
-        self.wr, self.wi = _soa(w0.reshape(p, l_ris, m), (0, 2, 1))
-        self.mu = np.zeros(p)
-        self.iters = np.zeros(p, dtype=np.intc)
-        self.res = np.zeros(p)
-        self.work = np.empty(lib.gpris_ris_loop_work(k_users, m, l_ris))
-        self._loop = lib.gpris_ris_loop
-        self._arrays = [_ptr(a.ctypes.data) for a in (
-            self.cr, self.ci, self.ur, self.ui)]
-
-    def bind(self, noise_over_p, inv_rs_ln2, mu, tau, alpha1, alpha2, tol,
-             max_iters):
-        """Zero-argument call running every lane's loop.
-
-        ``mu`` is a float or one weight per lane.  The call returns the
-        iteration counts (an int for an unbatched ``w0``, else one per
-        lane); a negative count flags a non-positive-definite denominator
-        block in that lane, whose iterate is then left at the previous one.
-        """
-        p, k_users, l_ris, m = self.shape
-        self.mu[:] = np.broadcast_to(mu, self.lanes).reshape(p)
-        args = (_int(p), _int(k_users), _int(m), _int(l_ris), *self._arrays,
-                _dbl(float(noise_over_p)), _dbl(float(inv_rs_ln2)),
-                _ptr(self.mu.ctypes.data),
-                *(_dbl(float(x)) for x in (tau, alpha1, alpha2)),
-                _ptr(self.wr.ctypes.data), _ptr(self.wi.ctypes.data),
-                _dbl(float(tol)), _int(int(max_iters)),
-                _ptr(self.iters.ctypes.data), _ptr(self.res.ctypes.data),
-                _ptr(self.work.ctypes.data))
-        loop = functools.partial(self._loop, *args)
-
-        def run():
-            loop()
-            counts = self.iters.reshape(self.lanes)
-            return int(counts) if counts.ndim == 0 else counts.copy()
-
-        return run
-
-    def w(self) -> np.ndarray:
-        """Current iterates as (LM,) or (P, LM) complex vectors."""
-        w = np.swapaxes(self.wr + 1j * self.wi, -1, -2)
-        return w.reshape(self.lanes + (-1,))
-
-    def residual(self):
-        """Fixed-point residual ||Dbar^-1 Cbar w - w|| of each lane at the
-        iterate the last call returned (a float for an unbatched ``w0``)."""
-        res = self.res.reshape(self.lanes)
-        return float(res) if res.ndim == 0 else res.copy()
+    lib = _library()
+    p, lm = w.shape
+    k, l, m = c_blocks.shape[-4:-1]
+    lanes = c_blocks.shape[:-4]
+    if (math.prod(lanes) != p or c_blocks.shape[-1] != m or lm != l * m
+            or u_vecs.shape != lanes + (k, l, m)
+            or w.dtype != np.complex128 or not w.flags.c_contiguous):
+        raise ValueError("c_blocks, u_vecs and w disagree on shape or layout")
+    c, c_stride = _lanes(c_blocks, (k, l, m, m))
+    u, u_stride = _lanes(u_vecs, (k, l, m))
+    mu = np.ascontiguousarray(np.broadcast_to(mu, (p,)), dtype=np.float64)
+    iters = np.zeros(p, dtype=np.intc)
+    residual = np.zeros(p)
+    seconds = ctypes.c_double()
+    work = np.empty(lib.gpris_ris_loop_work(k, m, l))
+    lib.gpris_ris_loop(p, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
+                       u_stride, float(noise_over_p), float(inv_rs_ln2),
+                       mu.ctypes.data, float(tau), float(alpha1), float(alpha2),
+                       w.ctypes.data, float(tol), int(max_iters),
+                       iters.ctypes.data, residual.ctypes.data,
+                       ctypes.byref(seconds), work.ctypes.data)
+    return iters, residual, seconds.value
 
 
 def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
@@ -265,11 +247,6 @@ def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
                             block.ctypes.data, residual.ctypes.data,
                             work.ctypes.data)
     return iters, block, residual
-
-
-def _soa(x, axes):
-    t = np.transpose(np.asarray(x, dtype=np.complex128), axes)
-    return np.ascontiguousarray(t.real), np.ascontiguousarray(t.imag)
 
 
 def warm_up():

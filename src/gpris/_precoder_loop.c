@@ -26,153 +26,201 @@
  *                  definite, or -1 when a quadratic form is not positive
  *   residual       (P,) ||Bbar^-1 Abar f - lambda f|| / lambda at the exit
  *   work           gpris_precoder_loop_work(K, N) doubles of scratch
+ *
+ * Each lane is first copied into scratch with real and imaginary parts
+ * split, G_k by columns, so every inner loop runs over independent outputs
+ * (the rows of a matvec, of a Cholesky column, or of all 2K right-hand sides
+ * of a triangular solve) and each output keeps its accumulation order.
+ * "ivdep" tells gcc that such a loop's outputs never alias its inputs, so
+ * it vectorizes the loop without a run-time overlap check; it licenses no
+ * reassociation.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
-/* Scratch of one image computation, before the image itself. */
-static size_t image_work(int k_users, int n)
+/* Split re/im arrays of one lane's inputs and of one image computation. */
+struct lane {
+    double *gtr, *gti, *hr, *hi, *fr, *fi;
+};
+
+struct image {
+    double *ur, *ui, *br, *bi, *vr, *vi, *xr, *xi, *qa, *qb, *iqa, *iqb;
+};
+
+/* Lay out both in the scratch (when given); returns the doubles it needs. */
+static size_t carve(int k_users, int n, double *work, struct lane *ln,
+                    struct image *im)
 {
-    size_t k = (size_t)k_users, nn = (size_t)n;
-    /* u | B | y | z, all complex, then qa, qb and their inverses */
-    return 2 * (k * k * nn + nn * nn + 2 * k * nn) + 4 * k;
+    const size_t k = (size_t)k_users, nn = (size_t)n;
+    /* each array starts on a 64-byte boundary: a vector that loads a
+     * whole row of an aligned array then never straddles two cache lines */
+    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
+                        : NULL;
+    size_t used = 0;
+#define TAKE(field, len) \
+    (field = base ? base + used : NULL, used += ((len) + 7) / 8 * 8)
+    TAKE(ln->gtr, k * nn * nn);  /* (K, N, N) G_k by columns */
+    TAKE(ln->gti, k * nn * nn);
+    TAKE(ln->hr, k * nn);        /* (K, N) */
+    TAKE(ln->hi, k * nn);
+    TAKE(ln->fr, k * nn);        /* (K, N) */
+    TAKE(ln->fi, k * nn);
+    TAKE(im->ur, k * k * nn);    /* (K, K, N): G_k f_j */
+    TAKE(im->ui, k * k * nn);
+    TAKE(im->br, nn * nn);       /* B, then its factor, by columns */
+    TAKE(im->bi, nn * nn);
+    TAKE(im->vr, nn * 2 * k);    /* (N, 2K): the y_j, then the z_j */
+    TAKE(im->vi, nn * 2 * k);
+    TAKE(im->xr, k * nn);        /* (K, N) the image */
+    TAKE(im->xi, k * nn);
+    TAKE(im->qa, k);
+    TAKE(im->qb, k);
+    TAKE(im->iqa, k);
+    TAKE(im->iqb, k);
+#undef TAKE
+    return used + 7;  /* the slack for the alignment */
 }
 
 long gpris_precoder_loop_work(int k_users, int n)
 {
-    return (long)(image_work(k_users, n) + 2 * (size_t)k_users * n);
+    struct lane ln;
+    struct image im;
+    return (long)carve(k_users, n, NULL, &ln, &im);
 }
 
-/* v <- B^-1 v for the lower Cholesky factor l of B (N x N). */
-static void cho_solve(int n, const double *restrict l, double *restrict v)
+/* Image x = Bbar(f)^-1 Abar(f) f of one lane, unnormalized, in im->xr /
+ * im->xi, and lambda_BS at f.  Returns 0 on failure with *block set as in
+ * the layout above. */
+static int precoder_image(int k_users, int n, const struct lane *ln,
+                          const struct image *im, double noise_over_p,
+                          double *restrict lam, int *restrict block)
 {
-    for (int i = 0; i < n; ++i) {
-        double ar = v[2 * i], ai = v[2 * i + 1];
-        for (int p = 0; p < i; ++p) {
-            const double *lip = l + 2 * ((size_t)i * n + p);
-            ar -= lip[0] * v[2 * p] - lip[1] * v[2 * p + 1];
-            ai -= lip[0] * v[2 * p + 1] + lip[1] * v[2 * p];
-        }
-        const double d = l[2 * ((size_t)i * n + i)];
-        v[2 * i] = ar / d;
-        v[2 * i + 1] = ai / d;
-    }
-    for (int i = n - 1; i >= 0; --i) {
-        double ar = v[2 * i], ai = v[2 * i + 1];
-        for (int p = i + 1; p < n; ++p) {
-            /* acc -= conj(l[p,i]) * v[p] */
-            const double *lpi = l + 2 * ((size_t)p * n + i);
-            ar -= lpi[0] * v[2 * p] + lpi[1] * v[2 * p + 1];
-            ai -= lpi[0] * v[2 * p + 1] - lpi[1] * v[2 * p];
-        }
-        const double d = l[2 * ((size_t)i * n + i)];
-        v[2 * i] = ar / d;
-        v[2 * i + 1] = ai / d;
-    }
-}
-
-/* Image x = Bbar(f)^-1 Abar(f) f of one lane, unnormalized, and lambda_BS
- * at f.  Returns 0 on failure with *block set as in the layout above. */
-static int precoder_image(int k_users, int n, const double *restrict h,
-                          const double *restrict g, double noise_over_p,
-                          const double *restrict f, double *restrict x,
-                          double *restrict lam, int *restrict block,
-                          double *restrict work)
-{
-    const size_t nn = (size_t)n;
-    const size_t kn = (size_t)k_users * nn;
-    double *restrict u = work;              /* (K, K, N): G_k f_j */
-    double *restrict bm = u + 2 * k_users * kn;
-    double *restrict y = bm + 2 * nn * nn;
-    double *restrict z = y + 2 * kn;
-    double *restrict qa = z + 2 * kn;
-    double *restrict qb = qa + k_users;
-    double *restrict iqa = qb + k_users;
-    double *restrict iqb = iqa + k_users;
+    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
+    const size_t r2 = 2 * k;  /* right-hand sides per row of v */
+    const double *restrict fr = ln->fr;
+    const double *restrict fi = ln->fi;
+    const double *restrict hr = ln->hr;
+    const double *restrict hi = ln->hi;
+    double *restrict qa = im->qa;
+    double *restrict qb = im->qb;
+    double *restrict iqa = im->iqa;
+    double *restrict iqb = im->iqb;
+    double *restrict br = im->br;
+    double *restrict bi = im->bi;
+    double *restrict vr = im->vr;
+    double *restrict vi = im->vi;
     double power = 0.0;
-    for (size_t i = 0; i < 2 * kn; ++i)
-        power += f[i] * f[i];
+    for (size_t i = 0; i < kn; ++i) {
+        power += fr[i] * fr[i];
+        power += fi[i] * fi[i];
+    }
     /* the block matvecs G_k f_j serve both the quadratic forms and A f */
-    for (int k = 0; k < k_users; ++k) {
-        const double *gk = g + 2 * (size_t)k * nn * nn;
+    for (size_t kk = 0; kk < k; ++kk) {
+        const double *restrict gr = ln->gtr + kk * nn * nn;
+        const double *restrict gi = ln->gti + kk * nn * nn;
         double acc = 0.0;
-        for (int j = 0; j < k_users; ++j) {
-            const double *fj = f + 2 * (size_t)j * nn;
-            double *ukj = u + 2 * ((size_t)k * k_users + j) * nn;
+        for (size_t j = 0; j < k; ++j) {
+            const double *fjr = fr + j * nn;
+            const double *fji = fi + j * nn;
+            double *restrict ur = im->ur + (kk * k + j) * nn;
+            double *restrict ui = im->ui + (kk * k + j) * nn;
             for (size_t a = 0; a < nn; ++a) {
-                const double *row = gk + 2 * a * nn;
-                double sr = 0.0, si = 0.0;
-                for (size_t b = 0; b < nn; ++b) {
-                    sr += row[2 * b] * fj[2 * b] - row[2 * b + 1] * fj[2 * b + 1];
-                    si += row[2 * b] * fj[2 * b + 1] + row[2 * b + 1] * fj[2 * b];
-                }
-                ukj[2 * a] = sr;
-                ukj[2 * a + 1] = si;
-                acc += fj[2 * a] * sr + fj[2 * a + 1] * si;
+                ur[a] = 0.0;
+                ui[a] = 0.0;
             }
+            for (size_t b = 0; b < nn; ++b) {
+                const double *restrict cr = gr + b * nn;
+                const double *restrict ci = gi + b * nn;
+                const double xr = fjr[b], xi = fji[b];
+                #pragma GCC ivdep
+                for (size_t a = 0; a < nn; ++a) {
+                    ur[a] += cr[a] * xr - ci[a] * xi;
+                    ui[a] += cr[a] * xi + ci[a] * xr;
+                }
+            }
+            for (size_t a = 0; a < nn; ++a)
+                acc += fjr[a] * ur[a] + fji[a] * ui[a];
         }
         /* signal |h_k^H f_k|^2 */
-        const double *hk = h + 2 * (size_t)k * nn;
-        const double *fk = f + 2 * (size_t)k * nn;
+        const double *hkr = hr + kk * nn, *hki = hi + kk * nn;
+        const double *fkr = fr + kk * nn, *fki = fi + kk * nn;
         double tr = 0.0, ti = 0.0;
         for (size_t a = 0; a < nn; ++a) {
-            tr += hk[2 * a] * fk[2 * a] + hk[2 * a + 1] * fk[2 * a + 1];
-            ti += hk[2 * a] * fk[2 * a + 1] - hk[2 * a + 1] * fk[2 * a];
+            tr += hkr[a] * fkr[a] + hki[a] * fki[a];
+            ti += hkr[a] * fki[a] - hki[a] * fkr[a];
         }
-        qa[k] = acc + noise_over_p * power;
-        qb[k] = qa[k] - (tr * tr + ti * ti);
-        if (qa[k] <= 0.0 || qb[k] <= 0.0) {
+        qa[kk] = acc + noise_over_p * power;
+        qb[kk] = qa[kk] - (tr * tr + ti * ti);
+        if (qa[kk] <= 0.0 || qb[kk] <= 0.0) {
             *block = -1;
             return 0;
         }
     }
     double prod = 1.0, sum_ia = 0.0, sum_ib = 0.0;
-    for (int k = 0; k < k_users; ++k) {
-        prod *= qa[k] / qb[k];
-        iqa[k] = 1.0 / qa[k];
-        iqb[k] = 1.0 / qb[k];
-        sum_ia += iqa[k];
-        sum_ib += iqb[k];
+    for (size_t kk = 0; kk < k; ++kk) {
+        prod *= qa[kk] / qb[kk];
+        iqa[kk] = 1.0 / qa[kk];
+        iqb[kk] = 1.0 / qb[kk];
+        sum_ia += iqa[kk];
+        sum_ib += iqb[kk];
     }
     *lam = prod;
-    /* right-hand sides lambda A f_j, and h_j */
+    /* right-hand sides lambda A f_j (columns j of v), and h_j (K + j) */
     const double diag_a = noise_over_p * sum_ia;
-    for (int j = 0; j < k_users; ++j) {
-        const double *fj = f + 2 * (size_t)j * nn;
-        double *yj = y + 2 * (size_t)j * nn;
+    double *restrict sr = im->xr;  /* the image is not formed yet */
+    double *restrict si = im->xi;
+    for (size_t j = 0; j < k; ++j) {
         for (size_t a = 0; a < nn; ++a) {
-            double sr = 0.0, si = 0.0;
-            for (int k = 0; k < k_users; ++k) {
-                const double *ukj = u + 2 * ((size_t)k * k_users + j) * nn;
-                sr += ukj[2 * a] * iqa[k];
-                si += ukj[2 * a + 1] * iqa[k];
+            sr[a] = 0.0;
+            si[a] = 0.0;
+        }
+        for (size_t kk = 0; kk < k; ++kk) {
+            const double *restrict ur = im->ur + (kk * k + j) * nn;
+            const double *restrict ui = im->ui + (kk * k + j) * nn;
+            const double q = iqa[kk];
+            #pragma GCC ivdep
+            for (size_t a = 0; a < nn; ++a) {
+                sr[a] += ur[a] * q;
+                si[a] += ui[a] * q;
             }
-            yj[2 * a] = prod * (sr + diag_a * fj[2 * a]);
-            yj[2 * a + 1] = prod * (si + diag_a * fj[2 * a + 1]);
+        }
+        #pragma GCC ivdep
+        for (size_t a = 0; a < nn; ++a) {
+            vr[a * r2 + j] = prod * (sr[a] + diag_a * fr[j * nn + a]);
+            vi[a * r2 + j] = prod * (si[a] + diag_a * fi[j * nn + a]);
+            vr[a * r2 + k + j] = hr[j * nn + a];
+            vi[a * r2 + k + j] = hi[j * nn + a];
         }
     }
-    for (size_t i = 0; i < 2 * kn; ++i)
-        z[i] = h[i];
-    /* lower triangle of B, then its Cholesky factor in place */
+    /* lower triangle of B by columns, then its Cholesky factor in place */
     const double diag_b = noise_over_p * sum_ib;
-    for (size_t a = 0; a < nn; ++a) {
-        for (size_t b = 0; b <= a; ++b) {
-            double sr = 0.0, si = 0.0;
-            for (int k = 0; k < k_users; ++k) {
-                const double *gab = g + 2 * (((size_t)k * nn + a) * nn + b);
-                sr += gab[0] * iqb[k];
-                si += gab[1] * iqb[k];
-            }
-            bm[2 * (a * nn + b)] = sr;
-            bm[2 * (a * nn + b) + 1] = si;
+    for (size_t b = 0; b < nn; ++b) {
+        double *restrict cr = br + b * nn;
+        double *restrict ci = bi + b * nn;
+        for (size_t a = b; a < nn; ++a) {
+            cr[a] = 0.0;
+            ci[a] = 0.0;
         }
-        bm[2 * (a * nn + a)] += diag_b;
+        for (size_t kk = 0; kk < k; ++kk) {
+            const double *restrict gr = ln->gtr + (kk * nn + b) * nn;
+            const double *restrict gi = ln->gti + (kk * nn + b) * nn;
+            const double q = iqb[kk];
+            #pragma GCC ivdep
+            for (size_t a = b; a < nn; ++a) {
+                cr[a] += gr[a] * q;
+                ci[a] += gi[a] * q;
+            }
+        }
+        cr[b] += diag_b;
     }
     for (size_t j = 0; j < nn; ++j) {
-        double d = bm[2 * (j * nn + j)];
+        double *restrict cr = br + j * nn;
+        double *restrict ci = bi + j * nn;
+        double d = cr[j];
         for (size_t p = 0; p < j; ++p) {
-            const double *ljp = bm + 2 * (j * nn + p);
-            d -= ljp[0] * ljp[0] + ljp[1] * ljp[1];
+            const double ljr = br[p * nn + j], lji = bi[p * nn + j];
+            d -= ljr * ljr + lji * lji;
         }
         /* Bbar_k lies below B, so every block fails with it */
         if (!(d > 0.0)) {
@@ -180,47 +228,89 @@ static int precoder_image(int k_users, int n, const double *restrict h,
             return 0;
         }
         d = sqrt(d);
-        bm[2 * (j * nn + j)] = d;
-        bm[2 * (j * nn + j) + 1] = 0.0;
-        for (size_t i = j + 1; i < nn; ++i) {
-            double *lij = bm + 2 * (i * nn + j);
-            double ar = lij[0], ai = lij[1];
-            for (size_t p = 0; p < j; ++p) {
-                /* acc -= l[i,p] * conj(l[j,p]) */
-                const double *lip = bm + 2 * (i * nn + p);
-                const double *ljp = bm + 2 * (j * nn + p);
-                ar -= lip[0] * ljp[0] + lip[1] * ljp[1];
-                ai -= lip[1] * ljp[0] - lip[0] * ljp[1];
+        cr[j] = d;
+        ci[j] = 0.0;
+        for (size_t p = 0; p < j; ++p) {
+            /* l[i,j] -= l[i,p] * conj(l[j,p]) for i > j */
+            const double *restrict pr = br + p * nn;
+            const double *restrict pi = bi + p * nn;
+            const double ljr = pr[j], lji = pi[j];
+            #pragma GCC ivdep
+            for (size_t i = j + 1; i < nn; ++i) {
+                cr[i] -= pr[i] * ljr + pi[i] * lji;
+                ci[i] -= pi[i] * ljr - pr[i] * lji;
             }
-            lij[0] = ar / d;
-            lij[1] = ai / d;
+        }
+        #pragma GCC ivdep
+        for (size_t i = j + 1; i < nn; ++i) {
+            cr[i] = cr[i] / d;
+            ci[i] = ci[i] / d;
         }
     }
-    for (int j = 0; j < k_users; ++j) {
-        cho_solve(n, bm, y + 2 * (size_t)j * nn);
-        cho_solve(n, bm, z + 2 * (size_t)j * nn);
+    /* all 2K right-hand sides through B^-1 = L^-H L^-1 in one pass */
+    for (size_t i = 0; i < nn; ++i) {
+        double *restrict ar = vr + i * r2;
+        double *restrict ai = vi + i * r2;
+        for (size_t p = 0; p < i; ++p) {
+            const double lr = br[p * nn + i], li = bi[p * nn + i];
+            const double *restrict pr = vr + p * r2;
+            const double *restrict pi = vi + p * r2;
+            #pragma GCC ivdep
+            for (size_t r = 0; r < r2; ++r) {
+                ar[r] -= lr * pr[r] - li * pi[r];
+                ai[r] -= lr * pi[r] + li * pr[r];
+            }
+        }
+        const double d = br[i * nn + i];
+        #pragma GCC ivdep
+        for (size_t r = 0; r < r2; ++r) {
+            ar[r] = ar[r] / d;
+            ai[r] = ai[r] / d;
+        }
+    }
+    for (size_t i = nn; i-- > 0;) {
+        double *restrict ar = vr + i * r2;
+        double *restrict ai = vi + i * r2;
+        for (size_t p = i + 1; p < nn; ++p) {
+            /* acc -= conj(l[p,i]) * v[p] */
+            const double lr = br[i * nn + p], li = bi[i * nn + p];
+            const double *restrict pr = vr + p * r2;
+            const double *restrict pi = vi + p * r2;
+            #pragma GCC ivdep
+            for (size_t r = 0; r < r2; ++r) {
+                ar[r] -= lr * pr[r] + li * pi[r];
+                ai[r] -= lr * pi[r] - li * pr[r];
+            }
+        }
+        const double d = br[i * nn + i];
+        #pragma GCC ivdep
+        for (size_t r = 0; r < r2; ++r) {
+            ar[r] = ar[r] / d;
+            ai[r] = ai[r] / d;
+        }
     }
     /* Sherman-Morrison: x_j = y_j + z_j (h_j^H y_j) / s_j */
-    for (int j = 0; j < k_users; ++j) {
-        const double *hj = h + 2 * (size_t)j * nn;
-        const double *yj = y + 2 * (size_t)j * nn;
-        const double *zj = z + 2 * (size_t)j * nn;
-        double *xj = x + 2 * (size_t)j * nn;
+    for (size_t j = 0; j < k; ++j) {
+        const double *hjr = hr + j * nn, *hji = hi + j * nn;
         double hyr = 0.0, hyi = 0.0, hz = 0.0;
         for (size_t a = 0; a < nn; ++a) {
-            hyr += hj[2 * a] * yj[2 * a] + hj[2 * a + 1] * yj[2 * a + 1];
-            hyi += hj[2 * a] * yj[2 * a + 1] - hj[2 * a + 1] * yj[2 * a];
-            hz += hj[2 * a] * zj[2 * a] + hj[2 * a + 1] * zj[2 * a + 1];
+            const double yr = vr[a * r2 + j], yi = vi[a * r2 + j];
+            const double zr = vr[a * r2 + k + j], zi = vi[a * r2 + k + j];
+            hyr += hjr[a] * yr + hji[a] * yi;
+            hyi += hjr[a] * yi - hji[a] * yr;
+            hz += hjr[a] * zr + hji[a] * zi;
         }
         const double s = qb[j] - hz;
         if (s <= 0.0) {
-            *block = j;
+            *block = (int)j;
             return 0;
         }
         const double cr = hyr / s, ci = hyi / s;
+        #pragma GCC ivdep
         for (size_t a = 0; a < nn; ++a) {
-            xj[2 * a] = yj[2 * a] + (zj[2 * a] * cr - zj[2 * a + 1] * ci);
-            xj[2 * a + 1] = yj[2 * a + 1] + (zj[2 * a] * ci + zj[2 * a + 1] * cr);
+            const double zr = vr[a * r2 + k + j], zi = vi[a * r2 + k + j];
+            im->xr[j * nn + a] = vr[a * r2 + j] + (zr * cr - zi * ci);
+            im->xi[j * nn + a] = vi[a * r2 + j] + (zr * ci + zi * cr);
         }
     }
     return 1;
@@ -228,42 +318,49 @@ static int precoder_image(int k_users, int n, const double *restrict h,
 
 /* One lane: returns the iteration count, or minus it on failure (f is then
  * left at the previous iterate). */
-static int precoder_lane(int k_users, int n, const double *restrict h,
-                         const double *restrict g, double noise_over_p,
-                         double *restrict f, double tol, int max_iters,
-                         int *restrict block, double *restrict residual,
-                         double *restrict work)
+static int precoder_lane(int k_users, int n, const struct lane *ln,
+                         const struct image *im, double noise_over_p,
+                         double tol, int max_iters, int *restrict block,
+                         double *restrict residual)
 {
-    const size_t len = 2 * (size_t)k_users * n;
-    double *restrict x = work + image_work(k_users, n);
+    const size_t kn = (size_t)k_users * n;
+    const double *restrict xr = im->xr;
+    const double *restrict xi = im->xi;
+    double *restrict fr = ln->fr;
+    double *restrict fi = ln->fi;
     double lam;
     int iters = 0;
     for (int it = 0; it < max_iters; ++it) {
         ++iters;
-        if (!precoder_image(k_users, n, h, g, noise_over_p, f, x, &lam, block,
-                            work))
+        if (!precoder_image(k_users, n, ln, im, noise_over_p, &lam, block))
             return -iters;
         double nrm = 0.0;
-        for (size_t i = 0; i < len; ++i)
-            nrm += x[i] * x[i];
+        for (size_t i = 0; i < kn; ++i) {
+            nrm += xr[i] * xr[i];
+            nrm += xi[i] * xi[i];
+        }
         const double inv_nrm = 1.0 / sqrt(nrm);
         /* the step, minimized over the +-f sign ambiguity */
         double minus = 0.0, plus = 0.0;
-        for (size_t i = 0; i < len; ++i) {
-            const double v = x[i] * inv_nrm;
-            minus += (v - f[i]) * (v - f[i]);
-            plus += (v + f[i]) * (v + f[i]);
-            f[i] = v;
+        for (size_t i = 0; i < kn; ++i) {
+            const double v = xr[i] * inv_nrm, w = xi[i] * inv_nrm;
+            minus += (v - fr[i]) * (v - fr[i]);
+            plus += (v + fr[i]) * (v + fr[i]);
+            minus += (w - fi[i]) * (w - fi[i]);
+            plus += (w + fi[i]) * (w + fi[i]);
+            fr[i] = v;
+            fi[i] = w;
         }
         if (sqrt(minus < plus ? minus : plus) <= tol)
             break;
     }
-    if (!precoder_image(k_users, n, h, g, noise_over_p, f, x, &lam, block,
-                        work))
+    if (!precoder_image(k_users, n, ln, im, noise_over_p, &lam, block))
         return -iters;
     double res = 0.0;
-    for (size_t i = 0; i < len; ++i)
-        res += (x[i] - lam * f[i]) * (x[i] - lam * f[i]);
+    for (size_t i = 0; i < kn; ++i) {
+        res += (xr[i] - lam * fr[i]) * (xr[i] - lam * fr[i]);
+        res += (xi[i] - lam * fi[i]) * (xi[i] - lam * fi[i]);
+    }
     *residual = sqrt(res) / fabs(lam);
     return iters;
 }
@@ -276,15 +373,36 @@ int gpris_precoder_loop(int p_lanes, int k_users, int n,
                         int *restrict block, double *restrict residual,
                         double *restrict work)
 {
-    const size_t kn = (size_t)k_users * n;
+    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
+    struct lane ln;
+    struct image im;
+    carve(k_users, n, work, &ln, &im);
     int failed = 0;
     for (int p = 0; p < p_lanes; ++p) {
+        const double *hp = h + 2 * (size_t)p * kn;
+        const double *gp = g + 2 * (size_t)p * kn * nn;
+        double *fp = f + 2 * (size_t)p * kn;
+        for (size_t i = 0; i < kn; ++i) {
+            ln.hr[i] = hp[2 * i];
+            ln.hi[i] = hp[2 * i + 1];
+            ln.fr[i] = fp[2 * i];
+            ln.fi[i] = fp[2 * i + 1];
+        }
+        for (size_t kk = 0; kk < k; ++kk)
+            for (size_t a = 0; a < nn; ++a)
+                for (size_t b = 0; b < nn; ++b) {
+                    const double *gab = gp + 2 * ((kk * nn + a) * nn + b);
+                    ln.gtr[(kk * nn + b) * nn + a] = gab[0];
+                    ln.gti[(kk * nn + b) * nn + a] = gab[1];
+                }
         block[p] = -1;
         residual[p] = NAN;
-        iters[p] = precoder_lane(k_users, n, h + 2 * p * kn,
-                                 g + 2 * p * kn * n, noise_over_p,
-                                 f + 2 * p * kn, tol, max_iters, block + p,
-                                 residual + p, work);
+        iters[p] = precoder_lane(k_users, n, &ln, &im, noise_over_p, tol,
+                                 max_iters, block + p, residual + p);
+        for (size_t i = 0; i < kn; ++i) {
+            fp[2 * i] = ln.fr[i];
+            fp[2 * i + 1] = ln.fi[i];
+        }
         if (iters[p] < 0)
             ++failed;
     }

@@ -1,106 +1,210 @@
 /* Compiled inner loop for the RIS-stage fixed-point iteration.
  *
- * Iterates w <- normalize(Dbar^-1 Cbar w) on split re/im storage with the
- * RIS index innermost (struct-of-arrays), so every inner loop runs over L
- * independent blocks and vectorizes without reassociating a reduction.
- * gpris._kernel builds this file into a shared library on first use and
- * calls it through ctypes; gpi_ris.ris_gpi_matrices is the numpy reference
- * it mirrors.
+ * Iterates w <- normalize(Dbar^-1 Cbar w).  gpris._kernel builds this file
+ * into a shared library on first use and calls it through ctypes;
+ * gpi_ris.ris_gpi_matrices is the numpy reference it mirrors.
  *
  * P independent lanes (one per penalty weight mu) run one after another in
  * a single call, each on its own blocks, iterate and mu, and each with its
  * own iteration count, so a lane's result does not depend on the others.
  *
- * Layout, all row-major float64 (int for iters):
- *   cr/ci          (P, K, M, M, L) per-user per-RIS C_k blocks
- *   ur/ui          (P, K, M, L) signal columns with C_k - D_k = u_k u_k^H, so
- *                  the D quadratic form is a rank-one correction of the C one
- *                  and each lane forms its D_k blocks once, in the scratch
+ * Inputs are read as numpy holds them, complex128 as interleaved (re, im)
+ * doubles in C order (int for iters):
+ *   c              (P, K, L, M, M) per-user per-RIS C_k blocks, lane stride
+ *                  c_stride complex entries (0 when every lane shares them)
+ *   u              (P, K, L, M) signal columns with C_k - D_k = u_k u_k^H,
+ *                  lane stride u_stride, so the D quadratic form is a
+ *                  rank-one correction of the C one
  *   mu             (P,) penalty weight of each lane
- *   wr/wi          (P, M, L) unit-norm iterates, updated in place
+ *   w              (P, L*M) unit-norm iterates, updated in place
  *   iters          (P,) iteration count of each lane, negative when a
  *                  denominator block of that lane is not positive definite
  *   residual       (P,) fixed-point residual of each lane at its exit
+ *   seconds        wall time of the call (monotonic clock)
  *   work           gpris_ris_loop_work(K, M, L) doubles of scratch
+ *
+ * Each lane is first copied into scratch with real and imaginary parts split
+ * and the RIS index innermost, so the L blocks are computed side by side
+ * (lanes that share their blocks share one copy).  Every inner loop runs
+ * over independent outputs, the (row, RIS) entries of the matvecs, of the
+ * Cbar image and of the Dbar blocks, and the right-looking Cholesky updates
+ * each trailing row over its (column, RIS) entries; each output keeps its
+ * accumulation order, so no reduction is reassociated:
+ *   ct             (K, M, M, L) C_k by columns, ct[k][b][a][l] = C_kl[a, b]
+ *   d              (K, T, L) lower triangles of D_k = C_k - u_k u_k^H, rows
+ *                  packed (T = M(M+1)/2 entries per block)
+ *   us, ws         (K, M, L) and (M, L)
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <time.h>
 
-/* Scratch of one image computation. */
-static size_t image_work(int k_users, int m, int l_ris)
+/* offset of row a of a packed lower triangle */
+#define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
+
+/* Split re/im arrays of one lane's inputs and of one image computation. */
+struct lane {
+    double *ctr, *cti, *dr, *di, *ur, *ui, *wr, *wi;
+};
+
+struct image {
+    double *iqc, *iqd, *ycr, *yci, *cwr, *cwi, *exp_c, *exp_d, *dbr, *dbi,
+        *colr, *coli, *sr, *si, *tr, *ti;
+};
+
+/* Lay out both in the scratch (when given); returns the doubles it needs. */
+static size_t carve(int k_users, int m, int l_ris, double *work,
+                    struct lane *ln, struct image *im)
 {
-    size_t k = (size_t)k_users, mm = (size_t)m, l = (size_t)l_ris;
-    /* iqc, iqd | ycr, yci | cwr, cwi, exp_c, exp_d | dbr, dbi | sr, si, tr, ti */
-    return 2 * k + 2 * k * mm * l + 4 * mm * l + 2 * mm * mm * l + 4 * l;
+    const size_t k = (size_t)k_users, l = (size_t)l_ris;
+    const size_t ml = (size_t)m * l, mml = (size_t)m * ml;
+    const size_t tl = TRI(m) * l;
+    /* each array starts on a 64-byte boundary: a vector that loads a
+     * whole row of an aligned array then never straddles two cache lines */
+    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
+                        : NULL;
+    size_t used = 0;
+#define TAKE(field, n) \
+    (field = base ? base + used : NULL, used += ((n) + 7) / 8 * 8)
+    TAKE(ln->ctr, k * mml);
+    TAKE(ln->cti, k * mml);
+    TAKE(ln->dr, k * tl);
+    TAKE(ln->di, k * tl);
+    TAKE(ln->ur, k * ml);
+    TAKE(ln->ui, k * ml);
+    TAKE(ln->wr, ml);
+    TAKE(ln->wi, ml);
+    TAKE(im->iqc, k);
+    TAKE(im->iqd, k);
+    TAKE(im->ycr, k * ml);
+    TAKE(im->yci, k * ml);
+    TAKE(im->cwr, ml);
+    TAKE(im->cwi, ml);
+    TAKE(im->exp_c, ml);
+    TAKE(im->exp_d, ml);
+    TAKE(im->dbr, tl);
+    TAKE(im->dbi, tl);
+    TAKE(im->colr, ml);
+    TAKE(im->coli, ml);
+    TAKE(im->sr, l);
+    TAKE(im->si, l);
+    TAKE(im->tr, l);
+    TAKE(im->ti, l);
+#undef TAKE
+    return used + 7;  /* the slack for the alignment */
 }
 
 long gpris_ris_loop_work(int k_users, int m, int l_ris)
 {
-    /* the image scratch, then the lane's D blocks (re, im) */
-    return (long)(image_work(k_users, m, l_ris)
-                  + 2 * (size_t)k_users * m * m * l_ris);
+    struct lane ln;
+    struct image im;
+    return (long)carve(k_users, m, l_ris, NULL, &ln, &im);
+}
+
+/* Copy one lane's C_k and u_k into the split layout and form the lower
+ * triangles of D_k = C_k - u_k u_k^H, the u products as numpy's u * conj(u). */
+static void load_blocks(int k_users, int m, int l_ris, const double *restrict c,
+                        const double *restrict u, const struct lane *ln)
+{
+    const size_t l = (size_t)l_ris, mm = (size_t)m;
+    for (int kk = 0; kk < k_users; ++kk) {
+        for (size_t ll = 0; ll < l; ++ll) {
+            const double *blk = c + 2 * (((size_t)kk * l + ll) * mm * mm);
+            const double *uv = u + 2 * (((size_t)kk * l + ll) * mm);
+            for (size_t a = 0; a < mm; ++a) {
+                ln->ur[((size_t)kk * mm + a) * l + ll] = uv[2 * a];
+                ln->ui[((size_t)kk * mm + a) * l + ll] = uv[2 * a + 1];
+                for (size_t b = 0; b < mm; ++b) {
+                    const size_t at = (((size_t)kk * mm + b) * mm + a) * l + ll;
+                    ln->ctr[at] = blk[2 * (a * mm + b)];
+                    ln->cti[at] = blk[2 * (a * mm + b) + 1];
+                }
+            }
+        }
+    }
+    const size_t tl = TRI(m) * l;
+    for (int kk = 0; kk < k_users; ++kk) {
+        for (size_t a = 0; a < mm; ++a) {
+            const double *ura = ln->ur + ((size_t)kk * mm + a) * l;
+            const double *uia = ln->ui + ((size_t)kk * mm + a) * l;
+            for (size_t b = 0; b <= a; ++b) {
+                const double *urb = ln->ur + ((size_t)kk * mm + b) * l;
+                const double *uib = ln->ui + ((size_t)kk * mm + b) * l;
+                const size_t from = (((size_t)kk * mm + b) * mm + a) * l;
+                const size_t to = kk * tl + (TRI(a) + b) * l;
+                for (size_t ll = 0; ll < l; ++ll) {
+                    ln->dr[to + ll] = ln->ctr[from + ll]
+                        - (ura[ll] * urb[ll] + uia[ll] * uib[ll]);
+                    ln->di[to + ll] = ln->cti[from + ll]
+                        - (uia[ll] * urb[ll] - ura[ll] * uib[ll]);
+                }
+            }
+        }
+    }
 }
 
 /* Image Dbar(w)^-1 Cbar(w) w of one lane's iterate, unnormalized, left in
- * the scratch at image_re(work) (real parts, then the M*L imaginary parts);
- * returns 0 when a denominator block is not positive definite. */
-static int ris_image(int k_users, int m, int l_ris,
-                     const double *restrict cr, const double *restrict ci,
-                     const double *restrict dr, const double *restrict di,
-                     const double *restrict ur, const double *restrict ui,
-                     double noise_over_p, double inv_rs_ln2, double mu,
-                     double tau, double alpha1, double alpha2,
-                     const double *restrict wr, const double *restrict wi,
-                     double *restrict work)
+ * im->cwr / im->cwi; returns 0 when a denominator block is not positive
+ * definite. */
+static int ris_image(int k_users, int m, int l_ris, const struct lane *ln,
+                     const struct image *im, double noise_over_p,
+                     double inv_rs_ln2, double mu, double tau, double alpha1,
+                     double alpha2)
 {
-    const size_t l = (size_t)l_ris;
-    const size_t ml = (size_t)m * l;
-    double *restrict iqc = work;
-    double *restrict iqd = iqc + k_users;
-    double *restrict ycr = iqd + k_users;
-    double *restrict yci = ycr + (size_t)k_users * ml;
-    double *restrict cwr = yci + (size_t)k_users * ml;
-    double *restrict cwi = cwr + ml;
-    double *restrict exp_c = cwi + ml;
-    double *restrict exp_d = exp_c + ml;
-    double *restrict dbr = exp_d + ml;
-    double *restrict dbi = dbr + (size_t)m * ml;
-    double *restrict sr = dbi + (size_t)m * ml;
-    double *restrict si = sr + l;
-    double *restrict tr = si + l;
-    double *restrict ti = tr + l;
+    const size_t l = (size_t)l_ris, mm = (size_t)m;
+    const size_t ml = mm * l, tl = TRI(m) * l;
+    const double *restrict wr = ln->wr;
+    const double *restrict wi = ln->wi;
+    double *restrict iqc = im->iqc;
+    double *restrict iqd = im->iqd;
+    double *restrict cwr = im->cwr;
+    double *restrict cwi = im->cwi;
+    double *restrict dbr = im->dbr;
+    double *restrict dbi = im->dbi;
+    double *restrict sr = im->sr;
+    double *restrict si = im->si;
+    double *restrict tr = im->tr;
+    double *restrict ti = im->ti;
     /* block matvecs y = C_k w reused for both the quadratic forms and
      * the Cbar image (Cbar itself is never assembled); w^H D_k w is the
      * rank-one correction w^H C_k w - |u_k^H w|^2 */
     for (int kk = 0; kk < k_users; ++kk) {
+        double *restrict yr = im->ycr + (size_t)kk * ml;
+        double *restrict yi = im->yci + (size_t)kk * ml;
+        for (size_t i = 0; i < ml; ++i) {
+            yr[i] = 0.0;
+            yi[i] = 0.0;
+        }
+        for (size_t b = 0; b < mm; ++b) {
+            const double *restrict crv = ln->ctr + ((size_t)kk * mm + b) * ml;
+            const double *restrict civ = ln->cti + ((size_t)kk * mm + b) * ml;
+            const double *restrict wrb = wr + b * l;
+            const double *restrict wib = wi + b * l;
+            for (size_t a = 0; a < mm; ++a) {
+                const size_t row = a * l;
+                for (size_t ll = 0; ll < l; ++ll) {
+                    yr[row + ll] += crv[row + ll] * wrb[ll]
+                                    - civ[row + ll] * wib[ll];
+                    yi[row + ll] += crv[row + ll] * wib[ll]
+                                    + civ[row + ll] * wrb[ll];
+                }
+            }
+        }
         for (size_t ll = 0; ll < l; ++ll) {
             sr[ll] = 0.0;     /* running Re(w^H C_k w) per block */
             tr[ll] = 0.0;     /* Re/Im of u_k^H w per block */
             ti[ll] = 0.0;
         }
-        for (int a = 0; a < m; ++a) {
-            double *restrict yr = ycr + ((size_t)kk * m + a) * l;
-            double *restrict yi = yci + ((size_t)kk * m + a) * l;
-            const double *wra = wr + (size_t)a * l;
-            const double *wia = wi + (size_t)a * l;
+        for (size_t a = 0; a < mm; ++a) {
+            const double *wra = wr + a * l;
+            const double *wia = wi + a * l;
+            const double *yra = yr + a * l;
+            const double *yia = yi + a * l;
+            const double *urv = ln->ur + ((size_t)kk * mm + a) * l;
+            const double *uiv = ln->ui + ((size_t)kk * mm + a) * l;
             for (size_t ll = 0; ll < l; ++ll) {
-                yr[ll] = 0.0;
-                yi[ll] = 0.0;
-            }
-            for (int b = 0; b < m; ++b) {
-                const double *crv = cr + (((size_t)kk * m + a) * m + b) * l;
-                const double *civ = ci + (((size_t)kk * m + a) * m + b) * l;
-                const double *wrb = wr + (size_t)b * l;
-                const double *wib = wi + (size_t)b * l;
-                for (size_t ll = 0; ll < l; ++ll) {
-                    yr[ll] += crv[ll] * wrb[ll] - civ[ll] * wib[ll];
-                    yi[ll] += crv[ll] * wib[ll] + civ[ll] * wrb[ll];
-                }
-            }
-            const double *urv = ur + ((size_t)kk * m + a) * l;
-            const double *uiv = ui + ((size_t)kk * m + a) * l;
-            for (size_t ll = 0; ll < l; ++ll) {
-                sr[ll] += wra[ll] * yr[ll] + wia[ll] * yi[ll];
+                sr[ll] += wra[ll] * yra[ll] + wia[ll] * yia[ll];
                 tr[ll] += urv[ll] * wra[ll] + uiv[ll] * wia[ll];
                 ti[ll] += urv[ll] * wia[ll] - uiv[ll] * wra[ll];
             }
@@ -139,8 +243,8 @@ static int ris_image(int k_users, int m, int l_ris,
             double xi = wr[i] * wr[i] + wi[i] * wi[i];
             double ec = exp(-(xi - xmin) / alpha2);
             double ed = exp(alpha1 * (xi - xmax));
-            exp_c[i] = ec;
-            exp_d[i] = ed;
+            im->exp_c[i] = ec;
+            im->exp_d[i] = ed;
             zc += ec;
             zd += ed;
         }
@@ -150,119 +254,112 @@ static int ris_image(int k_users, int m, int l_ris,
     const double diag_c = inv_rs_ln2 * noise_over_p * sum_inv_c;
     const double diag_d = inv_rs_ln2 * noise_over_p * sum_inv_d;
     /* image (Cbar w) from the cached matvecs, penalty folded in */
-    for (int a = 0; a < m; ++a) {
-        for (size_t ll = 0; ll < l; ++ll) {
-            sr[ll] = 0.0;
-            si[ll] = 0.0;
-        }
-        for (int kk = 0; kk < k_users; ++kk) {
-            const double *yr = ycr + ((size_t)kk * m + a) * l;
-            const double *yi = yci + ((size_t)kk * m + a) * l;
-            const double q = iqc[kk];
-            for (size_t ll = 0; ll < l; ++ll) {
-                sr[ll] += yr[ll] * q;
-                si[ll] += yi[ll] * q;
-            }
-        }
-        const size_t row = (size_t)a * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            double extra = diag_c;
-            if (mu > 0.0)
-                extra += pen_c * exp_c[row + ll];
-            cwr[row + ll] = inv_rs_ln2 * sr[ll] + extra * wr[row + ll];
-            cwi[row + ll] = inv_rs_ln2 * si[ll] + extra * wi[row + ll];
+    for (size_t i = 0; i < ml; ++i) {
+        cwr[i] = 0.0;
+        cwi[i] = 0.0;
+    }
+    for (int kk = 0; kk < k_users; ++kk) {
+        const double *restrict yr = im->ycr + (size_t)kk * ml;
+        const double *restrict yi = im->yci + (size_t)kk * ml;
+        const double q = iqc[kk];
+        for (size_t i = 0; i < ml; ++i) {
+            cwr[i] += yr[i] * q;
+            cwi[i] += yi[i] * q;
         }
     }
-    /* Dbar blocks, assembled batched for the solve */
-    for (int a = 0; a < m; ++a) {
-        for (int b = 0; b < m; ++b) {
-            double *restrict br = dbr + ((size_t)a * m + b) * l;
-            double *restrict bi = dbi + ((size_t)a * m + b) * l;
-            for (size_t ll = 0; ll < l; ++ll) {
-                br[ll] = 0.0;
-                bi[ll] = 0.0;
-            }
-            for (int kk = 0; kk < k_users; ++kk) {
-                const double *drv = dr + (((size_t)kk * m + a) * m + b) * l;
-                const double *dv = di + (((size_t)kk * m + a) * m + b) * l;
-                const double q = iqd[kk];
-                for (size_t ll = 0; ll < l; ++ll) {
-                    br[ll] += drv[ll] * q;
-                    bi[ll] += dv[ll] * q;
-                }
-            }
-            for (size_t ll = 0; ll < l; ++ll) {
-                br[ll] *= inv_rs_ln2;
-                bi[ll] *= inv_rs_ln2;
-            }
+    for (size_t i = 0; i < ml; ++i) {
+        double extra = diag_c;
+        if (mu > 0.0)
+            extra += pen_c * im->exp_c[i];
+        cwr[i] = inv_rs_ln2 * cwr[i] + extra * wr[i];
+        cwi[i] = inv_rs_ln2 * cwi[i] + extra * wi[i];
+    }
+    /* lower triangles of the Dbar blocks, assembled batched for the solve */
+    for (size_t j = 0; j < tl; ++j) {
+        dbr[j] = 0.0;
+        dbi[j] = 0.0;
+    }
+    for (int kk = 0; kk < k_users; ++kk) {
+        const double *restrict drv = ln->dr + (size_t)kk * tl;
+        const double *restrict div = ln->di + (size_t)kk * tl;
+        const double q = iqd[kk];
+        for (size_t j = 0; j < tl; ++j) {
+            dbr[j] += drv[j] * q;
+            dbi[j] += div[j] * q;
         }
-        double *restrict diag = dbr + ((size_t)a * m + a) * l;
+    }
+    for (size_t j = 0; j < tl; ++j) {
+        dbr[j] *= inv_rs_ln2;
+        dbi[j] *= inv_rs_ln2;
+    }
+    for (size_t a = 0; a < mm; ++a) {
+        double *restrict diag = dbr + (TRI(a) + a) * l;
         for (size_t ll = 0; ll < l; ++ll) {
             double extra = diag_d;
             if (mu > 0.0)
-                extra += pen_d * exp_d[(size_t)a * l + ll];
+                extra += pen_d * im->exp_d[a * l + ll];
             diag[ll] += extra;
         }
     }
-    /* batched in-place lower Cholesky of all L blocks at once */
-    for (int j = 0; j < m; ++j) {
-        const double *djj = dbr + ((size_t)j * m + j) * l;
-        for (size_t ll = 0; ll < l; ++ll)
-            sr[ll] = djj[ll];
-        for (int p = 0; p < j; ++p) {
-            const double *jr = dbr + ((size_t)j * m + p) * l;
-            const double *ji = dbi + ((size_t)j * m + p) * l;
-            for (size_t ll = 0; ll < l; ++ll)
-                sr[ll] -= jr[ll] * jr[ll] + ji[ll] * ji[ll];
-        }
+    /* batched in-place lower Cholesky of all L blocks at once, right-looking:
+     * each entry takes its updates in the same order as the left-looking
+     * dot products would */
+    double *restrict colr = im->colr;
+    double *restrict coli = im->coli;
+    for (size_t j = 0; j < mm; ++j) {
+        double *restrict djj = dbr + (TRI(j) + j) * l;
         for (size_t ll = 0; ll < l; ++ll) {
-            if (sr[ll] <= 0.0)
+            if (djj[ll] <= 0.0)
                 return 0;
-            sr[ll] = sqrt(sr[ll]);
-            dbr[((size_t)j * m + j) * l + ll] = sr[ll];
-            si[ll] = 1.0 / sr[ll];
+            djj[ll] = sqrt(djj[ll]);
+            si[ll] = 1.0 / djj[ll];
         }
-        for (int i = j + 1; i < m; ++i) {
-            double *restrict av = dbr + ((size_t)i * m + j) * l;
-            double *restrict bv = dbi + ((size_t)i * m + j) * l;
+        /* scale column j, and keep a contiguous copy of it */
+        for (size_t i = j + 1; i < mm; ++i) {
+            double *restrict av = dbr + (TRI(i) + j) * l;
+            double *restrict bv = dbi + (TRI(i) + j) * l;
             for (size_t ll = 0; ll < l; ++ll) {
-                tr[ll] = av[ll];
-                ti[ll] = bv[ll];
+                av[ll] = av[ll] * si[ll];
+                bv[ll] = bv[ll] * si[ll];
+                colr[i * l + ll] = av[ll];
+                coli[i * l + ll] = bv[ll];
             }
-            for (int p = 0; p < j; ++p) {
-                const double *ir = dbr + ((size_t)i * m + p) * l;
-                const double *ii = dbi + ((size_t)i * m + p) * l;
-                const double *jr = dbr + ((size_t)j * m + p) * l;
-                const double *ji = dbi + ((size_t)j * m + p) * l;
-                /* acc -= a[i,p] * conj(a[j,p]) */
+        }
+        /* a[i, k] -= a[i, j] * conj(a[k, j]) for j < k <= i */
+        for (size_t i = j + 1; i < mm; ++i) {
+            const double *ir = colr + i * l;
+            const double *ii = coli + i * l;
+            double *restrict rowr = dbr + TRI(i) * l;
+            double *restrict rowi = dbi + TRI(i) * l;
+            for (size_t k = j + 1; k <= i; ++k) {
+                const double *jr = colr + k * l;
+                const double *ji = coli + k * l;
+                double *restrict ar = rowr + k * l;
+                double *restrict ai = rowi + k * l;
                 for (size_t ll = 0; ll < l; ++ll) {
-                    tr[ll] -= ir[ll] * jr[ll] + ii[ll] * ji[ll];
-                    ti[ll] -= ii[ll] * jr[ll] - ir[ll] * ji[ll];
+                    ar[ll] -= ir[ll] * jr[ll] + ii[ll] * ji[ll];
+                    ai[ll] -= ii[ll] * jr[ll] - ir[ll] * ji[ll];
                 }
-            }
-            for (size_t ll = 0; ll < l; ++ll) {
-                av[ll] = tr[ll] * si[ll];
-                bv[ll] = ti[ll] * si[ll];
             }
         }
     }
     /* forward substitution L y = Cbar w */
-    for (int i = 0; i < m; ++i) {
-        const size_t row = (size_t)i * l;
+    for (size_t i = 0; i < mm; ++i) {
+        const size_t row = i * l;
         for (size_t ll = 0; ll < l; ++ll) {
             tr[ll] = cwr[row + ll];
             ti[ll] = cwi[row + ll];
         }
-        for (int p = 0; p < i; ++p) {
-            const double *ir = dbr + ((size_t)i * m + p) * l;
-            const double *ii = dbi + ((size_t)i * m + p) * l;
-            const size_t col = (size_t)p * l;
+        for (size_t p = 0; p < i; ++p) {
+            const double *ir = dbr + (TRI(i) + p) * l;
+            const double *ii = dbi + (TRI(i) + p) * l;
+            const size_t col = p * l;
             for (size_t ll = 0; ll < l; ++ll) {
                 tr[ll] -= ir[ll] * cwr[col + ll] - ii[ll] * cwi[col + ll];
                 ti[ll] -= ir[ll] * cwi[col + ll] + ii[ll] * cwr[col + ll];
             }
         }
-        const double *dii = dbr + ((size_t)i * m + i) * l;
+        const double *dii = dbr + (TRI(i) + i) * l;
         for (size_t ll = 0; ll < l; ++ll) {
             double inv = 1.0 / dii[ll];
             cwr[row + ll] = tr[ll] * inv;
@@ -270,23 +367,23 @@ static int ris_image(int k_users, int m, int l_ris,
         }
     }
     /* backward substitution L^H z = y */
-    for (int i = m - 1; i >= 0; --i) {
-        const size_t row = (size_t)i * l;
+    for (size_t i = mm; i-- > 0;) {
+        const size_t row = i * l;
         for (size_t ll = 0; ll < l; ++ll) {
             tr[ll] = cwr[row + ll];
             ti[ll] = cwi[row + ll];
         }
-        for (int p = i + 1; p < m; ++p) {
-            const double *pr = dbr + ((size_t)p * m + i) * l;
-            const double *pi = dbi + ((size_t)p * m + i) * l;
-            const size_t col = (size_t)p * l;
+        for (size_t p = i + 1; p < mm; ++p) {
+            const double *pr = dbr + (TRI(p) + i) * l;
+            const double *pi = dbi + (TRI(p) + i) * l;
+            const size_t col = p * l;
             /* acc -= conj(a[p,i]) * z[p] */
             for (size_t ll = 0; ll < l; ++ll) {
                 tr[ll] -= pr[ll] * cwr[col + ll] + pi[ll] * cwi[col + ll];
                 ti[ll] -= pr[ll] * cwi[col + ll] - pi[ll] * cwr[col + ll];
             }
         }
-        const double *dii = dbr + ((size_t)i * m + i) * l;
+        const double *dii = dbr + (TRI(i) + i) * l;
         for (size_t ll = 0; ll < l; ++ll) {
             double inv = 1.0 / dii[ll];
             cwr[row + ll] = tr[ll] * inv;
@@ -296,53 +393,26 @@ static int ris_image(int k_users, int m, int l_ris,
     return 1;
 }
 
-static double *image_re(double *work, int k_users, int m, int l_ris)
-{
-    return work + 2 * (size_t)k_users * (1 + (size_t)m * l_ris);
-}
-
 /* One lane: returns the iteration count, or minus it when a denominator
  * block is not positive definite (w is then left at the previous iterate).
  * On success *residual is ||Dbar^-1 Cbar w - w|| at the returned w, the
  * lambda-free fixed-point residual. */
-static int ris_loop_lane(int k_users, int m, int l_ris,
-                         const double *restrict cr, const double *restrict ci,
-                         const double *restrict ur, const double *restrict ui,
-                         double noise_over_p, double inv_rs_ln2, double mu,
-                         double tau, double alpha1, double alpha2,
-                         double *restrict wr, double *restrict wi,
-                         double tol, int max_iters, double *restrict residual,
-                         double *restrict work)
+static int ris_loop_lane(int k_users, int m, int l_ris, const struct lane *ln,
+                         const struct image *im, double noise_over_p,
+                         double inv_rs_ln2, double mu, double tau,
+                         double alpha1, double alpha2, double tol,
+                         int max_iters, double *restrict residual)
 {
-    const size_t l = (size_t)l_ris;
-    const size_t ml = (size_t)m * l;
-    const double *cwr = image_re(work, k_users, m, l_ris);
-    const double *cwi = cwr + ml;
-    double *restrict dr = work + image_work(k_users, m, l_ris);
-    double *restrict di = dr + (size_t)k_users * m * ml;
-    /* D_k = C_k - u_k u_k^H, the u products as numpy's u * conj(u) */
-    for (int kk = 0; kk < k_users; ++kk) {
-        for (int a = 0; a < m; ++a) {
-            const double *ura = ur + ((size_t)kk * m + a) * l;
-            const double *uia = ui + ((size_t)kk * m + a) * l;
-            for (int b = 0; b < m; ++b) {
-                const double *urb = ur + ((size_t)kk * m + b) * l;
-                const double *uib = ui + ((size_t)kk * m + b) * l;
-                const size_t at = (((size_t)kk * m + a) * m + b) * l;
-                for (size_t ll = 0; ll < l; ++ll) {
-                    dr[at + ll] = cr[at + ll]
-                        - (ura[ll] * urb[ll] + uia[ll] * uib[ll]);
-                    di[at + ll] = ci[at + ll]
-                        - (uia[ll] * urb[ll] - ura[ll] * uib[ll]);
-                }
-            }
-        }
-    }
+    const size_t ml = (size_t)m * l_ris;
+    const double *cwr = im->cwr;
+    const double *cwi = im->cwi;
+    double *restrict wr = ln->wr;
+    double *restrict wi = ln->wi;
     int iters = 0;
     for (int it = 0; it < max_iters; ++it) {
         ++iters;
-        if (!ris_image(k_users, m, l_ris, cr, ci, dr, di, ur, ui, noise_over_p,
-                       inv_rs_ln2, mu, tau, alpha1, alpha2, wr, wi, work))
+        if (!ris_image(k_users, m, l_ris, ln, im, noise_over_p, inv_rs_ln2, mu,
+                       tau, alpha1, alpha2))
             return -iters;
         double nrm = 0.0;
         for (size_t i = 0; i < ml; ++i)
@@ -359,8 +429,8 @@ static int ris_loop_lane(int k_users, int m, int l_ris,
         if (sqrt(step) <= tol)
             break;
     }
-    if (!ris_image(k_users, m, l_ris, cr, ci, dr, di, ur, ui, noise_over_p,
-                   inv_rs_ln2, mu, tau, alpha1, alpha2, wr, wi, work))
+    if (!ris_image(k_users, m, l_ris, ln, im, noise_over_p, inv_rs_ln2, mu,
+                   tau, alpha1, alpha2))
         return -iters;
     double res = 0.0;
     for (size_t i = 0; i < ml; ++i)
@@ -372,26 +442,45 @@ static int ris_loop_lane(int k_users, int m, int l_ris,
 
 /* Runs every lane; returns the number of lanes with a negative count. */
 int gpris_ris_loop(int p_lanes, int k_users, int m, int l_ris,
-                   const double *restrict cr, const double *restrict ci,
-                   const double *restrict ur, const double *restrict ui,
+                   const double *restrict c, long c_stride,
+                   const double *restrict u, long u_stride,
                    double noise_over_p, double inv_rs_ln2,
                    const double *restrict mu, double tau, double alpha1,
-                   double alpha2, double *restrict wr, double *restrict wi,
-                   double tol, int max_iters, int *restrict iters,
-                   double *restrict residual, double *restrict work)
+                   double alpha2, double *restrict w, double tol,
+                   int max_iters, int *restrict iters,
+                   double *restrict residual, double *restrict seconds,
+                   double *restrict work)
 {
-    const size_t ml = (size_t)m * l_ris;
-    const size_t kml = (size_t)k_users * ml;
-    const size_t kmml = kml * m;
+    const size_t l = (size_t)l_ris, mm = (size_t)m, ml = mm * l;
+    struct timespec t0, t1;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    struct lane ln;
+    struct image im;
+    carve(k_users, m, l_ris, work, &ln, &im);
     int failed = 0;
     for (int p = 0; p < p_lanes; ++p) {
-        iters[p] = ris_loop_lane(k_users, m, l_ris, cr + p * kmml,
-                                 ci + p * kmml, ur + p * kml, ui + p * kml,
-                                 noise_over_p, inv_rs_ln2, mu[p], tau, alpha1,
-                                 alpha2, wr + p * ml, wi + p * ml, tol,
-                                 max_iters, residual + p, work);
+        /* lanes that share their blocks reuse the previous lane's copy */
+        if (p == 0 || c_stride != 0 || u_stride != 0)
+            load_blocks(k_users, m, l_ris, c + 2 * (size_t)p * c_stride,
+                        u + 2 * (size_t)p * u_stride, &ln);
+        double *wp = w + 2 * (size_t)p * ml;
+        for (size_t ll = 0; ll < l; ++ll)
+            for (size_t a = 0; a < mm; ++a) {
+                ln.wr[a * l + ll] = wp[2 * (ll * mm + a)];
+                ln.wi[a * l + ll] = wp[2 * (ll * mm + a) + 1];
+            }
+        iters[p] = ris_loop_lane(k_users, m, l_ris, &ln, &im, noise_over_p,
+                                 inv_rs_ln2, mu[p], tau, alpha1, alpha2, tol,
+                                 max_iters, residual + p);
+        for (size_t ll = 0; ll < l; ++ll)
+            for (size_t a = 0; a < mm; ++a) {
+                wp[2 * (ll * mm + a)] = ln.wr[a * l + ll];
+                wp[2 * (ll * mm + a) + 1] = ln.wi[a * l + ll];
+            }
         if (iters[p] < 0)
             ++failed;
     }
+    clock_gettime(CLOCK_MONOTONIC, &t1);
+    *seconds = (double)(t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec);
     return failed;
 }

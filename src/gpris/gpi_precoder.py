@@ -14,8 +14,9 @@ import numpy as np
 
 from . import _kernel
 from .channel import ChannelEstimate
-from .metrics import (PhaseShifts, _lanes_out, block_quad_forms,
-                      effective_channels, xi_matrices)
+from .metrics import (PhaseShifts, _lanes_out, add_to_diagonal,
+                      block_quad_forms, effective_channels, xi_matrices,
+                      xi_scales)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,11 @@ def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
                               noise_over_p: float) -> PrecoderQuadratics:
     """A_k / B_k blocks at the given phases, with their lane axes if any."""
     h_hat = effective_channels(est.cascaded_est, phases)
-    xi = xi_matrices(est, phases)
-    g = xi + h_hat[..., :, None] * h_hat[..., None, :].conj()
+    g = h_hat[..., :, None] * h_hat[..., None, :].conj()
+    if est.is_isotropic:
+        add_to_diagonal(g, xi_scales(est, phases))  # Xi_k = xi_k I
+    else:
+        g += xi_matrices(est, phases)
     return PrecoderQuadratics(h_hat=h_hat, g_blocks=g, noise_over_p=noise_over_p)
 
 

@@ -18,13 +18,13 @@ from functools import cached_property
 from math import log
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from . import _kernel
 from .channel import ChannelEstimate
 from .gpi_precoder import GpiSettings
-from .metrics import (PhaseShifts, Precoder, _lanes_out, nmse_unit_modulus,
-                      theta_matrices)
+from .metrics import (PhaseShifts, Precoder, _lanes_out, add_to_diagonal,
+                      nmse_unit_modulus, theta_matrices, theta_scales)
 
 
 @dataclass(frozen=True)
@@ -115,32 +115,15 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
     # theta_matrices is the quadratic for the unit-modulus phases phi; the
     # relaxed vector satisfies phi = sqrt(LM) w, so the same LM factor that
     # scales Upsilon applies to the error term as well
-    theta = theta_matrices(est, precoder)
-    theta *= lm
-    c += theta
+    if est.is_isotropic:
+        add_to_diagonal(c, lm * theta_scales(est, precoder))  # Theta = theta I
+    else:
+        theta = theta_matrices(est, precoder)
+        theta *= lm
+        c += theta
     # signal-column factors: C_k - D_k = LM (Hhat^H f_k)(Hhat^H f_k)^H
     u_vecs = np.sqrt(lm) * np.einsum("...klmk->...klm", g)  # own-user columns
     return RisQuadratics(c_blocks=c, noise_over_p=noise_over_p, u_vecs=u_vecs)
-
-
-def smooth_max(values, alpha: float) -> float:
-    """LogSumExp upper surrogate (1/alpha) ln sum exp(alpha x_i); >= max."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty value list")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return float(logsumexp(alpha * values) / alpha)
-
-
-def smooth_min(values, alpha: float) -> float:
-    """LogSumExp lower surrogate -alpha ln sum exp(-x_i/alpha); <= min."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty value list")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return float(-alpha * logsumexp(values / (-alpha)))
 
 
 def penalty_weights(w: np.ndarray, reg: RegularizerSettings
@@ -148,26 +131,6 @@ def penalty_weights(w: np.ndarray, reg: RegularizerSettings
     """Simplex weight vectors (softmax over alpha1*|w_i|^2, softmin over |w_i|^2/alpha2)."""
     x = np.abs(w) ** 2
     return softmax(reg.alpha1 * x), softmax(-x / reg.alpha2)
-
-
-def log2_lambda_ris(q: RisQuadratics, reg: RegularizerSettings,
-                    w: np.ndarray) -> float:
-    """Smoothed regularized objective log2 lambda_RIS(w), evaluated in log domain."""
-    w_blocks = np.asarray(w, dtype=complex).reshape((q.l, q.m))
-    qc, qd = q.quad_forms(w_blocks)
-    if np.any(qc <= 0) or np.any(qd <= 0):
-        raise FloatingPointError("nonpositive quadratic form")
-    x = np.abs(w) ** 2
-    ratio_term = float(np.sum(np.log2(qc / qd))) / reg.r_sigma
-    penalty = (reg.mu / reg.tau) * (smooth_max(x, reg.alpha1)
-                                    - smooth_min(x, reg.alpha2))
-    return ratio_term - penalty
-
-
-def lambda_ris(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray) -> float:
-    if abs(np.linalg.norm(w) - 1.0) > 1e-6:
-        raise ValueError("w must be unit norm")
-    return float(2.0 ** log2_lambda_ris(q, reg, w))
 
 
 def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
@@ -181,7 +144,9 @@ def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
     map, but it cancels from the normalized step and from the normalized
     residual ||Dbar^-1 (lam Cbar) w - lam w|| / lam == ||Dbar^-1 Cbar w - w||,
     so it is left out here.  For large mu it underflows a float64 anyway
-    (its log is proportional to -mu/tau); use log2_lambda_ris to inspect it.
+    (its log is proportional to -mu/tau), so inspect it in the log domain:
+    sum_k log2(w^H C_k w / w^H D_k w) / R_sigma minus mu/tau times the
+    LogSumExp modulus spread.
     """
     w = np.asarray(w, dtype=complex)
     if np.linalg.norm(w) == 0:
@@ -215,7 +180,8 @@ class RisGpiResult:
     iterations: int
     residual: float | np.ndarray  # fixed-point residual at exit
     nmse: float | np.ndarray     # unit-modulus deviation of the relaxed w
-    loop_seconds: float = 0.0    # wall time of the loop and its exit residual
+    loop_seconds: float = 0.0    # wall time of the loop and its exit
+                                 # residual (compiled: and of its intake)
 
 
 def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -292,16 +258,13 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
     mu = np.broadcast_to(np.asarray(reg.mu, dtype=float), lanes)
 
     if _kernel.available():
-        prep = _kernel.Prepared(q.c_blocks, q.u_vecs, w)
-        loop = prep.bind(q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), mu,
-                         reg.tau, reg.alpha1, reg.alpha2, settings.tol,
-                         settings.max_iters)
-        t0 = time.perf_counter()
-        iters = loop()
-        loop_seconds = time.perf_counter() - t0
+        iters, residual, loop_seconds = _kernel.ris_loop(
+            q.c_blocks, q.u_vecs, w.reshape(-1, q.l * q.m), mu.reshape(-1),
+            q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), reg.tau, reg.alpha1,
+            reg.alpha2, settings.tol, settings.max_iters)
         if np.any(iters < 0):
             raise np.linalg.LinAlgError("denominator block not positive definite")
-        w, residual = prep.w(), prep.residual()
+        residual = _lanes_out(residual.reshape(lanes))
     else:
         t0 = time.perf_counter()
         iters, residual = np.zeros(lanes, dtype=int), np.zeros(lanes)

@@ -250,9 +250,10 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
     """Median wall time per RIS-stage iteration for each config.
 
     All scenarios must share the same total element count L*M.  The timer
-    wraps only the compiled call, the fixed-point loop plus the one image
-    that gives its exit residual; channel synthesis and quadratic assembly
-    are excluded.
+    runs inside the compiled call and covers its intake (the copy of the
+    blocks into the loop's split layout), the fixed-point loop and the one
+    image that gives its exit residual; channel synthesis, quadratic
+    assembly and the call's Python overhead are excluded.
     """
     m_tot = {s.config.m_ris * s.config.n_ris for s in scenarios}
     if len(m_tot) != 1:

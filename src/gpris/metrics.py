@@ -168,7 +168,20 @@ def block_quad_forms(blocks: np.ndarray, f: np.ndarray) -> np.ndarray:
     k, n = blocks.shape[-3], blocks.shape[-1]
     bf = (blocks.reshape(blocks.shape[:-3] + (k * n, n)) @ f).reshape(
         blocks.shape[:-3] + (k, n, f.shape[-1]))
+    return _sum_quad_forms(f, bf)
+
+
+def _sum_quad_forms(f: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """sum_i f_i^H (B_k F)_i from the C-ordered (..., K, N, K) products B_k F."""
     return np.sum(np.conj(f)[..., None, :, :] * bf, axis=(-2, -1)).real
+
+
+def add_to_diagonal(blocks: np.ndarray, values: np.ndarray) -> None:
+    """blocks[..., i, i] += values[...] in place, for C-contiguous square
+    (..., M, M) blocks, through a strided view of their diagonals."""
+    m = blocks.shape[-1]
+    diag = blocks.reshape(blocks.shape[:-2] + (m * m,))[..., ::m + 1]
+    diag += values[..., None]
 
 
 def _sum_se_from_channels(h: np.ndarray, f: np.ndarray, extra_noise: np.ndarray,
@@ -194,9 +207,7 @@ def xi_matrices(est: ChannelEstimate, phases: PhaseShifts) -> np.ndarray:
     n, k, l, m = est.dims
     phi = phases.per_ris
     if est.is_isotropic:
-        scale = np.einsum("kl,...l->...k", est.err_scale,
-                          np.sum(np.abs(phi) ** 2, axis=-1))
-        return scale[..., None, None] * np.eye(n)
+        return xi_scales(est, phases)[..., None, None] * np.eye(n)
     xi = np.zeros(phi.shape[:-2] + (k, n, n), dtype=complex)
     for ki in range(k):
         for li in range(l):
@@ -206,14 +217,25 @@ def xi_matrices(est: ChannelEstimate, phases: PhaseShifts) -> np.ndarray:
     return xi
 
 
+def xi_scales(est: ChannelEstimate, phases: PhaseShifts) -> np.ndarray:
+    """Isotropic errors only: the xi_k of Xi_k = xi_k I_N, shape (..., K)."""
+    return np.einsum("kl,...l->...k", est.err_scale,
+                     np.sum(np.abs(phases.per_ris) ** 2, axis=-1))
+
+
+def theta_scales(est: ChannelEstimate, precoder: Precoder) -> np.ndarray:
+    """Isotropic errors only: the theta_{k,l} of Theta_{k,l} = theta_{k,l}
+    I_M, shape (..., K, L)."""
+    total_power = np.sum(np.abs(precoder.matrix) ** 2, axis=(-2, -1))
+    return est.err_scale * total_power[..., None, None]
+
+
 def theta_matrices(est: ChannelEstimate, precoder: Precoder) -> np.ndarray:
     """Theta_{k,l} = sum_i (f_i^T kron I_M) P (R^e)^* P^T (...)^H, shape (..., K, L, M, M)."""
     n, k, l, m = est.dims
     f = precoder.matrix
     if est.is_isotropic:
-        total_power = np.sum(np.abs(f) ** 2, axis=(-2, -1))
-        return (est.err_scale * total_power[..., None, None])[..., None, None] \
-            * np.eye(m)
+        return theta_scales(est, precoder)[..., None, None] * np.eye(m)
     theta = np.zeros(f.shape[:-2] + (k, l, m, m), dtype=complex)
     for ki in range(k):
         for li in range(l):
@@ -231,9 +253,17 @@ def lower_bound_sum_se(est: ChannelEstimate, precoder: Precoder,
     A float, or one value per lane when the pair carries a lane axis.
     """
     h_hat = effective_channels(est.cascaded_est, phases)
-    xi = xi_matrices(est, phases)
     f = precoder.matrix
-    extra = block_quad_forms(xi, f)
+    if est.is_isotropic:
+        # Xi_k F = xi_k F, written C-ordered as the matmul of block_quad_forms
+        # returns it: in F's column-major layout the sum would round
+        # differently
+        xi = xi_scales(est, phases)
+        xi_f = np.empty(xi.shape + f.shape[-2:], dtype=complex)
+        np.multiply(xi[..., None, None], f[..., None, :, :], out=xi_f)
+        extra = _sum_quad_forms(f, xi_f)
+    else:
+        extra = block_quad_forms(xi_matrices(est, phases), f)
     return _sum_se_from_channels(h_hat, f, extra, noise_over_p)
 
 

@@ -7,7 +7,7 @@ from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics, _numpy_loop,
                                 build_precoder_quadratics, gpi_matrices,
                                 run_gpi_precoder)
 from gpris.gpi_ris import block_diag_solve
-from gpris.metrics import lower_bound_sum_se
+from gpris.metrics import PhaseShifts, lower_bound_sum_se
 
 needs_compiler = pytest.mark.skipif(not _kernel.available(),
                                     reason="no C compiler for the compiled loop")
@@ -272,6 +272,25 @@ class TestRunGpi:
             assert iters == iters_ref
             assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
             assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
+
+    @needs_compiler
+    def test_dense_errors_at_paper_size(self, rng):
+        # N=16, K=4 with a dense error covariance on every link: each Xi_k is
+        # a full N x N block, so the kernel reads every entry of G_k
+        est = rand_estimate(16, 4, 2, 4, rng, err=0.05, dense=True)
+        phi = PhaseShifts(np.stack([rand_phases(2, 4, rng).per_ris
+                                    for _ in range(3)]), projected=True)
+        q = build_precoder_quadratics(est, phi, 0.1)
+        xi = q.g_blocks - q.h_hat[..., :, None] * q.h_hat[..., None, :].conj()
+        assert np.all(np.abs(xi[..., 0, 1:]) > 0)
+        f0 = np.stack([rand_precoder(16, 4, rng).stacked for _ in range(3)])
+        s = GpiSettings(tol=1e-10, max_iters=100)
+        f, iters, res = run_gpi_precoder(q, f0, s)
+        f_ref = f0 / np.linalg.norm(f0, axis=-1, keepdims=True)
+        iters_ref, res_ref = _numpy_loop(q, f_ref, s)
+        assert iters == iters_ref
+        assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
+        assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
 
     def test_without_compiler_falls_back(self, quad, rng, monkeypatch):
         without_compiler(monkeypatch)

@@ -6,23 +6,67 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder
 import gpris
 from gpris import _kernel
 from gpris.gpi_precoder import GpiSettings
 from gpris.gpi_ris import (RegularizerSettings, RisQuadratics,
-                           build_ris_quadratics, default_tau, lambda_ris,
-                           _numpy_loop, log2_lambda_ris, penalty_weights,
-                           ris_gpi_matrices, run_gpi_ris, smooth_max,
-                           smooth_min)
+                           build_ris_quadratics, default_tau, _numpy_loop,
+                           penalty_weights, ris_gpi_matrices, run_gpi_ris)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
                            nmse_unit_modulus, theta_matrices)
 
 # the compiled loop is built on first use with the C compiler found on PATH
 needs_compiler = pytest.mark.skipif(not _kernel.available(),
                                     reason="no C compiler on PATH")
+
+
+def smooth_max(values, alpha: float) -> float:
+    """LogSumExp upper surrogate (1/alpha) ln sum exp(alpha x_i); >= max."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty value list")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    return float(logsumexp(alpha * values) / alpha)
+
+
+def smooth_min(values, alpha: float) -> float:
+    """LogSumExp lower surrogate -alpha ln sum exp(-x_i/alpha); <= min."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty value list")
+    if alpha <= 0:
+        raise ValueError("alpha must be > 0")
+    return float(-alpha * logsumexp(values / (-alpha)))
+
+
+def log2_lambda_ris(q: RisQuadratics, reg: RegularizerSettings,
+                    w: np.ndarray) -> float:
+    """Smoothed regularized objective log2 lambda_RIS(w), evaluated in log domain."""
+    w_blocks = np.asarray(w, dtype=complex).reshape((q.l, q.m))
+    qc, qd = q.quad_forms(w_blocks)
+    if np.any(qc <= 0) or np.any(qd <= 0):
+        raise FloatingPointError("nonpositive quadratic form")
+    x = np.abs(w) ** 2
+    ratio_term = float(np.sum(np.log2(qc / qd))) / reg.r_sigma
+    penalty = (reg.mu / reg.tau) * (smooth_max(x, reg.alpha1)
+                                    - smooth_min(x, reg.alpha2))
+    return ratio_term - penalty
+
+
+def lambda_ris(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray) -> float:
+    if abs(np.linalg.norm(w) - 1.0) > 1e-6:
+        raise ValueError("w must be unit norm")
+    return float(2.0 ** log2_lambda_ris(q, reg, w))
+
+
+def kernel_args(reg, tol=1e-9, max_iters=200):
+    """The scalar arguments of _kernel.ris_loop after the noise level."""
+    return (1.0 / (reg.r_sigma * np.log(2)), reg.tau, reg.alpha1, reg.alpha2,
+            tol, max_iters)
 
 
 class TestRegularizerSettings:
@@ -296,6 +340,34 @@ class TestRunGpiRis:
             assert np.allclose(res.w, w_ref, atol=1e-10)
             assert res.residual == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
 
+    @needs_compiler
+    def test_dense_errors_at_paper_size(self, rng):
+        # N=16, K=4 with a dense error covariance on every link: Theta is a
+        # full M x M block added to C in numpy, and the kernel's intake reads
+        # every entry of it
+        est = rand_estimate(16, 4, 2, 4, rng, err=0.05, dense=True)
+        f = Precoder(np.stack([rand_precoder(16, 4, rng).matrix
+                               for _ in range(3)]))
+        q = build_ris_quadratics(est, f, 0.1)
+        theta = theta_matrices(est, f)
+        assert np.all(np.abs(theta[..., 0, 1:]) > 0)
+        mus = np.array([0.0, 4.0, 30.0])
+        reg = RegularizerSettings(mu=mus, tau=default_tau(2, 4), r_sigma=1.4)
+        w0 = np.stack([rand_phases(2, 4, rng).normalized for _ in range(3)])
+        s = GpiSettings(tol=1e-10, max_iters=100)
+        res = run_gpi_ris(q, reg, w0, s)
+        total = 0
+        for i in range(3):
+            w_ref, iters_ref, res_ref = _numpy_loop(
+                q.lane(i), RegularizerSettings(mu=float(mus[i]), tau=reg.tau,
+                                               r_sigma=reg.r_sigma),
+                w0[i] / np.linalg.norm(w0[i]), s)
+            assert np.allclose(res.w[i], w_ref, atol=1e-10)
+            assert res.residual[i] == pytest.approx(res_ref, rel=1e-6,
+                                                    abs=1e-12)
+            total += iters_ref
+        assert res.iterations == total
+
     def test_without_compiler_auto_falls_back(self, rng, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
         _kernel._library.cache_clear()
@@ -309,7 +381,8 @@ class TestRunGpiRis:
         assert np.array_equal(res.w, w_ref)
         assert res.residual == res_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
-            _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
+            _kernel.ris_loop(q.c_blocks, q.u_vecs, w0[None].copy(), 0.0,
+                             q.noise_over_p, *kernel_args(RegularizerSettings()))
 
     @staticmethod
     def _indefinite_problem():
@@ -387,16 +460,21 @@ class TestKernelDirect:
         q = build_ris_quadratics(est, f, 0.1)
         w0 = rand_phases(2, 3, rng).normalized
         reg = RegularizerSettings(mu=10.0, tau=default_tau(2, 3), r_sigma=1.1)
-        args = (q.noise_over_p, 1.0 / (reg.r_sigma * np.log(2)), reg.mu,
-                reg.tau, reg.alpha1, reg.alpha2, 1e-9, 200)
-        prep_a = _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
+
+        def run(w, max_iters):
+            return _kernel.ris_loop(q.c_blocks, q.u_vecs, w, reg.mu,
+                                    q.noise_over_p,
+                                    *kernel_args(reg, max_iters=max_iters))
+
         # the split re/im layout unpacks to the iterate it was given
-        assert np.array_equal(prep_a.w(), w0)
-        it_a = prep_a.bind(*args)()
-        prep_b = _kernel.Prepared(q.c_blocks, q.u_vecs, w0)
-        it_b = prep_b.bind(*args)()
-        assert it_a == it_b > 0
-        assert np.allclose(prep_a.w(), prep_b.w(), atol=1e-13)
+        w = w0[None].copy()
+        it, _, _ = run(w, 0)
+        assert it[0] == 0 and np.array_equal(w[0], w0)
+        w_a, w_b = w0[None].copy(), w0[None].copy()
+        it_a, _, seconds = run(w_a, 200)
+        it_b, _, _ = run(w_b, 200)
+        assert it_a[0] == it_b[0] > 0 and seconds > 0.0
+        assert np.allclose(w_a, w_b, atol=1e-13)
 
     @needs_compiler
     def test_indefinite_lane_is_isolated(self, rng):
@@ -409,22 +487,82 @@ class TestKernelDirect:
             ws.append(rand_phases(2, 2, rng).normalized)
         quads, w0 = [goods[0], bad, goods[1]], [ws[0], w_bad, ws[1]]
         mus = np.array([0.0, 0.0, 5.0])
-        shared = (0.1, 1.0 / np.log(2), default_tau(2, 2), 2.0, 2.0, 1e-9, 100)
-
-        def args(mu):
-            return shared[:2] + (mu,) + shared[2:]
-
-        prep = _kernel.Prepared(*(np.stack([getattr(q, name) for q in quads])
-                                  for name in ("c_blocks", "u_vecs")),
-                                np.stack(w0))
-        counts = prep.bind(*args(mus))()
+        reg = RegularizerSettings(tau=default_tau(2, 2), r_sigma=1.0)
+        w = np.stack(w0)
+        counts, _, _ = _kernel.ris_loop(
+            *(np.stack([getattr(q, name) for q in quads])
+              for name in ("c_blocks", "u_vecs")), w, mus, 0.1,
+            *kernel_args(reg, max_iters=100))
         assert counts[1] < 0
+        # the failed lane keeps its iterate
+        assert np.array_equal(w[1], w_bad)
         for i in (0, 2):
-            one = _kernel.Prepared(quads[i].c_blocks, quads[i].u_vecs, w0[i])
-            alone = one.bind(*args(mus[i]))()
-            assert type(alone) is int
-            assert counts[i] == alone > 0
-            assert np.array_equal(prep.w()[i], one.w())
+            one = w0[i][None].copy()
+            alone, _, _ = _kernel.ris_loop(quads[i].c_blocks, quads[i].u_vecs,
+                                           one, mus[i], 0.1,
+                                           *kernel_args(reg, max_iters=100))
+            assert counts[i] == alone[0] > 0
+            assert np.array_equal(w[i], one[0])
+
+    @needs_compiler
+    @pytest.mark.parametrize("l, m", [(8, 8), (3, 5)])
+    def test_every_lane_equals_its_single_lane_call(self, rng, l, m):
+        est = rand_estimate(6, 3, l, m, rng, err=0.1)
+        n_lanes = 5
+        f = Precoder(np.stack([rand_precoder(6, 3, rng).matrix
+                               for _ in range(n_lanes)]))
+        q = build_ris_quadratics(est, f, 0.1)
+        mus = np.array([0.0, 3.0, 0.0, 40.0, 1.0])
+        reg = RegularizerSettings(tau=default_tau(l, m), r_sigma=1.3)
+        w0 = np.stack([rand_phases(l, m, rng).normalized
+                       for _ in range(n_lanes)])
+        w = w0.copy()
+        iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
+                                         *kernel_args(reg, max_iters=60))
+        for i in range(n_lanes):
+            one = w0[i:i + 1].copy()
+            it_one, res_one, _ = _kernel.ris_loop(
+                q.c_blocks[i], q.u_vecs[i], one, mus[i], 0.1,
+                *kernel_args(reg, max_iters=60))
+            assert iters[i] == it_one[0] > 0 and res[i] == res_one[0]
+            assert np.array_equal(w[i], one[0])
+
+    @needs_compiler
+    def test_broadcast_lanes_equal_their_materialized_copy(self, rng):
+        # the shared first stage reaches the kernel as a stride-0 view
+        est = rand_estimate(6, 3, 4, 4, rng, err=0.1)
+        q = build_ris_quadratics(est, rand_precoder(6, 3, rng), 0.1)
+        n_lanes = 4
+        views = [np.broadcast_to(x, (n_lanes,) + x.shape)
+                 for x in (q.c_blocks, q.u_vecs)]
+        assert _kernel._lanes(views[0], q.c_blocks.shape)[1] == 0
+        copies = [np.ascontiguousarray(v) for v in views]
+        mus = np.array([0.0, 2.0, 20.0, 0.5])
+        reg = RegularizerSettings(tau=default_tau(4, 4), r_sigma=1.3)
+        w0 = np.stack([rand_phases(4, 4, rng).normalized
+                       for _ in range(n_lanes)])
+        out = []
+        for c, u in (views, copies):
+            w = w0.copy()
+            iters, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
+                                             *kernel_args(reg, max_iters=60))
+            out.append((iters, res, w))
+        for a, b in zip(*out):
+            assert np.array_equal(a, b)
+
+    @needs_compiler
+    def test_rejects_mismatched_shapes(self, rng):
+        q = build_ris_quadratics(rand_estimate(3, 2, 2, 2, rng),
+                                 rand_precoder(3, 2, rng), 0.1)
+        args = (0.0, 0.1, *kernel_args(RegularizerSettings()))
+        w = rand_phases(2, 2, rng).normalized[None]
+        with pytest.raises(ValueError, match="disagree"):
+            _kernel.ris_loop(q.c_blocks, q.u_vecs, np.tile(w, (1, 2)), *args)
+        with pytest.raises(ValueError, match="disagree"):
+            _kernel.ris_loop(q.c_blocks, q.u_vecs[:, :1], w.copy(), *args)
+        with pytest.raises(ValueError, match="disagree"):
+            _kernel.ris_loop(q.c_blocks, q.u_vecs, w.astype(np.complex64),
+                             *args)
 
     def test_build_is_cached_per_host(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -439,8 +577,11 @@ class TestKernelDirect:
         stub.chmod(0o755)
         real_run = _kernel.subprocess.run
         compiler = str(stub)
+        # a library of the RIS loop alone, as older versions built it
+        (cache / "_ris_loop-5c0dafe8825ab41e.so").write_bytes(b"")
         lib = _kernel._build(compiler)
-        # written under its final name only, no temporary left behind
+        # written under its final name only, no temporary left behind, and
+        # the older library removed
         assert [p.name for p in cache.iterdir()] == [lib.name]
 
         def no_compile(*args, **kwargs):

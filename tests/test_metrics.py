@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris.channel import ChannelEstimate
-from gpris.metrics import (PhaseShifts, Precoder, commutation_matrix,
+from gpris.gpi_precoder import build_precoder_quadratics
+from gpris.gpi_ris import build_ris_quadratics
+from gpris.metrics import (PhaseShifts, Precoder, _sum_se_from_channels,
+                           block_quad_forms, commutation_matrix,
                            effective_channels, exact_sum_se, exact_unit_modulus,
                            lower_bound_phase_form, lower_bound_sum_se,
                            mc_instantaneous_se, nmse_unit_modulus,
@@ -255,6 +258,40 @@ class TestXiTheta:
         assert np.allclose(xi_matrices(iso, ph), xi_matrices(dense, ph), atol=1e-10)
         assert np.allclose(theta_matrices(iso, f), theta_matrices(dense, f),
                            atol=1e-10)
+
+
+class TestIsotropicDiagonal:
+    """Under isotropic errors Xi_k and Theta_kl are scaled identities, which
+    the quadratics and the bound add on the diagonal in place; the forms
+    through the dense xi_matrices / theta_matrices arrays are the oracle."""
+
+    @pytest.mark.parametrize("l, m", [(8, 8), (2, 64)])
+    def test_in_place_forms_equal_dense_forms(self, l, m):
+        n, k, lanes, lm = 16, 4, 7, l * m
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            est = ChannelEstimate(cn((k, l, n, m), rng),
+                                  err_scale=rng.uniform(0.01, 0.2, (k, l)))
+            f = Precoder(np.stack([rand_precoder(n, k, rng).matrix
+                                   for _ in range(lanes)]))
+            ph = PhaseShifts(np.stack([rand_phases(l, m, rng).per_ris
+                                       for _ in range(lanes)]), projected=True)
+            h = effective_channels(est.cascaded_est, ph)
+            g_ref = xi_matrices(est, ph) + h[..., :, None] * h[..., None, :].conj()
+            q = build_precoder_quadratics(est, ph, 0.1)
+            assert np.array_equal(q.g_blocks, g_ref)
+            rows = np.conj(np.swapaxes(est.cascaded_est, 2, 3)).reshape(-1, n)
+            g = (rows @ f.matrix).reshape((lanes, k, l, m, k))
+            c_ref = g @ np.conj(np.swapaxes(g, -1, -2))
+            c_ref *= lm
+            theta = theta_matrices(est, f)
+            theta *= lm
+            c_ref += theta
+            assert np.array_equal(build_ris_quadratics(est, f, 0.1).c_blocks,
+                                  c_ref)
+            extra = block_quad_forms(xi_matrices(est, ph), f.matrix)
+            lb_ref = _sum_se_from_channels(h, f.matrix, extra, 0.1)
+            assert np.array_equal(lower_bound_sum_se(est, f, ph, 0.1), lb_ref)
 
 
 class TestCommutation:
