@@ -296,13 +296,6 @@ class ChannelEstimate:
         k, l, n, m = self.cascaded_est.shape
         return n, k, l, m
 
-    def error_cov(self, k: int, l: int) -> np.ndarray:
-        """Dense NM x NM error covariance of link (k, l)."""
-        n, m = self.cascaded_est.shape[2], self.cascaded_est.shape[3]
-        if self.is_isotropic:
-            return self.err_scale[k, l] * np.eye(n * m, dtype=complex)
-        return self.err_dense[k][l]
-
 
 def perfect_estimate(truth: ChannelSet) -> ChannelEstimate:
     """Zero-error estimate (R^e = 0), useful as a limit case."""

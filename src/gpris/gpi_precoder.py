@@ -95,16 +95,14 @@ def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
     eigenvalue and Bbar is the plain weighted sum.  Abar is block diagonal
     with one repeated N x N block lambda A; Bbar's k-th block is the common
     block B minus the k-th signal outer product h_k h_k^H / qb_k.  So one
-    Cholesky factor of B solves lambda A f_k -> y_k and h_k -> z_k, and
+    solve with B maps lambda A f_k -> y_k and h_k -> z_k, and
     Sherman-Morrison gives the k-th image column y_k + z_k (h_k^H y_k) / s_k
     with s_k = qb_k - h_k^H z_k.  Bbar_k is positive definite exactly when
     B is and s_k > 0.  With lane axes, lambda_bs holds one value per lane.
-    This is the reference the compiled loop (``_precoder_loop.c``) mirrors.
+    This is the reference the compiled loop (``_precoder_loop.c``) mirrors:
+    here a Cholesky call checks B and ``np.linalg.solve`` then solves with
+    it, where the compiled loop solves with that one Cholesky factor.
     """
-    # imported here: only this fallback needs scipy.linalg, and importing it
-    # would add to every import of the package
-    from scipy.linalg import cho_solve
-
     qa, qb = q.quad_forms(f_mat)
     if np.any(qa <= 0) or np.any(qb <= 0):
         raise FloatingPointError(_VANISHING)
@@ -115,14 +113,14 @@ def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
     diag = np.arange(q.n)
     ab[..., diag, diag] += (q.noise_over_p * np.sum(inv, axis=-1))[..., None]
     try:
-        chol = np.linalg.cholesky(ab[..., 1, :, :])
+        np.linalg.cholesky(ab[..., 1, :, :])
     except np.linalg.LinAlgError as exc:
         # every Bbar_k lies below B, so the first block fails with it
         raise np.linalg.LinAlgError("block 0 is not positive definite") from exc
     h_cols = np.swapaxes(q.h_hat, -1, -2)
     rhs = np.concatenate([lam[..., None, None] * (ab[..., 0, :, :] @ f_mat),
                           h_cols], axis=-1)
-    yz = cho_solve((chol, True), rhs)
+    yz = np.linalg.solve(ab[..., 1, :, :], rhs)
     y, z = yz[..., :q.k], yz[..., q.k:]
     s = qb - np.sum(h_cols.conj() * z, axis=-2).real
     bad = np.argwhere(s <= 0)

@@ -18,7 +18,6 @@ from functools import cached_property
 from math import log
 
 import numpy as np
-from scipy.special import softmax
 
 from . import _kernel
 from .channel import ChannelEstimate
@@ -128,9 +127,12 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
 
 def penalty_weights(w: np.ndarray, reg: RegularizerSettings
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex weight vectors (softmax over alpha1*|w_i|^2, softmin over |w_i|^2/alpha2)."""
+    """Simplex weight vectors (softmax over alpha1*|w_i|^2, softmin over
+    |w_i|^2/alpha2), shifted by the extreme modulus as ``_ris_loop.c`` does."""
     x = np.abs(w) ** 2
-    return softmax(reg.alpha1 * x), softmax(-x / reg.alpha2)
+    e_max = np.exp(reg.alpha1 * (x - x.max()))
+    e_min = np.exp(-(x - x.min()) / reg.alpha2)
+    return e_max / e_max.sum(), e_min / e_min.sum()
 
 
 def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray

@@ -7,21 +7,19 @@ import dataclasses
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernel
-from .baselines import random_phases, rzf_precoder, rzf_regularizer
 from .channel import estimate_channels, synthesize_channels
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
 from .gpi_ris import RegularizerSettings, build_ris_quadratics, default_tau, run_gpi_ris
 from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                     initial_pair, run_joint, run_joint_fixed_mu)
-from .metrics import (PhaseShifts, Precoder, effective_channels, exact_sum_se,
-                      lower_bound_sum_se, nmse_unit_modulus)
-from .scenario import PathlossModel, Scenario, scenario_from_dict
+from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
+from .scenario import (PathlossModel, Scenario, default_geometry,
+                       scenario_from_dict)
 
 EXPERIMENT_KINDS = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
                     "csit_sweep", "convergence", "mu_study", "scalability",
@@ -134,7 +132,6 @@ def _apply_sweep(base: Scenario, kind: str, value) -> Scenario:
             raise ValueError(f"M_tot={m_tot} not divisible by L={l}")
         my, mz = _square_factor(m_tot // l)
         cfg = replace(cfg, n_ris=l, ris_elems_y=my, ris_elems_z=mz, ul_train_len=0)
-        from .scenario import default_geometry
         return Scenario(config=cfg, geometry=default_geometry(l),
                         pathloss=PathlossModel(enabled=False))
     elif kind == "mu_study":

@@ -327,10 +327,8 @@ def mc_instantaneous_se(est: ChannelEstimate, precoder: Precoder,
             b = min(batch, n_draws - done)
             e = std[None, :, :, None, None] * _cn_vector((b, k, l, n, m), rng)
             h = np.einsum("dklnm,lm->dkn", est.cascaded_est[None] + e, phi)
-            g = np.abs(np.einsum("dkn,ni->dki", h.conj(), f)) ** 2
-            sig = np.einsum("dkk->dk", g)
-            interf = g.sum(axis=2) - sig
-            values[done:done + b] = np.log2(1 + sig / (interf + noise_over_p)).sum(axis=1)
+            values[done:done + b] = _sum_se_from_channels(h, f, np.zeros(k),
+                                                          noise_over_p)
             done += b
     else:
         chols = [[_psd_factor(est.err_dense[ki][li]) for li in range(l)]

@@ -217,11 +217,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     pathloss = doc.pop("pathloss", None)
     config = _build_strict(SystemConfig, doc, "config")
     geo = _build_strict(Geometry, geometry, "geometry") if geometry is not None else None
-    if geo is None and pathloss is not None and not pathloss.get("enabled", True):
-        pass  # geometry defaults still apply; gains are forced to 1 anyway
     pl = _build_strict(PathlossModel, pathloss, "pathloss") if pathloss is not None else PathlossModel()
-    if geo is None:
-        geo = default_geometry(config.n_ris)
     return Scenario(config=config, geometry=geo, pathloss=pl)
 
 

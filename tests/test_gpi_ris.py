@@ -204,6 +204,16 @@ class TestPenalty:
         assert wc.sum() == pytest.approx(1.0, abs=1e-12)
         assert wd.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_penalty_weights_on_spread_moduli(self, rng):
+        # unequal moduli, with alpha1 |w_i|^2 far past exp's float64 range
+        w = 30.0 * cn(8, rng)
+        reg = RegularizerSettings(mu=1.0, alpha1=2.0, alpha2=3.0)
+        wc, wd = penalty_weights(w, reg)
+        x = np.abs(w) ** 2
+        assert 2.0 * x.max() > 710
+        assert np.allclose(wc, softmax(2.0 * x), rtol=1e-12, atol=1e-300)
+        assert np.allclose(wd, softmax(-x / 3.0), rtol=1e-12, atol=1e-300)
+
 
 class TestLambdaRis:
     def test_requires_unit_norm(self, rng):

@@ -1,7 +1,10 @@
+import importlib
+import os
 import platform
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,80 @@ def test_public_names_resolve():
     missing = [name for name in gpris.__all__ if not hasattr(gpris, name)]
     assert missing == []
     assert len(set(gpris.__all__)) == len(gpris.__all__)
+
+
+# names the package root no longer carries, by the module that defines them
+_MODULE_ONLY = {
+    "baselines": ("random_phases", "rzf_precoder", "rzf_regularizer"),
+    "channel": ("ChannelEstimate", "ChannelSet", "cascade",
+                "error_covariance_dft", "error_scale_dft", "perfect_estimate",
+                "steering_ula", "steering_upa"),
+    "gpi_precoder": ("PrecoderQuadratics",),
+    "gpi_ris": ("RisGpiResult", "RisQuadratics"),
+    "harness": ("BenchResult", "ResultRow", "bench_from_spec", "load_spec",
+                "run_experiment", "write_results"),
+    "joint": ("JointResult", "run_joint_fixed_mu"),
+    "metrics": ("PhaseShifts", "Precoder", "commutation_matrix",
+                "effective_channels", "lower_bound_phase_form",
+                "mc_instantaneous_se", "theta_matrices", "xi_matrices"),
+    "scenario": ("Geometry", "PathlossModel", "Scenario", "SystemConfig",
+                 "db_to_linear", "default_geometry", "linear_to_db",
+                 "load_scenario", "noise_power_dbm", "pathloss_db",
+                 "place_users"),
+}
+
+
+def test_module_only_names_import_from_their_module():
+    for module, names in _MODULE_ONLY.items():
+        mod = importlib.import_module(f"gpris.{module}")
+        assert [name for name in names if not hasattr(mod, name)] == []
+        assert set(names).isdisjoint(gpris.__all__)
+
+
+_JOINT_BOTH_PATHS = """
+import sys
+import numpy as np
+from gpris import (AlgorithmSettings, LineSearchPlan, _kernel,
+                   estimate_channels, run_joint, scenario_from_dict,
+                   synthesize_channels)
+
+scenario = scenario_from_dict({"n_bs_antennas": 4, "n_users": 2, "n_ris": 2,
+                               "ris_elems_y": 2, "ris_elems_z": 2})
+
+
+def run():
+    rng = np.random.default_rng(7)
+    truth = synthesize_channels(scenario, rng)
+    est = estimate_channels(truth, scenario, rng)
+    res = run_joint(est, scenario.config.noise_over_power,
+                    LineSearchPlan(0.0, 10.0, 3), AlgorithmSettings(), rng)
+    assert res.errors == {}, res.errors
+
+
+run()
+_kernel.find_compiler = lambda: None  # both numpy loops from here on
+run()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: neither the compiled loops nor the
+    # numpy references they fall back to may load it
+    env = dict(os.environ, PYTHONPATH=str(Path(gpris.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _JOINT_BOTH_PATHS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(gpris.__file__).parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] \
+        == ["numpy"]
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
 
 
 def test_package_data_ships_every_kernel_source():
