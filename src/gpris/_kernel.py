@@ -6,10 +6,14 @@ built into one shared library and called through ctypes, each running the
 whole loop of every lane (one per penalty weight mu) in one call, on the
 complex arrays as numpy holds them:
 
-- ``_ris_loop.c``, the RIS stage (see ``ris_loop``): it copies each lane,
-  as it reaches it, into a scratch layout with real and imaginary parts
-  split and the L independent blocks along the innermost axis; lanes that
-  share their blocks (a broadcast view, lane stride 0) share one copy;
+- ``_ris_loop.c``, the RIS stage (see ``ris_loop``): it advances the lanes
+  a group of G = ``ris_group(P, L)`` at a time, each lane copied as it
+  enters the group into a slot of a scratch layout with real and imaginary
+  parts split and the (slot, RIS) axis innermost, so the inner loops run
+  over the G*L independent blocks of the whole group; a lane that exits
+  hands its slot to the next queued lane, once the queue is empty the
+  group closes the gap, and lanes that share their blocks (a broadcast
+  view, lane stride 0) load them once per slot;
 - ``_precoder_loop.c``, the precoder stage (see ``precoder_loop``): one
   Cholesky factor of the common denominator block per lane-iteration and a
   Sherman-Morrison correction per user, on split re/im scratch as well.
@@ -61,6 +65,14 @@ _STALE = (f"{_LIBRARY}-*.so", "_ris_loop-*.so")
 # interleaved complex arithmetic it still emits vfmaddsub, so both loops
 # work on split re/im copies (tests/test_package.py checks the library)
 _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+
+# the RIS loop's group: enough lanes that its inner loops run over 32
+# (slot, RIS) columns, four 8-wide vectors, but at most 8 lanes, whose
+# scratch is 8 lanes' (7.1 MB at K=4, L=2, M=64).  Per lane-iteration, 4
+# lanes at L=8, M=8 ran as fast as 8 and faster than 16 or 30, and 8 lanes
+# at L=2, M=64 faster than 4 or 16
+_RIS_GROUP = 8
+_RIS_COLUMNS = 32
 
 _dbl = ctypes.c_double
 _int = ctypes.c_int
@@ -156,9 +168,9 @@ def _library() -> ctypes.CDLL:
         raise RuntimeError("compiled loops unavailable: no C compiler "
                            f"({', '.join(_COMPILERS)}) found on PATH")
     lib = ctypes.CDLL(str(_build(compiler)))
-    lib.gpris_ris_loop_work.argtypes = [_int, _int, _int]
+    lib.gpris_ris_loop_work.argtypes = [_int] * 4
     lib.gpris_ris_loop_work.restype = ctypes.c_long
-    lib.gpris_ris_loop.argtypes = ([_int] * 4 + [_ptr, _long] * 2
+    lib.gpris_ris_loop.argtypes = ([_int] * 5 + [_ptr, _long] * 2
                                    + [_dbl] * 2 + [_ptr] + [_dbl] * 3
                                    + [_ptr, _dbl, _int] + [_ptr] * 4)
     lib.gpris_ris_loop.restype = _int
@@ -180,6 +192,12 @@ def _lanes(x, inner):
     return np.ascontiguousarray(x), math.prod(inner)
 
 
+def ris_group(p: int, l: int) -> int:
+    """Slots of the RIS loop's group for a call of ``p`` lanes of ``l``
+    blocks each (1 for a single lane)."""
+    return max(1, min(p, _RIS_GROUP, _RIS_COLUMNS // l))
+
+
 def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
              alpha2, tol, max_iters):
     """Run the RIS fixed-point loop of every lane in one compiled call.
@@ -188,11 +206,13 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     quadratics of the P lanes as ``RisQuadratics`` holds them, possibly as
     broadcast views that share one set across the lanes; ``mu`` holds one
     weight per lane; ``w`` holds the (P, LM) unit-norm iterates,
-    C-contiguous complex128, and is updated in place.  The kernel copies each lane into its own layout
-    as it reaches it.  Returns the per-lane iteration counts and exit
-    residuals ||Dbar^-1 Cbar w - w||, and the wall time of the compiled
+    C-contiguous complex128, and is updated in place.  The kernel runs the
+    lanes ``ris_group(P, L)`` at a time, copying each into a slot of its
+    layout as it enters the group; every lane's result is bit for bit that
+    of a call with that lane alone.  Returns the per-lane iteration counts and
+    exit residuals ||Dbar^-1 Cbar w - w||, and the wall time of the compiled
     call.  A negative count flags a non-positive-definite denominator block
-    in that lane, whose iterate is then left at the previous one.
+    in that lane alone, whose iterate is then left at the previous one.
     """
     lib = _library()
     p, lm = w.shape
@@ -208,8 +228,9 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     iters = np.zeros(p, dtype=np.intc)
     residual = np.zeros(p)
     seconds = ctypes.c_double()
-    work = np.empty(lib.gpris_ris_loop_work(k, m, l))
-    lib.gpris_ris_loop(p, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
+    g = ris_group(p, l)
+    work = np.empty(lib.gpris_ris_loop_work(g, k, m, l))
+    lib.gpris_ris_loop(p, g, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
                        u_stride, float(noise_over_p), float(inv_rs_ln2),
                        mu.ctypes.data, float(tau), float(alpha1), float(alpha2),
                        w.ctypes.data, float(tol), int(max_iters),

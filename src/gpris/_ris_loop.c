@@ -4,9 +4,21 @@
  * into a shared library on first use and calls it through ctypes;
  * gpi_ris.ris_gpi_matrices is the numpy reference it mirrors.
  *
- * P independent lanes (one per penalty weight mu) run one after another in
- * a single call, each on its own blocks, iterate and mu, and each with its
- * own iteration count, so a lane's result does not depend on the others.
+ * P independent lanes (one per penalty weight mu) run in a single call, each
+ * on its own blocks, iterate and mu, and each with its own iteration count.
+ * They advance G at a time (gpris._kernel picks G from P and L), one lane
+ * per slot of a group whose blocks sit side by side in the scratch:
+ *   - a lane that exits (tolerance, iteration cap or a block that is not
+ *     positive definite) writes back its iterate, count and residual, and
+ *     the next queued lane is loaded into its slot; the slots freed by one
+ *     image are refilled in one pass over the scratch;
+ *   - once the queue is empty, the last occupied slot moves into the freed
+ *     one, so the occupied slots are always the first n and every loop runs
+ *     over their n*L (slot, RIS) columns alone: an idle slot is never
+ *     computed and never reports.
+ * With G = 1 this is the loop of one lane at a time, with the same
+ * arithmetic; where a loop's columns are a whole row (no idle slot) it runs
+ * flat over the rows.
  *
  * Inputs are read as numpy holds them, complex128 as interleaved (re, im)
  * doubles in C order (int for iters):
@@ -21,45 +33,56 @@
  *                  denominator block of that lane is not positive definite
  *   residual       (P,) fixed-point residual of each lane at its exit
  *   seconds        wall time of the call (monotonic clock)
- *   work           gpris_ris_loop_work(K, M, L) doubles of scratch
+ *   work           gpris_ris_loop_work(G, K, M, L) doubles of scratch
  *
- * Each lane is first copied into scratch with real and imaginary parts split
- * and the RIS index innermost, so the L blocks are computed side by side
- * (lanes that share their blocks share one copy).  Every inner loop runs
- * over independent outputs, the (row, RIS) entries of the matvecs, of the
- * Cbar image and of the Dbar blocks, and the right-looking Cholesky updates
- * each trailing row over its (column, RIS) entries; each output keeps its
- * accumulation order, so no reduction is reassociated:
- *   ct             (K, M, M, L) C_k by columns, ct[k][b][a][l] = C_kl[a, b]
- *   d              (K, T, L) lower triangles of D_k = C_k - u_k u_k^H, rows
+ * A lane is copied into its slot with real and imaginary parts split and
+ * the (slot, RIS) column innermost: with S = G*L, column x = g*L + l holds
+ * block l of slot g.  Lanes that share their blocks (lane stride 0) load
+ * them once per slot and keep them across refills.  Every inner loop runs
+ * over independent outputs, the (row, column) entries of the matvecs, of
+ * the Cbar image and of the Dbar blocks, and the right-looking Cholesky
+ * updates each trailing row over its columns; each output keeps its
+ * accumulation order.  Every per-lane reduction (the quadratic forms over a
+ * lane's blocks, the penalty max/min and exp sums, the norm, the step and
+ * the residual) runs over that lane's own columns in the order of a lone
+ * lane.  So no reduction is reassociated, and each lane's w, count and
+ * residual are bit for bit those of a one-lane call, whatever G and its
+ * neighbours.  The slot arrays:
+ *   ct             (K, M, M, S) C_k by columns, ct[k][b][a][x] = C_kl[a, b]
+ *   d              (K, T, S) lower triangles of D_k = C_k - u_k u_k^H, rows
  *                  packed (T = M(M+1)/2 entries per block)
- *   us, ws         (K, M, L) and (M, L)
+ *   us, ws         (K, M, S) and (M, S)
+ * and the image's, (K, M, S) for the matvecs, (T, S) for Dbar and (M, S),
+ * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 9)M + 2K + 4) doubles
+ * in all, G times one lane's.  That is 7.1 MB at K=4, L=2, M=64 (G=8) and
+ * 0.28 MB at K=4, L=8, M=8 (G=4).
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 /* offset of row a of a packed lower triangle */
 #define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
 
-/* Split re/im arrays of one lane's inputs and of one image computation. */
-struct lane {
+/* Split re/im arrays of the group's inputs and of one image computation. */
+struct group {
     double *ctr, *cti, *dr, *di, *ur, *ui, *wr, *wi;
 };
 
 struct image {
-    double *iqc, *iqd, *ycr, *yci, *cwr, *cwi, *exp_c, *exp_d, *dbr, *dbi,
-        *colr, *coli, *sr, *si, *tr, *ti;
+    double *qc, *qd, *ycr, *yci, *cwr, *cwi, *exc, *exd, *dbr, *dbi, *colr,
+        *coli, *sr, *si, *tr, *ti;
 };
 
 /* Lay out both in the scratch (when given); returns the doubles it needs. */
-static size_t carve(int k_users, int m, int l_ris, double *work,
-                    struct lane *ln, struct image *im)
+static size_t carve(int g_slots, int k_users, int m, int l_ris, double *work,
+                    struct group *gr, struct image *im)
 {
-    const size_t k = (size_t)k_users, l = (size_t)l_ris;
-    const size_t ml = (size_t)m * l, mml = (size_t)m * ml;
-    const size_t tl = TRI(m) * l;
+    const size_t k = (size_t)k_users, s = (size_t)g_slots * (size_t)l_ris;
+    const size_t ms = (size_t)m * s, mms = (size_t)m * ms;
+    const size_t ts = TRI(m) * s;
     /* each array starts on a 64-byte boundary: a vector that loads a
      * whole row of an aligned array then never straddles two cache lines */
     double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
@@ -67,99 +90,181 @@ static size_t carve(int k_users, int m, int l_ris, double *work,
     size_t used = 0;
 #define TAKE(field, n) \
     (field = base ? base + used : NULL, used += ((n) + 7) / 8 * 8)
-    TAKE(ln->ctr, k * mml);
-    TAKE(ln->cti, k * mml);
-    TAKE(ln->dr, k * tl);
-    TAKE(ln->di, k * tl);
-    TAKE(ln->ur, k * ml);
-    TAKE(ln->ui, k * ml);
-    TAKE(ln->wr, ml);
-    TAKE(ln->wi, ml);
-    TAKE(im->iqc, k);
-    TAKE(im->iqd, k);
-    TAKE(im->ycr, k * ml);
-    TAKE(im->yci, k * ml);
-    TAKE(im->cwr, ml);
-    TAKE(im->cwi, ml);
-    TAKE(im->exp_c, ml);
-    TAKE(im->exp_d, ml);
-    TAKE(im->dbr, tl);
-    TAKE(im->dbi, tl);
-    TAKE(im->colr, ml);
-    TAKE(im->coli, ml);
-    TAKE(im->sr, l);
-    TAKE(im->si, l);
-    TAKE(im->tr, l);
-    TAKE(im->ti, l);
+    TAKE(gr->ctr, k * mms);
+    TAKE(gr->cti, k * mms);
+    TAKE(gr->dr, k * ts);
+    TAKE(gr->di, k * ts);
+    TAKE(gr->ur, k * ms);
+    TAKE(gr->ui, k * ms);
+    TAKE(gr->wr, ms);
+    TAKE(gr->wi, ms);
+    TAKE(im->qc, k * s);
+    TAKE(im->qd, k * s);
+    TAKE(im->ycr, k * ms);
+    TAKE(im->yci, k * ms);
+    TAKE(im->cwr, ms);
+    TAKE(im->cwi, ms);
+    TAKE(im->exc, ms);
+    TAKE(im->exd, ms);
+    TAKE(im->dbr, ts);
+    TAKE(im->dbi, ts);
+    TAKE(im->colr, ms);
+    TAKE(im->coli, ms);
+    TAKE(im->sr, s);
+    TAKE(im->si, s);
+    TAKE(im->tr, s);
+    TAKE(im->ti, s);
 #undef TAKE
     return used + 7;  /* the slack for the alignment */
 }
 
-long gpris_ris_loop_work(int k_users, int m, int l_ris)
+long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris)
 {
-    struct lane ln;
+    struct group gr;
     struct image im;
-    return (long)carve(k_users, m, l_ris, NULL, &ln, &im);
+    return (long)carve(g_slots, k_users, m, l_ris, NULL, &gr, &im);
 }
 
-/* Copy one lane's C_k and u_k into the split layout and form the lower
- * triangles of D_k = C_k - u_k u_k^H, the u products as numpy's u * conj(u). */
-static void load_blocks(int k_users, int m, int l_ris, const double *restrict c,
-                        const double *restrict u, const struct lane *ln)
+/* Copy the C_k and u_k of nb lanes, lane i's into the columns from at[i] of
+ * the split layout (row stride s), and form the lower triangles of
+ * D_k = C_k - u_k u_k^H there, the u products as numpy's u * conj(u).  The
+ * loops write the scratch in order, each row for all nb lanes at once, so
+ * a batch of refills shares one pass over the slot arrays. */
+static void load_blocks(int k_users, int m, int l_ris, size_t s, int nb,
+                        const size_t *at, const double *const *c,
+                        const double *const *u, const struct group *gr)
 {
-    const size_t l = (size_t)l_ris, mm = (size_t)m;
+    const size_t l = (size_t)l_ris, mm = (size_t)m, mm2 = 2 * mm * mm;
+    const size_t ts = TRI(m) * s;
     for (int kk = 0; kk < k_users; ++kk) {
-        for (size_t ll = 0; ll < l; ++ll) {
-            const double *blk = c + 2 * (((size_t)kk * l + ll) * mm * mm);
-            const double *uv = u + 2 * (((size_t)kk * l + ll) * mm);
-            for (size_t a = 0; a < mm; ++a) {
-                ln->ur[((size_t)kk * mm + a) * l + ll] = uv[2 * a];
-                ln->ui[((size_t)kk * mm + a) * l + ll] = uv[2 * a + 1];
-                for (size_t b = 0; b < mm; ++b) {
-                    const size_t at = (((size_t)kk * mm + b) * mm + a) * l + ll;
-                    ln->ctr[at] = blk[2 * (a * mm + b)];
-                    ln->cti[at] = blk[2 * (a * mm + b) + 1];
-                }
-            }
-        }
-    }
-    const size_t tl = TRI(m) * l;
-    for (int kk = 0; kk < k_users; ++kk) {
-        for (size_t a = 0; a < mm; ++a) {
-            const double *ura = ln->ur + ((size_t)kk * mm + a) * l;
-            const double *uia = ln->ui + ((size_t)kk * mm + a) * l;
-            for (size_t b = 0; b <= a; ++b) {
-                const double *urb = ln->ur + ((size_t)kk * mm + b) * l;
-                const double *uib = ln->ui + ((size_t)kk * mm + b) * l;
-                const size_t from = (((size_t)kk * mm + b) * mm + a) * l;
-                const size_t to = kk * tl + (TRI(a) + b) * l;
+        const size_t ck = (size_t)kk * l * mm2, uk = 2 * (size_t)kk * l * mm;
+        for (size_t a = 0; a < mm; ++a)
+            for (int i = 0; i < nb; ++i) {
+                double *ura = gr->ur + ((size_t)kk * mm + a) * s + at[i];
+                double *uia = gr->ui + ((size_t)kk * mm + a) * s + at[i];
                 for (size_t ll = 0; ll < l; ++ll) {
-                    ln->dr[to + ll] = ln->ctr[from + ll]
-                        - (ura[ll] * urb[ll] + uia[ll] * uib[ll]);
-                    ln->di[to + ll] = ln->cti[from + ll]
-                        - (uia[ll] * urb[ll] - ura[ll] * uib[ll]);
+                    ura[ll] = u[i][uk + 2 * (ll * mm + a)];
+                    uia[ll] = u[i][uk + 2 * (ll * mm + a) + 1];
                 }
             }
-        }
+        for (size_t b = 0; b < mm; ++b)
+            for (size_t a = 0; a < mm; ++a)
+                for (int i = 0; i < nb; ++i) {
+                    const size_t row = (((size_t)kk * mm + b) * mm + a) * s;
+                    const double *src = c[i] + ck + 2 * (a * mm + b);
+                    double *cr = gr->ctr + row + at[i];
+                    double *ci = gr->cti + row + at[i];
+                    for (size_t ll = 0; ll < l; ++ll) {
+                        cr[ll] = src[ll * mm2];
+                        ci[ll] = src[ll * mm2 + 1];
+                    }
+                }
+        for (size_t a = 0; a < mm; ++a)
+            for (size_t b = 0; b <= a; ++b)
+                for (int i = 0; i < nb; ++i) {
+                    const double *ura = gr->ur + ((size_t)kk * mm + a) * s + at[i];
+                    const double *uia = gr->ui + ((size_t)kk * mm + a) * s + at[i];
+                    const double *urb = gr->ur + ((size_t)kk * mm + b) * s + at[i];
+                    const double *uib = gr->ui + ((size_t)kk * mm + b) * s + at[i];
+                    const double *src = c[i] + ck + 2 * (a * mm + b);
+                    double *dr = gr->dr + kk * ts + (TRI(a) + b) * s + at[i];
+                    double *di = gr->di + kk * ts + (TRI(a) + b) * s + at[i];
+                    for (size_t ll = 0; ll < l; ++ll) {
+                        dr[ll] = src[ll * mm2]
+                            - (ura[ll] * urb[ll] + uia[ll] * uib[ll]);
+                        di[ll] = src[ll * mm2 + 1]
+                            - (uia[ll] * urb[ll] - ura[ll] * uib[ll]);
+                    }
+                }
     }
 }
 
-/* Image Dbar(w)^-1 Cbar(w) w of one lane's iterate, unnormalized, left in
- * im->cwr / im->cwi; returns 0 when a denominator block is not positive
- * definite. */
-static int ris_image(int k_users, int m, int l_ris, const struct lane *ln,
-                     const struct image *im, double noise_over_p,
-                     double inv_rs_ln2, double mu, double tau, double alpha1,
-                     double alpha2)
+/* Copy the l columns from `from` to `to` of each of `rows` rows. */
+static void move_columns(double *x, size_t rows, size_t s, size_t from,
+                         size_t to, size_t l)
 {
-    const size_t l = (size_t)l_ris, mm = (size_t)m;
-    const size_t ml = mm * l, tl = TRI(m) * l;
-    const double *restrict wr = ln->wr;
-    const double *restrict wi = ln->wi;
-    double *restrict iqc = im->iqc;
-    double *restrict iqd = im->iqd;
+    for (size_t r = 0; r < rows; ++r)
+        memcpy(x + r * s + to, x + r * s + from, l * sizeof *x);
+}
+
+/* The loops over the occupied columns x < nw of `rows` rows of stride s,
+ * on the real and imaginary parts together, run as one flat loop when no
+ * column is idle (nw == s). */
+
+/* y = 0 */
+static void zero_cols(double *restrict yr, double *restrict yi, size_t rows,
+                      size_t s, size_t nw)
+{
+    if (nw == s) {
+        nw *= rows;
+        rows = 1;
+    }
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t x = r * s; x < r * s + nw; ++x) {
+            yr[x] = 0.0;
+            yi[x] = 0.0;
+        }
+}
+
+/* y *= f */
+static void scale_cols(double *restrict yr, double *restrict yi, double f,
+                       size_t rows, size_t s, size_t nw)
+{
+    if (nw == s) {
+        nw *= rows;
+        rows = 1;
+    }
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t x = r * s; x < r * s + nw; ++x) {
+            yr[x] *= f;
+            yi[x] *= f;
+        }
+}
+
+/* y += v * q with one weight q[x] per column; a group of one slot (s == l)
+ * has one weight throughout and runs flat as well */
+static void add_weighted(double *restrict yr, double *restrict yi,
+                         const double *restrict vr, const double *restrict vi,
+                         const double *restrict q, size_t rows, size_t s,
+                         size_t nw, size_t l)
+{
+    if (s == l) {
+        const double q0 = q[0];
+        for (size_t i = 0; i < rows * s; ++i) {
+            yr[i] += vr[i] * q0;
+            yi[i] += vi[i] * q0;
+        }
+        return;
+    }
+    for (size_t r = 0; r < rows * s; r += s)
+        for (size_t x = r; x < r + nw; ++x) {
+            yr[x] += vr[x] * q[x - r];
+            yi[x] += vi[x] * q[x - r];
+        }
+}
+
+/* Image Dbar(w)^-1 Cbar(w) w of the iterates of the first n slots,
+ * unnormalized, left in im->cwr / im->cwi; ok[g] is cleared when a
+ * denominator block of slot g is not positive definite (that slot's
+ * columns are then meaningless, and no other slot's are touched). */
+static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
+                      const struct group *gr, const struct image *im,
+                      double noise_over_p, double inv_rs_ln2,
+                      const double *mu, double tau, double alpha1,
+                      double alpha2, int *ok)
+{
+    const size_t l = (size_t)l_ris, mm = (size_t)m, nw = (size_t)n_slots * l;
+    const size_t ms = mm * s, ts = TRI(m) * s;
+    /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
+    const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ms : l;
+    const double *restrict wr = gr->wr;
+    const double *restrict wi = gr->wi;
+    double *restrict qc = im->qc;
+    double *restrict qd = im->qd;
     double *restrict cwr = im->cwr;
     double *restrict cwi = im->cwi;
+    double *restrict exc = im->exc;
+    double *restrict exd = im->exd;
     double *restrict dbr = im->dbr;
     double *restrict dbi = im->dbi;
     double *restrict sr = im->sr;
@@ -170,278 +275,238 @@ static int ris_image(int k_users, int m, int l_ris, const struct lane *ln,
      * the Cbar image (Cbar itself is never assembled); w^H D_k w is the
      * rank-one correction w^H C_k w - |u_k^H w|^2 */
     for (int kk = 0; kk < k_users; ++kk) {
-        double *restrict yr = im->ycr + (size_t)kk * ml;
-        double *restrict yi = im->yci + (size_t)kk * ml;
-        for (size_t i = 0; i < ml; ++i) {
-            yr[i] = 0.0;
-            yi[i] = 0.0;
-        }
+        double *restrict yr = im->ycr + (size_t)kk * ms;
+        double *restrict yi = im->yci + (size_t)kk * ms;
+        zero_cols(yr, yi, mm, s, nw);
         for (size_t b = 0; b < mm; ++b) {
-            const double *restrict crv = ln->ctr + ((size_t)kk * mm + b) * ml;
-            const double *restrict civ = ln->cti + ((size_t)kk * mm + b) * ml;
-            const double *restrict wrb = wr + b * l;
-            const double *restrict wib = wi + b * l;
+            const double *restrict crv = gr->ctr + ((size_t)kk * mm + b) * ms;
+            const double *restrict civ = gr->cti + ((size_t)kk * mm + b) * ms;
+            const double *restrict wrb = wr + b * s;
+            const double *restrict wib = wi + b * s;
             for (size_t a = 0; a < mm; ++a) {
-                const size_t row = a * l;
-                for (size_t ll = 0; ll < l; ++ll) {
-                    yr[row + ll] += crv[row + ll] * wrb[ll]
-                                    - civ[row + ll] * wib[ll];
-                    yi[row + ll] += crv[row + ll] * wib[ll]
-                                    + civ[row + ll] * wrb[ll];
+                const size_t row = a * s;
+                for (size_t x = 0; x < nw; ++x) {
+                    yr[row + x] += crv[row + x] * wrb[x]
+                                   - civ[row + x] * wib[x];
+                    yi[row + x] += crv[row + x] * wib[x]
+                                   + civ[row + x] * wrb[x];
                 }
             }
         }
-        for (size_t ll = 0; ll < l; ++ll) {
-            sr[ll] = 0.0;     /* running Re(w^H C_k w) per block */
-            tr[ll] = 0.0;     /* Re/Im of u_k^H w per block */
-            ti[ll] = 0.0;
+        for (size_t x = 0; x < nw; ++x) {
+            sr[x] = 0.0;     /* running Re(w^H C_k w) per block */
+            tr[x] = 0.0;     /* Re/Im of u_k^H w per block */
+            ti[x] = 0.0;
         }
         for (size_t a = 0; a < mm; ++a) {
-            const double *wra = wr + a * l;
-            const double *wia = wi + a * l;
-            const double *yra = yr + a * l;
-            const double *yia = yi + a * l;
-            const double *urv = ln->ur + ((size_t)kk * mm + a) * l;
-            const double *uiv = ln->ui + ((size_t)kk * mm + a) * l;
-            for (size_t ll = 0; ll < l; ++ll) {
-                sr[ll] += wra[ll] * yra[ll] + wia[ll] * yia[ll];
-                tr[ll] += urv[ll] * wra[ll] + uiv[ll] * wia[ll];
-                ti[ll] += urv[ll] * wia[ll] - uiv[ll] * wra[ll];
+            const double *wra = wr + a * s;
+            const double *wia = wi + a * s;
+            const double *yra = yr + a * s;
+            const double *yia = yi + a * s;
+            const double *urv = gr->ur + ((size_t)kk * mm + a) * s;
+            const double *uiv = gr->ui + ((size_t)kk * mm + a) * s;
+            for (size_t x = 0; x < nw; ++x) {
+                sr[x] += wra[x] * yra[x] + wia[x] * yia[x];
+                tr[x] += urv[x] * wra[x] + uiv[x] * wia[x];
+                ti[x] += urv[x] * wia[x] - uiv[x] * wra[x];
             }
         }
-        double acc_c = 0.0;
-        double acc_u = 0.0;
-        for (size_t ll = 0; ll < l; ++ll) {
-            acc_c += sr[ll];
-            acc_u += tr[ll] * tr[ll] + ti[ll] * ti[ll];
-        }
-        iqc[kk] = 1.0 / (acc_c + noise_over_p);
-        iqd[kk] = 1.0 / (acc_c - acc_u + noise_over_p);
-    }
-    double sum_inv_c = 0.0;
-    double sum_inv_d = 0.0;
-    for (int kk = 0; kk < k_users; ++kk) {
-        sum_inv_c += iqc[kk];
-        sum_inv_d += iqd[kk];
-    }
-    /* penalty softmax(-|w_i|^2 / alpha2) and softmax(alpha1 |w_i|^2) */
-    double pen_c = 0.0;
-    double pen_d = 0.0;
-    if (mu > 0.0) {
-        double xmax = -1.0e300;
-        double xmin = 1.0e300;
-        for (size_t i = 0; i < ml; ++i) {
-            double xi = wr[i] * wr[i] + wi[i] * wi[i];
-            if (xi > xmax)
-                xmax = xi;
-            if (xi < xmin)
-                xmin = xi;
-        }
-        double zc = 0.0;
-        double zd = 0.0;
-        for (size_t i = 0; i < ml; ++i) {
-            double xi = wr[i] * wr[i] + wi[i] * wi[i];
-            double ec = exp(-(xi - xmin) / alpha2);
-            double ed = exp(alpha1 * (xi - xmax));
-            im->exp_c[i] = ec;
-            im->exp_d[i] = ed;
-            zc += ec;
-            zd += ed;
-        }
-        pen_c = mu / (tau * zc);
-        pen_d = mu / (tau * zd);
-    }
-    const double diag_c = inv_rs_ln2 * noise_over_p * sum_inv_c;
-    const double diag_d = inv_rs_ln2 * noise_over_p * sum_inv_d;
-    /* image (Cbar w) from the cached matvecs, penalty folded in */
-    for (size_t i = 0; i < ml; ++i) {
-        cwr[i] = 0.0;
-        cwi[i] = 0.0;
-    }
-    for (int kk = 0; kk < k_users; ++kk) {
-        const double *restrict yr = im->ycr + (size_t)kk * ml;
-        const double *restrict yi = im->yci + (size_t)kk * ml;
-        const double q = iqc[kk];
-        for (size_t i = 0; i < ml; ++i) {
-            cwr[i] += yr[i] * q;
-            cwi[i] += yi[i] * q;
+        /* each slot's 1/(w^H C_k w), 1/(w^H D_k w), spread over its columns */
+        for (size_t g = 0; g < (size_t)n_slots; ++g) {
+            const size_t o = g * l;
+            double acc_c = 0.0;
+            double acc_u = 0.0;
+            for (size_t ll = 0; ll < l; ++ll) {
+                acc_c += sr[o + ll];
+                acc_u += tr[o + ll] * tr[o + ll] + ti[o + ll] * ti[o + ll];
+            }
+            const double iqc = 1.0 / (acc_c + noise_over_p);
+            const double iqd = 1.0 / (acc_c - acc_u + noise_over_p);
+            for (size_t ll = 0; ll < l; ++ll) {
+                qc[(size_t)kk * s + o + ll] = iqc;
+                qd[(size_t)kk * s + o + ll] = iqd;
+            }
         }
     }
-    for (size_t i = 0; i < ml; ++i) {
-        double extra = diag_c;
-        if (mu > 0.0)
-            extra += pen_c * im->exp_c[i];
-        cwr[i] = inv_rs_ln2 * cwr[i] + extra * wr[i];
-        cwi[i] = inv_rs_ln2 * cwi[i] + extra * wi[i];
+    /* each slot's diagonal shifts: the noise terms and the penalty
+     * softmax(-|w_i|^2 / alpha2) and softmax(alpha1 |w_i|^2) */
+    for (size_t g = 0; g < (size_t)n_slots; ++g) {
+        const size_t o = g * l;
+        double sum_inv_c = 0.0;
+        double sum_inv_d = 0.0;
+        for (int kk = 0; kk < k_users; ++kk) {
+            sum_inv_c += qc[(size_t)kk * s + o];
+            sum_inv_d += qd[(size_t)kk * s + o];
+        }
+        const double diag_c = inv_rs_ln2 * noise_over_p * sum_inv_c;
+        const double diag_d = inv_rs_ln2 * noise_over_p * sum_inv_d;
+        if (mu[g] > 0.0) {
+            double xmax = -1.0e300;
+            double xmin = 1.0e300;
+            for (size_t r = 0; r < lrows; ++r)
+                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                    double xi = wr[i] * wr[i] + wi[i] * wi[i];
+                    if (xi > xmax)
+                        xmax = xi;
+                    if (xi < xmin)
+                        xmin = xi;
+                }
+            double zc = 0.0;
+            double zd = 0.0;
+            for (size_t r = 0; r < lrows; ++r)
+                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                    double xi = wr[i] * wr[i] + wi[i] * wi[i];
+                    double ec = exp(-(xi - xmin) / alpha2);
+                    double ed = exp(alpha1 * (xi - xmax));
+                    exc[i] = ec;
+                    exd[i] = ed;
+                    zc += ec;
+                    zd += ed;
+                }
+            const double pen_c = mu[g] / (tau * zc);
+            const double pen_d = mu[g] / (tau * zd);
+            for (size_t r = 0; r < lrows; ++r)
+                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                    exc[i] = diag_c + pen_c * exc[i];
+                    exd[i] = diag_d + pen_d * exd[i];
+                }
+        } else {
+            for (size_t r = 0; r < lrows; ++r)
+                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                    exc[i] = diag_c;
+                    exd[i] = diag_d;
+                }
+        }
     }
+    /* image (Cbar w) from the cached matvecs, diagonal shifts folded in */
+    zero_cols(cwr, cwi, mm, s, nw);
+    for (int kk = 0; kk < k_users; ++kk)
+        add_weighted(cwr, cwi, im->ycr + (size_t)kk * ms,
+                     im->yci + (size_t)kk * ms, qc + (size_t)kk * s, mm, s,
+                     nw, l);
+    const size_t rows = nw == s ? 1 : mm, cols = nw == s ? ms : nw;
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t x = r * s; x < r * s + cols; ++x) {
+            cwr[x] = inv_rs_ln2 * cwr[x] + exc[x] * wr[x];
+            cwi[x] = inv_rs_ln2 * cwi[x] + exc[x] * wi[x];
+        }
     /* lower triangles of the Dbar blocks, assembled batched for the solve */
-    for (size_t j = 0; j < tl; ++j) {
-        dbr[j] = 0.0;
-        dbi[j] = 0.0;
-    }
-    for (int kk = 0; kk < k_users; ++kk) {
-        const double *restrict drv = ln->dr + (size_t)kk * tl;
-        const double *restrict div = ln->di + (size_t)kk * tl;
-        const double q = iqd[kk];
-        for (size_t j = 0; j < tl; ++j) {
-            dbr[j] += drv[j] * q;
-            dbi[j] += div[j] * q;
-        }
-    }
-    for (size_t j = 0; j < tl; ++j) {
-        dbr[j] *= inv_rs_ln2;
-        dbi[j] *= inv_rs_ln2;
-    }
+    zero_cols(dbr, dbi, TRI(m), s, nw);
+    for (int kk = 0; kk < k_users; ++kk)
+        add_weighted(dbr, dbi, gr->dr + (size_t)kk * ts,
+                     gr->di + (size_t)kk * ts, qd + (size_t)kk * s, TRI(m), s,
+                     nw, l);
+    scale_cols(dbr, dbi, inv_rs_ln2, TRI(m), s, nw);
     for (size_t a = 0; a < mm; ++a) {
-        double *restrict diag = dbr + (TRI(a) + a) * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            double extra = diag_d;
-            if (mu > 0.0)
-                extra += pen_d * im->exp_d[a * l + ll];
-            diag[ll] += extra;
-        }
+        double *restrict diag = dbr + (TRI(a) + a) * s;
+        const double *restrict ex = exd + a * s;
+        for (size_t x = 0; x < nw; ++x)
+            diag[x] += ex[x];
     }
-    /* batched in-place lower Cholesky of all L blocks at once, right-looking:
-     * each entry takes its updates in the same order as the left-looking
-     * dot products would */
+    /* batched in-place lower Cholesky of all the blocks at once,
+     * right-looking: each entry takes its updates in the same order as the
+     * left-looking dot products would */
     double *restrict colr = im->colr;
     double *restrict coli = im->coli;
     for (size_t j = 0; j < mm; ++j) {
-        double *restrict djj = dbr + (TRI(j) + j) * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            if (djj[ll] <= 0.0)
-                return 0;
-            djj[ll] = sqrt(djj[ll]);
-            si[ll] = 1.0 / djj[ll];
+        double *restrict djj = dbr + (TRI(j) + j) * s;
+        for (size_t g = 0; g < (size_t)n_slots; ++g) {
+            int bad = 0;
+            for (size_t ll = 0; ll < l; ++ll)
+                bad |= djj[g * l + ll] <= 0.0;
+            ok[g] &= !bad;
+        }
+        for (size_t x = 0; x < nw; ++x) {
+            djj[x] = sqrt(djj[x]);
+            si[x] = 1.0 / djj[x];
         }
         /* scale column j, and keep a contiguous copy of it */
         for (size_t i = j + 1; i < mm; ++i) {
-            double *restrict av = dbr + (TRI(i) + j) * l;
-            double *restrict bv = dbi + (TRI(i) + j) * l;
-            for (size_t ll = 0; ll < l; ++ll) {
-                av[ll] = av[ll] * si[ll];
-                bv[ll] = bv[ll] * si[ll];
-                colr[i * l + ll] = av[ll];
-                coli[i * l + ll] = bv[ll];
+            double *restrict av = dbr + (TRI(i) + j) * s;
+            double *restrict bv = dbi + (TRI(i) + j) * s;
+            for (size_t x = 0; x < nw; ++x) {
+                av[x] = av[x] * si[x];
+                bv[x] = bv[x] * si[x];
+                colr[i * s + x] = av[x];
+                coli[i * s + x] = bv[x];
             }
         }
         /* a[i, k] -= a[i, j] * conj(a[k, j]) for j < k <= i */
         for (size_t i = j + 1; i < mm; ++i) {
-            const double *ir = colr + i * l;
-            const double *ii = coli + i * l;
-            double *restrict rowr = dbr + TRI(i) * l;
-            double *restrict rowi = dbi + TRI(i) * l;
+            const double *ir = colr + i * s;
+            const double *ii = coli + i * s;
+            double *restrict rowr = dbr + TRI(i) * s;
+            double *restrict rowi = dbi + TRI(i) * s;
             for (size_t k = j + 1; k <= i; ++k) {
-                const double *jr = colr + k * l;
-                const double *ji = coli + k * l;
-                double *restrict ar = rowr + k * l;
-                double *restrict ai = rowi + k * l;
-                for (size_t ll = 0; ll < l; ++ll) {
-                    ar[ll] -= ir[ll] * jr[ll] + ii[ll] * ji[ll];
-                    ai[ll] -= ii[ll] * jr[ll] - ir[ll] * ji[ll];
+                const double *jr = colr + k * s;
+                const double *ji = coli + k * s;
+                double *restrict ar = rowr + k * s;
+                double *restrict ai = rowi + k * s;
+                for (size_t x = 0; x < nw; ++x) {
+                    ar[x] -= ir[x] * jr[x] + ii[x] * ji[x];
+                    ai[x] -= ii[x] * jr[x] - ir[x] * ji[x];
                 }
             }
         }
     }
     /* forward substitution L y = Cbar w */
     for (size_t i = 0; i < mm; ++i) {
-        const size_t row = i * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            tr[ll] = cwr[row + ll];
-            ti[ll] = cwi[row + ll];
+        const size_t row = i * s;
+        for (size_t x = 0; x < nw; ++x) {
+            tr[x] = cwr[row + x];
+            ti[x] = cwi[row + x];
         }
         for (size_t p = 0; p < i; ++p) {
-            const double *ir = dbr + (TRI(i) + p) * l;
-            const double *ii = dbi + (TRI(i) + p) * l;
-            const size_t col = p * l;
-            for (size_t ll = 0; ll < l; ++ll) {
-                tr[ll] -= ir[ll] * cwr[col + ll] - ii[ll] * cwi[col + ll];
-                ti[ll] -= ir[ll] * cwi[col + ll] + ii[ll] * cwr[col + ll];
+            const double *ir = dbr + (TRI(i) + p) * s;
+            const double *ii = dbi + (TRI(i) + p) * s;
+            const size_t col = p * s;
+            for (size_t x = 0; x < nw; ++x) {
+                tr[x] -= ir[x] * cwr[col + x] - ii[x] * cwi[col + x];
+                ti[x] -= ir[x] * cwi[col + x] + ii[x] * cwr[col + x];
             }
         }
-        const double *dii = dbr + (TRI(i) + i) * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            double inv = 1.0 / dii[ll];
-            cwr[row + ll] = tr[ll] * inv;
-            cwi[row + ll] = ti[ll] * inv;
+        const double *dii = dbr + (TRI(i) + i) * s;
+        for (size_t x = 0; x < nw; ++x) {
+            double inv = 1.0 / dii[x];
+            cwr[row + x] = tr[x] * inv;
+            cwi[row + x] = ti[x] * inv;
         }
     }
     /* backward substitution L^H z = y */
     for (size_t i = mm; i-- > 0;) {
-        const size_t row = i * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            tr[ll] = cwr[row + ll];
-            ti[ll] = cwi[row + ll];
+        const size_t row = i * s;
+        for (size_t x = 0; x < nw; ++x) {
+            tr[x] = cwr[row + x];
+            ti[x] = cwi[row + x];
         }
         for (size_t p = i + 1; p < mm; ++p) {
-            const double *pr = dbr + (TRI(p) + i) * l;
-            const double *pi = dbi + (TRI(p) + i) * l;
-            const size_t col = p * l;
+            const double *pr = dbr + (TRI(p) + i) * s;
+            const double *pi = dbi + (TRI(p) + i) * s;
+            const size_t col = p * s;
             /* acc -= conj(a[p,i]) * z[p] */
-            for (size_t ll = 0; ll < l; ++ll) {
-                tr[ll] -= pr[ll] * cwr[col + ll] + pi[ll] * cwi[col + ll];
-                ti[ll] -= pr[ll] * cwi[col + ll] - pi[ll] * cwr[col + ll];
+            for (size_t x = 0; x < nw; ++x) {
+                tr[x] -= pr[x] * cwr[col + x] + pi[x] * cwi[col + x];
+                ti[x] -= pr[x] * cwi[col + x] - pi[x] * cwr[col + x];
             }
         }
-        const double *dii = dbr + (TRI(i) + i) * l;
-        for (size_t ll = 0; ll < l; ++ll) {
-            double inv = 1.0 / dii[ll];
-            cwr[row + ll] = tr[ll] * inv;
-            cwi[row + ll] = ti[ll] * inv;
+        const double *dii = dbr + (TRI(i) + i) * s;
+        for (size_t x = 0; x < nw; ++x) {
+            double inv = 1.0 / dii[x];
+            cwr[row + x] = tr[x] * inv;
+            cwi[row + x] = ti[x] * inv;
         }
     }
-    return 1;
 }
 
-/* One lane: returns the iteration count, or minus it when a denominator
- * block is not positive definite (w is then left at the previous iterate).
- * On success *residual is ||Dbar^-1 Cbar w - w|| at the returned w, the
- * lambda-free fixed-point residual. */
-static int ris_loop_lane(int k_users, int m, int l_ris, const struct lane *ln,
-                         const struct image *im, double noise_over_p,
-                         double inv_rs_ln2, double mu, double tau,
-                         double alpha1, double alpha2, double tol,
-                         int max_iters, double *restrict residual)
-{
-    const size_t ml = (size_t)m * l_ris;
-    const double *cwr = im->cwr;
-    const double *cwi = im->cwi;
-    double *restrict wr = ln->wr;
-    double *restrict wi = ln->wi;
-    int iters = 0;
-    for (int it = 0; it < max_iters; ++it) {
-        ++iters;
-        if (!ris_image(k_users, m, l_ris, ln, im, noise_over_p, inv_rs_ln2, mu,
-                       tau, alpha1, alpha2))
-            return -iters;
-        double nrm = 0.0;
-        for (size_t i = 0; i < ml; ++i)
-            nrm += cwr[i] * cwr[i] + cwi[i] * cwi[i];
-        const double inv_nrm = 1.0 / sqrt(nrm);
-        double step = 0.0;
-        for (size_t i = 0; i < ml; ++i) {
-            double vr = cwr[i] * inv_nrm;
-            double vi = cwi[i] * inv_nrm;
-            step += (vr - wr[i]) * (vr - wr[i]) + (vi - wi[i]) * (vi - wi[i]);
-            wr[i] = vr;
-            wi[i] = vi;
-        }
-        if (sqrt(step) <= tol)
-            break;
-    }
-    if (!ris_image(k_users, m, l_ris, ln, im, noise_over_p, inv_rs_ln2, mu,
-                   tau, alpha1, alpha2))
-        return -iters;
-    double res = 0.0;
-    for (size_t i = 0; i < ml; ++i)
-        res += (cwr[i] - wr[i]) * (cwr[i] - wr[i])
-               + (cwi[i] - wi[i]) * (cwi[i] - wi[i]);
-    *residual = sqrt(res);
-    return iters;
-}
-
-/* Runs every lane; returns the number of lanes with a negative count. */
-int gpris_ris_loop(int p_lanes, int k_users, int m, int l_ris,
+/* Runs every lane; returns the number of lanes with a negative count.
+ *
+ * A lane's count is its number of fixed-point steps, or minus it when a
+ * denominator block is not positive definite (w is then left at the
+ * previous iterate).  After its last step (tolerance met or max_iters
+ * reached) the lane takes one more image for its residual
+ * ||Dbar^-1 Cbar w - w|| at the returned w, the lambda-free fixed-point
+ * residual. */
+int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    const double *restrict c, long c_stride,
                    const double *restrict u, long u_stride,
                    double noise_over_p, double inv_rs_ln2,
@@ -452,33 +517,130 @@ int gpris_ris_loop(int p_lanes, int k_users, int m, int l_ris,
                    double *restrict work)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, ml = mm * l;
+    const size_t s = (size_t)g_slots * l, k = (size_t)k_users;
+    /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
+    const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ml : l;
+    const int shared = c_stride == 0 && u_stride == 0;
     struct timespec t0, t1;
     clock_gettime(CLOCK_MONOTONIC, &t0);
-    struct lane ln;
+    struct group gr;
     struct image im;
-    carve(k_users, m, l_ris, work, &ln, &im);
-    int failed = 0;
-    for (int p = 0; p < p_lanes; ++p) {
-        /* lanes that share their blocks reuse the previous lane's copy */
-        if (p == 0 || c_stride != 0 || u_stride != 0)
-            load_blocks(k_users, m, l_ris, c + 2 * (size_t)p * c_stride,
-                        u + 2 * (size_t)p * u_stride, &ln);
-        double *wp = w + 2 * (size_t)p * ml;
-        for (size_t ll = 0; ll < l; ++ll)
-            for (size_t a = 0; a < mm; ++a) {
-                ln.wr[a * l + ll] = wp[2 * (ll * mm + a)];
-                ln.wi[a * l + ll] = wp[2 * (ll * mm + a) + 1];
+    carve(g_slots, k_users, m, l_ris, work, &gr, &im);
+    /* per slot: its lane (-1 when free), steps so far, whether only the
+     * residual image is left, its mu and the image's positive-definite flag */
+    int lane[g_slots], count[g_slots], last[g_slots], ok[g_slots];
+    double mus[g_slots];
+    /* the refills of one pass: slot offsets and the lanes' blocks */
+    size_t at[g_slots];
+    const double *cs[g_slots], *us[g_slots];
+    int n = 0, next = 0, failed = 0;
+    for (;;) {
+        /* refill the free slots from the queue, their blocks in one pass
+         * (lanes that share their blocks load them once per slot) */
+        int nb = 0;
+        for (int g = 0; g < g_slots && next < p_lanes; ++g) {
+            if (g < n && lane[g] >= 0)
+                continue;
+            const size_t o = (size_t)g * l;
+            const int p = next++;
+            if (!shared || g >= n) {
+                at[nb] = o;
+                cs[nb] = c + 2 * (size_t)p * c_stride;
+                us[nb++] = u + 2 * (size_t)p * u_stride;
             }
-        iters[p] = ris_loop_lane(k_users, m, l_ris, &ln, &im, noise_over_p,
-                                 inv_rs_ln2, mu[p], tau, alpha1, alpha2, tol,
-                                 max_iters, residual + p);
-        for (size_t ll = 0; ll < l; ++ll)
-            for (size_t a = 0; a < mm; ++a) {
-                wp[2 * (ll * mm + a)] = ln.wr[a * l + ll];
-                wp[2 * (ll * mm + a) + 1] = ln.wi[a * l + ll];
+            const double *wp = w + 2 * (size_t)p * ml;
+            for (size_t ll = 0; ll < l; ++ll)
+                for (size_t a = 0; a < mm; ++a) {
+                    gr.wr[a * s + o + ll] = wp[2 * (ll * mm + a)];
+                    gr.wi[a * s + o + ll] = wp[2 * (ll * mm + a) + 1];
+                }
+            lane[g] = p;
+            count[g] = 0;
+            last[g] = max_iters <= 0;
+            mus[g] = mu[p];
+            if (g >= n)
+                n = g + 1;
+        }
+        if (nb > 0)
+            load_blocks(k_users, m, l_ris, s, nb, at, cs, us, &gr);
+        /* with the queue empty, the last occupied slot fills each gap */
+        for (int g = 0; g < n;) {
+            if (lane[g] >= 0) {
+                ++g;
+                continue;
             }
-        if (iters[p] < 0)
-            ++failed;
+            if (lane[--n] < 0 || g == n)
+                continue;
+            const size_t from = (size_t)n * l, to = (size_t)g * l;
+            if (!shared) {
+                move_columns(gr.ctr, k * mm * mm, s, from, to, l);
+                move_columns(gr.cti, k * mm * mm, s, from, to, l);
+                move_columns(gr.dr, k * TRI(m), s, from, to, l);
+                move_columns(gr.di, k * TRI(m), s, from, to, l);
+                move_columns(gr.ur, k * mm, s, from, to, l);
+                move_columns(gr.ui, k * mm, s, from, to, l);
+            }
+            move_columns(gr.wr, mm, s, from, to, l);
+            move_columns(gr.wi, mm, s, from, to, l);
+            lane[g] = lane[n];
+            count[g] = count[n];
+            last[g] = last[n];
+            mus[g] = mus[n];
+        }
+        if (n == 0)
+            break;
+        for (int g = 0; g < n; ++g)
+            ok[g] = 1;
+        ris_image(k_users, m, l_ris, n, s, &gr, &im, noise_over_p, inv_rs_ln2,
+                  mus, tau, alpha1, alpha2, ok);
+        for (int g = 0; g < n; ++g) {
+            const size_t o = (size_t)g * l;
+            double *restrict wr = gr.wr;
+            double *restrict wi = gr.wi;
+            const double *cwr = im.cwr;
+            const double *cwi = im.cwi;
+            const int p = lane[g];
+            if (!last[g])
+                ++count[g];
+            if (ok[g] && last[g]) {
+                double res = 0.0;
+                for (size_t r = 0; r < lrows; ++r)
+                    for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                        res += (cwr[i] - wr[i]) * (cwr[i] - wr[i])
+                               + (cwi[i] - wi[i]) * (cwi[i] - wi[i]);
+                    }
+                residual[p] = sqrt(res);
+            } else if (ok[g]) {
+                double nrm = 0.0;
+                for (size_t r = 0; r < lrows; ++r)
+                    for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                        nrm += cwr[i] * cwr[i] + cwi[i] * cwi[i];
+                    }
+                const double inv_nrm = 1.0 / sqrt(nrm);
+                double step = 0.0;
+                for (size_t r = 0; r < lrows; ++r)
+                    for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
+                        double vr = cwr[i] * inv_nrm;
+                        double vi = cwi[i] * inv_nrm;
+                        step += (vr - wr[i]) * (vr - wr[i])
+                                + (vi - wi[i]) * (vi - wi[i]);
+                        wr[i] = vr;
+                        wi[i] = vi;
+                    }
+                last[g] = sqrt(step) <= tol || count[g] >= max_iters;
+                continue;
+            }
+            /* the lane exits: write back its iterate and count */
+            iters[p] = ok[g] ? count[g] : -count[g];
+            failed += !ok[g];
+            double *wp = w + 2 * (size_t)p * ml;
+            for (size_t ll = 0; ll < l; ++ll)
+                for (size_t a = 0; a < mm; ++a) {
+                    wp[2 * (ll * mm + a)] = wr[a * s + o + ll];
+                    wp[2 * (ll * mm + a) + 1] = wi[a * s + o + ll];
+                }
+            lane[g] = -1;
+        }
     }
     clock_gettime(CLOCK_MONOTONIC, &t1);
     *seconds = (double)(t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec);

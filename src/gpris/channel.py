@@ -23,6 +23,7 @@ channels bit for bit as forming the links one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -270,13 +271,14 @@ def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float,
     return 1.0 / (1.0 / gamma + t_ul * rho_ul_linear / (gamma * sigma2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelEstimate:
     """Estimated cascaded channels with error statistics.
 
-    cascaded_est: (K, L, N, M).  The per-link NM x NM error covariance is
-    either isotropic (err_scale[k, l] * I, err_dense None) or dense
-    (err_dense[k][l]).
+    cascaded_est: (K, L, N, M), held as a read-only view, since the two
+    transposed copies below are formed from it once per estimate.  The
+    per-link NM x NM error covariance is either isotropic (err_scale[k, l] *
+    I, err_dense None) or dense (err_dense[k][l]).
     """
 
     cascaded_est: np.ndarray
@@ -286,6 +288,21 @@ class ChannelEstimate:
     def __post_init__(self):
         if (self.err_scale is None) == (self.err_dense is None):
             raise ValueError("exactly one of err_scale / err_dense must be set")
+        object.__setattr__(self, "cascaded_est", _read_only(self.cascaded_est))
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """(KN, LM) stack of the estimates: row (k, n), column (l, m)."""
+        k, l, n, m = self.cascaded_est.shape
+        return _read_only(self.cascaded_est.transpose(0, 2, 1, 3).reshape(
+            k * n, l * m))
+
+    @cached_property
+    def conj_rows(self) -> np.ndarray:
+        """(KLM, N) rows of the Hhat_{k,l}^H: row (k, l, m)."""
+        k, l, n, m = self.cascaded_est.shape
+        return _read_only(np.conj(np.swapaxes(self.cascaded_est, 2, 3)).reshape(
+            k * l * m, n))
 
     @property
     def is_isotropic(self) -> bool:
@@ -295,6 +312,12 @@ class ChannelEstimate:
     def dims(self) -> tuple[int, int, int, int]:
         k, l, n, m = self.cascaded_est.shape
         return n, k, l, m
+
+
+def _read_only(x) -> np.ndarray:
+    view = np.asarray(x).view()
+    view.flags.writeable = False
+    return view
 
 
 def perfect_estimate(truth: ChannelSet) -> ChannelEstimate:

@@ -67,7 +67,7 @@ class PrecoderQuadratics:
 def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
                               noise_over_p: float) -> PrecoderQuadratics:
     """A_k / B_k blocks at the given phases, with their lane axes if any."""
-    h_hat = effective_channels(est.cascaded_est, phases)
+    h_hat = effective_channels(est, phases)
     g = h_hat[..., :, None] * h_hat[..., None, :].conj()
     if est.is_isotropic:
         add_to_diagonal(g, xi_scales(est, phases))  # Xi_k = xi_k I

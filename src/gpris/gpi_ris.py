@@ -98,18 +98,24 @@ class RisQuadratics:
 
 
 def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
-                         noise_over_p: float) -> RisQuadratics:
-    """C_k / D_k blocks for the given precoder, with its lane axes if any."""
-    k, l, n, m = est.cascaded_est.shape
+                         noise_over_p: float,
+                         out: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> RisQuadratics:
+    """C_k / D_k blocks for the given precoder, with its lane axes if any.
+
+    ``out``, as in numpy, is a (c_blocks, u_vecs) pair of complex arrays of
+    the result's shapes to write the result into, instead of new ones.
+    """
+    c_out, u_out = (None, None) if out is None else out
+    k, l, _, m = est.cascaded_est.shape
     lm = l * m
     f = precoder.matrix
     # G_{k,l} = Hhat_{k,l}^H F for every user and RIS as one (KLM x N) by
     # (N x K) product per lane; Upsilon = LM * G G^H keeps the cost at
     # O(K L N M K + K L M^2 K), where the sandwich Hhat^H Q Hhat would cost
     # O(K L N^2 M^2)
-    h_rows = np.conj(np.swapaxes(est.cascaded_est, 2, 3)).reshape(k * l * m, n)
-    g = (h_rows @ f).reshape(f.shape[:-2] + (k, l, m, k))
-    c = g @ np.conj(np.swapaxes(g, -1, -2))
+    g = (est.conj_rows @ f).reshape(f.shape[:-2] + (k, l, m, k))
+    c = np.matmul(g, np.conj(np.swapaxes(g, -1, -2)), out=c_out)
     c *= lm
     # theta_matrices is the quadratic for the unit-modulus phases phi; the
     # relaxed vector satisfies phi = sqrt(LM) w, so the same LM factor that
@@ -121,7 +127,8 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
         theta *= lm
         c += theta
     # signal-column factors: C_k - D_k = LM (Hhat^H f_k)(Hhat^H f_k)^H
-    u_vecs = np.sqrt(lm) * np.einsum("...klmk->...klm", g)  # own-user columns
+    u_vecs = np.multiply(np.sqrt(lm), np.einsum("...klmk->...klm", g),
+                         out=u_out)  # own-user columns
     return RisQuadratics(c_blocks=c, noise_over_p=noise_over_p, u_vecs=u_vecs)
 
 

@@ -246,6 +246,8 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
                     iters_per_run: int = 30) -> BenchResult:
     """Median wall time per RIS-stage iteration for each config.
 
+    It times one lane per call, so the compiled loop runs a group of one
+    (G = 1; see ``_kernel.ris_group``), not the lane groups of ``run_joint``.
     All scenarios must share the same total element count L*M.  The timer
     runs inside the compiled call and covers its intake (the copy of the
     blocks into the loop's split layout), the fixed-point loop and the one

@@ -109,7 +109,7 @@ def initial_pair(est: ChannelEstimate, noise_over_p: float,
     """RZF precoder against random unit-modulus phases."""
     _, k, l, m = est.dims
     phases = random_phases(l, m, rng)
-    h_hat = effective_channels(est.cascaded_est, phases)
+    h_hat = effective_channels(est, phases)
     f0 = rzf_precoder(h_hat, rzf_regularizer(k, noise_over_p))
     return f0, phases
 
@@ -144,7 +144,10 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         errors = dict.fromkeys(grid, f"{type(exc).__name__}: {exc}")
         raise RuntimeError(f"every mu point failed: {errors}") from exc
 
-    lanes = _Lanes(len(grid), f0, phi0, r_sigma)
+    lanes = _Lanes(len(grid), f0, phi0, r_sigma, settings.t3_max)
+    # the later rounds write their RIS quadratics here, sliced to their lanes
+    ris_out = tuple(np.empty((len(grid),) + x.shape, dtype=complex)
+                    for x in (first[1].c_blocks, first[1].u_vecs))
 
     def advance(rnd, sel):
         """Round ``rnd`` of the lanes ``sel``: precoder stage (shared in the
@@ -155,7 +158,7 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
             stage = _precoder_stage(est, noise_over_p, settings,
                                     Precoder.from_stacked(lanes.f[sel], n, k),
                                     PhaseShifts(lanes.phi[sel], projected=True),
-                                    timing)
+                                    timing, [x[:sel.size] for x in ris_out])
         out = _ris_and_objective(est, noise_over_p, settings,
                                  replace(reg, mu=reg.mu[sel]), lanes.w[sel],
                                  stage, timing)
@@ -192,9 +195,10 @@ def run_joint_fixed_mu(est: ChannelEstimate, noise_over_p: float, mu: float,
 _STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
-def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
+def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing,
+                    ris_out=None):
     """Precoder GPI against fixed phases, then the RIS quadratics it yields
-    (per lane when the pair carries a lane axis)."""
+    (per lane when the pair carries a lane axis; into ``ris_out`` if given)."""
     n, k, _, _ = est.dims
     t0 = time.perf_counter()
     f_star, _, _ = run_gpi_precoder(
@@ -202,7 +206,7 @@ def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
         settings.precoder)
     precoder = Precoder.from_stacked(f_star, n, k)
     t1 = time.perf_counter()
-    ris_quad = build_ris_quadratics(est, precoder, noise_over_p)
+    ris_quad = build_ris_quadratics(est, precoder, noise_over_p, out=ris_out)
     timing["precoder"] += t1 - t0
     timing["ris"] += time.perf_counter() - t1
     return precoder, ris_quad
@@ -235,15 +239,18 @@ def _ris_and_objective(est, noise_over_p, settings, reg, w, stage, timing):
 class _Lanes:
     """Per-mu state of the alternation: current pair, best pair, trace."""
 
-    def __init__(self, p, f0, phi0, obj0):
+    def __init__(self, p, f0, phi0, obj0, rounds):
         def rep(x):
             return np.repeat(x[None], p, axis=0)
 
         self.f, self.phi, self.w = rep(f0.stacked), rep(phi0.per_ris), rep(phi0.normalized)
         self.obj_prev = np.full(p, obj0)
         self.best_obj = np.full(p, obj0)
-        self.best = [None] * p          # (f, phi, w) once a round beats obj0
-        self.traces = [[] for _ in range(p)]
+        # the best pair of each lane, valid where improved (a round beat obj0)
+        self.best_f, self.best_phi, self.best_w = (
+            np.empty_like(x) for x in (self.f, self.phi, self.w))
+        self.improved = np.zeros(p, dtype=bool)
+        self.trace = np.empty((p, rounds))     # objective of each round
         self.iters = np.zeros(p, dtype=int)
         self.converged = np.zeros(p, dtype=bool)
         self.errors: dict[int, str] = {}
@@ -252,17 +259,21 @@ class _Lanes:
     def record(self, sel, f, w, phi, obj, eps3):
         """Take one round of the lanes ``sel``; converged lanes leave."""
         self.f[sel], self.w[sel], self.phi[sel] = f, w, phi
+        self.trace[sel, self.iters[sel]] = obj
         self.iters[sel] += 1
-        for i, p in enumerate(sel):
-            value = float(obj[i])
-            self.traces[p].append(value)
-            if value > self.best_obj[p]:
-                self.best_obj[p] = value
-                self.best[p] = (f[i], phi[i], w[i])
-            prev = self.obj_prev[p]
-            if prev > 0 and abs(value - prev) / prev <= eps3:
-                self.converged[p] = True
-            self.obj_prev[p] = value
+        better = obj > self.best_obj[sel]
+        if better.any():
+            up = sel[better]
+            self.best_obj[up] = obj[better]
+            self.best_f[up], self.best_phi[up], self.best_w[up] = (
+                f[better], phi[better], w[better])
+            self.improved[up] = True
+        prev = self.obj_prev[sel]
+        # relative change, taken only where the previous objective is positive
+        change = np.divide(np.abs(obj - prev), prev, where=prev > 0,
+                           out=np.full_like(prev, np.inf))
+        self.converged[sel[change <= eps3]] = True
+        self.obj_prev[sel] = obj
         self.active = self.active[~self.converged[self.active]]
 
     def fail(self, p, message):
@@ -276,7 +287,7 @@ class _Lanes:
             if p in self.errors:
                 continue
             per_mu_final[mu] = float(self.best_obj[p])
-            traces[mu] = self.traces[p]
+            traces[mu] = self.trace[p, :self.iters[p]].tolist()
             iters[mu] = int(self.iters[p])
             converged[mu] = bool(self.converged[p])
             if best is None or self.best_obj[p] > self.best_obj[best]:
@@ -284,12 +295,12 @@ class _Lanes:
         errors = {grid[p]: msg for p, msg in self.errors.items()}
         if best is None:
             raise RuntimeError(f"every mu point failed: {errors}")
-        if self.best[best] is None:
+        if not self.improved[best]:
             precoder, phases, w = f0, phi0, phi0.normalized
         else:
-            f, phi, w = self.best[best]
-            precoder = Precoder.from_stacked(f, n, k)
-            phases = PhaseShifts(phi, projected=True)
+            precoder = Precoder.from_stacked(self.best_f[best], n, k)
+            phases = PhaseShifts(self.best_phi[best], projected=True)
+            w = self.best_w[best]
         return JointResult(best_precoder=precoder, best_phases=phases, best_w=w,
                            best_mu=grid[best], objective=per_mu_final[grid[best]],
                            per_mu_final=per_mu_final, objective_trace=traces,

@@ -144,12 +144,21 @@ def exact_unit_modulus(angles: np.ndarray) -> np.ndarray:
     return (re + 1j * im).reshape(shape)
 
 
-def effective_channels(cascaded: np.ndarray, phases: PhaseShifts) -> np.ndarray:
-    """h_k = sum_l H^r_{k,l} phi_l for every user, shape (..., K, N)."""
-    k, l, n, m = cascaded.shape
-    phi = phases.per_ris
+def effective_channels(cascaded: np.ndarray | ChannelEstimate,
+                       phases: PhaseShifts) -> np.ndarray:
+    """h_k = sum_l H^r_{k,l} phi_l for every user, shape (..., K, N).
+
+    ``cascaded`` is the (K, L, N, M) array, or an estimate, whose stacked
+    copy is then formed once and reused.
+    """
     # one (KN x LM) matrix-vector product per lane
-    stack = cascaded.transpose(0, 2, 1, 3).reshape(k * n, l * m)
+    if isinstance(cascaded, ChannelEstimate):
+        k, l, n, m = cascaded.cascaded_est.shape
+        stack = cascaded.stacked
+    else:
+        k, l, n, m = cascaded.shape
+        stack = cascaded.transpose(0, 2, 1, 3).reshape(k * n, l * m)
+    phi = phases.per_ris
     h = stack @ phi.reshape(phi.shape[:-2] + (l * m, 1))
     return h.reshape(phi.shape[:-2] + (k, n))
 
@@ -252,7 +261,7 @@ def lower_bound_sum_se(est: ChannelEstimate, precoder: Precoder,
 
     A float, or one value per lane when the pair carries a lane axis.
     """
-    h_hat = effective_channels(est.cascaded_est, phases)
+    h_hat = effective_channels(est, phases)
     f = precoder.matrix
     if est.is_isotropic:
         # Xi_k F = xi_k F, written C-ordered as the matmul of block_quad_forms
@@ -270,7 +279,7 @@ def lower_bound_sum_se(est: ChannelEstimate, precoder: Precoder,
 def lower_bound_phase_form(est: ChannelEstimate, precoder: Precoder,
                            phases: PhaseShifts, noise_over_p: float) -> float:
     """Same bound via the phase-quadratic Theta form; equals the Xi form."""
-    h_hat = effective_channels(est.cascaded_est, phases)
+    h_hat = effective_channels(est, phases)
     theta = theta_matrices(est, precoder)
     phi = phases.per_ris
     extra = np.einsum("la,klab,lb->k", phi.conj(), theta, phi).real

@@ -243,6 +243,21 @@ class TestDrawEstimate:
         err = np.linalg.norm(sample - r) / np.linalg.norm(r)
         assert err < 0.05
 
+    def test_estimate_is_read_only(self, rng):
+        # its transposed copies are formed once, so it may not change after
+        truth = synthesize_channels(small_scenario(), rng)
+        est = draw_estimate(truth, 0.1 * np.ones(truth.gamma.shape), rng)
+        k, l, n, m = est.cascaded_est.shape
+        assert np.array_equal(est.stacked, est.cascaded_est.transpose(
+            0, 2, 1, 3).reshape(k * n, l * m))
+        assert np.array_equal(est.conj_rows, np.conj(np.swapaxes(
+            est.cascaded_est, 2, 3)).reshape(k * l * m, n))
+        for x in (est.cascaded_est, est.stacked, est.conj_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            est.cascaded_est = truth.cascaded
+
     def test_perfect_estimate_has_zero_error(self, rng):
         truth = synthesize_channels(small_scenario(), rng)
         est = perfect_estimate(truth)

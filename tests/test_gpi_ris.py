@@ -155,6 +155,22 @@ class TestQuadratics:
         np.testing.assert_allclose(q.c_blocks - q.d_blocks, outer, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(q.c_blocks)))
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_out_buffers_take_the_same_bits(self, rng, dense):
+        # run_joint writes each round's quadratics into slices of buffers
+        # sized for every lane; the values must equal a fresh build's
+        est = rand_estimate(5, 3, 2, 4, rng, err=0.2, dense=dense)
+        f = Precoder(np.stack([rand_precoder(5, 3, rng).matrix
+                               for _ in range(3)]))
+        fresh = build_ris_quadratics(est, f, 0.05)
+        bufs = [np.full((5,) + x.shape[1:], np.nan, dtype=complex)
+                for x in (fresh.c_blocks, fresh.u_vecs)]
+        q = build_ris_quadratics(est, f, 0.05, out=[x[:3] for x in bufs])
+        assert np.shares_memory(q.c_blocks, bufs[0])
+        assert np.shares_memory(q.u_vecs, bufs[1])
+        assert np.array_equal(q.c_blocks, fresh.c_blocks)
+        assert np.array_equal(q.u_vecs, fresh.u_vecs)
+
     def test_objective_matches_phase_form_bound_single_ris(self, rng):
         # with one RIS there are no cross-block terms, so the blockwise
         # quadratic ratio reproduces the rate bound exactly
@@ -486,68 +502,102 @@ class TestKernelDirect:
         assert it_a[0] == it_b[0] > 0 and seconds > 0.0
         assert np.allclose(w_a, w_b, atol=1e-13)
 
-    @needs_compiler
-    def test_indefinite_lane_is_isolated(self, rng):
-        # lane 1 has a negative definite D block; lanes 0 and 2 are regular
-        bad, w_bad = TestRunGpiRis._indefinite_problem()
-        goods, ws = [], []
-        for _ in range(2):
-            est = rand_estimate(3, 1, 2, 2, rng, err=0.1)
-            goods.append(build_ris_quadratics(est, rand_precoder(3, 1, rng), 0.1))
-            ws.append(rand_phases(2, 2, rng).normalized)
-        quads, w0 = [goods[0], bad, goods[1]], [ws[0], w_bad, ws[1]]
-        mus = np.array([0.0, 0.0, 5.0])
-        reg = RegularizerSettings(tau=default_tau(2, 2), r_sigma=1.0)
-        w = np.stack(w0)
-        counts, _, _ = _kernel.ris_loop(
-            *(np.stack([getattr(q, name) for q in quads])
-              for name in ("c_blocks", "u_vecs")), w, mus, 0.1,
-            *kernel_args(reg, max_iters=100))
-        assert counts[1] < 0
-        # the failed lane keeps its iterate
-        assert np.array_equal(w[1], w_bad)
-        for i in (0, 2):
-            one = w0[i][None].copy()
-            alone, _, _ = _kernel.ris_loop(quads[i].c_blocks, quads[i].u_vecs,
-                                           one, mus[i], 0.1,
-                                           *kernel_args(reg, max_iters=100))
-            assert counts[i] == alone[0] > 0
-            assert np.array_equal(w[i], one[0])
+    @staticmethod
+    def _lanes(rng, l, m, n_lanes):
+        """Distinct-mu lanes of one estimate, each with its own precoder;
+        lane 0 (mu=0) starts at its fixed point, so it exits after one
+        step, and lanes with a strong penalty run to the iteration cap."""
+        est = rand_estimate(6, 3, l, m, rng, err=0.1)
+        f = Precoder(np.stack([rand_precoder(6, 3, rng).matrix
+                               for _ in range(n_lanes)]))
+        q = build_ris_quadratics(est, f, 0.1)
+        mus = np.concatenate([[0.0], rng.permutation(
+            np.linspace(0.5, 60.0, n_lanes - 1))])
+        reg = RegularizerSettings(tau=default_tau(l, m), r_sigma=1.3)
+        w0 = np.stack([rand_phases(l, m, rng).normalized
+                       for _ in range(n_lanes)])
+        _kernel.ris_loop(q.c_blocks[0], q.u_vecs[0], w0[:1], 0.0, 0.1,
+                         *kernel_args(reg, tol=1e-13, max_iters=500))
+        return q, mus, reg, w0
+
+    @staticmethod
+    def _alone(c, u, w0, mu, reg, **kw):
+        """One lane's (count, residual, w) from a call with that lane alone."""
+        w = w0[None].copy()
+        it, res, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
+                                      *kernel_args(reg, **kw))
+        return it[0], res[0], w[0]
 
     @needs_compiler
     @pytest.mark.parametrize("l, m", [(8, 8), (3, 5)])
     def test_every_lane_equals_its_single_lane_call(self, rng, l, m):
-        est = rand_estimate(6, 3, l, m, rng, err=0.1)
-        n_lanes = 5
-        f = Precoder(np.stack([rand_precoder(6, 3, rng).matrix
-                               for _ in range(n_lanes)]))
-        q = build_ris_quadratics(est, f, 0.1)
-        mus = np.array([0.0, 3.0, 0.0, 40.0, 1.0])
-        reg = RegularizerSettings(tau=default_tau(l, m), r_sigma=1.3)
-        w0 = np.stack([rand_phases(l, m, rng).normalized
-                       for _ in range(n_lanes)])
-        w = w0.copy()
-        iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
-                                         *kernel_args(reg, max_iters=60))
-        for i in range(n_lanes):
-            one = w0[i:i + 1].copy()
-            it_one, res_one, _ = _kernel.ris_loop(
-                q.c_blocks[i], q.u_vecs[i], one, mus[i], 0.1,
-                *kernel_args(reg, max_iters=60))
-            assert iters[i] == it_one[0] > 0 and res[i] == res_one[0]
-            assert np.array_equal(w[i], one[0])
+        # the lanes advance in groups of G slots, exit at ragged times and
+        # hand their slots to queued lanes: none of it may move a lane's bits
+        caps = dict(tol=1e-2, max_iters=40)
+        g = _kernel.ris_group(1 << 30, l)     # the largest group at this L
+        for n_lanes in (1, 3, g, g + 1, 2 * g + 3, 30):
+            q, mus, reg, w0 = self._lanes(rng, l, m, n_lanes)
+            w = w0.copy()
+            iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
+                                             *kernel_args(reg, **caps))
+            for i in range(n_lanes):
+                it_one, res_one, w_one = self._alone(
+                    q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], reg, **caps)
+                assert iters[i] == it_one > 0 and res[i] == res_one
+                assert np.array_equal(w[i], w_one)
+            assert iters[0] == 1
+            if n_lanes >= g:
+                assert iters.max() == caps["max_iters"]
+                assert len(set(iters)) > 2
+
+    @staticmethod
+    def _indefinite_lane(k, l, m):
+        """Blocks of K users whose first D block is negative definite while
+        every quadratic form stays positive at the uniform iterate (the
+        pattern of TestRunGpiRis._indefinite_problem at any size)."""
+        d = np.stack([-0.5 * np.eye(m)] + [10.0 * np.eye(m)] * (l - 1)) + 0j
+        u = np.ones((k, l, m), dtype=complex)
+        c = d[None] + u[..., :, None] * u[..., None, :].conj()
+        return c, u, np.full(l * m, 1.0 / np.sqrt(l * m), dtype=complex)
+
+    @needs_compiler
+    def test_indefinite_lane_is_isolated(self, rng):
+        # lane 1, and lane g+1 (a refill), have a negative definite D block
+        g = _kernel.ris_group(1 << 30, 2)
+        for n_lanes in (3, g + 3):
+            q, mus, reg, w0 = self._lanes(rng, 2, 3, n_lanes)
+            bad = [p for p in (1, g + 1) if p < n_lanes]
+            c, u = q.c_blocks.copy(), q.u_vecs.copy()
+            for p in bad:
+                c[p], u[p], w0[p] = self._indefinite_lane(3, 2, 3)
+                mus[p] = 0.0
+            w = w0.copy()
+            counts, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
+                                              *kernel_args(reg, max_iters=100))
+            assert [p for p in range(n_lanes) if counts[p] < 0] == bad
+            for p in range(n_lanes):
+                # the failed lanes keep their iterates, the others are as
+                # if alone
+                it_one, res_one, w_one = self._alone(
+                    c[p], u[p], w0[p], mus[p], reg, max_iters=100)
+                assert counts[p] == it_one and np.array_equal(w[p], w_one)
+                if p in bad:
+                    assert np.array_equal(w[p], w0[p])
+                else:
+                    assert res[p] == res_one
 
     @needs_compiler
     def test_broadcast_lanes_equal_their_materialized_copy(self, rng):
-        # the shared first stage reaches the kernel as a stride-0 view
+        # the shared first stage reaches the kernel as a stride-0 view, over
+        # enough lanes to refill and then compact the group
         est = rand_estimate(6, 3, 4, 4, rng, err=0.1)
         q = build_ris_quadratics(est, rand_precoder(6, 3, rng), 0.1)
-        n_lanes = 4
+        n_lanes = 2 * _kernel.ris_group(1 << 30, 4) + 3
         views = [np.broadcast_to(x, (n_lanes,) + x.shape)
                  for x in (q.c_blocks, q.u_vecs)]
         assert _kernel._lanes(views[0], q.c_blocks.shape)[1] == 0
         copies = [np.ascontiguousarray(v) for v in views]
-        mus = np.array([0.0, 2.0, 20.0, 0.5])
+        mus = rng.permutation(np.linspace(0.0, 40.0, n_lanes))
         reg = RegularizerSettings(tau=default_tau(4, 4), r_sigma=1.3)
         w0 = np.stack([rand_phases(4, 4, rng).normalized
                        for _ in range(n_lanes)])
@@ -555,10 +605,21 @@ class TestKernelDirect:
         for c, u in (views, copies):
             w = w0.copy()
             iters, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                             *kernel_args(reg, max_iters=60))
+                                             *kernel_args(reg, tol=1e-2,
+                                                          max_iters=40))
             out.append((iters, res, w))
+        assert len(set(out[0][0])) > 2    # ragged exits
         for a, b in zip(*out):
             assert np.array_equal(a, b)
+
+    @needs_compiler
+    def test_group_scratch_stays_small(self):
+        # a larger group or a new scratch array must not silently inflate
+        # the RSS: at paper size (K=4, L=2, M=64, 30 mu lanes) the scratch
+        # stays within 8 MB, and at L=8, M=8 within 1 MB
+        work = _kernel._library().gpris_ris_loop_work
+        assert 8 * work(_kernel.ris_group(30, 2), 4, 64, 2) <= 8e6
+        assert 8 * work(_kernel.ris_group(30, 8), 4, 8, 8) <= 1e6
 
     @needs_compiler
     def test_rejects_mismatched_shapes(self, rng):
