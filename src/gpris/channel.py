@@ -2,9 +2,9 @@
 
 Vectorization is column-major everywhere: vec(X) of an N x M matrix has entry
 n + N*m, and reshape uses order='F'.  The error covariance of the cascaded
-channel estimate is (C^-1 + T*rho/(gamma*sigma^2) I)^-1; with the default
-isotropic prior C = gamma*I this collapses to a scalar multiple of I, which we
-keep as a scalar fast path alongside the dense route.
+channel estimate is (C^-1 + T*rho/(gamma*sigma^2) I)^-1; under the isotropic
+prior C = gamma*I that the estimator assumes it is a scalar multiple of I, so
+each link carries one error scale.
 
 A realization is synthesized in two phases.  The draw phase walks the links
 in stream order (the L BS-RIS links, then the K*L RIS-user links, users
@@ -237,34 +237,13 @@ def _cn_vector(size, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
-def error_covariance_dft(
-    prior_cov: np.ndarray,
-    t_ul: int,
-    rho_ul_linear: float,
-    gamma: float,
-    sigma2: float = 1.0,
-) -> np.ndarray:
-    """DFT-training LMMSE error covariance (C^-1 + T*rho/(gamma*sigma^2) I)^-1."""
-    if rho_ul_linear <= 0:
-        raise ValueError("rho_ul_linear must be > 0")
-    dim = prior_cov.shape[0]
-    scale = t_ul * rho_ul_linear / (gamma * sigma2)
-    try:
-        c_inv = np.linalg.inv(prior_cov)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(prior_cov)
-        raise np.linalg.LinAlgError(
-            f"prior covariance is singular (cond={cond:.3e})"
-        ) from exc
-    r = np.linalg.inv(c_inv + scale * np.eye(dim))
-    return 0.5 * (r + r.conj().T)
-
-
 def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float,
                     sigma2: float = 1.0):
-    """Isotropic fast path of error_covariance_dft for C = gamma*I.
+    """DFT-training LMMSE error scale 1/(1/gamma + T*rho/(gamma*sigma^2)).
 
-    ``gamma`` is a float or an array of gains, one error scale each.
+    Under the isotropic prior C = gamma*I the error covariance
+    (C^-1 + T*rho/(gamma*sigma^2) I)^-1 is this scale times I.  ``gamma`` is
+    a float or an array of gains, one error scale each.
     """
     if rho_ul_linear <= 0:
         raise ValueError("rho_ul_linear must be > 0")
@@ -320,35 +299,13 @@ def _read_only(x) -> np.ndarray:
     return view
 
 
-def perfect_estimate(truth: ChannelSet) -> ChannelEstimate:
-    """Zero-error estimate (R^e = 0), useful as a limit case."""
-    k, l = truth.cascaded.shape[:2]
-    return ChannelEstimate(truth.cascaded.copy(), err_scale=np.zeros((k, l)))
-
-
-def draw_estimate(truth: ChannelSet, err_scale: np.ndarray | None,
-                  rng: np.random.Generator,
-                  err_dense: list[list[np.ndarray]] | None = None) -> ChannelEstimate:
-    """Draw hat(c) = c - e with e ~ CN(0, R^e) per (k, l) link."""
+def draw_estimate(truth: ChannelSet, err_scale: np.ndarray,
+                  rng: np.random.Generator) -> ChannelEstimate:
+    """Draw hat(c) = c - e with e ~ CN(0, err_scale[k, l] * I) per (k, l) link."""
     k, l, n, m = truth.cascaded.shape
-    est = np.empty_like(truth.cascaded)
-    if err_scale is not None:
-        e = np.sqrt(np.maximum(err_scale, 0.0))[:, :, None, None] * _cn_vector(
-            (k, l, n, m), rng)
-        est = truth.cascaded - e
-    else:
-        for ki in range(k):
-            for li in range(l):
-                r = err_dense[ki][li]
-                try:
-                    chol = _psd_factor(r)
-                except np.linalg.LinAlgError as exc:
-                    raise np.linalg.LinAlgError(
-                        f"error covariance factorization failed at (k={ki}, l={li})"
-                    ) from exc
-                e_vec = chol @ _cn_vector(n * m, rng)
-                est[ki, li] = truth.cascaded[ki, li] - e_vec.reshape((n, m), order="F")
-    return ChannelEstimate(est, err_scale=err_scale, err_dense=err_dense)
+    e = np.sqrt(np.maximum(err_scale, 0.0))[:, :, None, None] * _cn_vector(
+        (k, l, n, m), rng)
+    return ChannelEstimate(truth.cascaded - e, err_scale=err_scale)
 
 
 def _psd_factor(r: np.ndarray) -> np.ndarray:

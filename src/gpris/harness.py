@@ -16,7 +16,7 @@ from .channel import estimate_channels, synthesize_channels
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
 from .gpi_ris import RegularizerSettings, build_ris_quadratics, default_tau, run_gpi_ris
 from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
-                    initial_pair, run_joint, run_joint_fixed_mu)
+                    initial_pair, run_joint)
 from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
 from .scenario import (PathlossModel, Scenario, default_geometry,
                        scenario_from_dict)
@@ -52,6 +52,8 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        if self.bench_repetitions < 1:
+            raise ValueError("bench_repetitions must be >= 1")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -174,11 +176,10 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
             elif scheme == "gpi_pris":
                 if spec.kind == "mu_study" or spec.fixed_mu is not None:
                     mu = float(value) if spec.kind == "mu_study" else spec.fixed_mu
-                    res = run_joint_fixed_mu(est, nop, mu, settings, rng,
-                                             init=(f0, phi0))
+                    plan = LineSearchPlan(mu, mu, 1)
                 else:
-                    res = run_joint(est, nop, spec.plan, settings, rng,
-                                    init=(f0, phi0))
+                    plan = spec.plan
+                res = run_joint(est, nop, plan, settings, rng, init=(f0, phi0))
                 row = evaluate(scheme, res.best_precoder, res.best_phases,
                                mu=res.best_mu,
                                iters=res.iterations.get(res.best_mu, 0),
@@ -257,6 +258,8 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
     m_tot = {s.config.m_ris * s.config.n_ris for s in scenarios}
     if len(m_tot) != 1:
         raise ValueError(f"configs disagree on total RIS elements: {m_tot}")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     _kernel.warm_up()
     rows = []
     for scenario in scenarios:
@@ -274,7 +277,7 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
                                   r_sigma=compute_r_sigma(est, f0, phi0, nop))
         settings = GpiSettings(tol=1e-30, max_iters=iters_per_run)
         times = []
-        for _ in range(max(1, repetitions)):
+        for _ in range(repetitions):
             res = run_gpi_ris(quad, reg, phi0.normalized, settings)
             times.append(res.loop_seconds / res.iterations)
         rows.append(BenchRow(n_ris=cfg.n_ris, elems_per_ris=cfg.m_ris,

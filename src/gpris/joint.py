@@ -181,17 +181,6 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     return lanes.result(grid, f0, phi0, n, k, timing)
 
 
-def run_joint_fixed_mu(est: ChannelEstimate, noise_over_p: float, mu: float,
-                       settings: AlgorithmSettings, rng: np.random.Generator,
-                       init: tuple[Precoder, PhaseShifts] | None = None
-                       ) -> JointResult:
-    """Single-mu variant used for timing and regularization studies."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    plan = LineSearchPlan(mu_min=mu, mu_max=mu, n_points=1)
-    return run_joint(est, noise_over_p, plan, settings, rng, init=init)
-
-
 _STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 

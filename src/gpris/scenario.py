@@ -18,12 +18,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"linear value must be positive, got {x}")
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class PathlossModel:
     """mmWave pathloss PL(d) = alpha + beta*10*log10(d) + chi, chi ~ N(0, shadow_var_db).

@@ -19,7 +19,7 @@ from gpris.gpi_ris import (RegularizerSettings, block_diag_solve,
                            build_ris_quadratics, default_tau, run_gpi_ris)
 from gpris.harness import _square_factor, bench_ris_stage
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, initial_pair,
-                         run_joint, run_joint_fixed_mu)
+                         run_joint)
 from gpris.metrics import (commutation_matrix, lower_bound_phase_form,
                            lower_bound_sum_se, mc_instantaneous_se,
                            nmse_unit_modulus)
@@ -156,7 +156,7 @@ def test_criterion_5_inner_loop_convergence():
         _, est, rng = scenario_instance(scenario, seed)
         # convergence-style studies run at a pre-determined penalty weight;
         # mu > 0 damps the phase stage, mirroring the deployed configuration
-        res = run_joint_fixed_mu(est, nop, 10.0, settings, rng)
+        res = run_joint(est, nop, LineSearchPlan(10.0, 10.0, 1), settings, rng)
         if all(res.converged.values()):
             converged += 1
         _record(res.best_precoder, res.best_phases)
@@ -297,8 +297,9 @@ def test_criterion_10_unit_modulus_output_contract():
         # criteria 5-8 were deselected; produce one real run to check
         scenario = make_scenario(8, 3, 2, 4, pathloss=False)
         _, est, rng = scenario_instance(scenario, 0)
-        res = run_joint_fixed_mu(est, scenario.config.noise_over_power, 0.0,
-                                 AlgorithmSettings(t3_max=3), rng)
+        res = run_joint(est, scenario.config.noise_over_power,
+                        LineSearchPlan(0.0, 0.0, 1), AlgorithmSettings(t3_max=3),
+                        rng)
         pairs = [(res.best_precoder, res.best_phases)]
     ok = True
     for precoder, phases in pairs:

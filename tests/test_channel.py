@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cn, rand_psd
-from gpris.channel import (ChannelSet, _cn_vector, cascade, draw_estimate,
-                           error_covariance_dft, error_scale_dft,
-                           estimate_channels, perfect_estimate, steering_ula,
+from gpris.channel import (ChannelEstimate, ChannelSet, _cn_vector,
+                           _psd_factor, cascade, draw_estimate,
+                           error_scale_dft, estimate_channels, steering_ula,
                            steering_upa, synth_bs_ris, synth_ris_user,
                            synthesize_channels)
 from gpris.scenario import (noise_power_dbm, path_gain_linear, place_users,
@@ -172,6 +172,17 @@ class TestCascade:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def error_covariance_dft(prior_cov, t_ul, rho_ul_linear, gamma, sigma2=1.0):
+    """Dense DFT-training LMMSE error covariance
+    (C^-1 + T*rho/(gamma*sigma^2) I)^-1, the oracle of error_scale_dft."""
+    if rho_ul_linear <= 0:
+        raise ValueError("rho_ul_linear must be > 0")
+    dim = prior_cov.shape[0]
+    scale = t_ul * rho_ul_linear / (gamma * sigma2)
+    r = np.linalg.inv(np.linalg.inv(prior_cov) + scale * np.eye(dim))
+    return 0.5 * (r + r.conj().T)
+
+
 class TestErrorCovariance:
     def test_identity_prior_unit_scale(self):
         r = error_covariance_dft(np.eye(4, dtype=complex), 1, 1.0, 1.0)
@@ -209,9 +220,20 @@ class TestErrorCovariance:
         assert np.allclose(r, r.conj().T, atol=1e-10)
         assert np.linalg.eigvalsh(r).min() >= -1e-10
 
-    def test_nonpositive_power_rejected(self):
+    @pytest.mark.parametrize("error", [
+        lambda: error_covariance_dft(np.eye(2, dtype=complex), 1, 0.0, 1.0),
+        lambda: error_scale_dft(1.0, 1, 0.0)], ids=["dense", "scale"])
+    def test_nonpositive_power_rejected(self, error):
         with pytest.raises(ValueError):
-            error_covariance_dft(np.eye(2, dtype=complex), 1, 0.0, 1.0)
+            error()
+
+
+def draw_dense_link(cascaded, r, rng):
+    """One link's estimate c - e with e ~ CN(0, r), drawn through the
+    factor mc_instantaneous_se draws with."""
+    n, m = cascaded.shape
+    e_vec = _psd_factor(r) @ _cn_vector(n * m, rng)
+    return cascaded - e_vec.reshape((n, m), order="F")
 
 
 class TestDrawEstimate:
@@ -236,8 +258,8 @@ class TestDrawEstimate:
         r = rand_psd(4, rng, scale=0.5)
         draws = np.empty((10_000, 4), dtype=complex)
         for i in range(draws.shape[0]):
-            est = draw_estimate(truth, None, rng, err_dense=[[r]])
-            e = truth.cascaded[0, 0] - est.cascaded_est[0, 0]
+            est = draw_dense_link(truth.cascaded[0, 0], r, rng)
+            e = truth.cascaded[0, 0] - est
             draws[i] = e.flatten(order="F")
         sample = draws.T @ draws.conj() / draws.shape[0]
         err = np.linalg.norm(sample - r) / np.linalg.norm(r)
@@ -260,7 +282,8 @@ class TestDrawEstimate:
 
     def test_perfect_estimate_has_zero_error(self, rng):
         truth = synthesize_channels(small_scenario(), rng)
-        est = perfect_estimate(truth)
+        k, l = truth.cascaded.shape[:2]
+        est = ChannelEstimate(truth.cascaded.copy(), err_scale=np.zeros((k, l)))
         assert np.all(est.err_scale == 0.0)
         assert np.array_equal(est.cascaded_est, truth.cascaded)
 

@@ -7,7 +7,8 @@ import pytest
 
 from gpris.harness import (BenchRow, CSV_HEADER, EXPERIMENT_KINDS,
                            ExperimentSpec, ResultRow, SCHEMES, _apply_sweep,
-                           _square_factor, bench_from_spec, load_spec,
+                           _square_factor, bench_from_spec,
+                           bench_ris_stage, load_spec,
                            run_experiment, spec_from_dict, write_results)
 from gpris.joint import AlgorithmSettings
 from gpris.scenario import scenario_from_dict
@@ -52,7 +53,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "nope"}, {"sweep_values": ()}, {"n_seeds": 0},
-        {"schemes": ("gpi_pris", "magic")}])
+        {"schemes": ("gpi_pris", "magic")}, {"bench_repetitions": 0}])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(kind="power_sweep", sweep_values=(0.0,), n_seeds=1)
         base.update(kwargs)
@@ -134,6 +135,16 @@ class TestRunExperiment:
             assert r.error == ""
             assert math.isfinite(r.lb_sum_se) and r.lb_sum_se >= 0
             assert math.isfinite(r.exact_sum_se) and r.exact_sum_se >= 0
+
+    def test_single_mu_kinds_run_their_one_point(self):
+        # mu_study sweeps mu itself; fixed_mu pins it for any other kind
+        rows = run_experiment(small_spec(kind="mu_study", sweep_values=(-1.0, 5.0),
+                                         n_seeds=1, schemes=("gpi_pris",)), FAST)
+        assert rows[0].error == "ValueError: mu_min must be >= 0"
+        assert rows[1].error == "" and rows[1].mu == 5.0
+        rows = run_experiment(small_spec(fixed_mu=7.0, n_seeds=1,
+                                         schemes=("gpi_pris",)), FAST)
+        assert [(r.error, r.mu) for r in rows] == [("", 7.0)] * 2
 
     def test_bench_kind_rejected(self):
         spec = small_spec(kind="bench", sweep_values=(2,))
@@ -218,6 +229,10 @@ class TestBench:
     def test_single_repetition_flagged(self):
         res = bench_from_spec(self._bench_spec(repetitions=1))
         assert all(r.low_confidence for r in res.rows)
+
+    def test_zero_repetitions_rejected(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            bench_ris_stage([scenario_from_dict(BASE_CONFIG)], repetitions=0)
 
     def test_slope_nan_for_single_point(self):
         res = bench_from_spec(self._bench_spec(sweep=(4,)))

