@@ -2,6 +2,7 @@
 
 The phase-shift stage optimizes a relaxed vector w whose entries are only
 approximately unit-modulus; a smooth max-minus-min penalty with weight mu
+(divided by tau = 1/(LM), which the phase stage derives from the sizes)
 pushes the entries toward a common magnitude.  This demo runs the phase
 stage for a grid of penalty weights and reports, for each weight, the
 objective of the projected phases and how far w sits from the unit-modulus
@@ -15,9 +16,9 @@ Runs in well under a minute.
 import numpy as np
 
 from gpris import (GpiSettings, RegularizerSettings, build_ris_quadratics,
-                   compute_r_sigma, default_tau, estimate_channels,
-                   initial_pair, lower_bound_sum_se, nmse_unit_modulus,
-                   run_gpi_ris, scenario_from_dict, synthesize_channels)
+                   compute_r_sigma, estimate_channels, initial_pair,
+                   lower_bound_sum_se, nmse_unit_modulus, run_gpi_ris,
+                   scenario_from_dict, synthesize_channels)
 from gpris.metrics import PhaseShifts
 
 
@@ -42,12 +43,11 @@ def main() -> None:
     f0, phi0 = initial_pair(est, nop, rng)
     quad = build_ris_quadratics(est, f0, nop)
     r_sigma = compute_r_sigma(est, f0, phi0, nop)
-    tau = default_tau(l, m)
 
     print(f"phase stage at fixed RZF precoder, L={l} M={m}")
     print(f"{'mu':>8} {'objective':>10} {'nmse(w)':>10} {'iters':>6}")
     for mu in (0.0, 1.0, 10.0, 100.0, 1000.0):
-        reg = RegularizerSettings(mu=mu, tau=tau, r_sigma=r_sigma)
+        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma)
         res = run_gpi_ris(quad, reg, phi0.normalized, GpiSettings())
         phases = PhaseShifts.from_normalized(res.w, l, m).project()
         obj = lower_bound_sum_se(est, f0, phases, nop)

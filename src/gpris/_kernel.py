@@ -121,17 +121,19 @@ def _private_temp_dir() -> Path | None:
     return path
 
 
-def _cache_dirs():
+def _cache_dir() -> Path:
+    """The package's ``__pycache__`` if writable, else the private temp cache."""
     pycache = _DIR / "__pycache__"
     try:
         pycache.mkdir(exist_ok=True)
     except OSError:
         pass
     if os.access(pycache, os.W_OK):
-        yield pycache
+        return pycache
     temp = _private_temp_dir()
-    if temp is not None:
-        yield temp
+    if temp is None:
+        raise OSError("no writable cache directory for the compiled loops")
+    return temp
 
 
 def _build(compiler: str) -> Path:
@@ -140,25 +142,24 @@ def _build(compiler: str) -> Path:
         *(src.read_bytes() for src in _SOURCES), " ".join(_FLAGS).encode(),
         compiler.encode(), _host_cpu().encode()])).hexdigest()[:16]
     name = f"{_LIBRARY}-{key}.so"
-    for cache in _cache_dirs():
-        target = cache / name
-        if target.exists():
-            return target
-        tmp = cache / f"{name}.{os.getpid()}.tmp"
-        proc = subprocess.run(
-            [compiler, *_FLAGS, "-o", str(tmp), *map(str, _SOURCES), "-lm"],
-            capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            tmp.unlink(missing_ok=True)
-            raise RuntimeError(f"building {name} with {compiler} "
-                               f"failed:\n{proc.stderr}")
-        os.replace(tmp, target)
-        for pattern in _STALE:
-            for stale in cache.glob(pattern):
-                if stale != target:
-                    stale.unlink(missing_ok=True)
+    cache = _cache_dir()
+    target = cache / name
+    if target.exists():
         return target
-    raise OSError("no writable cache directory for the compiled loops")
+    tmp = cache / f"{name}.{os.getpid()}.tmp"
+    proc = subprocess.run(
+        [compiler, *_FLAGS, "-o", str(tmp), *map(str, _SOURCES), "-lm"],
+        capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        tmp.unlink(missing_ok=True)
+        raise RuntimeError(f"building {name} with {compiler} "
+                           f"failed:\n{proc.stderr}")
+    os.replace(tmp, target)
+    for pattern in _STALE:
+        for stale in cache.glob(pattern):
+            if stale != target:
+                stale.unlink(missing_ok=True)
+    return target
 
 
 @functools.cache

@@ -237,17 +237,17 @@ def _cn_vector(size, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
 
 
-def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float,
-                    sigma2: float = 1.0):
-    """DFT-training LMMSE error scale 1/(1/gamma + T*rho/(gamma*sigma^2)).
+def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float):
+    """DFT-training LMMSE error scale 1/(1/gamma + T*rho/gamma).
 
     Under the isotropic prior C = gamma*I the error covariance
-    (C^-1 + T*rho/(gamma*sigma^2) I)^-1 is this scale times I.  ``gamma`` is
+    (C^-1 + T*rho/gamma I)^-1 is this scale times I; the noise variance is
+    1, as the path gains are normalized by the thermal noise.  ``gamma`` is
     a float or an array of gains, one error scale each.
     """
     if rho_ul_linear <= 0:
         raise ValueError("rho_ul_linear must be > 0")
-    return 1.0 / (1.0 / gamma + t_ul * rho_ul_linear / (gamma * sigma2))
+    return 1.0 / (1.0 / gamma + t_ul * rho_ul_linear / gamma)
 
 
 @dataclass(frozen=True)
@@ -324,5 +324,5 @@ def estimate_channels(truth: ChannelSet, scenario: Scenario,
     """LMMSE estimate under the DFT training scheme with prior C = gamma*I."""
     cfg = scenario.config
     err = error_scale_dft(truth.gamma, cfg.ul_train_len,
-                          cfg.ul_train_power_linear, cfg.noise_variance)
+                          cfg.ul_train_power_linear)
     return draw_estimate(truth, err, rng)

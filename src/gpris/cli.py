@@ -72,13 +72,10 @@ def cmd_bench(args) -> int:
         "loglog_slope": result.loglog_slope,
         "backend": result.backend,
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote bench report to {args.out}.json")
-    else:
-        print(text)
+    path = (args.out or spec.output_path) + ".json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
+    print(f"wrote bench report to {path}")
     return 0
 
 

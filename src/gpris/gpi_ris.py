@@ -28,13 +28,13 @@ from .metrics import (PhaseShifts, Precoder, _lanes_out, add_to_diagonal,
 
 @dataclass(frozen=True)
 class RegularizerSettings:
-    """Penalty weight mu with its normalizers and LogSumExp sharpness knobs.
+    """Penalty weight mu, sum-SE normalizer r_sigma and LogSumExp knobs.
 
-    mu is a float, or one weight per lane of a lane-stacked call.
+    mu is a float, or one weight per lane of a lane-stacked call; its
+    normalizer tau = 1/(LM) is no setting but ``RisQuadratics.tau``.
     """
 
     mu: float | np.ndarray = 0.0
-    tau: float = 1.0
     r_sigma: float = 1.0
     alpha1: float = 2.0
     alpha2: float = 2.0
@@ -42,13 +42,9 @@ class RegularizerSettings:
     def __post_init__(self):
         if np.any(np.asarray(self.mu) < 0):
             raise ValueError("mu must be >= 0")
-        for name in ("tau", "r_sigma", "alpha1", "alpha2"):
+        for name in ("r_sigma", "alpha1", "alpha2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-
-
-def default_tau(l: int, m: int) -> float:
-    return 1.0 / (l * m)
 
 
 @dataclass
@@ -75,6 +71,11 @@ class RisQuadratics:
     @property
     def m(self) -> int:
         return self.c_blocks.shape[-2]
+
+    @property
+    def tau(self) -> float:
+        """Normalizer 1/(LM) of the unit-modulus penalty weight mu."""
+        return 1.0 / (self.l * self.m)
 
     @cached_property
     def d_blocks(self) -> np.ndarray:
@@ -147,7 +148,8 @@ def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
     """Fixed-point pair (Cbar, Dbar) of one lane as stacked (L, M, M) blocks.
 
     Cbar = sum_k C_k/(w^H C_k w) / (R_sigma ln 2) + (mu/tau) diag(softmin),
-    Dbar = sum_k D_k/(w^H D_k w) / (R_sigma ln 2) + (mu/tau) diag(softmax).
+    Dbar = sum_k D_k/(w^H D_k w) / (R_sigma ln 2) + (mu/tau) diag(softmax),
+    with tau = 1/(LM) derived from the quadratics (``q.tau``).
 
     The objective value lambda_RIS scales Cbar in the underlying fixed-point
     map, but it cancels from the normalized step and from the normalized
@@ -173,7 +175,7 @@ def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
     if reg.mu > 0:
         wmax, wmin = penalty_weights(w, reg)
         idx = np.arange(q.m)
-        factor = reg.mu / reg.tau
+        factor = reg.mu / q.tau
         cbar[:, idx, idx] += factor * wmin.reshape((q.l, q.m))
         dbar[:, idx, idx] += factor * wmax.reshape((q.l, q.m))
     return cbar, dbar
@@ -269,7 +271,7 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
     if _kernel.available():
         iters, residual, loop_seconds = _kernel.ris_loop(
             q.c_blocks, q.u_vecs, w.reshape(-1, q.l * q.m), mu.reshape(-1),
-            q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), reg.tau, reg.alpha1,
+            q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), q.tau, reg.alpha1,
             reg.alpha2, settings.tol, settings.max_iters)
         if np.any(iters < 0):
             raise np.linalg.LinAlgError("denominator block not positive definite")

@@ -7,14 +7,14 @@ import dataclasses
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import _kernel
 from .channel import estimate_channels, synthesize_channels
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
-from .gpi_ris import RegularizerSettings, build_ris_quadratics, default_tau, run_gpi_ris
+from .gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
 from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                     initial_pair, run_joint)
 from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
@@ -25,9 +25,6 @@ EXPERIMENT_KINDS = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
                     "csit_sweep", "convergence", "mu_study", "scalability",
                     "bench")
 SCHEMES = ("gpi_pris", "gpi_random", "rzf_random")
-
-CSV_HEADER = ("experiment,seed,sweep_value,scheme,lb_sum_se,exact_sum_se,"
-              "mc_se,nmse,mu,iterations,precoder_s,ris_s,error")
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,6 @@ class ExperimentSpec:
     mu_points: int = 30
     mu_min: float = 0.0
     mu_max: float = 100.0
-    fixed_mu: float | None = None
     bench_repetitions: int = 5
     bench_iters: int = 30
 
@@ -64,7 +60,7 @@ class ExperimentSpec:
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
-    allowed = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    allowed = {f.name for f in fields(ExperimentSpec)}
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown spec keys: {sorted(unknown)}")
@@ -97,15 +93,17 @@ class ResultRow:
     error: str = ""
 
     def csv_line(self) -> str:
-        """One CSV line without its terminator; a field holding a comma, a
-        quote or a line break (an error message, say) is quoted."""
+        """One CSV line without its terminator, the fields in CSV_HEADER's
+        order and floats as their repr; a field holding a comma, a quote or
+        a line break (an error message, say) is quoted."""
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([
-            self.experiment, self.seed, repr(self.sweep_value), self.scheme,
-            repr(self.lb_sum_se), repr(self.exact_sum_se), repr(self.mc_se),
-            repr(self.nmse), repr(self.mu), self.iterations,
-            repr(self.precoder_s), repr(self.ris_s), self.error])
+            repr(v) if isinstance(v, float) else v
+            for v in (getattr(self, f.name) for f in fields(self))])
         return buf.getvalue()[:-1]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def _square_factor(m: int) -> tuple[int, int]:
@@ -152,7 +150,7 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
     truth = synthesize_channels(scenario, rng)
     est = estimate_channels(truth, scenario, rng)
     nop = scenario.config.noise_over_power
-    n, k, l, m = est.dims
+    n, k, _, _ = est.dims
     f0, phi0 = initial_pair(est, nop, rng)
 
     def evaluate(scheme, precoder, phases, mu=math.nan, iters=0,
@@ -174,11 +172,8 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
                 rows.append(evaluate(scheme, Precoder.from_stacked(f_star, n, k),
                                      phi0, iters=iters))
             elif scheme == "gpi_pris":
-                if spec.kind == "mu_study" or spec.fixed_mu is not None:
-                    mu = float(value) if spec.kind == "mu_study" else spec.fixed_mu
-                    plan = LineSearchPlan(mu, mu, 1)
-                else:
-                    plan = spec.plan
+                plan = (LineSearchPlan(float(value), float(value), 1)
+                        if spec.kind == "mu_study" else spec.plan)
                 res = run_joint(est, nop, plan, settings, rng, init=(f0, phi0))
                 row = evaluate(scheme, res.best_precoder, res.best_phases,
                                mu=res.best_mu,
@@ -273,8 +268,8 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
         # mu=0: the unit-modulus penalty costs O(M_tot) per iteration
         # independent of L, which at small M_tot masks the block-solve
         # scaling this benchmark measures; the matrix pipeline is identical
-        reg = RegularizerSettings(mu=0.0, tau=default_tau(cfg.n_ris, cfg.m_ris),
-                                  r_sigma=compute_r_sigma(est, f0, phi0, nop))
+        reg = RegularizerSettings(
+            mu=0.0, r_sigma=compute_r_sigma(est, f0, phi0, nop))
         settings = GpiSettings(tol=1e-30, max_iters=iters_per_run)
         times = []
         for _ in range(repetitions):

@@ -22,14 +22,14 @@ from .baselines import random_phases, rzf_precoder, rzf_regularizer
 from .channel import ChannelEstimate
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
 from .gpi_ris import (RegularizerSettings, RisQuadratics, build_ris_quadratics,
-                      default_tau, run_gpi_ris)
+                      run_gpi_ris)
 from .metrics import (PhaseShifts, Precoder, effective_channels,
                       lower_bound_sum_se, nmse_unit_modulus)
 
 
 @dataclass(frozen=True)
 class LineSearchPlan:
-    """Linearly spaced mu grid."""
+    """Linearly spaced mu grid; a single mu is ``LineSearchPlan(mu, mu, 1)``."""
 
     mu_min: float = 0.0
     mu_max: float = 100.0
@@ -42,6 +42,8 @@ class LineSearchPlan:
             raise ValueError("mu_min must be <= mu_max")
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
+        if self.n_points > 1 and self.mu_min == self.mu_max:
+            raise ValueError("n_points must be 1 when mu_min == mu_max")
 
     @property
     def grid(self) -> np.ndarray:
@@ -125,15 +127,14 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     meets eps3 or fails.  A failing round is rerun lane by lane, so only
     the lanes that fail on their own are recorded in ``errors``.
     """
-    n, k, l, m = est.dims
+    n, k, _, _ = est.dims
     if init is None:
         init = initial_pair(est, noise_over_p, rng)
     f0, phi0 = init
     r_sigma = compute_r_sigma(est, f0, phi0, noise_over_p)
     grid = [float(mu) for mu in plan.grid]
-    reg = RegularizerSettings(mu=np.array(grid), tau=default_tau(l, m),
-                              r_sigma=r_sigma, alpha1=settings.alpha1,
-                              alpha2=settings.alpha2)
+    reg = RegularizerSettings(mu=np.array(grid), r_sigma=r_sigma,
+                              alpha1=settings.alpha1, alpha2=settings.alpha2)
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
 
     # the first precoder stage sees only (est, f0, phi0), so all mu points

@@ -88,21 +88,17 @@ class Geometry:
             raise ValueError("at least one RIS position required")
 
 
-def default_geometry(
-    n_ris: int, d_c: float = 60.0, r_c: float = 20.0, d_x: float = 20.0, d_y: float = 20.0
-) -> Geometry:
-    """RIS 1 at (d_x, d_y), RIS 2 at (d_x, -d_y); further RISs continue up/down
-    the same vertical line at d_y spacing.  The layout rule beyond two RISs is
-    a documented stand-in, not a modeling claim.
+def default_geometry(n_ris: int) -> Geometry:
+    """``Geometry``'s user disc with RIS 1 at (20, 20) m and RIS 2 at (20, -20)
+    m; further RISs continue up/down the line x = 20 m at 20 m spacing.  The
+    layout rule beyond two RISs is a documented stand-in, not a modeling claim.
     """
     positions = []
     for idx in range(n_ris):
         sign = 1.0 if idx % 2 == 0 else -1.0
         step = 1 + idx // 2
-        positions.append((d_x, sign * d_y * step))
-    return Geometry(
-        circle_center_distance=d_c, user_radius=r_c, ris_positions=tuple(positions)
-    )
+        positions.append((20.0, sign * 20.0 * step))
+    return Geometry(ris_positions=tuple(positions))
 
 
 def place_users(geometry: Geometry, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -125,7 +121,6 @@ class SystemConfig:
     ris_elems_y: int = 8
     ris_elems_z: int = 8
     tx_power_dbm: float = 20.0
-    noise_variance: float = 1.0
     carrier_spacing_ratios: tuple[float, float, float] = (0.5, 0.5, 0.5)
     n_paths_bs_ris: int = 2
     n_paths_ris_user: int = 2
@@ -140,8 +135,6 @@ class SystemConfig:
                      "n_paths_bs_ris", "n_paths_ris_user"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be > 0")
         if any(r <= 0 for r in self.carrier_spacing_ratios):
             raise ValueError("carrier spacing ratios must be > 0")
         if self.ul_train_len == 0:
@@ -160,8 +153,9 @@ class SystemConfig:
 
     @property
     def noise_over_power(self) -> float:
-        """sigma^2 / P with P converted from dBm against sigma^2-normalized units."""
-        return self.noise_variance / db_to_linear(self.tx_power_dbm)
+        """sigma^2 / P with sigma^2 = 1: the path gains are normalized by the
+        thermal noise, so P in dBm converts against a unit noise variance."""
+        return 1.0 / db_to_linear(self.tx_power_dbm)
 
     @property
     def ul_train_power_linear(self) -> float:

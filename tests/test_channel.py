@@ -172,13 +172,13 @@ class TestCascade:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def error_covariance_dft(prior_cov, t_ul, rho_ul_linear, gamma, sigma2=1.0):
-    """Dense DFT-training LMMSE error covariance
-    (C^-1 + T*rho/(gamma*sigma^2) I)^-1, the oracle of error_scale_dft."""
+def error_covariance_dft(prior_cov, t_ul, rho_ul_linear, gamma):
+    """Dense DFT-training LMMSE error covariance (C^-1 + T*rho/gamma I)^-1,
+    the oracle of error_scale_dft."""
     if rho_ul_linear <= 0:
         raise ValueError("rho_ul_linear must be > 0")
     dim = prior_cov.shape[0]
-    scale = t_ul * rho_ul_linear / (gamma * sigma2)
+    scale = t_ul * rho_ul_linear / gamma
     r = np.linalg.inv(np.linalg.inv(prior_cov) + scale * np.eye(dim))
     return 0.5 * (r + r.conj().T)
 
@@ -197,7 +197,7 @@ class TestErrorCovariance:
         c = rand_psd(5, rng) + np.eye(5)
         s = 2.7
         r = error_covariance_dft(c, 3, 0.9, 1.0)
-        # scale = t*rho/(gamma*sigma2) = 2.7
+        # scale = t*rho/gamma = 2.7
         expected = np.linalg.inv(np.linalg.inv(c) + s * np.eye(5))
         assert np.allclose(r, expected, rtol=1e-9)
 
@@ -415,8 +415,8 @@ def test_estimate_error_scales_match_scalar_calls(rng):
     truth = synthesize_channels(scn, rng)
     est = estimate_channels(truth, scn, rng)
     cfg = scn.config
-    expected = [error_scale_dft(g, cfg.ul_train_len, cfg.ul_train_power_linear,
-                                cfg.noise_variance) for g in truth.gamma.flat]
+    expected = [error_scale_dft(g, cfg.ul_train_len, cfg.ul_train_power_linear)
+                for g in truth.gamma.flat]
     assert np.array_equal(est.err_scale.ravel(), expected)
 
 

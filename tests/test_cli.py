@@ -57,6 +57,18 @@ def test_bench_seed_override(bench_spec, tmp_path, monkeypatch):
     assert [r["n_ris"] for r in report["rows"]] == [1, 2]
 
 
+def test_bench_writes_to_spec_output_path(tmp_path, capsys):
+    stem = tmp_path / "report"
+    spec = write_json(tmp_path / "bench.json", {
+        "kind": "bench", "sweep_values": [1, 2], "n_seeds": 1,
+        "bench_repetitions": 1, "bench_iters": 2, "output_path": str(stem),
+        "base_config": BASE_CONFIG})
+    assert cli.main(["bench", spec]) == 0
+    with open(f"{stem}.json", encoding="utf-8") as fh:
+        assert [r["n_ris"] for r in json.load(fh)["rows"]] == [1, 2]
+    assert capsys.readouterr().out == f"wrote bench report to {stem}.json\n"
+
+
 def test_validate_exit_codes(tmp_path):
     good = write_json(tmp_path / "good.json", BASE_CONFIG)
     bad = write_json(tmp_path / "bad.json", {**BASE_CONFIG, "n_users": 0})

@@ -13,7 +13,7 @@ import gpris
 from gpris import _kernel
 from gpris.gpi_precoder import GpiSettings
 from gpris.gpi_ris import (RegularizerSettings, RisQuadratics,
-                           build_ris_quadratics, default_tau, _numpy_loop,
+                           build_ris_quadratics, _numpy_loop,
                            penalty_weights, ris_gpi_matrices, run_gpi_ris)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
                            nmse_unit_modulus, theta_matrices)
@@ -52,8 +52,8 @@ def log2_lambda_ris(q: RisQuadratics, reg: RegularizerSettings,
         raise FloatingPointError("nonpositive quadratic form")
     x = np.abs(w) ** 2
     ratio_term = float(np.sum(np.log2(qc / qd))) / reg.r_sigma
-    penalty = (reg.mu / reg.tau) * (smooth_max(x, reg.alpha1)
-                                    - smooth_min(x, reg.alpha2))
+    penalty = (reg.mu / q.tau) * (smooth_max(x, reg.alpha1)
+                                  - smooth_min(x, reg.alpha2))
     return ratio_term - penalty
 
 
@@ -63,26 +63,33 @@ def lambda_ris(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray) -> flo
     return float(2.0 ** log2_lambda_ris(q, reg, w))
 
 
-def kernel_args(reg, tol=1e-9, max_iters=200):
-    """The scalar arguments of _kernel.ris_loop after the noise level."""
-    return (1.0 / (reg.r_sigma * np.log(2)), reg.tau, reg.alpha1, reg.alpha2,
+def kernel_args(reg, q, tol=1e-9, max_iters=200):
+    """The scalar arguments of _kernel.ris_loop after the noise level, with
+    the tau that run_gpi_ris derives from the quadratics ``q``."""
+    return (1.0 / (reg.r_sigma * np.log(2)), q.tau, reg.alpha1, reg.alpha2,
             tol, max_iters)
 
 
 class TestRegularizerSettings:
     def test_defaults(self):
         r = RegularizerSettings()
-        assert r.mu == 0.0 and r.tau == 1.0 and r.alpha1 == 2.0
+        assert r.mu == 0.0 and r.r_sigma == 1.0 and r.alpha1 == 2.0
 
-    @pytest.mark.parametrize("kwargs", [{"mu": -1.0}, {"tau": 0.0},
+    @pytest.mark.parametrize("kwargs", [{"mu": -1.0},
+                                        {"mu": np.array([1.0, -1.0])},
                                         {"r_sigma": 0.0}, {"alpha1": 0.0},
                                         {"alpha2": -2.0}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RegularizerSettings(**kwargs)
 
-    def test_default_tau(self):
-        assert default_tau(2, 8) == pytest.approx(1.0 / 16)
+    def test_default_tau(self, rng):
+        # tau = 1/(LM) comes from the quadratics' sizes and is no setting
+        q = build_ris_quadratics(rand_estimate(3, 2, 2, 8, rng),
+                                 rand_precoder(3, 2, rng), 0.1)
+        assert q.tau == 1.0 / 16
+        with pytest.raises(TypeError):
+            RegularizerSettings(tau=1.0)
 
 
 class TestQuadratics:
@@ -212,7 +219,7 @@ class TestPenalty:
 
     def test_penalty_weights_are_softmax(self, rng):
         w = rand_phases(2, 4, rng).normalized
-        reg = RegularizerSettings(mu=1.0, tau=0.125, alpha1=2.0, alpha2=3.0)
+        reg = RegularizerSettings(mu=1.0, alpha1=2.0, alpha2=3.0)
         wc, wd = penalty_weights(w, reg)
         x = np.abs(w) ** 2
         assert np.allclose(wc, softmax(2.0 * x))
@@ -243,11 +250,11 @@ class TestLambdaRis:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=5.0, tau=default_tau(2, 3), r_sigma=1.3)
+        reg = RegularizerSettings(mu=5.0, r_sigma=1.3)
         w = rand_phases(2, 3, rng).normalized
         qc, qd = q.quad_forms(w.reshape(2, 3))
         x = np.abs(w) ** 2
-        pen = (smooth_max(x, reg.alpha1) - smooth_min(x, reg.alpha2)) / reg.tau
+        pen = (smooth_max(x, reg.alpha1) - smooth_min(x, reg.alpha2)) / q.tau
         expected = float(np.sum(np.log2(qc / qd))) / reg.r_sigma - reg.mu * pen
         assert log2_lambda_ris(q, reg, w) == pytest.approx(expected, rel=1e-9)
         assert lambda_ris(q, reg, w) == pytest.approx(2.0 ** expected, rel=1e-6)
@@ -268,7 +275,7 @@ class TestRisGpiMatrices:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=2.0, tau=default_tau(2, 3))
+        reg = RegularizerSettings(mu=2.0)
         w = rand_phases(2, 3, rng).normalized
         cbar, dbar = ris_gpi_matrices(q, reg, w)
         assert cbar.shape == (2, 3, 3) and dbar.shape == (2, 3, 3)
@@ -283,7 +290,7 @@ class TestRisGpiMatrices:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=3.0, tau=default_tau(2, 3))
+        reg = RegularizerSettings(mu=3.0)
         w = rand_phases(2, 3, rng).normalized
         cbar, dbar = ris_gpi_matrices(q, reg, w)
         wb = w.reshape(2, 3)
@@ -342,7 +349,7 @@ class TestRunGpiRis:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = self._problem(rng)
-            reg = RegularizerSettings(mu=1.0, tau=default_tau(2, 3))
+            reg = RegularizerSettings(mu=1.0)
             w0 = rand_phases(2, 3, rng).normalized
             before = log2_lambda_ris(q, reg, w0)
             res = run_gpi_ris(q, reg, w0, GpiSettings(tol=1e-7, max_iters=200))
@@ -355,8 +362,7 @@ class TestRunGpiRis:
     def test_backends_agree(self, rng):
         for mu in (0.0, 25.0):
             q = self._problem(rng)
-            reg = RegularizerSettings(mu=mu, tau=default_tau(2, 3),
-                                      r_sigma=1.2)
+            reg = RegularizerSettings(mu=mu, r_sigma=1.2)
             w0 = rand_phases(2, 3, rng).normalized
             s = GpiSettings(tol=1e-10, max_iters=100)
             res = run_gpi_ris(q, reg, w0, s)
@@ -378,14 +384,14 @@ class TestRunGpiRis:
         theta = theta_matrices(est, f)
         assert np.all(np.abs(theta[..., 0, 1:]) > 0)
         mus = np.array([0.0, 4.0, 30.0])
-        reg = RegularizerSettings(mu=mus, tau=default_tau(2, 4), r_sigma=1.4)
+        reg = RegularizerSettings(mu=mus, r_sigma=1.4)
         w0 = np.stack([rand_phases(2, 4, rng).normalized for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
         res = run_gpi_ris(q, reg, w0, s)
         total = 0
         for i in range(3):
             w_ref, iters_ref, res_ref = _numpy_loop(
-                q.lane(i), RegularizerSettings(mu=float(mus[i]), tau=reg.tau,
+                q.lane(i), RegularizerSettings(mu=float(mus[i]),
                                                r_sigma=reg.r_sigma),
                 w0[i] / np.linalg.norm(w0[i]), s)
             assert np.allclose(res.w[i], w_ref, atol=1e-10)
@@ -408,7 +414,8 @@ class TestRunGpiRis:
         assert res.residual == res_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, w0[None].copy(), 0.0,
-                             q.noise_over_p, *kernel_args(RegularizerSettings()))
+                             q.noise_over_p,
+                             *kernel_args(RegularizerSettings(), q))
 
     @staticmethod
     def _indefinite_problem():
@@ -459,7 +466,7 @@ class TestRunGpiRis:
             w0 = rand_phases(2, 3, r).normalized
             s = GpiSettings(tol=1e-8, max_iters=300)
             free = run_gpi_ris(q, RegularizerSettings(), w0, s)
-            reg = RegularizerSettings(mu=100.0, tau=default_tau(2, 3))
+            reg = RegularizerSettings(mu=100.0)
             tight = run_gpi_ris(q, reg, w0, s)
             if tight.nmse <= free.nmse + 1e-12:
                 better += 1
@@ -485,12 +492,12 @@ class TestKernelDirect:
         f = rand_precoder(4, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
         w0 = rand_phases(2, 3, rng).normalized
-        reg = RegularizerSettings(mu=10.0, tau=default_tau(2, 3), r_sigma=1.1)
+        reg = RegularizerSettings(mu=10.0, r_sigma=1.1)
 
         def run(w, max_iters):
             return _kernel.ris_loop(q.c_blocks, q.u_vecs, w, reg.mu,
                                     q.noise_over_p,
-                                    *kernel_args(reg, max_iters=max_iters))
+                                    *kernel_args(reg, q, max_iters=max_iters))
 
         # the split re/im layout unpacks to the iterate it was given
         w = w0[None].copy()
@@ -513,11 +520,11 @@ class TestKernelDirect:
         q = build_ris_quadratics(est, f, 0.1)
         mus = np.concatenate([[0.0], rng.permutation(
             np.linspace(0.5, 60.0, n_lanes - 1))])
-        reg = RegularizerSettings(tau=default_tau(l, m), r_sigma=1.3)
+        reg = RegularizerSettings(r_sigma=1.3)
         w0 = np.stack([rand_phases(l, m, rng).normalized
                        for _ in range(n_lanes)])
         _kernel.ris_loop(q.c_blocks[0], q.u_vecs[0], w0[:1], 0.0, 0.1,
-                         *kernel_args(reg, tol=1e-13, max_iters=500))
+                         *kernel_args(reg, q, tol=1e-13, max_iters=500))
         return q, mus, reg, w0
 
     @staticmethod
@@ -525,7 +532,8 @@ class TestKernelDirect:
         """One lane's (count, residual, w) from a call with that lane alone."""
         w = w0[None].copy()
         it, res, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
-                                      *kernel_args(reg, **kw))
+                                      *kernel_args(reg, RisQuadratics(c, 0.1, u),
+                                                   **kw))
         return it[0], res[0], w[0]
 
     @needs_compiler
@@ -539,7 +547,7 @@ class TestKernelDirect:
             q, mus, reg, w0 = self._lanes(rng, l, m, n_lanes)
             w = w0.copy()
             iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
-                                             *kernel_args(reg, **caps))
+                                             *kernel_args(reg, q, **caps))
             for i in range(n_lanes):
                 it_one, res_one, w_one = self._alone(
                     q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], reg, **caps)
@@ -573,7 +581,7 @@ class TestKernelDirect:
                 mus[p] = 0.0
             w = w0.copy()
             counts, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                              *kernel_args(reg, max_iters=100))
+                                              *kernel_args(reg, q, max_iters=100))
             assert [p for p in range(n_lanes) if counts[p] < 0] == bad
             for p in range(n_lanes):
                 # the failed lanes keep their iterates, the others are as
@@ -598,14 +606,14 @@ class TestKernelDirect:
         assert _kernel._lanes(views[0], q.c_blocks.shape)[1] == 0
         copies = [np.ascontiguousarray(v) for v in views]
         mus = rng.permutation(np.linspace(0.0, 40.0, n_lanes))
-        reg = RegularizerSettings(tau=default_tau(4, 4), r_sigma=1.3)
+        reg = RegularizerSettings(r_sigma=1.3)
         w0 = np.stack([rand_phases(4, 4, rng).normalized
                        for _ in range(n_lanes)])
         out = []
         for c, u in (views, copies):
             w = w0.copy()
             iters, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                             *kernel_args(reg, tol=1e-2,
+                                             *kernel_args(reg, q, tol=1e-2,
                                                           max_iters=40))
             out.append((iters, res, w))
         assert len(set(out[0][0])) > 2    # ragged exits
@@ -625,7 +633,7 @@ class TestKernelDirect:
     def test_rejects_mismatched_shapes(self, rng):
         q = build_ris_quadratics(rand_estimate(3, 2, 2, 2, rng),
                                  rand_precoder(3, 2, rng), 0.1)
-        args = (0.0, 0.1, *kernel_args(RegularizerSettings()))
+        args = (0.0, 0.1, *kernel_args(RegularizerSettings(), q))
         w = rand_phases(2, 2, rng).normalized[None]
         with pytest.raises(ValueError, match="disagree"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, np.tile(w, (1, 2)), *args)
@@ -635,19 +643,23 @@ class TestKernelDirect:
             _kernel.ris_loop(q.c_blocks, q.u_vecs, w.astype(np.complex64),
                              *args)
 
-    def test_build_is_cached_per_host(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        monkeypatch.setattr(_kernel, "_cache_dirs", lambda: iter([cache]))
-        # the caching is under test, not the compile: a stub compiler writes
-        # an empty file at its -o path
+    @staticmethod
+    def _stub_compiler(tmp_path):
+        """A compiler that writes an empty file at its -o path: the caching
+        is under test, not the compile."""
         stub = tmp_path / "stub-cc"
         stub.write_text('#!/bin/sh\n'
                         'while [ "$#" -gt 1 ] && [ "$1" != -o ]; do shift; done\n'
                         '[ "$1" = -o ] && : > "$2"\n')
         stub.chmod(0o755)
+        return str(stub)
+
+    def test_build_is_cached_per_host(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setattr(_kernel, "_cache_dir", lambda: cache)
         real_run = _kernel.subprocess.run
-        compiler = str(stub)
+        compiler = self._stub_compiler(tmp_path)
         # a library of the RIS loop alone, as older versions built it
         (cache / "_ris_loop-5c0dafe8825ab41e.so").write_bytes(b"")
         lib = _kernel._build(compiler)
@@ -668,6 +680,24 @@ class TestKernelDirect:
         other = _kernel._build(compiler)
         assert other != lib
         assert [p.name for p in cache.iterdir()] == [other.name]
+
+    def test_read_only_package_cache_falls_back_to_private_temp(
+            self, tmp_path, monkeypatch):
+        pycache = _kernel._DIR / "__pycache__"
+        real_access = os.access
+        monkeypatch.setattr(_kernel.os, "access", lambda path, mode: (
+            Path(path) != pycache and real_access(path, mode)))
+        monkeypatch.setattr(_kernel.tempfile, "gettempdir",
+                            lambda: str(tmp_path))
+        compiler = self._stub_compiler(tmp_path)
+        private = tmp_path / f"gpris-{os.getuid()}"
+        lib = _kernel._build(compiler)
+        assert lib.parent == private and lib.exists()
+        assert private.stat().st_mode & 0o777 == 0o700
+        # a private directory that others can write is refused
+        private.chmod(0o770)
+        with pytest.raises(OSError, match="no writable cache directory"):
+            _kernel._build(compiler)
 
     def test_import_builds_nothing(self):
         code = ("import gpris, gpris._kernel as k; "

@@ -6,8 +6,7 @@ import pytest
 from conftest import rand_estimate, rand_phases, rand_precoder
 import gpris.joint
 from gpris.gpi_precoder import build_precoder_quadratics, run_gpi_precoder
-from gpris.gpi_ris import (RegularizerSettings, build_ris_quadratics,
-                           default_tau, run_gpi_ris)
+from gpris.gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                          initial_pair, run_joint)
 from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
@@ -34,7 +33,8 @@ class TestPlanAndSettings:
         assert list(plan.grid) == [7.0]
 
     @pytest.mark.parametrize("kwargs", [
-        {"mu_min": -1.0}, {"mu_min": 5.0, "mu_max": 1.0}, {"n_points": 0}])
+        {"mu_min": -1.0}, {"mu_min": 5.0, "mu_max": 1.0}, {"n_points": 0},
+        {"mu_min": 5.0, "mu_max": 5.0, "n_points": 3}])
     def test_plan_validation(self, kwargs):
         with pytest.raises(ValueError):
             LineSearchPlan(**kwargs)
@@ -285,14 +285,13 @@ def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timi
 
 def _old_line_search(est, plan, settings, init):
     """One unbatched _old_alternate per grid point: (finals, iters, conv, best_mu)."""
-    _, _, l, m = est.dims
     r_sigma = compute_r_sigma(est, *init, NOP)
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
     first = _old_precoder_stage(est, NOP, settings, *init, timing)
     finals, iters, conv, best = {}, {}, {}, None
     for mu in map(float, plan.grid):
-        reg = RegularizerSettings(mu=mu, tau=default_tau(l, m), r_sigma=r_sigma,
-                                  alpha1=settings.alpha1, alpha2=settings.alpha2)
+        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma, alpha1=settings.alpha1,
+                                  alpha2=settings.alpha2)
         obj, _, _, _, _, iters[mu], conv[mu] = _old_alternate(
             est, NOP, reg, settings, init, r_sigma, first, timing)
         finals[mu] = obj

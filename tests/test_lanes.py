@@ -8,8 +8,7 @@ from conftest import rand_estimate, rand_phases, rand_precoder
 from gpris import _kernel
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
                                 run_gpi_precoder)
-from gpris.gpi_ris import (RegularizerSettings, build_ris_quadratics,
-                           default_tau, run_gpi_ris)
+from gpris.gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
 from gpris.metrics import PhaseShifts, Precoder, lower_bound_sum_se
 
 NOP = 0.1
@@ -37,14 +36,13 @@ def _batch(est, phases, precoders, sel):
 @pytest.mark.parametrize("sel", [[0, 1, 2, 3], [2], [3, 1]])
 def test_lane_equals_unbatched_call(lanes, sel):
     est, phases, precoders = lanes
-    _, _, l, m = est.dims
     phi, f = _batch(est, phases, precoders, sel)
     quad = build_precoder_quadratics(est, phi, NOP)
     lb = lower_bound_sum_se(est, f, phi, NOP)
     gpi = GpiSettings(tol=1e-4, max_iters=40)
     f_star, pre_iters, pre_res = run_gpi_precoder(quad, f.stacked, gpi)
     ris_quad = build_ris_quadratics(est, f, NOP)
-    reg = RegularizerSettings(mu=MUS[sel], tau=default_tau(l, m), r_sigma=1.5)
+    reg = RegularizerSettings(mu=MUS[sel], r_sigma=1.5)
     ris = run_gpi_ris(ris_quad, reg, phi.normalized, GpiSettings())
     assert type(pre_iters) is int and type(ris.iterations) is int
     totals = [0, 0]
@@ -57,7 +55,7 @@ def test_lane_equals_unbatched_call(lanes, sel):
         one_ris_quad = build_ris_quadratics(est, precoders[p], NOP)
         assert np.array_equal(ris_quad.c_blocks[i], one_ris_quad.c_blocks)
         one = run_gpi_ris(one_ris_quad, RegularizerSettings(
-            mu=float(MUS[p]), tau=reg.tau, r_sigma=reg.r_sigma),
+            mu=float(MUS[p]), r_sigma=reg.r_sigma),
             phases[p].normalized, GpiSettings())
         assert np.array_equal(ris.w[i], one.w)
         assert np.array_equal(ris.phases.per_ris[i], one.phases.per_ris)
@@ -69,14 +67,13 @@ def test_lane_equals_unbatched_call(lanes, sel):
 
 def test_numpy_fallback_runs_lane_by_lane(lanes, monkeypatch):
     est, phases, precoders = lanes
-    _, _, l, m = est.dims
     phi, f = _batch(est, phases, precoders, range(len(MUS)))
     quad = build_ris_quadratics(est, f, NOP)
-    reg = RegularizerSettings(mu=MUS, tau=default_tau(l, m), r_sigma=1.5)
+    reg = RegularizerSettings(mu=MUS, r_sigma=1.5)
     monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
     ris = run_gpi_ris(quad, reg, phi.normalized, GpiSettings())
     for i in range(len(MUS)):
         one = run_gpi_ris(quad.lane(i), RegularizerSettings(
-            mu=float(MUS[i]), tau=reg.tau, r_sigma=reg.r_sigma),
+            mu=float(MUS[i]), r_sigma=reg.r_sigma),
             phi.normalized[i], GpiSettings())
         assert np.array_equal(ris.w[i], one.w)

@@ -105,10 +105,11 @@ def test_default_paper_scenario_constructible():
                        ris_elems_y=8, ris_elems_z=8,
                        carrier_spacing_ratios=(0.5, 0.5, 0.5),
                        n_paths_bs_ris=2, n_paths_ris_user=2)
-    geo = default_geometry(2, d_c=60.0, r_c=20.0, d_x=20.0, d_y=20.0)
+    geo = default_geometry(2)
     scn = Scenario(config=cfg, geometry=geo)
     assert cfg.m_ris == 64
     assert scn.geometry.ris_positions == ((20.0, 20.0), (20.0, -20.0))
+    assert (geo.circle_center_distance, geo.user_radius) == (60.0, 20.0)
     assert cfg.ul_train_len == 64 * 4  # defaulted to the minimum M*K
 
 
@@ -122,16 +123,12 @@ class TestSystemConfigInvariants:
             with pytest.raises(ValueError):
                 SystemConfig(**{name: 0})
 
-    def test_noise_variance_positive(self):
-        with pytest.raises(ValueError):
-            SystemConfig(noise_variance=0.0)
-
     def test_spacing_ratios_positive(self):
         with pytest.raises(ValueError):
             SystemConfig(carrier_spacing_ratios=(0.5, -0.5, 0.5))
 
     def test_noise_over_power(self):
-        cfg = SystemConfig(tx_power_dbm=20.0, noise_variance=1.0)
+        cfg = SystemConfig(tx_power_dbm=20.0)
         assert cfg.noise_over_power == pytest.approx(0.01)
 
 
@@ -145,9 +142,10 @@ class TestJsonConfig:
         assert scn.config.m_ris == 4
 
     def test_unknown_top_level_key_rejected(self):
-        doc = dict(self.DOC, frobnicate=1)
-        with pytest.raises(ValueError, match="unknown config keys"):
-            scenario_from_dict(doc)
+        # noise_variance is no setting: sigma^2 = 1 is the model
+        for key in ("frobnicate", "noise_variance"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                scenario_from_dict(dict(self.DOC, **{key: 1}))
 
     def test_unknown_nested_key_rejected(self):
         doc = dict(self.DOC, pathloss={"alpha_pl": 61.4, "bogus": True})
