@@ -4,7 +4,9 @@ The phase-stage fixed point solves one block-diagonal system per iteration:
 L blocks of size M when L surfaces carry M elements each.  At a fixed total
 element count L*M, more surfaces means smaller blocks, so the per-iteration
 cost should drop roughly quadratically in L.  This demo times the loop body
-for L in {2, 4, 8} at L*M = 64 and prints the measured scaling.
+for the surface counts of ``bench_spec.json`` (L in {2, 4, 8} at L*M = 64)
+and prints the measured scaling; ``gpris bench demos/bench_spec.json``
+writes the same measurement as a JSON report.
 
 Runs in a few seconds; the first run also builds the compiled phase-stage
 loop (see gpris._kernel).
@@ -12,26 +14,14 @@ loop (see gpris._kernel).
     python demos/scaling_benchmark.py
 """
 
-from gpris import bench_ris_stage, scenario_from_dict
-from gpris.harness import _square_factor
+from pathlib import Path
+
+from gpris.harness import bench_from_spec, load_spec
 
 
 def main() -> None:
-    m_tot = 64
-    scenarios = []
-    for l in (2, 4, 8):
-        my, mz = _square_factor(m_tot // l)
-        scenarios.append(scenario_from_dict({
-            "n_bs_antennas": 16,
-            "n_users": 4,
-            "n_ris": l,
-            "ris_elems_y": my,
-            "ris_elems_z": mz,
-            "pathloss": {"enabled": False},
-            "rng_seed": 1,
-        }))
-
-    result = bench_ris_stage(scenarios, repetitions=15, iters_per_run=30)
+    spec = load_spec(str(Path(__file__).with_name("bench_spec.json")))
+    result = bench_from_spec(spec)
     print(f"{'L':>4} {'M':>4} {'s/iter':>12} {'vs L=2':>8}")
     base = result.rows[0].per_iter_seconds
     for row in result.rows:

@@ -58,8 +58,6 @@ _DIR = Path(__file__).parent
 # every C source of the library; pyproject.toml ships them as package data
 _SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c")
 _LIBRARY = "_kernel"
-# this library's older builds, and those of the RIS loop alone it replaced
-_STALE = (f"{_LIBRARY}-*.so", "_ris_loop-*.so")
 # no FP contraction: the same rounding as the numpy reference on every CPU.
 # gcc 12 honours it only with real and imaginary parts in separate arrays: on
 # interleaved complex arithmetic it still emits vfmaddsub, so both loops
@@ -155,10 +153,9 @@ def _build(compiler: str) -> Path:
         raise RuntimeError(f"building {name} with {compiler} "
                            f"failed:\n{proc.stderr}")
     os.replace(tmp, target)
-    for pattern in _STALE:
-        for stale in cache.glob(pattern):
-            if stale != target:
-                stale.unlink(missing_ok=True)
+    for stale in cache.glob(f"{_LIBRARY}-*.so"):  # this library's older builds
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 

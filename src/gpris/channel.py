@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import Scenario, path_gain_linear, noise_power_dbm, place_users
+from .scenario import Scenario, path_gain_linear, place_users
 
 
 def steering_ula(n: int, spacing_ratio: float, angle) -> np.ndarray:
@@ -188,7 +188,6 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> Channel
     n, k, l = cfg.n_bs_antennas, cfg.n_users, cfg.n_ris
     my, mz = cfg.ris_elems_y, cfg.ris_elems_z
     p1, p2 = cfg.n_paths_bs_ris, cfg.n_paths_ris_user
-    noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db)
     bs = np.asarray(geo.bs_position, dtype=float)
     ris_pos = np.asarray(geo.ris_positions, dtype=float)
     users = place_users(geo, k, rng)
@@ -199,7 +198,7 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> Channel
     gamma1 = np.empty(l)
     angles1 = np.empty((l, p1, 3))
     for li in range(l):
-        gamma1[li] = path_gain_linear(pl, d1[li], rng.standard_normal(), noise_dbm)
+        gamma1[li] = path_gain_linear(pl, d1[li], rng.standard_normal())
         angles1[li, :, 0] = rng.uniform(0.0, np.pi, size=p1)
         angles1[li, :, 1] = rng.uniform(-np.pi, np.pi, size=p1)
         angles1[li, :, 2] = rng.uniform(-np.pi / 2, np.pi / 2, size=p1)
@@ -209,8 +208,7 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> Channel
     normals = np.empty((k, l, 2, p2))
     for ki in range(k):
         for li in range(l):
-            gamma2[ki, li] = path_gain_linear(pl, d2[ki][li], rng.standard_normal(),
-                                              noise_dbm)
+            gamma2[ki, li] = path_gain_linear(pl, d2[ki][li], rng.standard_normal())
             angles2[ki, li, :, 0] = rng.uniform(-np.pi, np.pi, size=p2)
             angles2[ki, li, :, 1] = rng.uniform(-np.pi / 2, np.pi / 2, size=p2)
             rng.standard_normal(out=normals[ki, li])  # real parts, then imaginary

@@ -41,6 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
+    if spec.kind == "bench":
+        print("a bench spec runs with `gpris bench`", file=sys.stderr)
+        return 2
     rows = run_experiment(spec, AlgorithmSettings(), base_seed=args.seed)
     out = args.out or spec.output_path
     csv_path, jsonl_path = write_results(rows, out)

@@ -53,6 +53,7 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        self.plan  # a malformed mu grid fails here, not in every gpi_pris row
 
     @property
     def plan(self) -> LineSearchPlan:
@@ -192,7 +193,7 @@ def run_experiment(spec: ExperimentSpec, settings: AlgorithmSettings | None = No
                    base_seed: int | None = None) -> list[ResultRow]:
     """Run every (sweep value, seed) point; deterministic row order."""
     if spec.kind == "bench":
-        raise ValueError("bench specs go through bench_ris_stage")
+        raise ValueError("bench specs go through bench_from_spec")
     settings = settings or AlgorithmSettings()
     base = scenario_from_dict(dict(spec.base_config))
     if base_seed is not None:

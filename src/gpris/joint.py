@@ -47,14 +47,13 @@ class LineSearchPlan:
 
     @property
     def grid(self) -> np.ndarray:
-        if self.n_points == 1:
-            return np.array([self.mu_min])
         return np.linspace(self.mu_min, self.mu_max, self.n_points)
 
 
 @dataclass(frozen=True)
 class AlgorithmSettings:
-    """Tolerance / iteration caps of all three loops plus smoothing knobs."""
+    """Tolerance and cap of the precoder GPI (eps1, t1_max), the RIS GPI
+    (eps2, t2_max) and the alternation (eps3, t3_max)."""
 
     eps1: float = 0.01
     eps2: float = 0.01
@@ -62,12 +61,11 @@ class AlgorithmSettings:
     t1_max: int = 20
     t2_max: int = 20
     t3_max: int = 20
-    alpha1: float = 2.0
-    alpha2: float = 2.0
 
     def __post_init__(self):
-        if self.t3_max < 1:
-            raise ValueError("t3_max must be >= 1")
+        for i in (1, 2, 3):  # GpiSettings' rule, naming the fields
+            if getattr(self, f"eps{i}") <= 0 or getattr(self, f"t{i}_max") < 1:
+                raise ValueError(f"eps{i} must be > 0 and t{i}_max >= 1")
 
     @property
     def precoder(self) -> GpiSettings:
@@ -87,7 +85,7 @@ class JointResult:
     objective: float                    # lower-bound sum SE of the best pair
     per_mu_final: dict[float, float]    # final objective recorded per mu point
     objective_trace: dict[float, list[float]]
-    iterations: dict[float, int]        # inner iterations used per mu point
+    iterations: dict[float, int]        # alternation rounds run per mu point
     converged: dict[float, bool]        # eps3 reached before the cap
     timing: dict[str, float] = field(default_factory=dict)
     errors: dict[float, str] = field(default_factory=dict)
@@ -133,8 +131,7 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     f0, phi0 = init
     r_sigma = compute_r_sigma(est, f0, phi0, noise_over_p)
     grid = [float(mu) for mu in plan.grid]
-    reg = RegularizerSettings(mu=np.array(grid), r_sigma=r_sigma,
-                              alpha1=settings.alpha1, alpha2=settings.alpha2)
+    reg = RegularizerSettings(mu=np.array(grid), r_sigma=r_sigma)
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
 
     # the first precoder stage sees only (est, f0, phi0), so all mu points

@@ -1,8 +1,9 @@
 """System dimensions, network geometry, pathloss and noise scalars.
 
-Everything downstream (channel synthesis, estimation, optimization) consumes
-the plain scalars derived here.  All conversions are dB/dBm <-> linear with a
-normalized noise variance of 1 when pathloss normalization is active.
+Every path gain is normalized by the thermal noise, so the noise variance is
+1.  The pathloss intercept and the noise power are constants, not settings:
+each shifts every cascaded gain by one factor that ``tx_power_dbm`` already
+sets (both hops carry it, so 1 dB more of either equals 2 dB less power).
 """
 
 from __future__ import annotations
@@ -18,15 +19,27 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Thermal noise power -174 + 10*log10(W) + n_f in dBm."""
+    if bandwidth_hz <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
+    return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+
+
+# the paper's intercept alpha, and its noise over W = 1 GHz with a 5 dB figure
+PATHLOSS_INTERCEPT_DB = 61.4
+NOISE_POWER_DBM = noise_power_dbm(1e9, 5.0)
+
+
 @dataclass(frozen=True)
 class PathlossModel:
-    """mmWave pathloss PL(d) = alpha + beta*10*log10(d) + chi, chi ~ N(0, shadow_var_db).
+    """mmWave pathloss PL(d) = alpha + beta*10*log10(d) + chi with alpha =
+    ``PATHLOSS_INTERCEPT_DB`` and chi ~ N(0, shadow_var_db).
 
     When ``enabled`` is False every path gain is forced to exactly 1 and the
     transmit power is interpreted directly as an SNR P/sigma^2.
     """
 
-    alpha_pl: float = 61.4
     beta_pl: float = 2.0
     shadow_var_db: float = 5.8
     enabled: bool = True
@@ -48,27 +61,18 @@ def pathloss_db(model: PathlossModel, d: float, shadow_draw: float = 0.0) -> flo
     if d <= 0:
         raise ValueError(f"distance must be positive, got {d}")
     chi = shadow_draw * math.sqrt(model.shadow_var_db)
-    return model.alpha_pl + model.beta_pl * 10.0 * math.log10(d) + chi
+    return PATHLOSS_INTERCEPT_DB + model.beta_pl * 10.0 * math.log10(d) + chi
 
 
-def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power -174 + 10*log10(W) + n_f in dBm."""
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
-    return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-
-
-def path_gain_linear(
-    model: PathlossModel, d: float, shadow_draw: float, noise_dbm: float
-) -> float:
-    """Linear large-scale gain 10^(gamma/10), gamma = -(PL(d) + P_noise) dB.
+def path_gain_linear(model: PathlossModel, d: float, shadow_draw: float) -> float:
+    """Linear large-scale gain 10^(gamma/10), gamma = -(PL(d) + NOISE_POWER_DBM).
 
     Normalizing against the noise power lets the rest of the pipeline use a
     unit noise variance.  Returns exactly 1 when the model is disabled.
     """
     if not model.enabled:
         return 1.0
-    gamma_db = -(pathloss_db(model, d, shadow_draw) + noise_dbm)
+    gamma_db = -(pathloss_db(model, d, shadow_draw) + NOISE_POWER_DBM)
     return db_to_linear(gamma_db)
 
 
@@ -113,7 +117,7 @@ def place_users(geometry: Geometry, k: int, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """All dimensions and physical constants of one scenario."""
+    """Dimensions, powers and seed of one scenario."""
 
     n_bs_antennas: int = 16
     n_users: int = 4
@@ -124,8 +128,6 @@ class SystemConfig:
     carrier_spacing_ratios: tuple[float, float, float] = (0.5, 0.5, 0.5)
     n_paths_bs_ris: int = 2
     n_paths_ris_user: int = 2
-    bandwidth_hz: float = 1e9
-    noise_figure_db: float = 5.0
     ul_train_power_dbm: float = 0.0
     ul_train_len: int = 0  # 0 means "use the minimum M*K"
     rng_seed: int = 0

@@ -8,8 +8,7 @@ from gpris.channel import (ChannelEstimate, ChannelSet, _cn_vector,
                            error_scale_dft, estimate_channels, steering_ula,
                            steering_upa, synth_bs_ris, synth_ris_user,
                            synthesize_channels)
-from gpris.scenario import (noise_power_dbm, path_gain_linear, place_users,
-                            scenario_from_dict)
+from gpris.scenario import path_gain_linear, place_users, scenario_from_dict
 
 RATIOS = (0.5, 0.5, 0.5)
 
@@ -338,7 +337,6 @@ def oracle_synthesize_channels(scenario, rng):
     my, mz = cfg.ris_elems_y, cfg.ris_elems_z
     m = my * mz
     _, ry, rz = cfg.carrier_spacing_ratios
-    noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db)
     bs = np.asarray(geo.bs_position, dtype=float)
     ris_pos = np.asarray(geo.ris_positions, dtype=float)
     users = place_users(geo, k, rng)
@@ -347,7 +345,7 @@ def oracle_synthesize_channels(scenario, rng):
     bs_ris = np.empty((l, n, m), dtype=complex)
     for li in range(l):
         d = float(np.linalg.norm(ris_pos[li] - bs))
-        gamma1[li] = path_gain_linear(pl, d, rng.standard_normal(), noise_dbm)
+        gamma1[li] = path_gain_linear(pl, d, rng.standard_normal())
         aod = rng.uniform(0.0, np.pi, size=cfg.n_paths_bs_ris)
         az = rng.uniform(-np.pi, np.pi, size=cfg.n_paths_bs_ris)
         el = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.n_paths_bs_ris)
@@ -363,8 +361,7 @@ def oracle_synthesize_channels(scenario, rng):
     for ki in range(k):
         for li in range(l):
             d = float(np.linalg.norm(ris_pos[li] - users[ki]))
-            gamma2[ki, li] = path_gain_linear(pl, d, rng.standard_normal(),
-                                              noise_dbm)
+            gamma2[ki, li] = path_gain_linear(pl, d, rng.standard_normal())
             az = rng.uniform(-np.pi, np.pi, size=cfg.n_paths_ris_user)
             el = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.n_paths_ris_user)
             fading = _cn_vector(cfg.n_paths_ris_user, rng)

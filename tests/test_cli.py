@@ -39,6 +39,11 @@ def test_run_writes_one_row_per_point_and_scheme(run_spec, tmp_path):
         assert len(fh.read().splitlines()) == 6
 
 
+def test_run_refuses_a_bench_spec(bench_spec, capsys):
+    assert cli.main(["run", bench_spec]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_bench_seed_override(bench_spec, tmp_path, monkeypatch):
     seen = []
     real = cli.bench_from_spec

@@ -660,8 +660,8 @@ class TestKernelDirect:
         monkeypatch.setattr(_kernel, "_cache_dir", lambda: cache)
         real_run = _kernel.subprocess.run
         compiler = self._stub_compiler(tmp_path)
-        # a library of the RIS loop alone, as older versions built it
-        (cache / "_ris_loop-5c0dafe8825ab41e.so").write_bytes(b"")
+        # an older build of the library
+        (cache / "_kernel-5c0dafe8825ab41e.so").write_bytes(b"")
         lib = _kernel._build(compiler)
         # written under its final name only, no temporary left behind, and
         # the older library removed

@@ -43,6 +43,18 @@ class TestPlanAndSettings:
         with pytest.raises(ValueError, match="t3_max"):
             AlgorithmSettings(t3_max=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("eps1", -1.0), ("eps2", 0.0), ("eps3", -1.0), ("t1_max", 0),
+        ("t2_max", 0)])
+    def test_settings_check_every_loop(self, field, value):
+        # GpiSettings' rule, raised where the settings are built
+        with pytest.raises(ValueError, match=field):
+            AlgorithmSettings(**{field: value})
+
+    def test_smoothing_knobs_are_regularizer_settings(self):
+        with pytest.raises(TypeError):
+            AlgorithmSettings(alpha1=2.0)
+
     def test_settings_expose_inner_loops(self):
         s = AlgorithmSettings(eps1=1e-3, t1_max=10)
         assert s.precoder.tol == pytest.approx(1e-3)
@@ -290,8 +302,7 @@ def _old_line_search(est, plan, settings, init):
     first = _old_precoder_stage(est, NOP, settings, *init, timing)
     finals, iters, conv, best = {}, {}, {}, None
     for mu in map(float, plan.grid):
-        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma, alpha1=settings.alpha1,
-                                  alpha2=settings.alpha2)
+        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma)
         obj, _, _, _, _, iters[mu], conv[mu] = _old_alternate(
             est, NOP, reg, settings, init, r_sigma, first, timing)
         finals[mu] = obj

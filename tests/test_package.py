@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import platform
@@ -11,6 +12,9 @@ import pytest
 
 import gpris
 from gpris import _kernel
+from gpris.harness import load_spec
+
+_DEMOS = Path(gpris.__file__).parents[2] / "demos"
 
 
 def test_public_names_resolve():
@@ -27,8 +31,8 @@ _MODULE_ONLY = {
                 "steering_ula", "steering_upa"),
     "gpi_precoder": ("PrecoderQuadratics",),
     "gpi_ris": ("RisGpiResult", "RisQuadratics"),
-    "harness": ("BenchResult", "ResultRow", "bench_from_spec", "load_spec",
-                "run_experiment", "write_results"),
+    "harness": ("BenchResult", "ResultRow", "bench_from_spec", "bench_ris_stage",
+                "load_spec", "run_experiment", "write_results"),
     "joint": ("JointResult",),
     "metrics": ("PhaseShifts", "Precoder", "commutation_matrix",
                 "effective_channels", "lower_bound_phase_form",
@@ -44,6 +48,35 @@ def test_module_only_names_import_from_their_module():
         mod = importlib.import_module(f"gpris.{module}")
         assert [name for name in names if not hasattr(mod, name)] == []
         assert set(names).isdisjoint(gpris.__all__)
+
+
+def test_demo_specs_load():
+    specs = sorted(_DEMOS.glob("*.json"))
+    assert specs
+    for path in specs:
+        load_spec(str(path))
+
+
+def _private_imports(path):
+    """The ``gpris`` names a file's imports reach that start with ``_``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            reached = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            reached = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in reached:
+            parts = name.split(".")
+            if parts[0] == "gpris" and any(p.startswith("_") for p in parts[1:]):
+                yield name
+
+
+def test_demos_import_public_names_only():
+    # a demo shows the public interface; a private name may change under it
+    private = {path.name: names for path in sorted(_DEMOS.glob("*.py"))
+               if (names := list(_private_imports(path)))}
+    assert private == {}
 
 
 _JOINT_BOTH_PATHS = """

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpris.scenario import (Geometry, PathlossModel, Scenario, SystemConfig,
+from gpris.scenario import (NOISE_POWER_DBM, PATHLOSS_INTERCEPT_DB, Geometry,
+                            PathlossModel, Scenario, SystemConfig,
                             db_to_linear, default_geometry,
                             noise_power_dbm, path_gain_linear, pathloss_db,
                             place_users, scenario_from_dict)
@@ -12,21 +13,22 @@ from gpris.scenario import (Geometry, PathlossModel, Scenario, SystemConfig,
 
 class TestPathloss:
     def test_paper_constants(self):
-        model = PathlossModel(alpha_pl=61.4, beta_pl=2.0, shadow_var_db=0.0)
+        model = PathlossModel(beta_pl=2.0, shadow_var_db=0.0)
         assert pathloss_db(model, 100.0) == pytest.approx(101.4)
 
     def test_degenerate_constants(self):
-        model = PathlossModel(alpha_pl=0.0, beta_pl=0.0, shadow_var_db=0.0)
-        assert pathloss_db(model, 5.0) == 0.0
+        model = PathlossModel(beta_pl=0.0, shadow_var_db=0.0)
+        assert pathloss_db(model, 5.0) == PATHLOSS_INTERCEPT_DB
 
     def test_formula_oracle(self):
-        model = PathlossModel(alpha_pl=61.4, beta_pl=2.0, shadow_var_db=0.0)
+        model = PathlossModel(beta_pl=2.0, shadow_var_db=0.0)
         assert pathloss_db(model, 60.0) == pytest.approx(
             61.4 + 20.0 * math.log10(60.0))
 
     def test_shadowing_scales_by_std(self):
-        model = PathlossModel(alpha_pl=0.0, beta_pl=0.0, shadow_var_db=4.0)
-        assert pathloss_db(model, 1.0, shadow_draw=1.5) == pytest.approx(3.0)
+        model = PathlossModel(beta_pl=0.0, shadow_var_db=4.0)
+        assert pathloss_db(model, 1.0, shadow_draw=1.5) == pytest.approx(
+            PATHLOSS_INTERCEPT_DB + 3.0)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -38,6 +40,7 @@ class TestPathloss:
 class TestNoisePower:
     def test_paper_constants(self):
         assert noise_power_dbm(1e9, 5.0) == pytest.approx(-79.0)
+        assert NOISE_POWER_DBM == noise_power_dbm(1e9, 5.0)
 
     def test_unit_bandwidth(self):
         assert noise_power_dbm(1.0, 0.0) == pytest.approx(-174.0)
@@ -53,17 +56,18 @@ class TestNoisePower:
 class TestPathGain:
     def test_disabled_model_gives_one(self):
         model = PathlossModel(enabled=False)
-        assert path_gain_linear(model, 100.0, 0.3, -79.0) == 1.0
+        assert path_gain_linear(model, 100.0, 0.3) == 1.0
 
     def test_composition_of_pathloss_and_noise(self):
-        model = PathlossModel(alpha_pl=61.4, beta_pl=2.0, shadow_var_db=0.0)
+        model = PathlossModel(beta_pl=2.0, shadow_var_db=0.0)
         # PL(100) = 101.4 dB, noise -79 dBm -> gamma = -22.4 dB
-        g = path_gain_linear(model, 100.0, 0.0, -79.0)
+        g = path_gain_linear(model, 100.0, 0.0)
         assert g == pytest.approx(10 ** (-2.24))
 
     def test_zero_exponent(self):
-        model = PathlossModel(alpha_pl=0.0, beta_pl=0.0, shadow_var_db=0.0)
-        assert path_gain_linear(model, 1.0, 0.0, 0.0) == pytest.approx(1.0)
+        model = PathlossModel(beta_pl=0.0, shadow_var_db=0.0)
+        assert path_gain_linear(model, 1.0, 0.0) == pytest.approx(
+            db_to_linear(-(PATHLOSS_INTERCEPT_DB + NOISE_POWER_DBM)))
 
 
 class TestPlaceUsers:
@@ -142,15 +146,19 @@ class TestJsonConfig:
         assert scn.config.m_ris == 4
 
     def test_unknown_top_level_key_rejected(self):
-        # noise_variance is no setting: sigma^2 = 1 is the model
-        for key in ("frobnicate", "noise_variance"):
+        # noise_variance is no setting: sigma^2 = 1 is the model; bandwidth
+        # and noise figure shift every cascaded gain as tx_power_dbm does
+        for key in ("frobnicate", "noise_variance", "bandwidth_hz",
+                    "noise_figure_db"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 scenario_from_dict(dict(self.DOC, **{key: 1}))
 
     def test_unknown_nested_key_rejected(self):
-        doc = dict(self.DOC, pathloss={"alpha_pl": 61.4, "bogus": True})
-        with pytest.raises(ValueError, match="unknown pathloss keys"):
-            scenario_from_dict(doc)
+        # the intercept alpha_pl shifts every gain as tx_power_dbm does
+        for key in ("bogus", "alpha_pl"):
+            doc = dict(self.DOC, pathloss={"beta_pl": 2.0, key: 60.0})
+            with pytest.raises(ValueError, match="unknown pathloss keys"):
+                scenario_from_dict(doc)
         doc = dict(self.DOC, geometry={"user_radius": 5.0, "zap": 1})
         with pytest.raises(ValueError, match="unknown geometry keys"):
             scenario_from_dict(doc)
