@@ -1,7 +1,7 @@
 """Compiled inner loops of both GPI stages, in one library built on first use.
 
-The plain numpy loops spend most of their time in per-call overhead once
-the blocks are small and the lanes exit at ragged times.  Two C files are
+A numpy loop spends most of its time in per-call overhead once the
+blocks are small and the lanes exit at ragged times.  Two C files are
 built into one shared library and called through ctypes, each running the
 whole loop of every lane (one per penalty weight mu) in one call, on the
 complex arrays as numpy holds them:
@@ -29,8 +29,8 @@ cached in the package's ``__pycache__`` (or, when that is read-only, in a
 private directory under the system temp directory) under a name keyed by
 the sources, the flags, the compiler and the host CPU, so a host-tuned
 build is never loaded on another CPU; a new build removes the older ones
-beside it.  Callers check ``available()`` and fall back to the numpy loops
-in ``gpi_ris`` and ``gpi_precoder`` when no compiler is found.
+beside it.  Callers check ``available()`` and, when no compiler is found,
+run each lane through the numpy loop ``gpi_precoder.fixed_point``.
 """
 
 from __future__ import annotations

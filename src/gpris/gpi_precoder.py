@@ -21,7 +21,8 @@ from .metrics import (PhaseShifts, _lanes_out, add_to_diagonal,
 
 @dataclass(frozen=True)
 class GpiSettings:
-    """Stopping rule of a GPI loop (shared by the RIS stage)."""
+    """Stopping rule of one loop: the paper's tolerance ε (``tol``) and cap
+    T (``max_iters``); ``joint.AlgorithmSettings`` holds one per loop."""
 
     tol: float = 0.01
     max_iters: int = 20
@@ -31,6 +32,26 @@ class GpiSettings:
             raise ValueError("tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+def fixed_point(image, x: np.ndarray, settings: GpiSettings,
+                signed: bool = False) -> tuple[np.ndarray, int]:
+    """Iterate x <- image(x) / ||image(x)|| on one lane from the unit-norm
+    vector ``x`` until a step ||x_new - x|| is at most ``settings.tol`` or
+    ``settings.max_iters`` steps ran; returns (x, steps).  With ``signed``
+    the step is the smaller of ||x_new - x|| and ||x_new + x||, as x and -x
+    are the same point.  Both stages run here when no C compiler is found,
+    and it is the oracle their compiled loops are tested against."""
+    for steps in range(1, settings.max_iters + 1):
+        x_new = image(x)
+        x_new = x_new / np.linalg.norm(x_new, axis=-1)
+        step = np.linalg.norm(x_new - x, axis=-1)
+        if signed:
+            step = min(step, np.linalg.norm(x_new + x, axis=-1))
+        x = x_new
+        if step <= settings.tol:
+            break
+    return x, steps
 
 
 @dataclass
@@ -141,9 +162,9 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     reaches the tolerance; the iteration count is then the total over all
     lanes and the residual holds one value per lane.  The loop runs
     compiled when a C compiler is found (see ``_kernel``), all lanes in one
-    call, and in numpy otherwise.  A Bbar block that is not positive
-    definite raises ``np.linalg.LinAlgError`` naming the block, and a
-    vanishing quadratic form ``FloatingPointError``.
+    call, and through ``fixed_point`` lane by lane otherwise.  A Bbar block
+    that is not positive definite raises ``np.linalg.LinAlgError`` naming
+    the block, and a vanishing quadratic form ``FloatingPointError``.
     """
     f = np.asarray(f_init, dtype=complex)
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
@@ -167,40 +188,18 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
             raise np.linalg.LinAlgError(f"block {bad} is not positive definite")
         iters = int(np.sum(counts))
     else:
-        iters, residual = _numpy_loop(quad, f, settings)
+        iters = 0
+        for p in range(f.shape[0]):
+            lane = PrecoderQuadratics(quad.h_hat[p], quad.g_blocks[p],
+                                      q.noise_over_p)
+            f[p], steps = fixed_point(
+                lambda x: gpi_matrices(lane, _as_matrix(x, n, k))[0], f[p],
+                settings, signed=True)
+            iters += steps
+        image, lam = gpi_matrices(quad, _as_matrix(f, n, k))
+        residual = np.linalg.norm(image - lam[:, None] * f, axis=-1) / np.abs(lam)
     return (f.reshape(lanes + (n * k,)), iters,
             _lanes_out(residual.reshape(lanes)))
-
-
-def _numpy_loop(q: PrecoderQuadratics, f: np.ndarray, settings: GpiSettings):
-    """Reference loop over the running lanes of the unit-norm (P, NK)
-    iterates ``f``, updated in place; returns (total iterations, residual
-    per lane).  Runs when no C compiler is found, and is the oracle the
-    compiled loop is tested against."""
-    n, k = q.n, q.k
-    # the running lanes: their indices, iterates and quadratics
-    idx, f_run, q_run = np.arange(f.shape[0]), f, q
-    iters = 0
-    for _ in range(settings.max_iters):
-        iters += idx.size
-        f_new, _ = gpi_matrices(q_run, _as_matrix(f_run, n, k))
-        f_new = f_new / np.linalg.norm(f_new, axis=-1, keepdims=True)
-        step = np.minimum(np.linalg.norm(f_new - f_run, axis=-1),
-                          np.linalg.norm(f_new + f_run, axis=-1))
-        f_run = f_new
-        done = step <= settings.tol
-        if done.any():
-            f[idx] = f_run
-            if done.all():
-                break
-            going = ~done
-            idx, f_run = idx[going], f_run[going]
-            q_run = PrecoderQuadratics(q_run.h_hat[going], q_run.g_blocks[going],
-                                       q.noise_over_p)
-    else:
-        f[idx] = f_run
-    image, lam = gpi_matrices(q, _as_matrix(f, n, k))
-    return iters, np.linalg.norm(image - lam[:, None] * f, axis=-1) / np.abs(lam)
 
 
 def _as_matrix(f: np.ndarray, n: int, k: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernel
 from .channel import ChannelEstimate
-from .gpi_precoder import GpiSettings
+from .gpi_precoder import GpiSettings, fixed_point
 from .metrics import (PhaseShifts, Precoder, _lanes_out, add_to_diagonal,
                       nmse_unit_modulus, theta_matrices, theta_scales)
 
@@ -201,8 +201,8 @@ def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     blocks is (..., K, N, N) and rhs holds K*N entries per lane, block by
     block (a column-stacked (..., K*N) vector or a (..., K, N) array);
     returns x column-stacked, (..., K*N).  Raises with the offending block
-    index if a block is not positive definite.  The numpy RIS loop solves
-    through here.
+    index if a block is not positive definite.  The numpy RIS fallback
+    solves through here.
     """
     k, n = blocks.shape[-3], blocks.shape[-1]
     try:
@@ -220,27 +220,6 @@ def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(blocks, cols).reshape(lanes + (k * n,))
 
 
-def _numpy_loop(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray,
-                settings: GpiSettings) -> tuple[np.ndarray, int, float]:
-    """Reference fixed-point loop for one lane from unit-norm w; returns
-    (w, iterations, residual).
-
-    Runs, lane by lane, when no C compiler is found, and is the oracle the
-    compiled loop is tested against.
-    """
-    iters = 0
-    for _ in range(settings.max_iters):
-        iters += 1
-        w_new = _image(q, reg, w)
-        w_new = w_new / np.linalg.norm(w_new)
-        step = np.linalg.norm(w_new - w)
-        w = w_new
-        if step <= settings.tol:
-            break
-    # lambda-free form of ||Dbar^-1 (lam Cbar) w - lam w|| / lam
-    return w, iters, float(np.linalg.norm(_image(q, reg, w) - w))
-
-
 def _image(q, reg, w):
     """Dbar(w)^-1 Cbar(w) w, unnormalized."""
     cbar, dbar = ris_gpi_matrices(q, reg, w)
@@ -255,10 +234,10 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
     ``w_init`` is (LM,) or (P, LM) against quadratics with the same lane
     axis, and ``reg.mu`` a float or one weight per lane.  The loop runs
     compiled when a C compiler is found (see ``_kernel``), all lanes in one
-    call, and in numpy lane by lane otherwise; either way each lane also
-    reports its fixed-point residual ||Dbar^-1 Cbar w - w|| at exit.  A
-    non-positive-definite Dbar block in any lane raises
-    ``np.linalg.LinAlgError``.
+    call, and through ``gpi_precoder.fixed_point`` lane by lane otherwise;
+    either way each lane also reports its fixed-point residual
+    ||Dbar^-1 Cbar w - w|| at exit.  A non-positive-definite Dbar block in
+    any lane raises ``np.linalg.LinAlgError``.
     """
     w = np.asarray(w_init, dtype=complex)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
@@ -280,8 +259,11 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
         t0 = time.perf_counter()
         iters, residual = np.zeros(lanes, dtype=int), np.zeros(lanes)
         for idx in np.ndindex(lanes):
-            w[idx], iters[idx], residual[idx] = _numpy_loop(
-                q.lane(idx), replace(reg, mu=float(mu[idx])), w[idx], settings)
+            lane, lane_reg = q.lane(idx), replace(reg, mu=float(mu[idx]))
+            w[idx], iters[idx] = fixed_point(
+                lambda x: _image(lane, lane_reg, x), w[idx], settings)
+            # lambda-free form of ||Dbar^-1 (lam Cbar) w - lam w|| / lam
+            residual[idx] = np.linalg.norm(_image(lane, lane_reg, w[idx]) - w[idx])
         loop_seconds = time.perf_counter() - t0
         residual = _lanes_out(residual)
     phases = PhaseShifts.from_normalized(w, q.l, q.m).project()

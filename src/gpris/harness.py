@@ -25,6 +25,8 @@ EXPERIMENT_KINDS = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
                     "csit_sweep", "convergence", "mu_study", "scalability",
                     "bench")
 SCHEMES = ("gpi_pris", "gpi_random", "rzf_random")
+# kinds whose sweep values are counts (M, N or L); 4.0 reads as 4
+_COUNT_SWEEPS = ("ris_elems_sweep", "antennas_sweep", "scalability", "bench")
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be nonempty")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        if self.bench_repetitions < 1:
-            raise ValueError("bench_repetitions must be >= 1")
+        if self.kind in _COUNT_SWEEPS:
+            for value in self.sweep_values:
+                if not (float(value).is_integer() and float(value) >= 1):
+                    raise ValueError(f"{self.kind} sweep_values must be positive "
+                                     f"integers, got {value!r}")
+        for name in ("n_seeds", "bench_repetitions", "bench_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")

@@ -52,28 +52,14 @@ class LineSearchPlan:
 
 @dataclass(frozen=True)
 class AlgorithmSettings:
-    """Tolerance and cap of the precoder GPI (eps1, t1_max), the RIS GPI
-    (eps2, t2_max) and the alternation (eps3, t3_max)."""
+    """Stopping rules of the method's three loops: ``precoder`` holds the
+    precoder GPI's (ε₁, T₁), ``ris`` the RIS GPI's (ε₂, T₂) and
+    ``alternation`` the alternation's (ε₃, T₃), whose step is the relative
+    change of the objective."""
 
-    eps1: float = 0.01
-    eps2: float = 0.01
-    eps3: float = 0.01
-    t1_max: int = 20
-    t2_max: int = 20
-    t3_max: int = 20
-
-    def __post_init__(self):
-        for i in (1, 2, 3):  # GpiSettings' rule, naming the fields
-            if getattr(self, f"eps{i}") <= 0 or getattr(self, f"t{i}_max") < 1:
-                raise ValueError(f"eps{i} must be > 0 and t{i}_max >= 1")
-
-    @property
-    def precoder(self) -> GpiSettings:
-        return GpiSettings(tol=self.eps1, max_iters=self.t1_max)
-
-    @property
-    def ris(self) -> GpiSettings:
-        return GpiSettings(tol=self.eps2, max_iters=self.t2_max)
+    precoder: GpiSettings = GpiSettings()
+    ris: GpiSettings = GpiSettings()
+    alternation: GpiSettings = GpiSettings()
 
 
 @dataclass
@@ -86,7 +72,7 @@ class JointResult:
     per_mu_final: dict[float, float]    # final objective recorded per mu point
     objective_trace: dict[float, list[float]]
     iterations: dict[float, int]        # alternation rounds run per mu point
-    converged: dict[float, bool]        # eps3 reached before the cap
+    converged: dict[float, bool]        # ε₃ reached before T₃
     timing: dict[str, float] = field(default_factory=dict)
     errors: dict[float, str] = field(default_factory=dict)
 
@@ -122,7 +108,7 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     Every grid point is a lane.  All lanes start from the shared initial
     pair and its objective, share the mu-independent first precoder stage,
     and then advance together one round at a time; a lane leaves once it
-    meets eps3 or fails.  A failing round is rerun lane by lane, so only
+    meets ε₃ or fails.  A failing round is rerun lane by lane, so only
     the lanes that fail on their own are recorded in ``errors``.
     """
     n, k, _, _ = est.dims
@@ -142,7 +128,8 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         errors = dict.fromkeys(grid, f"{type(exc).__name__}: {exc}")
         raise RuntimeError(f"every mu point failed: {errors}") from exc
 
-    lanes = _Lanes(len(grid), f0, phi0, r_sigma, settings.t3_max)
+    rule = settings.alternation
+    lanes = _Lanes(len(grid), f0, phi0, r_sigma, rule.max_iters)
     # the later rounds write their RIS quadratics here, sliced to their lanes
     ris_out = tuple(np.empty((len(grid),) + x.shape, dtype=complex)
                     for x in (first[1].c_blocks, first[1].u_vecs))
@@ -160,9 +147,9 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         out = _ris_and_objective(est, noise_over_p, settings,
                                  replace(reg, mu=reg.mu[sel]), lanes.w[sel],
                                  stage, timing)
-        lanes.record(sel, *out, settings.eps3)
+        lanes.record(sel, *out, rule.tol)
 
-    for rnd in range(settings.t3_max):
+    for rnd in range(rule.max_iters):
         sel = lanes.active
         try:
             advance(rnd, sel)
@@ -243,7 +230,7 @@ class _Lanes:
         self.errors: dict[int, str] = {}
         self.active = np.arange(p)
 
-    def record(self, sel, f, w, phi, obj, eps3):
+    def record(self, sel, f, w, phi, obj, tol):
         """Take one round of the lanes ``sel``; converged lanes leave."""
         self.f[sel], self.w[sel], self.phi[sel] = f, w, phi
         self.trace[sel, self.iters[sel]] = obj
@@ -259,7 +246,7 @@ class _Lanes:
         # relative change, taken only where the previous objective is positive
         change = np.divide(np.abs(obj - prev), prev, where=prev > 0,
                            out=np.full_like(prev, np.inf))
-        self.converged[sel[change <= eps3]] = True
+        self.converged[sel[change <= tol]] = True
         self.obj_prev[sel] = obj
         self.active = self.active[~self.converged[self.active]]
 

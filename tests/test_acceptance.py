@@ -150,7 +150,7 @@ def test_criterion_5_inner_loop_convergence():
     t0 = time.perf_counter()
     scenario = make_scenario(16, 4, 2, 32, p_dbm=20.0)
     nop = scenario.config.noise_over_power
-    settings = AlgorithmSettings()  # eps3 = 0.01, t3_max = 20
+    settings = AlgorithmSettings()  # (ε₃, T₃) = (0.01, 20)
     converged = 0
     for seed in range(50):
         _, est, rng = scenario_instance(scenario, seed)
@@ -297,7 +297,8 @@ def test_criterion_10_unit_modulus_output_contract():
         scenario = make_scenario(8, 3, 2, 4, pathloss=False)
         _, est, rng = scenario_instance(scenario, 0)
         res = run_joint(est, scenario.config.noise_over_power,
-                        LineSearchPlan(0.0, 0.0, 1), AlgorithmSettings(t3_max=3),
+                        LineSearchPlan(0.0, 0.0, 1),
+                        AlgorithmSettings(alternation=GpiSettings(max_iters=3)),
                         rng)
         pairs = [(res.best_precoder, res.best_phases)]
     ok = True

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris import _kernel
-from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics, _numpy_loop,
-                                build_precoder_quadratics, gpi_matrices,
-                                run_gpi_precoder)
+from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics, _as_matrix,
+                                build_precoder_quadratics, fixed_point,
+                                gpi_matrices, run_gpi_precoder)
 from gpris.gpi_ris import block_diag_solve
 from gpris.metrics import PhaseShifts, lower_bound_sum_se
 
@@ -75,6 +75,14 @@ def without_compiler(monkeypatch):
     _kernel._library.cache_clear()
 
 
+def numpy_reference(monkeypatch, *args):
+    """``run_gpi_precoder(*args)`` on the numpy fallback, the compiler
+    hidden for this call only."""
+    with monkeypatch.context() as m:
+        without_compiler(m)
+        return run_gpi_precoder(*args)
+
+
 class TestSettings:
     def test_defaults(self):
         s = GpiSettings()
@@ -86,6 +94,20 @@ class TestSettings:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GpiSettings(**kwargs)
+
+
+class TestFixedPoint:
+    def test_sign_flip_is_one_step_only_when_signed(self):
+        # x -> -x is the same point up to sign: the signed step is 0, the
+        # plain one 2 at every step, so only the cap stops it
+        x0 = np.array([0.6, 0.8j])
+        s = GpiSettings(tol=1e-12, max_iters=7)
+        x, steps = fixed_point(lambda x: -x, x0, s, signed=True)
+        assert steps == 1
+        assert np.allclose(x, -x0, rtol=0, atol=1e-15)
+        x, steps = fixed_point(lambda x: -x, x0, s)
+        assert steps == 7
+        assert np.allclose(x, -x0, rtol=0, atol=1e-15)
 
 
 class TestQuadratics:
@@ -259,7 +281,7 @@ class TestRunGpi:
                                     rel=1e-6)
 
     @needs_compiler
-    def test_backends_agree(self, quad, rng):
+    def test_backends_agree(self, quad, rng, monkeypatch):
         # three lanes of the same quadratics from different starts
         lanes = PrecoderQuadratics(np.stack([quad.h_hat] * 3),
                                    np.stack([quad.g_blocks] * 3), quad.noise_over_p)
@@ -267,14 +289,14 @@ class TestRunGpi:
         for tol in (1e-3, 1e-10):
             s = GpiSettings(tol=tol, max_iters=100)
             f, iters, res = run_gpi_precoder(lanes, f0, s)
-            f_ref = f0 / np.linalg.norm(f0, axis=-1, keepdims=True)
-            iters_ref, res_ref = _numpy_loop(lanes, f_ref, s)
+            f_ref, iters_ref, res_ref = numpy_reference(monkeypatch, lanes,
+                                                        f0, s)
             assert iters == iters_ref
             assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
             assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
 
     @needs_compiler
-    def test_dense_errors_at_paper_size(self, rng):
+    def test_dense_errors_at_paper_size(self, rng, monkeypatch):
         # N=16, K=4 with a dense error covariance on every link: each Xi_k is
         # a full N x N block, so the kernel reads every entry of G_k
         est = rand_estimate(16, 4, 2, 4, rng, err=0.05, dense=True)
@@ -286,8 +308,7 @@ class TestRunGpi:
         f0 = np.stack([rand_precoder(16, 4, rng).stacked for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
         f, iters, res = run_gpi_precoder(q, f0, s)
-        f_ref = f0 / np.linalg.norm(f0, axis=-1, keepdims=True)
-        iters_ref, res_ref = _numpy_loop(q, f_ref, s)
+        f_ref, iters_ref, res_ref = numpy_reference(monkeypatch, q, f0, s)
         assert iters == iters_ref
         assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
         assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
@@ -297,15 +318,17 @@ class TestRunGpi:
         f0 = rand_precoder(5, 3, rng).stacked
         s = GpiSettings(tol=1e-10, max_iters=100)
         f, iters, res = run_gpi_precoder(quad, f0, s)
-        lanes = PrecoderQuadratics(quad.h_hat[None], quad.g_blocks[None],
-                                   quad.noise_over_p)
-        f_ref = (f0 / np.linalg.norm(f0))[None]
-        iters_ref, res_ref = _numpy_loop(lanes, f_ref, s)
+        n, k = quad.n, quad.k
+        f_ref, iters_ref = fixed_point(
+            lambda x: gpi_matrices(quad, _as_matrix(x, n, k))[0],
+            f0 / np.linalg.norm(f0, axis=-1), s, signed=True)
+        image, lam = gpi_matrices(quad, _as_matrix(f_ref, n, k))
+        res_ref = np.linalg.norm(image - lam * f_ref, axis=-1) / abs(lam)
         assert iters == iters_ref
-        assert np.array_equal(f, f_ref[0]) and res == res_ref[0]
+        assert np.array_equal(f, f_ref) and res == res_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
-            _kernel.precoder_loop(lanes.h_hat, lanes.g_blocks, f_ref,
-                                  quad.noise_over_p, 1e-3, 10)
+            _kernel.precoder_loop(quad.h_hat[None], quad.g_blocks[None],
+                                  f_ref[None], quad.noise_over_p, 1e-3, 10)
 
 
 class TestImageOracle:

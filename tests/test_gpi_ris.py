@@ -11,10 +11,10 @@ from scipy.special import logsumexp, softmax
 from conftest import cn, rand_estimate, rand_phases, rand_precoder
 import gpris
 from gpris import _kernel
-from gpris.gpi_precoder import GpiSettings
-from gpris.gpi_ris import (RegularizerSettings, RisQuadratics,
-                           build_ris_quadratics, _numpy_loop,
-                           penalty_weights, ris_gpi_matrices, run_gpi_ris)
+from gpris.gpi_precoder import GpiSettings, fixed_point
+from gpris.gpi_ris import (RegularizerSettings, RisQuadratics, _image,
+                           build_ris_quadratics, penalty_weights,
+                           ris_gpi_matrices, run_gpi_ris)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
                            nmse_unit_modulus, theta_matrices)
 
@@ -61,6 +61,15 @@ def lambda_ris(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray) -> flo
     if abs(np.linalg.norm(w) - 1.0) > 1e-6:
         raise ValueError("w must be unit norm")
     return float(2.0 ** log2_lambda_ris(q, reg, w))
+
+
+def numpy_reference(monkeypatch, *args):
+    """``run_gpi_ris(*args)`` on the numpy fallback, the compiler hidden
+    for this call only."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "find_compiler", lambda: None)
+        _kernel._library.cache_clear()
+        return run_gpi_ris(*args)
 
 
 def kernel_args(reg, q, tol=1e-9, max_iters=200):
@@ -359,21 +368,21 @@ class TestRunGpiRis:
         assert wins >= 95
 
     @needs_compiler
-    def test_backends_agree(self, rng):
+    def test_backends_agree(self, rng, monkeypatch):
         for mu in (0.0, 25.0):
             q = self._problem(rng)
             reg = RegularizerSettings(mu=mu, r_sigma=1.2)
             w0 = rand_phases(2, 3, rng).normalized
             s = GpiSettings(tol=1e-10, max_iters=100)
             res = run_gpi_ris(q, reg, w0, s)
-            w_ref, iters_ref, res_ref = _numpy_loop(q, reg,
-                                                    w0 / np.linalg.norm(w0), s)
-            assert res.iterations == iters_ref
-            assert np.allclose(res.w, w_ref, atol=1e-10)
-            assert res.residual == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
+            ref = numpy_reference(monkeypatch, q, reg, w0, s)
+            assert res.iterations == ref.iterations
+            assert np.allclose(res.w, ref.w, atol=1e-10)
+            assert res.residual == pytest.approx(ref.residual, rel=1e-6,
+                                                 abs=1e-12)
 
     @needs_compiler
-    def test_dense_errors_at_paper_size(self, rng):
+    def test_dense_errors_at_paper_size(self, rng, monkeypatch):
         # N=16, K=4 with a dense error covariance on every link: Theta is a
         # full M x M block added to C in numpy, and the kernel's intake reads
         # every entry of it
@@ -388,17 +397,12 @@ class TestRunGpiRis:
         w0 = np.stack([rand_phases(2, 4, rng).normalized for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
         res = run_gpi_ris(q, reg, w0, s)
-        total = 0
+        ref = numpy_reference(monkeypatch, q, reg, w0, s)
         for i in range(3):
-            w_ref, iters_ref, res_ref = _numpy_loop(
-                q.lane(i), RegularizerSettings(mu=float(mus[i]),
-                                               r_sigma=reg.r_sigma),
-                w0[i] / np.linalg.norm(w0[i]), s)
-            assert np.allclose(res.w[i], w_ref, atol=1e-10)
-            assert res.residual[i] == pytest.approx(res_ref, rel=1e-6,
+            assert np.allclose(res.w[i], ref.w[i], atol=1e-10)
+            assert res.residual[i] == pytest.approx(ref.residual[i], rel=1e-6,
                                                     abs=1e-12)
-            total += iters_ref
-        assert res.iterations == total
+        assert res.iterations == ref.iterations
 
     def test_without_compiler_auto_falls_back(self, rng, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
@@ -407,8 +411,10 @@ class TestRunGpiRis:
         w0 = rand_phases(2, 3, rng).normalized
         s = GpiSettings(tol=1e-10, max_iters=100)
         res = run_gpi_ris(q, RegularizerSettings(), w0, s)
-        w_ref, iters_ref, res_ref = _numpy_loop(q, RegularizerSettings(),
-                                                w0 / np.linalg.norm(w0), s)
+        w_ref, iters_ref = fixed_point(
+            lambda x: _image(q, RegularizerSettings(), x),
+            w0 / np.linalg.norm(w0, axis=-1), s)
+        res_ref = np.linalg.norm(_image(q, RegularizerSettings(), w_ref) - w_ref)
         assert res.iterations == iters_ref
         assert np.array_equal(res.w, w_ref)
         assert res.residual == res_ref

@@ -10,6 +10,7 @@ from gpris.harness import (BenchRow, CSV_HEADER, EXPERIMENT_KINDS,
                            _square_factor, bench_from_spec,
                            bench_ris_stage, load_spec,
                            run_experiment, spec_from_dict, write_results)
+from gpris.gpi_precoder import GpiSettings
 from gpris.joint import AlgorithmSettings
 from gpris.scenario import scenario_from_dict
 
@@ -22,7 +23,7 @@ BASE_CONFIG = {
     "rng_seed": 3,
 }
 
-FAST = AlgorithmSettings(t3_max=2)
+FAST = AlgorithmSettings(alternation=GpiSettings(max_iters=2))
 
 
 def stable_line(row):
@@ -62,6 +63,25 @@ class TestSpecParsing:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ExperimentSpec(**base)
+
+    @pytest.mark.parametrize("kwargs,field,value", [
+        ({"kind": "antennas_sweep", "sweep_values": (4, 4.7)}, "sweep_values", "4.7"),
+        ({"kind": "ris_elems_sweep", "sweep_values": (6.9,)}, "sweep_values", "6.9"),
+        ({"kind": "scalability", "sweep_values": (2.5,)}, "sweep_values", "2.5"),
+        ({"kind": "ris_elems_sweep", "sweep_values": (0,)}, "sweep_values", "0"),
+        ({"kind": "bench", "sweep_values": (1, -2)}, "sweep_values", "-2"),
+        ({"n_seeds": 1.5}, "n_seeds", "1.5"),
+        ({"bench_iters": 0}, "bench_iters", "0")])
+    def test_counts_must_be_positive_integers(self, kwargs, field, value):
+        base = dict(kind="power_sweep", sweep_values=(0.0,), n_seeds=1)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=rf"{field}.*got {value}\b"):
+            ExperimentSpec(**base)
+
+    def test_integral_float_counts_accepted(self):
+        spec = ExperimentSpec(kind="antennas_sweep", sweep_values=(4.0, 8),
+                              n_seeds=1)
+        assert spec.sweep_values == (4.0, 8)
 
     def test_load_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"

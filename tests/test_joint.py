@@ -5,7 +5,8 @@ import pytest
 
 from conftest import rand_estimate, rand_phases, rand_precoder
 import gpris.joint
-from gpris.gpi_precoder import build_precoder_quadratics, run_gpi_precoder
+from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
+                                run_gpi_precoder)
 from gpris.gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                          initial_pair, run_joint)
@@ -13,6 +14,11 @@ from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
 
 
 NOP = 0.1
+
+
+def capped(t3):
+    """Default settings with the alternation capped at ``t3`` rounds."""
+    return AlgorithmSettings(alternation=GpiSettings(max_iters=t3))
 
 
 def small_problem(seed, n=4, k=2, l=2, m=3, err=0.1):
@@ -40,26 +46,33 @@ class TestPlanAndSettings:
             LineSearchPlan(**kwargs)
 
     def test_settings_require_one_alternation(self):
-        with pytest.raises(ValueError, match="t3_max"):
-            AlgorithmSettings(t3_max=0)
+        with pytest.raises(ValueError, match="max_iters"):
+            AlgorithmSettings(alternation=GpiSettings(max_iters=0))
+
+    # the paper's symbol -> (AlgorithmSettings field, GpiSettings field)
+    SYMBOLS = {"eps1": ("precoder", "tol"), "eps2": ("ris", "tol"),
+               "eps3": ("alternation", "tol"),
+               "t1_max": ("precoder", "max_iters"),
+               "t2_max": ("ris", "max_iters")}
 
     @pytest.mark.parametrize("field,value", [
         ("eps1", -1.0), ("eps2", 0.0), ("eps3", -1.0), ("t1_max", 0),
         ("t2_max", 0)])
     def test_settings_check_every_loop(self, field, value):
         # GpiSettings' rule, raised where the settings are built
-        with pytest.raises(ValueError, match=field):
-            AlgorithmSettings(**{field: value})
+        loop, name = self.SYMBOLS[field]
+        with pytest.raises(ValueError, match=name):
+            AlgorithmSettings(**{loop: GpiSettings(**{name: value})})
 
     def test_smoothing_knobs_are_regularizer_settings(self):
         with pytest.raises(TypeError):
             AlgorithmSettings(alpha1=2.0)
 
     def test_settings_expose_inner_loops(self):
-        s = AlgorithmSettings(eps1=1e-3, t1_max=10)
+        s = AlgorithmSettings(precoder=GpiSettings(tol=1e-3, max_iters=10))
         assert s.precoder.tol == pytest.approx(1e-3)
         assert s.precoder.max_iters == 10
-        assert s.ris.tol == pytest.approx(s.eps2)
+        assert s.ris == s.alternation == GpiSettings()
 
 
 class TestRSigma:
@@ -102,7 +115,7 @@ class TestRunJoint:
     def test_reproducible(self):
         est, _ = small_problem(5)
         plan = LineSearchPlan(n_points=3)
-        s = AlgorithmSettings(t3_max=3)
+        s = capped(3)
         a = run_joint(est, NOP, plan, s, np.random.default_rng(7))
         b = run_joint(est, NOP, plan, s, np.random.default_rng(7))
         assert a.objective == b.objective
@@ -112,7 +125,7 @@ class TestRunJoint:
     def test_argmax_contract(self):
         est, _ = small_problem(6)
         plan = LineSearchPlan(n_points=4)
-        res = run_joint(est, NOP, plan, AlgorithmSettings(t3_max=3),
+        res = run_joint(est, NOP, plan, capped(3),
                         np.random.default_rng(7))
         finals = [v for v in res.per_mu_final.values() if np.isfinite(v)]
         assert res.objective == pytest.approx(max(finals))
@@ -121,7 +134,7 @@ class TestRunJoint:
     def test_objective_matches_reported_pair(self):
         est, _ = small_problem(7)
         plan = LineSearchPlan(n_points=3)
-        res = run_joint(est, NOP, plan, AlgorithmSettings(t3_max=3),
+        res = run_joint(est, NOP, plan, capped(3),
                         np.random.default_rng(7))
         direct = lower_bound_sum_se(est, res.best_precoder, res.best_phases,
                                     NOP)
@@ -135,7 +148,7 @@ class TestRunJoint:
             init = initial_pair(est, NOP, np.random.default_rng(seed))
             base = lower_bound_sum_se(est, init[0], init[1], NOP)
             res = run_joint(est, NOP, LineSearchPlan(n_points=3),
-                            AlgorithmSettings(t3_max=5),
+                            capped(5),
                             np.random.default_rng(seed), init=init)
             if res.objective >= base - 1e-10:
                 wins += 1
@@ -144,28 +157,28 @@ class TestRunJoint:
     def test_phases_unit_modulus_and_power_feasible(self):
         est, _ = small_problem(8)
         res = run_joint(est, NOP, LineSearchPlan(n_points=3),
-                        AlgorithmSettings(t3_max=3), np.random.default_rng(7))
+                        capped(3), np.random.default_rng(7))
         assert np.all(np.abs(res.best_phases.stacked) == 1.0)
         assert res.best_precoder.total_power <= 1 + 1e-9
 
     def test_timing_nonnegative(self):
         est, _ = small_problem(9)
         res = run_joint(est, NOP, LineSearchPlan(n_points=2),
-                        AlgorithmSettings(t3_max=2), np.random.default_rng(7))
+                        capped(2), np.random.default_rng(7))
         for key in ("precoder", "ris", "objective"):
             assert res.timing[key] >= 0.0
 
     def test_single_outer_pass(self):
         est, _ = small_problem(10)
         res = run_joint(est, NOP, LineSearchPlan(n_points=2),
-                        AlgorithmSettings(t3_max=1), np.random.default_rng(7))
+                        capped(1), np.random.default_rng(7))
         assert all(v >= 1 for v in res.iterations.values())
         assert np.isfinite(res.objective)
 
     def test_nmse_property(self):
         est, _ = small_problem(11)
         res = run_joint(est, NOP, LineSearchPlan(n_points=2),
-                        AlgorithmSettings(t3_max=2), np.random.default_rng(7))
+                        capped(2), np.random.default_rng(7))
         assert res.nmse == pytest.approx(nmse_unit_modulus(res.best_w),
                                          rel=1e-12)
 
@@ -177,7 +190,7 @@ class TestFixedMu:
         free, tight = [], []
         for seed in range(15):
             est, _ = small_problem(seed + 300, err=0.15)
-            s = AlgorithmSettings(t3_max=4)
+            s = capped(4)
             a = run_joint(est, NOP, LineSearchPlan(0.0, 0.0, 1), s,
                           np.random.default_rng(seed))
             b = run_joint(est, NOP, LineSearchPlan(100.0, 100.0, 1), s,
@@ -191,7 +204,7 @@ class TestSharedFirstStage:
     """The mu-independent first precoder stage runs once per run_joint."""
 
     PLAN = LineSearchPlan(mu_min=0.0, mu_max=100.0, n_points=5)
-    SETTINGS = AlgorithmSettings(t3_max=4)
+    SETTINGS = capped(4)
 
     def _instance(self):
         est, rng = small_problem(21)
@@ -271,7 +284,7 @@ def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timi
     converged = False
     iters = 0
     precoder, ris_quad = first
-    for _ in range(settings.t3_max):
+    for _ in range(settings.alternation.max_iters):
         if iters:
             precoder, ris_quad = _old_precoder_stage(est, noise_over_p, settings,
                                                      precoder, phases, timing)
@@ -287,7 +300,8 @@ def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timi
         trace.append(obj)
         if obj > best[0]:
             best = (obj, precoder, phases, w)
-        if obj_prev > 0 and abs(obj - obj_prev) / obj_prev <= settings.eps3:
+        rule = settings.alternation
+        if obj_prev > 0 and abs(obj - obj_prev) / obj_prev <= rule.tol:
             converged = True
             break
         obj_prev = obj
@@ -337,7 +351,7 @@ class TestLanes:
     def test_failing_lane_leaves_the_others_alone(self, monkeypatch):
         est, rng = small_problem(31)
         init = initial_pair(est, NOP, rng)
-        plan, settings = LineSearchPlan(n_points=5), AlgorithmSettings(t3_max=4)
+        plan, settings = LineSearchPlan(n_points=5), capped(4)
         clean = run_joint(est, NOP, plan, settings, np.random.default_rng(0),
                           init=init)
         bad_mu = float(plan.grid[2])
@@ -377,7 +391,7 @@ class TestLanes:
                 return out
 
             monkeypatch.setattr(gpris.joint, name, counting)
-        res = run_joint(est, NOP, plan, AlgorithmSettings(t3_max=5),
+        res = run_joint(est, NOP, plan, capped(5),
                         np.random.default_rng(0), init=init)
         rounds = max(res.iterations.values())
         assert calls == {"build_precoder_quadratics": rounds,

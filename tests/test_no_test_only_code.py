@@ -1,5 +1,5 @@
-"""Every public top-level function and class in ``src/gpris`` has a caller
-outside the tests: the package, the demos or the benchmark.
+"""Every top-level function and class in ``src/gpris``, public or private,
+has a caller outside the tests: the package, the demos or the benchmark.
 
 A helper that only tests reach belongs next to those tests.  References are
 counted in code only (names and attribute accesses); docstrings, comments
@@ -31,13 +31,16 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
-def _public_definitions(tree: ast.Module):
+def _definitions(tree: ast.Module, private: bool):
+    """Top-level functions and classes, public or private (dunders are
+    neither)."""
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private
+            and not node.name.startswith("__")]
 
 
-def test_public_names_have_callers_outside_tests():
+def _uncalled(private: bool) -> list[str]:
     refs = Counter()
     trees = {}
     for directory in _CALLER_DIRS:
@@ -48,12 +51,20 @@ def test_public_names_have_callers_outside_tests():
                 trees[path.stem] = tree
     unused = []
     for module, tree in trees.items():
-        for node in _public_definitions(tree):
+        for node in _definitions(tree, private):
             # a definition's own body (recursion, a classmethod naming its
             # class) is not a caller
             outside = refs[node.name] - _references(node)[node.name]
             if (outside == 0 and node.name not in gpris.__all__
                     and node.name not in _KEEP):
                 unused.append(f"{module}.{node.name}")
-    assert unused == []
+    return unused
 
+
+def test_public_names_have_callers_outside_tests():
+    assert _uncalled(private=False) == []
+
+
+def test_private_names_have_callers_outside_tests():
+    # a private helper left behind once its last caller is gone
+    assert _uncalled(private=True) == []
