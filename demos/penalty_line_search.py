@@ -15,10 +15,10 @@ Runs in well under a minute.
 
 import numpy as np
 
-from gpris import (GpiSettings, RegularizerSettings, build_ris_quadratics,
-                   compute_r_sigma, estimate_channels, initial_pair,
-                   lower_bound_sum_se, nmse_unit_modulus, run_gpi_ris,
-                   scenario_from_dict, synthesize_channels)
+from gpris import (GpiSettings, build_ris_quadratics, compute_r_sigma,
+                   estimate_channels, initial_pair, lower_bound_sum_se,
+                   nmse_unit_modulus, run_gpi_ris, scenario_from_dict,
+                   synthesize_channels)
 from gpris.metrics import PhaseShifts
 
 
@@ -47,8 +47,7 @@ def main() -> None:
     print(f"phase stage at fixed RZF precoder, L={l} M={m}")
     print(f"{'mu':>8} {'objective':>10} {'nmse(w)':>10} {'iters':>6}")
     for mu in (0.0, 1.0, 10.0, 100.0, 1000.0):
-        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma)
-        res = run_gpi_ris(quad, reg, phi0.normalized, GpiSettings())
+        res = run_gpi_ris(quad, mu, r_sigma, phi0.normalized, GpiSettings())
         phases = PhaseShifts.from_normalized(res.w, l, m).project()
         obj = lower_bound_sum_se(est, f0, phases, nop)
         print(f"{mu:8g} {obj:10.4f} {nmse_unit_modulus(res.w):10.2e} "

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from .harness import bench_from_spec, load_spec, run_experiment, write_results
@@ -27,20 +26,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment spec")
-    p_run.add_argument("spec", help="experiment spec JSON file")
+    p_run.add_argument("path", metavar="spec", help="experiment spec JSON file")
     _add_common(p_run)
 
     p_bench = sub.add_parser("bench", help="time the RIS stage across configs")
-    p_bench.add_argument("spec", help="experiment spec JSON file (kind=bench)")
+    p_bench.add_argument("path", metavar="spec",
+                         help="experiment spec JSON file (kind=bench)")
     _add_common(p_bench)
 
     p_val = sub.add_parser("validate", help="check a scenario config file")
-    p_val.add_argument("config", help="scenario config JSON file")
+    p_val.add_argument("path", metavar="config", help="scenario config JSON file")
     return parser
 
 
-def cmd_run(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_run(spec, args) -> int:
     if spec.kind == "bench":
         print("a bench spec runs with `gpris bench`", file=sys.stderr)
         return 2
@@ -61,8 +60,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_bench(spec, args) -> int:
     if spec.kind != "bench":
         print(f"expected a bench spec, got kind={spec.kind!r}", file=sys.stderr)
         return 2
@@ -82,25 +80,30 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    if not os.path.exists(args.config):
-        print(f"no such file: {args.config}", file=sys.stderr)
-        return 2
-    try:
-        scenario = load_scenario(args.config)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+def cmd_validate(scenario, args) -> int:
     cfg = scenario.config
     print(f"valid: N={cfg.n_bs_antennas} K={cfg.n_users} L={cfg.n_ris} "
           f"M={cfg.m_ris} P={cfg.tx_power_dbm}dBm T_UL={cfg.ul_train_len}")
     return 0
 
 
+_COMMANDS = {"run": (load_spec, cmd_run), "bench": (load_spec, cmd_bench),
+             "validate": (load_scenario, cmd_validate)}
+
+
 def main(argv=None) -> int:
+    """Load the command's file (unreadable: exit 2, invalid: 1), then run it."""
     args = build_parser().parse_args(argv)
-    handlers = {"run": cmd_run, "bench": cmd_bench, "validate": cmd_validate}
-    return handlers[args.command](args)
+    load, command = _COMMANDS[args.command]
+    try:
+        doc = load(args.path)
+    except OSError as exc:
+        print(f"cannot read {args.path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except (ValueError, TypeError) as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
+    return command(doc, args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ every lane's loop in one compiled call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import log
 
@@ -26,25 +26,8 @@ from .metrics import (PhaseShifts, Precoder, _lanes_out, add_to_diagonal,
                       nmse_unit_modulus, theta_matrices, theta_scales)
 
 
-@dataclass(frozen=True)
-class RegularizerSettings:
-    """Penalty weight mu, sum-SE normalizer r_sigma and LogSumExp knobs.
-
-    mu is a float, or one weight per lane of a lane-stacked call; its
-    normalizer tau = 1/(LM) is no setting but ``RisQuadratics.tau``.
-    """
-
-    mu: float | np.ndarray = 0.0
-    r_sigma: float = 1.0
-    alpha1: float = 2.0
-    alpha2: float = 2.0
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.mu) < 0):
-            raise ValueError("mu must be >= 0")
-        for name in ("r_sigma", "alpha1", "alpha2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+# smooth max ln(sum e^(ALPHA1 x))/ALPHA1, smooth min -ALPHA2 ln(sum e^(-x/ALPHA2))
+ALPHA1 = ALPHA2 = 2.0
 
 
 @dataclass
@@ -133,19 +116,19 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
     return RisQuadratics(c_blocks=c, noise_over_p=noise_over_p, u_vecs=u_vecs)
 
 
-def penalty_weights(w: np.ndarray, reg: RegularizerSettings
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex weight vectors (softmax over alpha1*|w_i|^2, softmin over
-    |w_i|^2/alpha2), shifted by the extreme modulus as ``_ris_loop.c`` does."""
+def penalty_weights(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simplex weight vectors (softmax over ALPHA1*|w_i|^2, softmin over
+    |w_i|^2/ALPHA2), shifted by the extreme modulus as ``_ris_loop.c`` does."""
     x = np.abs(w) ** 2
-    e_max = np.exp(reg.alpha1 * (x - x.max()))
-    e_min = np.exp(-(x - x.min()) / reg.alpha2)
+    e_max = np.exp(ALPHA1 * (x - x.max()))
+    e_min = np.exp(-(x - x.min()) / ALPHA2)
     return e_max / e_max.sum(), e_min / e_min.sum()
 
 
-def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-point pair (Cbar, Dbar) of one lane as stacked (L, M, M) blocks.
+def ris_gpi_matrices(q: RisQuadratics, mu: float, r_sigma: float,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point pair (Cbar, Dbar) of one lane, at the float ``mu`` and
+    normalizer ``r_sigma``, as stacked (L, M, M) blocks.
 
     Cbar = sum_k C_k/(w^H C_k w) / (R_sigma ln 2) + (mu/tau) diag(softmin),
     Dbar = sum_k D_k/(w^H D_k w) / (R_sigma ln 2) + (mu/tau) diag(softmax),
@@ -166,16 +149,16 @@ def ris_gpi_matrices(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray
     qc, qd = q.quad_forms(w_blocks)
     if np.any(qc <= 0) or np.any(qd <= 0):
         raise FloatingPointError("nonpositive quadratic form")
-    scale = 1.0 / (reg.r_sigma * log(2))
+    scale = 1.0 / (r_sigma * log(2))
     eye = np.eye(q.m)
     cbar = scale * (np.einsum("k,klab->lab", 1.0 / qc, q.c_blocks)
                     + q.noise_over_p * np.sum(1.0 / qc) * eye[None])
     dbar = scale * (np.einsum("k,klab->lab", 1.0 / qd, q.d_blocks)
                     + q.noise_over_p * np.sum(1.0 / qd) * eye[None])
-    if reg.mu > 0:
-        wmax, wmin = penalty_weights(w, reg)
+    if mu > 0:
+        wmax, wmin = penalty_weights(w)
         idx = np.arange(q.m)
-        factor = reg.mu / q.tau
+        factor = mu / q.tau
         cbar[:, idx, idx] += factor * wmin.reshape((q.l, q.m))
         dbar[:, idx, idx] += factor * wmax.reshape((q.l, q.m))
     return cbar, dbar
@@ -220,38 +203,41 @@ def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(blocks, cols).reshape(lanes + (k * n,))
 
 
-def _image(q, reg, w):
+def _image(q, mu, r_sigma, w):
     """Dbar(w)^-1 Cbar(w) w, unnormalized."""
-    cbar, dbar = ris_gpi_matrices(q, reg, w)
+    cbar, dbar = ris_gpi_matrices(q, mu, r_sigma, w)
     return block_diag_solve(dbar, np.einsum("lab,lb->la", cbar,
                                             w.reshape((q.l, q.m))))
 
 
-def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
-                settings: GpiSettings) -> RisGpiResult:
+def run_gpi_ris(q: RisQuadratics, mu: float | np.ndarray, r_sigma: float,
+                w_init: np.ndarray, settings: GpiSettings) -> RisGpiResult:
     """Iterate w <- Dbar^-1 Cbar w with normalization, then project phases.
 
     ``w_init`` is (LM,) or (P, LM) against quadratics with the same lane
-    axis, and ``reg.mu`` a float or one weight per lane.  The loop runs
-    compiled when a C compiler is found (see ``_kernel``), all lanes in one
-    call, and through ``gpi_precoder.fixed_point`` lane by lane otherwise;
-    either way each lane also reports its fixed-point residual
-    ||Dbar^-1 Cbar w - w|| at exit.  A non-positive-definite Dbar block in
-    any lane raises ``np.linalg.LinAlgError``.
+    axis, ``mu`` >= 0 the penalty weight, a float or one per lane, and
+    ``r_sigma`` > 0 the sum-SE normalizer.  The loop runs compiled when a
+    C compiler is found (see ``_kernel``), all lanes in one call, and
+    through ``gpi_precoder.fixed_point`` lane by lane otherwise; either way
+    each lane also reports its fixed-point residual ||Dbar^-1 Cbar w - w||
+    at exit.  A non-positive-definite Dbar block in any lane raises
+    ``np.linalg.LinAlgError``.
     """
+    if np.any(np.asarray(mu) < 0) or not r_sigma > 0:
+        raise ValueError(f"need mu >= 0 and r_sigma > 0, got {mu}, {r_sigma}")
     w = np.asarray(w_init, dtype=complex)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(norm == 0):
         raise ValueError("initial w must be nonzero")
     w = w / norm
     lanes = w.shape[:-1]
-    mu = np.broadcast_to(np.asarray(reg.mu, dtype=float), lanes)
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), lanes)
 
     if _kernel.available():
         iters, residual, loop_seconds = _kernel.ris_loop(
             q.c_blocks, q.u_vecs, w.reshape(-1, q.l * q.m), mu.reshape(-1),
-            q.noise_over_p, 1.0 / (reg.r_sigma * log(2)), q.tau, reg.alpha1,
-            reg.alpha2, settings.tol, settings.max_iters)
+            q.noise_over_p, 1.0 / (r_sigma * log(2)), q.tau, ALPHA1, ALPHA2,
+            settings.tol, settings.max_iters)
         if np.any(iters < 0):
             raise np.linalg.LinAlgError("denominator block not positive definite")
         residual = _lanes_out(residual.reshape(lanes))
@@ -259,11 +245,12 @@ def run_gpi_ris(q: RisQuadratics, reg: RegularizerSettings, w_init: np.ndarray,
         t0 = time.perf_counter()
         iters, residual = np.zeros(lanes, dtype=int), np.zeros(lanes)
         for idx in np.ndindex(lanes):
-            lane, lane_reg = q.lane(idx), replace(reg, mu=float(mu[idx]))
+            lane, lane_mu = q.lane(idx), float(mu[idx])
             w[idx], iters[idx] = fixed_point(
-                lambda x: _image(lane, lane_reg, x), w[idx], settings)
+                lambda x: _image(lane, lane_mu, r_sigma, x), w[idx], settings)
             # lambda-free form of ||Dbar^-1 (lam Cbar) w - lam w|| / lam
-            residual[idx] = np.linalg.norm(_image(lane, lane_reg, w[idx]) - w[idx])
+            residual[idx] = np.linalg.norm(
+                _image(lane, lane_mu, r_sigma, w[idx]) - w[idx])
         loop_seconds = time.perf_counter() - t0
         residual = _lanes_out(residual)
     phases = PhaseShifts.from_normalized(w, q.l, q.m).project()

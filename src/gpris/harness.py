@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernel
 from .channel import estimate_channels, synthesize_channels
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
-from .gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
+from .gpi_ris import build_ris_quadratics, run_gpi_ris
 from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                     initial_pair, run_joint)
 from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
@@ -48,11 +48,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be nonempty")
-        if self.kind in _COUNT_SWEEPS:
-            for value in self.sweep_values:
-                if not (float(value).is_integer() and float(value) >= 1):
-                    raise ValueError(f"{self.kind} sweep_values must be positive "
-                                     f"integers, got {value!r}")
         for name in ("n_seeds", "bench_repetitions", "bench_iters"):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 1):
@@ -61,6 +56,19 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
         self.plan  # a malformed mu grid fails here, not in every gpi_pris row
+        # as do a bad base_config and a sweep value, not in the middle of a run
+        base = scenario_from_dict(dict(self.base_config))
+        for value in self.sweep_values:
+            x = float(value)
+            if not math.isfinite(x):
+                raise ValueError(f"sweep_values must be finite, got {value!r}")
+            if self.kind in _COUNT_SWEEPS and not (x.is_integer() and x >= 1):
+                raise ValueError(f"{self.kind} sweep_values must be positive "
+                                 f"integers, got {value!r}")
+            if self.kind == "mu_study" and x < 0:
+                raise ValueError(f"mu_study sweep_values must be >= 0, "
+                                 f"got {value!r}")
+            _apply_sweep(base, self.kind, value)
 
     @property
     def plan(self) -> LineSearchPlan:
@@ -128,18 +136,18 @@ def _apply_sweep(base: Scenario, kind: str, value) -> Scenario:
         cfg = replace(cfg, tx_power_dbm=float(value))
     elif kind == "ris_elems_sweep":
         my, mz = _square_factor(int(value))
-        cfg = replace(cfg, ris_elems_y=my, ris_elems_z=mz, ul_train_len=0)
+        cfg = replace(cfg, ris_elems_y=my, ris_elems_z=mz)
     elif kind == "antennas_sweep":
         cfg = replace(cfg, n_bs_antennas=int(value))
     elif kind == "csit_sweep":
         cfg = replace(cfg, ul_train_power_dbm=float(value))
-    elif kind == "scalability":
+    elif kind in ("scalability", "bench"):
         m_tot = cfg.m_ris * cfg.n_ris
         l = int(value)
         if m_tot % l != 0:
             raise ValueError(f"M_tot={m_tot} not divisible by L={l}")
         my, mz = _square_factor(m_tot // l)
-        cfg = replace(cfg, n_ris=l, ris_elems_y=my, ris_elems_z=mz, ul_train_len=0)
+        cfg = replace(cfg, n_ris=l, ris_elems_y=my, ris_elems_z=mz)
         return Scenario(config=cfg, geometry=default_geometry(l),
                         pathloss=PathlossModel(enabled=False))
     elif kind == "mu_study":
@@ -276,12 +284,11 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
         # mu=0: the unit-modulus penalty costs O(M_tot) per iteration
         # independent of L, which at small M_tot masks the block-solve
         # scaling this benchmark measures; the matrix pipeline is identical
-        reg = RegularizerSettings(
-            mu=0.0, r_sigma=compute_r_sigma(est, f0, phi0, nop))
+        r_sigma = compute_r_sigma(est, f0, phi0, nop)
         settings = GpiSettings(tol=1e-30, max_iters=iters_per_run)
         times = []
         for _ in range(repetitions):
-            res = run_gpi_ris(quad, reg, phi0.normalized, settings)
+            res = run_gpi_ris(quad, 0.0, r_sigma, phi0.normalized, settings)
             times.append(res.loop_seconds / res.iterations)
         rows.append(BenchRow(n_ris=cfg.n_ris, elems_per_ris=cfg.m_ris,
                              per_iter_seconds=float(np.median(times)),

@@ -14,15 +14,14 @@ in one call each, with the lane axis leading every array.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import random_phases, rzf_precoder, rzf_regularizer
 from .channel import ChannelEstimate
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
-from .gpi_ris import (RegularizerSettings, RisQuadratics, build_ris_quadratics,
-                      run_gpi_ris)
+from .gpi_ris import RisQuadratics, build_ris_quadratics, run_gpi_ris
 from .metrics import (PhaseShifts, Precoder, effective_channels,
                       lower_bound_sum_se, nmse_unit_modulus)
 
@@ -116,8 +115,8 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         init = initial_pair(est, noise_over_p, rng)
     f0, phi0 = init
     r_sigma = compute_r_sigma(est, f0, phi0, noise_over_p)
-    grid = [float(mu) for mu in plan.grid]
-    reg = RegularizerSettings(mu=np.array(grid), r_sigma=r_sigma)
+    mus = plan.grid
+    grid = mus.tolist()
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
 
     # the first precoder stage sees only (est, f0, phi0), so all mu points
@@ -144,9 +143,8 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
                                     Precoder.from_stacked(lanes.f[sel], n, k),
                                     PhaseShifts(lanes.phi[sel], projected=True),
                                     timing, [x[:sel.size] for x in ris_out])
-        out = _ris_and_objective(est, noise_over_p, settings,
-                                 replace(reg, mu=reg.mu[sel]), lanes.w[sel],
-                                 stage, timing)
+        out = _ris_and_objective(est, noise_over_p, settings, mus[sel], r_sigma,
+                                 lanes.w[sel], stage, timing)
         lanes.record(sel, *out, rule.tol)
 
     for rnd in range(rule.max_iters):
@@ -197,11 +195,12 @@ def _lane_broadcast(stage, lanes):
             RisQuadratics(rep(q.c_blocks), q.noise_over_p, rep(q.u_vecs)))
 
 
-def _ris_and_objective(est, noise_over_p, settings, reg, w, stage, timing):
+def _ris_and_objective(est, noise_over_p, settings, mu, r_sigma, w, stage,
+                       timing):
     """RIS GPI for the stage's lanes, then the objective of the new pair."""
     precoder, ris_quad = stage
     t1 = time.perf_counter()
-    ris = run_gpi_ris(ris_quad, reg, w, settings.ris)
+    ris = run_gpi_ris(ris_quad, mu, r_sigma, w, settings.ris)
     t2 = time.perf_counter()
     obj = lower_bound_sum_se(est, precoder, ris.phases, noise_over_p)
     t3 = time.perf_counter()

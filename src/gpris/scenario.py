@@ -117,7 +117,8 @@ def place_users(geometry: Geometry, k: int, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Dimensions, powers and seed of one scenario."""
+    """Dimensions, powers and seed of one scenario.  The training length
+    T = M*K is derived: the error depends on T and rho only through T*rho."""
 
     n_bs_antennas: int = 16
     n_users: int = 4
@@ -129,7 +130,6 @@ class SystemConfig:
     n_paths_bs_ris: int = 2
     n_paths_ris_user: int = 2
     ul_train_power_dbm: float = 0.0
-    ul_train_len: int = 0  # 0 means "use the minimum M*K"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -139,19 +139,16 @@ class SystemConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if any(r <= 0 for r in self.carrier_spacing_ratios):
             raise ValueError("carrier spacing ratios must be > 0")
-        if self.ul_train_len == 0:
-            object.__setattr__(self, "ul_train_len", self.m_ris * self.n_users)
-        if self.ul_train_len < self.m_ris * self.n_users:
-            raise ValueError(
-                f"ul_train_len must be >= M*K = {self.m_ris * self.n_users}, "
-                f"got {self.ul_train_len}"
-            )
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be unsigned")
 
     @property
     def m_ris(self) -> int:
         return self.ris_elems_y * self.ris_elems_z
+
+    @property
+    def ul_train_len(self) -> int:
+        return self.m_ris * self.n_users
 
     @property
     def noise_over_power(self) -> float:

@@ -15,8 +15,7 @@ from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris.channel import estimate_channels, synthesize_channels
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
                                 run_gpi_precoder)
-from gpris.gpi_ris import (RegularizerSettings, block_diag_solve,
-                           build_ris_quadratics, run_gpi_ris)
+from gpris.gpi_ris import block_diag_solve, build_ris_quadratics, run_gpi_ris
 from gpris.harness import _square_factor, bench_ris_stage
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, initial_pair,
                          run_joint)
@@ -114,8 +113,7 @@ def test_criterion_3_stationary_residuals():
         if res_pre < 1e-3:
             hits_pre += 1
         rq = build_ris_quadratics(est, f0, nop)
-        reg = RegularizerSettings(mu=0.0)
-        res_ris = run_gpi_ris(rq, reg, phi0.normalized, tight)
+        res_ris = run_gpi_ris(rq, 0.0, 1.0, phi0.normalized, tight)
         if res_ris.residual < 1e-3:
             hits_ris += 1
     ok = hits_pre >= 48 and hits_ris >= 48
@@ -231,8 +229,8 @@ def test_criterion_7_regularization_behavior():
             quad = build_ris_quadratics(est, f0, nop)
             r_sigma = compute_r_sigma(est, f0, phi0, nop)
             for mu, out in ((0.0, free), (100.0, tight)):
-                reg = RegularizerSettings(mu=mu, r_sigma=r_sigma)
-                res = run_gpi_ris(quad, reg, phi0.normalized, GpiSettings())
+                res = run_gpi_ris(quad, mu, r_sigma, phi0.normalized,
+                                  GpiSettings())
                 _record(f0, res.phases)
                 assert res.nmse >= 0.0
                 out.append(res.nmse)

@@ -83,6 +83,22 @@ def test_validate_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("text,code", [
+    (None, 2), ('{"kind": "power_sweep", ', 1),
+    ('{"kind": "power_sweep", "sweep_values": [NaN], "n_seeds": 1}', 1)],
+    ids=["missing", "malformed", "invalid"])
+def test_bad_spec_is_one_line_and_exit_code(command, text, code, tmp_path,
+                                            capsys):
+    # the same exit codes as validate, and no traceback
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
 def test_threads_flag_rejected(command, run_spec):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, run_spec, "--threads", "2"])

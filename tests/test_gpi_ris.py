@@ -12,7 +12,7 @@ from conftest import cn, rand_estimate, rand_phases, rand_precoder
 import gpris
 from gpris import _kernel
 from gpris.gpi_precoder import GpiSettings, fixed_point
-from gpris.gpi_ris import (RegularizerSettings, RisQuadratics, _image,
+from gpris.gpi_ris import (ALPHA1, ALPHA2, RisQuadratics, _image,
                            build_ris_quadratics, penalty_weights,
                            ris_gpi_matrices, run_gpi_ris)
 from gpris.metrics import (PhaseShifts, Precoder, lower_bound_phase_form,
@@ -43,7 +43,7 @@ def smooth_min(values, alpha: float) -> float:
     return float(-alpha * logsumexp(values / (-alpha)))
 
 
-def log2_lambda_ris(q: RisQuadratics, reg: RegularizerSettings,
+def log2_lambda_ris(q: RisQuadratics, mu: float, r_sigma: float,
                     w: np.ndarray) -> float:
     """Smoothed regularized objective log2 lambda_RIS(w), evaluated in log domain."""
     w_blocks = np.asarray(w, dtype=complex).reshape((q.l, q.m))
@@ -51,16 +51,16 @@ def log2_lambda_ris(q: RisQuadratics, reg: RegularizerSettings,
     if np.any(qc <= 0) or np.any(qd <= 0):
         raise FloatingPointError("nonpositive quadratic form")
     x = np.abs(w) ** 2
-    ratio_term = float(np.sum(np.log2(qc / qd))) / reg.r_sigma
-    penalty = (reg.mu / q.tau) * (smooth_max(x, reg.alpha1)
-                                  - smooth_min(x, reg.alpha2))
+    ratio_term = float(np.sum(np.log2(qc / qd))) / r_sigma
+    penalty = (mu / q.tau) * (smooth_max(x, ALPHA1) - smooth_min(x, ALPHA2))
     return ratio_term - penalty
 
 
-def lambda_ris(q: RisQuadratics, reg: RegularizerSettings, w: np.ndarray) -> float:
+def lambda_ris(q: RisQuadratics, mu: float, r_sigma: float,
+               w: np.ndarray) -> float:
     if abs(np.linalg.norm(w) - 1.0) > 1e-6:
         raise ValueError("w must be unit norm")
-    return float(2.0 ** log2_lambda_ris(q, reg, w))
+    return float(2.0 ** log2_lambda_ris(q, mu, r_sigma, w))
 
 
 def numpy_reference(monkeypatch, *args):
@@ -72,25 +72,30 @@ def numpy_reference(monkeypatch, *args):
         return run_gpi_ris(*args)
 
 
-def kernel_args(reg, q, tol=1e-9, max_iters=200):
+def kernel_args(r_sigma, q, tol=1e-9, max_iters=200):
     """The scalar arguments of _kernel.ris_loop after the noise level, with
     the tau that run_gpi_ris derives from the quadratics ``q``."""
-    return (1.0 / (reg.r_sigma * np.log(2)), q.tau, reg.alpha1, reg.alpha2,
-            tol, max_iters)
+    return (1.0 / (r_sigma * np.log(2)), q.tau, ALPHA1, ALPHA2, tol, max_iters)
 
 
 class TestRegularizerSettings:
+    """mu and r_sigma are arguments of each call, ALPHA1/ALPHA2 constants."""
+
     def test_defaults(self):
-        r = RegularizerSettings()
-        assert r.mu == 0.0 and r.r_sigma == 1.0 and r.alpha1 == 2.0
+        assert ALPHA1 == ALPHA2 == 2.0
 
     @pytest.mark.parametrize("kwargs", [{"mu": -1.0},
                                         {"mu": np.array([1.0, -1.0])},
-                                        {"r_sigma": 0.0}, {"alpha1": 0.0},
-                                        {"alpha2": -2.0}])
-    def test_rejects_bad_values(self, kwargs):
+                                        {"r_sigma": 0.0}])
+    def test_rejects_bad_values(self, kwargs, rng):
+        est = rand_estimate(3, 2, 2, 2, rng)
+        f = Precoder(np.stack([rand_precoder(3, 2, rng).matrix
+                               for _ in range(2)]))
+        q = build_ris_quadratics(est, f, 0.1)
+        w0 = np.stack([rand_phases(2, 2, rng).normalized for _ in range(2)])
+        args = {"mu": 0.0, "r_sigma": 1.0, **kwargs}
         with pytest.raises(ValueError):
-            RegularizerSettings(**kwargs)
+            run_gpi_ris(q, args["mu"], args["r_sigma"], w0, GpiSettings())
 
     def test_default_tau(self, rng):
         # tau = 1/(LM) comes from the quadratics' sizes and is no setting
@@ -98,7 +103,8 @@ class TestRegularizerSettings:
                                  rand_precoder(3, 2, rng), 0.1)
         assert q.tau == 1.0 / 16
         with pytest.raises(TypeError):
-            RegularizerSettings(tau=1.0)
+            run_gpi_ris(q, 0.0, 1.0, rand_phases(2, 8, rng).normalized,
+                        GpiSettings(), tau=1.0)
 
 
 class TestQuadratics:
@@ -228,23 +234,21 @@ class TestPenalty:
 
     def test_penalty_weights_are_softmax(self, rng):
         w = rand_phases(2, 4, rng).normalized
-        reg = RegularizerSettings(mu=1.0, alpha1=2.0, alpha2=3.0)
-        wc, wd = penalty_weights(w, reg)
+        wc, wd = penalty_weights(w)
         x = np.abs(w) ** 2
-        assert np.allclose(wc, softmax(2.0 * x))
-        assert np.allclose(wd, softmax(-x / 3.0))
+        assert np.allclose(wc, softmax(ALPHA1 * x))
+        assert np.allclose(wd, softmax(-x / ALPHA2))
         assert wc.sum() == pytest.approx(1.0, abs=1e-12)
         assert wd.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_penalty_weights_on_spread_moduli(self, rng):
         # unequal moduli, with alpha1 |w_i|^2 far past exp's float64 range
         w = 30.0 * cn(8, rng)
-        reg = RegularizerSettings(mu=1.0, alpha1=2.0, alpha2=3.0)
-        wc, wd = penalty_weights(w, reg)
+        wc, wd = penalty_weights(w)
         x = np.abs(w) ** 2
-        assert 2.0 * x.max() > 710
-        assert np.allclose(wc, softmax(2.0 * x), rtol=1e-12, atol=1e-300)
-        assert np.allclose(wd, softmax(-x / 3.0), rtol=1e-12, atol=1e-300)
+        assert ALPHA1 * x.max() > 710
+        assert np.allclose(wc, softmax(ALPHA1 * x), rtol=1e-12, atol=1e-300)
+        assert np.allclose(wd, softmax(-x / ALPHA2), rtol=1e-12, atol=1e-300)
 
 
 class TestLambdaRis:
@@ -253,20 +257,22 @@ class TestLambdaRis:
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
         with pytest.raises(ValueError):
-            lambda_ris(q, RegularizerSettings(), 2.0 * rand_phases(1, 2, rng).normalized)
+            lambda_ris(q, 0.0, 1.0, 2.0 * rand_phases(1, 2, rng).normalized)
 
     def test_log_form_matches_direct_assembly(self, rng):
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=5.0, r_sigma=1.3)
+        mu, r_sigma = 5.0, 1.3
         w = rand_phases(2, 3, rng).normalized
         qc, qd = q.quad_forms(w.reshape(2, 3))
         x = np.abs(w) ** 2
-        pen = (smooth_max(x, reg.alpha1) - smooth_min(x, reg.alpha2)) / q.tau
-        expected = float(np.sum(np.log2(qc / qd))) / reg.r_sigma - reg.mu * pen
-        assert log2_lambda_ris(q, reg, w) == pytest.approx(expected, rel=1e-9)
-        assert lambda_ris(q, reg, w) == pytest.approx(2.0 ** expected, rel=1e-6)
+        pen = (smooth_max(x, ALPHA1) - smooth_min(x, ALPHA2)) / q.tau
+        expected = float(np.sum(np.log2(qc / qd))) / r_sigma - mu * pen
+        assert log2_lambda_ris(q, mu, r_sigma, w) == pytest.approx(expected,
+                                                                   rel=1e-9)
+        assert lambda_ris(q, mu, r_sigma, w) == pytest.approx(2.0 ** expected,
+                                                              rel=1e-6)
 
     def test_mu_zero_reduces_to_bound_single_ris(self, rng):
         est = rand_estimate(3, 2, 1, 4, rng, err=0.15)
@@ -275,7 +281,7 @@ class TestLambdaRis:
         q = build_ris_quadratics(est, f, nop)
         ph = rand_phases(1, 4, rng)
         lb = lower_bound_phase_form(est, f, ph, nop)
-        assert log2_lambda_ris(q, RegularizerSettings(), ph.normalized) == \
+        assert log2_lambda_ris(q, 0.0, 1.0, ph.normalized) == \
             pytest.approx(lb, rel=1e-9)
 
 
@@ -284,9 +290,8 @@ class TestRisGpiMatrices:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=2.0)
         w = rand_phases(2, 3, rng).normalized
-        cbar, dbar = ris_gpi_matrices(q, reg, w)
+        cbar, dbar = ris_gpi_matrices(q, 2.0, 1.0, w)
         assert cbar.shape == (2, 3, 3) and dbar.shape == (2, 3, 3)
         for mats in (cbar, dbar):
             for li in range(2):
@@ -299,9 +304,8 @@ class TestRisGpiMatrices:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=3.0)
         w = rand_phases(2, 3, rng).normalized
-        cbar, dbar = ris_gpi_matrices(q, reg, w)
+        cbar, dbar = ris_gpi_matrices(q, 3.0, 1.0, w)
         wb = w.reshape(2, 3)
         num = sum(np.real(wb[li].conj() @ cbar[li] @ wb[li]) for li in range(2))
         den = sum(np.real(wb[li].conj() @ dbar[li] @ wb[li]) for li in range(2))
@@ -311,10 +315,10 @@ class TestRisGpiMatrices:
         est = rand_estimate(3, 2, 2, 3, rng, err=0.15)
         f = rand_precoder(3, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
-        reg = RegularizerSettings(mu=0.0)
+        r_sigma = 1.0
         w = rand_phases(2, 3, rng).normalized
         qc, qd = q.quad_forms(w.reshape(2, 3))
-        cbar, dbar = ris_gpi_matrices(q, reg, w)
+        cbar, dbar = ris_gpi_matrices(q, 0.0, r_sigma, w)
         m = 3
         c_ref = np.zeros((2, m, m), dtype=complex)
         d_ref = np.zeros((2, m, m), dtype=complex)
@@ -323,7 +327,7 @@ class TestRisGpiMatrices:
             d_ref += q.d_blocks[k] / qd[k]
             c_ref += (q.noise_over_p / qc[k]) * np.eye(m)
             d_ref += (q.noise_over_p / qd[k]) * np.eye(m)
-        scale = 1.0 / (reg.r_sigma * np.log(2))
+        scale = 1.0 / (r_sigma * np.log(2))
         assert np.allclose(cbar, scale * c_ref, atol=1e-10)
         assert np.allclose(dbar, scale * d_ref, atol=1e-10)
 
@@ -337,7 +341,7 @@ class TestRunGpiRis:
     def test_unit_norm_output(self, rng):
         q = self._problem(rng)
         w0 = rand_phases(2, 3, rng).normalized
-        res = run_gpi_ris(q, RegularizerSettings(), w0, GpiSettings())
+        res = run_gpi_ris(q, 0.0, 1.0, w0, GpiSettings())
         assert np.linalg.norm(res.w) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(np.abs(res.phases.stacked) - 1.0) < 1e-12)
 
@@ -347,7 +351,7 @@ class TestRunGpiRis:
             rng = np.random.default_rng(seed)
             q = self._problem(rng)
             w0 = rand_phases(2, 3, rng).normalized
-            res = run_gpi_ris(q, RegularizerSettings(), w0,
+            res = run_gpi_ris(q, 0.0, 1.0, w0,
                               GpiSettings(tol=1e-8, max_iters=300))
             if res.residual < 1e-3:
                 hits += 1
@@ -358,11 +362,10 @@ class TestRunGpiRis:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             q = self._problem(rng)
-            reg = RegularizerSettings(mu=1.0)
             w0 = rand_phases(2, 3, rng).normalized
-            before = log2_lambda_ris(q, reg, w0)
-            res = run_gpi_ris(q, reg, w0, GpiSettings(tol=1e-7, max_iters=200))
-            after = log2_lambda_ris(q, reg, res.w)
+            before = log2_lambda_ris(q, 1.0, 1.0, w0)
+            res = run_gpi_ris(q, 1.0, 1.0, w0, GpiSettings(tol=1e-7, max_iters=200))
+            after = log2_lambda_ris(q, 1.0, 1.0, res.w)
             if after >= before - 1e-10:
                 wins += 1
         assert wins >= 95
@@ -371,11 +374,10 @@ class TestRunGpiRis:
     def test_backends_agree(self, rng, monkeypatch):
         for mu in (0.0, 25.0):
             q = self._problem(rng)
-            reg = RegularizerSettings(mu=mu, r_sigma=1.2)
             w0 = rand_phases(2, 3, rng).normalized
             s = GpiSettings(tol=1e-10, max_iters=100)
-            res = run_gpi_ris(q, reg, w0, s)
-            ref = numpy_reference(monkeypatch, q, reg, w0, s)
+            res = run_gpi_ris(q, mu, 1.2, w0, s)
+            ref = numpy_reference(monkeypatch, q, mu, 1.2, w0, s)
             assert res.iterations == ref.iterations
             assert np.allclose(res.w, ref.w, atol=1e-10)
             assert res.residual == pytest.approx(ref.residual, rel=1e-6,
@@ -393,11 +395,10 @@ class TestRunGpiRis:
         theta = theta_matrices(est, f)
         assert np.all(np.abs(theta[..., 0, 1:]) > 0)
         mus = np.array([0.0, 4.0, 30.0])
-        reg = RegularizerSettings(mu=mus, r_sigma=1.4)
         w0 = np.stack([rand_phases(2, 4, rng).normalized for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
-        res = run_gpi_ris(q, reg, w0, s)
-        ref = numpy_reference(monkeypatch, q, reg, w0, s)
+        res = run_gpi_ris(q, mus, 1.4, w0, s)
+        ref = numpy_reference(monkeypatch, q, mus, 1.4, w0, s)
         for i in range(3):
             assert np.allclose(res.w[i], ref.w[i], atol=1e-10)
             assert res.residual[i] == pytest.approx(ref.residual[i], rel=1e-6,
@@ -410,18 +411,17 @@ class TestRunGpiRis:
         q = self._problem(rng)
         w0 = rand_phases(2, 3, rng).normalized
         s = GpiSettings(tol=1e-10, max_iters=100)
-        res = run_gpi_ris(q, RegularizerSettings(), w0, s)
-        w_ref, iters_ref = fixed_point(
-            lambda x: _image(q, RegularizerSettings(), x),
-            w0 / np.linalg.norm(w0, axis=-1), s)
-        res_ref = np.linalg.norm(_image(q, RegularizerSettings(), w_ref) - w_ref)
+        res = run_gpi_ris(q, 0.0, 1.0, w0, s)
+        w_ref, iters_ref = fixed_point(lambda x: _image(q, 0.0, 1.0, x),
+                                       w0 / np.linalg.norm(w0, axis=-1), s)
+        res_ref = np.linalg.norm(_image(q, 0.0, 1.0, w_ref) - w_ref)
         assert res.iterations == iters_ref
         assert np.array_equal(res.w, w_ref)
         assert res.residual == res_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, w0[None].copy(), 0.0,
                              q.noise_over_p,
-                             *kernel_args(RegularizerSettings(), q))
+                             *kernel_args(1.0, q))
 
     @staticmethod
     def _indefinite_problem():
@@ -444,21 +444,20 @@ class TestRunGpiRis:
     def test_indefinite_block_raises_compiled(self):
         q, w0 = self._indefinite_problem()
         with pytest.raises(np.linalg.LinAlgError):
-            run_gpi_ris(q, RegularizerSettings(), w0, GpiSettings())
+            run_gpi_ris(q, 0.0, 1.0, w0, GpiSettings())
 
     def test_indefinite_block_raises_numpy(self, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
         q, w0 = self._indefinite_problem()
         with pytest.raises(np.linalg.LinAlgError, match="block 0"):
-            run_gpi_ris(q, RegularizerSettings(), w0, GpiSettings())
+            run_gpi_ris(q, 0.0, 1.0, w0, GpiSettings())
 
     def test_fixed_point_exits_in_one_iteration(self, rng):
         # run to convergence, then restart from the converged point
         q = self._problem(rng)
-        reg = RegularizerSettings()
         w0 = rand_phases(2, 3, rng).normalized
-        res = run_gpi_ris(q, reg, w0, GpiSettings(tol=1e-12, max_iters=500))
-        again = run_gpi_ris(q, reg, res.w, GpiSettings(tol=1e-6))
+        res = run_gpi_ris(q, 0.0, 1.0, w0, GpiSettings(tol=1e-12, max_iters=500))
+        again = run_gpi_ris(q, 0.0, 1.0, res.w, GpiSettings(tol=1e-6))
         assert again.iterations == 1
 
     def test_penalty_reduces_modulus_spread(self, rng):
@@ -471,23 +470,22 @@ class TestRunGpiRis:
             q = self._problem(r, err=0.2)
             w0 = rand_phases(2, 3, r).normalized
             s = GpiSettings(tol=1e-8, max_iters=300)
-            free = run_gpi_ris(q, RegularizerSettings(), w0, s)
-            reg = RegularizerSettings(mu=100.0)
-            tight = run_gpi_ris(q, reg, w0, s)
+            free = run_gpi_ris(q, 0.0, 1.0, w0, s)
+            tight = run_gpi_ris(q, 100.0, 1.0, w0, s)
             if tight.nmse <= free.nmse + 1e-12:
                 better += 1
         assert better >= 14
 
     def test_nmse_field_matches_metric(self, rng):
         q = self._problem(rng)
-        res = run_gpi_ris(q, RegularizerSettings(),
-                          rand_phases(2, 3, rng).normalized, GpiSettings())
+        res = run_gpi_ris(q, 0.0, 1.0, rand_phases(2, 3, rng).normalized,
+                          GpiSettings())
         assert res.nmse == pytest.approx(nmse_unit_modulus(res.w), rel=1e-12)
 
     def test_loop_seconds_nonnegative(self, rng):
         q = self._problem(rng)
-        res = run_gpi_ris(q, RegularizerSettings(),
-                          rand_phases(2, 3, rng).normalized, GpiSettings())
+        res = run_gpi_ris(q, 0.0, 1.0, rand_phases(2, 3, rng).normalized,
+                          GpiSettings())
         assert res.loop_seconds >= 0.0
 
 
@@ -498,12 +496,11 @@ class TestKernelDirect:
         f = rand_precoder(4, 2, rng)
         q = build_ris_quadratics(est, f, 0.1)
         w0 = rand_phases(2, 3, rng).normalized
-        reg = RegularizerSettings(mu=10.0, r_sigma=1.1)
 
         def run(w, max_iters):
-            return _kernel.ris_loop(q.c_blocks, q.u_vecs, w, reg.mu,
+            return _kernel.ris_loop(q.c_blocks, q.u_vecs, w, 10.0,
                                     q.noise_over_p,
-                                    *kernel_args(reg, q, max_iters=max_iters))
+                                    *kernel_args(1.1, q, max_iters=max_iters))
 
         # the split re/im layout unpacks to the iterate it was given
         w = w0[None].copy()
@@ -526,19 +523,18 @@ class TestKernelDirect:
         q = build_ris_quadratics(est, f, 0.1)
         mus = np.concatenate([[0.0], rng.permutation(
             np.linspace(0.5, 60.0, n_lanes - 1))])
-        reg = RegularizerSettings(r_sigma=1.3)
         w0 = np.stack([rand_phases(l, m, rng).normalized
                        for _ in range(n_lanes)])
         _kernel.ris_loop(q.c_blocks[0], q.u_vecs[0], w0[:1], 0.0, 0.1,
-                         *kernel_args(reg, q, tol=1e-13, max_iters=500))
-        return q, mus, reg, w0
+                         *kernel_args(1.3, q, tol=1e-13, max_iters=500))
+        return q, mus, w0
 
     @staticmethod
-    def _alone(c, u, w0, mu, reg, **kw):
+    def _alone(c, u, w0, mu, **kw):
         """One lane's (count, residual, w) from a call with that lane alone."""
         w = w0[None].copy()
         it, res, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
-                                      *kernel_args(reg, RisQuadratics(c, 0.1, u),
+                                      *kernel_args(1.3, RisQuadratics(c, 0.1, u),
                                                    **kw))
         return it[0], res[0], w[0]
 
@@ -550,13 +546,13 @@ class TestKernelDirect:
         caps = dict(tol=1e-2, max_iters=40)
         g = _kernel.ris_group(1 << 30, l)     # the largest group at this L
         for n_lanes in (1, 3, g, g + 1, 2 * g + 3, 30):
-            q, mus, reg, w0 = self._lanes(rng, l, m, n_lanes)
+            q, mus, w0 = self._lanes(rng, l, m, n_lanes)
             w = w0.copy()
             iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
-                                             *kernel_args(reg, q, **caps))
+                                             *kernel_args(1.3, q, **caps))
             for i in range(n_lanes):
                 it_one, res_one, w_one = self._alone(
-                    q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], reg, **caps)
+                    q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], **caps)
                 assert iters[i] == it_one > 0 and res[i] == res_one
                 assert np.array_equal(w[i], w_one)
             assert iters[0] == 1
@@ -579,7 +575,7 @@ class TestKernelDirect:
         # lane 1, and lane g+1 (a refill), have a negative definite D block
         g = _kernel.ris_group(1 << 30, 2)
         for n_lanes in (3, g + 3):
-            q, mus, reg, w0 = self._lanes(rng, 2, 3, n_lanes)
+            q, mus, w0 = self._lanes(rng, 2, 3, n_lanes)
             bad = [p for p in (1, g + 1) if p < n_lanes]
             c, u = q.c_blocks.copy(), q.u_vecs.copy()
             for p in bad:
@@ -587,13 +583,13 @@ class TestKernelDirect:
                 mus[p] = 0.0
             w = w0.copy()
             counts, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                              *kernel_args(reg, q, max_iters=100))
+                                              *kernel_args(1.3, q, max_iters=100))
             assert [p for p in range(n_lanes) if counts[p] < 0] == bad
             for p in range(n_lanes):
                 # the failed lanes keep their iterates, the others are as
                 # if alone
                 it_one, res_one, w_one = self._alone(
-                    c[p], u[p], w0[p], mus[p], reg, max_iters=100)
+                    c[p], u[p], w0[p], mus[p], max_iters=100)
                 assert counts[p] == it_one and np.array_equal(w[p], w_one)
                 if p in bad:
                     assert np.array_equal(w[p], w0[p])
@@ -612,14 +608,13 @@ class TestKernelDirect:
         assert _kernel._lanes(views[0], q.c_blocks.shape)[1] == 0
         copies = [np.ascontiguousarray(v) for v in views]
         mus = rng.permutation(np.linspace(0.0, 40.0, n_lanes))
-        reg = RegularizerSettings(r_sigma=1.3)
         w0 = np.stack([rand_phases(4, 4, rng).normalized
                        for _ in range(n_lanes)])
         out = []
         for c, u in (views, copies):
             w = w0.copy()
             iters, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                             *kernel_args(reg, q, tol=1e-2,
+                                             *kernel_args(1.3, q, tol=1e-2,
                                                           max_iters=40))
             out.append((iters, res, w))
         assert len(set(out[0][0])) > 2    # ragged exits
@@ -639,7 +634,7 @@ class TestKernelDirect:
     def test_rejects_mismatched_shapes(self, rng):
         q = build_ris_quadratics(rand_estimate(3, 2, 2, 2, rng),
                                  rand_precoder(3, 2, rng), 0.1)
-        args = (0.0, 0.1, *kernel_args(RegularizerSettings(), q))
+        args = (0.0, 0.1, *kernel_args(1.0, q))
         w = rand_phases(2, 2, rng).normalized[None]
         with pytest.raises(ValueError, match="disagree"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, np.tile(w, (1, 2)), *args)

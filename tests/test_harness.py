@@ -78,6 +78,24 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=rf"{field}.*got {value}\b"):
             ExperimentSpec(**base)
 
+    @pytest.mark.parametrize("kind,value", [
+        ("power_sweep", math.nan), ("csit_sweep", math.inf),
+        ("convergence", -math.inf), ("mu_study", math.nan),
+        ("antennas_sweep", math.inf)])
+    def test_sweep_values_must_be_finite(self, kind, value):
+        # the stream key int(abs(value * 1024)) would fail mid-run
+        with pytest.raises(ValueError, match=rf"sweep_values.*got {value}"):
+            ExperimentSpec(kind=kind, sweep_values=(1.0, value), n_seeds=1)
+
+    def test_base_config_checked_at_load(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentSpec(kind="power_sweep", sweep_values=(0.0,), n_seeds=1,
+                           base_config={"ul_train_len": 64})
+        for kind in ("scalability", "bench"):
+            with pytest.raises(ValueError, match="M_tot=8 not divisible by L=3"):
+                ExperimentSpec(kind=kind, sweep_values=(1, 3), n_seeds=1,
+                               base_config=BASE_CONFIG)
+
     def test_integral_float_counts_accepted(self):
         spec = ExperimentSpec(kind="antennas_sweep", sweep_values=(4.0, 8),
                               n_seeds=1)
@@ -162,10 +180,11 @@ class TestRunExperiment:
     def test_single_mu_kinds_run_their_one_point(self):
         # mu_study sweeps mu itself; a one-point plan pins it for any other
         # kind
-        rows = run_experiment(small_spec(kind="mu_study", sweep_values=(-1.0, 5.0),
+        with pytest.raises(ValueError, match=r"mu_study sweep_values.*got -1\.0"):
+            small_spec(kind="mu_study", sweep_values=(-1.0, 5.0))
+        rows = run_experiment(small_spec(kind="mu_study", sweep_values=(5.0,),
                                          n_seeds=1, schemes=("gpi_pris",)), FAST)
-        assert rows[0].error == "ValueError: mu_min must be >= 0"
-        assert rows[1].error == "" and rows[1].mu == 5.0
+        assert rows[0].error == "" and rows[0].mu == 5.0
         rows = run_experiment(small_spec(mu_min=7.0, mu_points=1, n_seeds=1,
                                          schemes=("gpi_pris",)), FAST)
         assert [(r.error, r.mu) for r in rows] == [("", 7.0)] * 2

@@ -7,7 +7,7 @@ from conftest import rand_estimate, rand_phases, rand_precoder
 import gpris.joint
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
                                 run_gpi_precoder)
-from gpris.gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
+from gpris.gpi_ris import build_ris_quadratics, run_gpi_ris
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                          initial_pair, run_joint)
 from gpris.metrics import (Precoder, lower_bound_sum_se, nmse_unit_modulus)
@@ -65,6 +65,7 @@ class TestPlanAndSettings:
             AlgorithmSettings(**{loop: GpiSettings(**{name: value})})
 
     def test_smoothing_knobs_are_regularizer_settings(self):
+        # alpha1/alpha2 are the constants gpi_ris.ALPHA1/ALPHA2, no setting
         with pytest.raises(TypeError):
             AlgorithmSettings(alpha1=2.0)
 
@@ -274,8 +275,9 @@ def _old_precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
     return precoder, ris_quad
 
 
-def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timing):
-    """The sequential code's alternation at one mu, kept as the oracle."""
+def _old_alternate(est, noise_over_p, mu, settings, init, obj_init, first, timing):
+    """The sequential code's alternation at one mu, kept as the oracle; the
+    initial objective ``obj_init`` is the normalizer r_sigma."""
     precoder, phases = init
     w = phases.normalized
     obj_prev = obj_init
@@ -290,7 +292,7 @@ def _old_alternate(est, noise_over_p, reg, settings, init, obj_init, first, timi
                                                      precoder, phases, timing)
         iters += 1
         t1 = time.perf_counter()
-        ris = run_gpi_ris(ris_quad, reg, w, settings.ris)
+        ris = run_gpi_ris(ris_quad, mu, obj_init, w, settings.ris)
         phases, w = ris.phases, ris.w
         t2 = time.perf_counter()
         obj = lower_bound_sum_se(est, precoder, phases, noise_over_p)
@@ -316,9 +318,8 @@ def _old_line_search(est, plan, settings, init):
     first = _old_precoder_stage(est, NOP, settings, *init, timing)
     finals, iters, conv, best = {}, {}, {}, None
     for mu in map(float, plan.grid):
-        reg = RegularizerSettings(mu=mu, r_sigma=r_sigma)
         obj, _, _, _, _, iters[mu], conv[mu] = _old_alternate(
-            est, NOP, reg, settings, init, r_sigma, first, timing)
+            est, NOP, mu, settings, init, r_sigma, first, timing)
         finals[mu] = obj
         if best is None or obj > finals[best]:
             best = mu
@@ -357,10 +358,10 @@ class TestLanes:
         bad_mu = float(plan.grid[2])
         original = gpris.joint.run_gpi_ris
 
-        def fails_for_bad_mu(quad, reg, w, ris_settings):
-            if bad_mu in np.atleast_1d(reg.mu):
+        def fails_for_bad_mu(quad, mu, r_sigma, w, ris_settings):
+            if bad_mu in np.atleast_1d(mu):
                 raise np.linalg.LinAlgError("forced failure")
-            return original(quad, reg, w, ris_settings)
+            return original(quad, mu, r_sigma, w, ris_settings)
 
         monkeypatch.setattr(gpris.joint, "run_gpi_ris", fails_for_bad_mu)
         res = run_joint(est, NOP, plan, settings, np.random.default_rng(0),

@@ -8,11 +8,12 @@ from conftest import rand_estimate, rand_phases, rand_precoder
 from gpris import _kernel
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
                                 run_gpi_precoder)
-from gpris.gpi_ris import RegularizerSettings, build_ris_quadratics, run_gpi_ris
+from gpris.gpi_ris import build_ris_quadratics, run_gpi_ris
 from gpris.metrics import PhaseShifts, Precoder, lower_bound_sum_se
 
 NOP = 0.1
 MUS = np.array([0.0, 5.0, 0.0, 80.0])
+R_SIGMA = 1.5
 
 
 @pytest.fixture(params=[False, True], ids=["isotropic", "dense"])
@@ -42,8 +43,7 @@ def test_lane_equals_unbatched_call(lanes, sel):
     gpi = GpiSettings(tol=1e-4, max_iters=40)
     f_star, pre_iters, pre_res = run_gpi_precoder(quad, f.stacked, gpi)
     ris_quad = build_ris_quadratics(est, f, NOP)
-    reg = RegularizerSettings(mu=MUS[sel], r_sigma=1.5)
-    ris = run_gpi_ris(ris_quad, reg, phi.normalized, GpiSettings())
+    ris = run_gpi_ris(ris_quad, MUS[sel], R_SIGMA, phi.normalized, GpiSettings())
     assert type(pre_iters) is int and type(ris.iterations) is int
     totals = [0, 0]
     for i, p in enumerate(sel):
@@ -54,9 +54,8 @@ def test_lane_equals_unbatched_call(lanes, sel):
         assert np.array_equal(f_star[i], one_f) and pre_res[i] == one_res
         one_ris_quad = build_ris_quadratics(est, precoders[p], NOP)
         assert np.array_equal(ris_quad.c_blocks[i], one_ris_quad.c_blocks)
-        one = run_gpi_ris(one_ris_quad, RegularizerSettings(
-            mu=float(MUS[p]), r_sigma=reg.r_sigma),
-            phases[p].normalized, GpiSettings())
+        one = run_gpi_ris(one_ris_quad, float(MUS[p]), R_SIGMA,
+                          phases[p].normalized, GpiSettings())
         assert np.array_equal(ris.w[i], one.w)
         assert np.array_equal(ris.phases.per_ris[i], one.phases.per_ris)
         assert ris.residual[i] == one.residual and ris.nmse[i] == one.nmse
@@ -69,11 +68,9 @@ def test_numpy_fallback_runs_lane_by_lane(lanes, monkeypatch):
     est, phases, precoders = lanes
     phi, f = _batch(est, phases, precoders, range(len(MUS)))
     quad = build_ris_quadratics(est, f, NOP)
-    reg = RegularizerSettings(mu=MUS, r_sigma=1.5)
     monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
-    ris = run_gpi_ris(quad, reg, phi.normalized, GpiSettings())
+    ris = run_gpi_ris(quad, MUS, R_SIGMA, phi.normalized, GpiSettings())
     for i in range(len(MUS)):
-        one = run_gpi_ris(quad.lane(i), RegularizerSettings(
-            mu=float(MUS[i]), r_sigma=reg.r_sigma),
-            phi.normalized[i], GpiSettings())
+        one = run_gpi_ris(quad.lane(i), float(MUS[i]), R_SIGMA,
+                          phi.normalized[i], GpiSettings())
         assert np.array_equal(ris.w[i], one.w)

@@ -6,15 +6,18 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import gpris
 from gpris import _kernel
-from gpris.harness import load_spec
+from gpris.harness import ExperimentSpec, load_spec
+from gpris.scenario import SystemConfig
 
 _DEMOS = Path(gpris.__file__).parents[2] / "demos"
+_README = Path(gpris.__file__).parents[2] / "README.md"
 
 
 def test_public_names_resolve():
@@ -30,7 +33,7 @@ _MODULE_ONLY = {
     "channel": ("ChannelEstimate", "ChannelSet", "cascade", "error_scale_dft",
                 "steering_ula", "steering_upa"),
     "gpi_precoder": ("PrecoderQuadratics",),
-    "gpi_ris": ("RisGpiResult", "RisQuadratics"),
+    "gpi_ris": ("ALPHA1", "ALPHA2", "RisGpiResult", "RisQuadratics"),
     "harness": ("BenchResult", "ResultRow", "bench_from_spec", "bench_ris_stage",
                 "load_spec", "run_experiment", "write_results"),
     "joint": ("JointResult",),
@@ -48,6 +51,24 @@ def test_module_only_names_import_from_their_module():
         mod = importlib.import_module(f"gpris.{module}")
         assert [name for name in names if not hasattr(mod, name)] == []
         assert set(names).isdisjoint(gpris.__all__)
+
+
+def _readme_section(title):
+    text = _README.read_text(encoding="utf-8")
+    return text.split(f"### {title}\n")[1].split("\n#")[0]
+
+
+def test_readme_names_every_setting():
+    # the scenario table's first column holds SystemConfig's fields plus the
+    # two nested sections, and the spec section names every spec field
+    table = _readme_section("Scenario config (JSON)")
+    keys = {key for line in table.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+    assert keys == {f.name for f in fields(SystemConfig)} | {"geometry",
+                                                             "pathloss"}
+    spec = _readme_section("Experiment spec (JSON)")
+    assert [f.name for f in fields(ExperimentSpec)
+            if f"`{f.name}`" not in spec] == []
 
 
 def test_demo_specs_load():

@@ -114,13 +114,18 @@ def test_default_paper_scenario_constructible():
     assert cfg.m_ris == 64
     assert scn.geometry.ris_positions == ((20.0, 20.0), (20.0, -20.0))
     assert (geo.circle_center_distance, geo.user_radius) == (60.0, 20.0)
-    assert cfg.ul_train_len == 64 * 4  # defaulted to the minimum M*K
+    assert cfg.ul_train_len == 64 * 4  # the minimum M*K
 
 
 class TestSystemConfigInvariants:
     def test_train_length_floor_enforced(self):
-        with pytest.raises(ValueError, match="ul_train_len"):
+        # T = M*K is derived, so no config can train with fewer pilots
+        with pytest.raises(TypeError, match="ul_train_len"):
             SystemConfig(n_users=4, ris_elems_y=4, ris_elems_z=4, ul_train_len=10)
+        cfg = SystemConfig(n_users=3, ris_elems_y=2, ris_elems_z=5)
+        assert cfg.ul_train_len == 2 * 5 * 3
+        with pytest.raises(AttributeError):
+            cfg.ul_train_len = 10
 
     def test_positive_dimensions(self):
         for name in ("n_bs_antennas", "n_users", "n_ris", "ris_elems_y"):
@@ -147,9 +152,10 @@ class TestJsonConfig:
 
     def test_unknown_top_level_key_rejected(self):
         # noise_variance is no setting: sigma^2 = 1 is the model; bandwidth
-        # and noise figure shift every cascaded gain as tx_power_dbm does
+        # and noise figure shift every cascaded gain as tx_power_dbm does,
+        # and the training length T = M*K acts through T*rho alone
         for key in ("frobnicate", "noise_variance", "bandwidth_hz",
-                    "noise_figure_db"):
+                    "noise_figure_db", "ul_train_len"):
             with pytest.raises(ValueError, match="unknown config keys"):
                 scenario_from_dict(dict(self.DOC, **{key: 1}))
 
