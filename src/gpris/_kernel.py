@@ -208,9 +208,9 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     lanes ``ris_group(P, L)`` at a time, copying each into a slot of its
     layout as it enters the group; every lane's result is bit for bit that
     of a call with that lane alone.  Returns the per-lane iteration counts and
-    exit residuals ||Dbar^-1 Cbar w - w||, and the wall time of the compiled
-    call.  A negative count flags a non-positive-definite denominator block
-    in that lane alone, whose iterate is then left at the previous one.
+    final steps ||w_t - w_{t-1}||, and the wall time of the compiled call.
+    A negative count flags a non-positive-definite denominator block in that
+    lane alone, whose iterate is then left at the previous one.
     """
     lib = _library()
     p, lm = w.shape
@@ -224,7 +224,7 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     u, u_stride = _lanes(u_vecs, (k, l, m))
     mu = np.ascontiguousarray(np.broadcast_to(mu, (p,)), dtype=np.float64)
     iters = np.zeros(p, dtype=np.intc)
-    residual = np.zeros(p)
+    step = np.zeros(p)
     seconds = ctypes.c_double()
     g = ris_group(p, l)
     work = np.empty(lib.gpris_ris_loop_work(g, k, m, l))
@@ -232,9 +232,9 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
                        u_stride, float(noise_over_p), float(inv_rs_ln2),
                        mu.ctypes.data, float(tau), float(alpha1), float(alpha2),
                        w.ctypes.data, float(tol), int(max_iters),
-                       iters.ctypes.data, residual.ctypes.data,
+                       iters.ctypes.data, step.ctypes.data,
                        ctypes.byref(seconds), work.ctypes.data)
-    return iters, residual, seconds.value
+    return iters, step, seconds.value
 
 
 def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
@@ -244,10 +244,10 @@ def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
     quadratics as ``PrecoderQuadratics`` holds them; ``f`` holds the (P, KN)
     unit-norm column-stacked iterates, C-contiguous complex128, and is
     updated in place.  Returns the per-lane iteration counts, failed blocks
-    and exit residuals ||Bbar^-1 Abar f - lambda f|| / lambda.  A negative
-    count flags a failed lane, whose iterate is left at the previous one;
-    its block entry names the Bbar block that is not positive definite, or
-    is -1 when a quadratic form is not positive.
+    and final steps, the smaller of ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.
+    A negative count flags a failed lane, whose iterate is left at the
+    previous one; its block entry names the Bbar block that is not positive
+    definite, or is -1 when a quadratic form is not positive.
     """
     lib = _library()
     h = np.ascontiguousarray(h_hat, dtype=np.complex128)
@@ -258,14 +258,14 @@ def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
         raise ValueError("h_hat, g_blocks and f disagree on shape or layout")
     iters = np.zeros(p, dtype=np.intc)
     block = np.zeros(p, dtype=np.intc)
-    residual = np.zeros(p)
+    step = np.zeros(p)
     work = np.empty(lib.gpris_precoder_loop_work(k, n))
     lib.gpris_precoder_loop(p, k, n, h.ctypes.data, g.ctypes.data,
                             float(noise_over_p), f.ctypes.data, float(tol),
                             int(max_iters), iters.ctypes.data,
-                            block.ctypes.data, residual.ctypes.data,
+                            block.ctypes.data, step.ctypes.data,
                             work.ctypes.data)
-    return iters, block, residual
+    return iters, block, step
 
 
 def warm_up():

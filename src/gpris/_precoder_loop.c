@@ -24,7 +24,9 @@
  *   iters          (P,) iteration count of each lane, negative on failure
  *   block          (P,) on failure, the Bbar block that is not positive
  *                  definite, or -1 when a quadratic form is not positive
- *   residual       (P,) ||Bbar^-1 Abar f - lambda f|| / lambda at the exit
+ *   step           (P,) the last step each lane took, the smaller of
+ *                  ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||; a lane that
+ *                  took none leaves its entry as it was
  *   work           gpris_precoder_loop_work(K, N) doubles of scratch
  *
  * Each lane is first copied into scratch with real and imaginary parts
@@ -90,11 +92,10 @@ long gpris_precoder_loop_work(int k_users, int n)
 }
 
 /* Image x = Bbar(f)^-1 Abar(f) f of one lane, unnormalized, in im->xr /
- * im->xi, and lambda_BS at f.  Returns 0 on failure with *block set as in
- * the layout above. */
+ * im->xi.  Returns 0 on failure with *block set as in the layout above. */
 static int precoder_image(int k_users, int n, const struct lane *ln,
                           const struct image *im, double noise_over_p,
-                          double *restrict lam, int *restrict block)
+                          int *restrict block)
 {
     const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
     const size_t r2 = 2 * k;  /* right-hand sides per row of v */
@@ -165,7 +166,6 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
         sum_ia += iqa[kk];
         sum_ib += iqb[kk];
     }
-    *lam = prod;
     /* right-hand sides lambda A f_j (columns j of v), and h_j (K + j) */
     const double diag_a = noise_over_p * sum_ia;
     double *restrict sr = im->xr;  /* the image is not formed yet */
@@ -317,22 +317,21 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
 }
 
 /* One lane: returns the iteration count, or minus it on failure (f is then
- * left at the previous iterate). */
+ * left at the previous iterate), with its last step in *step. */
 static int precoder_lane(int k_users, int n, const struct lane *ln,
                          const struct image *im, double noise_over_p,
                          double tol, int max_iters, int *restrict block,
-                         double *restrict residual)
+                         double *restrict step)
 {
     const size_t kn = (size_t)k_users * n;
     const double *restrict xr = im->xr;
     const double *restrict xi = im->xi;
     double *restrict fr = ln->fr;
     double *restrict fi = ln->fi;
-    double lam;
     int iters = 0;
     for (int it = 0; it < max_iters; ++it) {
         ++iters;
-        if (!precoder_image(k_users, n, ln, im, noise_over_p, &lam, block))
+        if (!precoder_image(k_users, n, ln, im, noise_over_p, block))
             return -iters;
         double nrm = 0.0;
         for (size_t i = 0; i < kn; ++i) {
@@ -351,17 +350,10 @@ static int precoder_lane(int k_users, int n, const struct lane *ln,
             fr[i] = v;
             fi[i] = w;
         }
-        if (sqrt(minus < plus ? minus : plus) <= tol)
+        *step = sqrt(minus < plus ? minus : plus);
+        if (*step <= tol)
             break;
     }
-    if (!precoder_image(k_users, n, ln, im, noise_over_p, &lam, block))
-        return -iters;
-    double res = 0.0;
-    for (size_t i = 0; i < kn; ++i) {
-        res += (xr[i] - lam * fr[i]) * (xr[i] - lam * fr[i]);
-        res += (xi[i] - lam * fi[i]) * (xi[i] - lam * fi[i]);
-    }
-    *residual = sqrt(res) / fabs(lam);
     return iters;
 }
 
@@ -370,7 +362,7 @@ int gpris_precoder_loop(int p_lanes, int k_users, int n,
                         const double *restrict h, const double *restrict g,
                         double noise_over_p, double *restrict f, double tol,
                         int max_iters, int *restrict iters,
-                        int *restrict block, double *restrict residual,
+                        int *restrict block, double *restrict step,
                         double *restrict work)
 {
     const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
@@ -396,9 +388,8 @@ int gpris_precoder_loop(int p_lanes, int k_users, int n,
                     ln.gti[(kk * nn + b) * nn + a] = gab[1];
                 }
         block[p] = -1;
-        residual[p] = NAN;
         iters[p] = precoder_lane(k_users, n, &ln, &im, noise_over_p, tol,
-                                 max_iters, block + p, residual + p);
+                                 max_iters, block + p, step + p);
         for (size_t i = 0; i < kn; ++i) {
             fp[2 * i] = ln.fr[i];
             fp[2 * i + 1] = ln.fi[i];

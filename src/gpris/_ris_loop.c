@@ -8,10 +8,11 @@
  * on its own blocks, iterate and mu, and each with its own iteration count.
  * They advance G at a time (gpris._kernel picks G from P and L), one lane
  * per slot of a group whose blocks sit side by side in the scratch:
- *   - a lane that exits (tolerance, iteration cap or a block that is not
- *     positive definite) writes back its iterate, count and residual, and
- *     the next queued lane is loaded into its slot; the slots freed by one
- *     image are refilled in one pass over the scratch;
+ *   - a lane exits in the pass whose step meets the tolerance or reaches
+ *     the iteration cap, or whose denominator block is not positive
+ *     definite; it writes back its iterate and count, and the next queued
+ *     lane is loaded into its slot; the slots freed by one image are
+ *     refilled in one pass over the scratch;
  *   - once the queue is empty, the last occupied slot moves into the freed
  *     one, so the occupied slots are always the first n and every loop runs
  *     over their n*L (slot, RIS) columns alone: an idle slot is never
@@ -31,7 +32,8 @@
  *   w              (P, L*M) unit-norm iterates, updated in place
  *   iters          (P,) iteration count of each lane, negative when a
  *                  denominator block of that lane is not positive definite
- *   residual       (P,) fixed-point residual of each lane at its exit
+ *   step           (P,) the last step each lane took, ||w_t - w_{t-1}||;
+ *                  a lane that took none leaves its entry as it was
  *   seconds        wall time of the call (monotonic clock)
  *   work           gpris_ris_loop_work(G, K, M, L) doubles of scratch
  *
@@ -43,11 +45,11 @@
  * the Cbar image and of the Dbar blocks, and the right-looking Cholesky
  * updates each trailing row over its columns; each output keeps its
  * accumulation order.  Every per-lane reduction (the quadratic forms over a
- * lane's blocks, the penalty max/min and exp sums, the norm, the step and
- * the residual) runs over that lane's own columns in the order of a lone
- * lane.  So no reduction is reassociated, and each lane's w, count and
- * residual are bit for bit those of a one-lane call, whatever G and its
- * neighbours.  The slot arrays:
+ * lane's blocks, the penalty max/min and exp sums, the norm and the step)
+ * runs over that lane's own columns in the order of a lone lane.  So no
+ * reduction is reassociated, and each lane's w, count and step are bit for
+ * bit those of a one-lane call, whatever G and its neighbours.  The slot
+ * arrays:
  *   ct             (K, M, M, S) C_k by columns, ct[k][b][a][x] = C_kl[a, b]
  *   d              (K, T, S) lower triangles of D_k = C_k - u_k u_k^H, rows
  *                  packed (T = M(M+1)/2 entries per block)
@@ -502,10 +504,8 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
  *
  * A lane's count is its number of fixed-point steps, or minus it when a
  * denominator block is not positive definite (w is then left at the
- * previous iterate).  After its last step (tolerance met or max_iters
- * reached) the lane takes one more image for its residual
- * ||Dbar^-1 Cbar w - w|| at the returned w, the lambda-free fixed-point
- * residual. */
+ * previous iterate).  With max_iters <= 0 every lane passes through its
+ * slot untouched, with count 0. */
 int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    const double *restrict c, long c_stride,
                    const double *restrict u, long u_stride,
@@ -513,7 +513,7 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    const double *restrict mu, double tau, double alpha1,
                    double alpha2, double *restrict w, double tol,
                    int max_iters, int *restrict iters,
-                   double *restrict residual, double *restrict seconds,
+                   double *restrict step, double *restrict seconds,
                    double *restrict work)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, ml = mm * l;
@@ -526,9 +526,9 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
     struct group gr;
     struct image im;
     carve(g_slots, k_users, m, l_ris, work, &gr, &im);
-    /* per slot: its lane (-1 when free), steps so far, whether only the
-     * residual image is left, its mu and the image's positive-definite flag */
-    int lane[g_slots], count[g_slots], last[g_slots], ok[g_slots];
+    /* per slot: its lane (-1 when free), steps so far, its mu and the
+     * image's positive-definite flag */
+    int lane[g_slots], count[g_slots], ok[g_slots];
     double mus[g_slots];
     /* the refills of one pass: slot offsets and the lanes' blocks */
     size_t at[g_slots];
@@ -556,7 +556,6 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                 }
             lane[g] = p;
             count[g] = 0;
-            last[g] = max_iters <= 0;
             mus[g] = mu[p];
             if (g >= n)
                 n = g + 1;
@@ -584,15 +583,15 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
             move_columns(gr.wi, mm, s, from, to, l);
             lane[g] = lane[n];
             count[g] = count[n];
-            last[g] = last[n];
             mus[g] = mus[n];
         }
         if (n == 0)
             break;
         for (int g = 0; g < n; ++g)
             ok[g] = 1;
-        ris_image(k_users, m, l_ris, n, s, &gr, &im, noise_over_p, inv_rs_ln2,
-                  mus, tau, alpha1, alpha2, ok);
+        if (max_iters > 0)
+            ris_image(k_users, m, l_ris, n, s, &gr, &im, noise_over_p,
+                      inv_rs_ln2, mus, tau, alpha1, alpha2, ok);
         for (int g = 0; g < n; ++g) {
             const size_t o = (size_t)g * l;
             double *restrict wr = gr.wr;
@@ -600,35 +599,29 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
             const double *cwr = im.cwr;
             const double *cwi = im.cwi;
             const int p = lane[g];
-            if (!last[g])
+            if (max_iters > 0)
                 ++count[g];
-            if (ok[g] && last[g]) {
-                double res = 0.0;
-                for (size_t r = 0; r < lrows; ++r)
-                    for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
-                        res += (cwr[i] - wr[i]) * (cwr[i] - wr[i])
-                               + (cwi[i] - wi[i]) * (cwi[i] - wi[i]);
-                    }
-                residual[p] = sqrt(res);
-            } else if (ok[g]) {
+            if (max_iters > 0 && ok[g]) {
                 double nrm = 0.0;
                 for (size_t r = 0; r < lrows; ++r)
                     for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
                         nrm += cwr[i] * cwr[i] + cwi[i] * cwi[i];
                     }
                 const double inv_nrm = 1.0 / sqrt(nrm);
-                double step = 0.0;
+                double sq = 0.0;
                 for (size_t r = 0; r < lrows; ++r)
                     for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
                         double vr = cwr[i] * inv_nrm;
                         double vi = cwi[i] * inv_nrm;
-                        step += (vr - wr[i]) * (vr - wr[i])
-                                + (vi - wi[i]) * (vi - wi[i]);
+                        sq += (vr - wr[i]) * (vr - wr[i])
+                              + (vi - wi[i]) * (vi - wi[i]);
                         wr[i] = vr;
                         wi[i] = vi;
                     }
-                last[g] = sqrt(step) <= tol || count[g] >= max_iters;
-                continue;
+                step[p] = sqrt(sq);
+                /* a NaN step runs on to the cap, as in fixed_point */
+                if (!(step[p] <= tol) && count[g] < max_iters)
+                    continue;
             }
             /* the lane exits: write back its iterate and count */
             iters[p] = ok[g] ? count[g] : -count[g];

@@ -12,8 +12,16 @@ from .joint import AlgorithmSettings
 from .scenario import load_scenario
 
 
+def _seed(text: str) -> int:
+    """An rng seed, which numpy takes only unsigned."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be unsigned, got {seed}")
+    return seed
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the scenario rng seed")
     parser.add_argument("--out", type=str, default=None,
                         help="output path stem (.csv / .jsonl are appended)")

@@ -35,13 +35,14 @@ class GpiSettings:
 
 
 def fixed_point(image, x: np.ndarray, settings: GpiSettings,
-                signed: bool = False) -> tuple[np.ndarray, int]:
+                signed: bool = False) -> tuple[np.ndarray, int, float]:
     """Iterate x <- image(x) / ||image(x)|| on one lane from the unit-norm
     vector ``x`` until a step ||x_new - x|| is at most ``settings.tol`` or
-    ``settings.max_iters`` steps ran; returns (x, steps).  With ``signed``
-    the step is the smaller of ||x_new - x|| and ||x_new + x||, as x and -x
-    are the same point.  Both stages run here when no C compiler is found,
-    and it is the oracle their compiled loops are tested against."""
+    ``settings.max_iters`` steps ran; returns (x, steps, the last step).
+    With ``signed`` the step is the smaller of ||x_new - x|| and
+    ||x_new + x||, as x and -x are the same point.  Both stages run here
+    when no C compiler is found, and it is the oracle their compiled loops
+    are tested against."""
     for steps in range(1, settings.max_iters + 1):
         x_new = image(x)
         x_new = x_new / np.linalg.norm(x_new, axis=-1)
@@ -51,7 +52,7 @@ def fixed_point(image, x: np.ndarray, settings: GpiSettings,
         x = x_new
         if step <= settings.tol:
             break
-    return x, steps
+    return x, steps, step
 
 
 @dataclass
@@ -155,12 +156,12 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
                      settings: GpiSettings):
     """Iterate f <- Bbar^-1 Abar f with normalization until the step is small.
 
-    Returns (unit-norm stacked precoder, iterations, fixed-point residual
-    ||Bbar^-1 Abar f - lambda f|| / lambda).  The step norm is minimized
-    over the +-f sign ambiguity.  With a leading lane axis (f_init (P, NK)
-    against lane-stacked quadratics) each lane stops once its own step
-    reaches the tolerance; the iteration count is then the total over all
-    lanes and the residual holds one value per lane.  The loop runs
+    Returns (unit-norm stacked precoder, iterations, last step), the step
+    being minimized over the +-f sign ambiguity: the smaller of
+    ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.  With a leading lane axis
+    (f_init (P, NK) against lane-stacked quadratics) each lane stops once its
+    own step reaches the tolerance; the iteration count is then the total
+    over all lanes and the step holds one value per lane.  The loop runs
     compiled when a C compiler is found (see ``_kernel``), all lanes in one
     call, and through ``fixed_point`` lane by lane otherwise.  A Bbar block
     that is not positive definite raises ``np.linalg.LinAlgError`` naming
@@ -177,7 +178,7 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     quad = PrecoderQuadratics(q.h_hat.reshape((-1, k, n)),
                               q.g_blocks.reshape((-1, k, n, n)), q.noise_over_p)
     if _kernel.available():
-        counts, block, residual = _kernel.precoder_loop(
+        counts, block, step = _kernel.precoder_loop(
             quad.h_hat, quad.g_blocks, f, q.noise_over_p, settings.tol,
             settings.max_iters)
         failed = np.flatnonzero(counts < 0)
@@ -188,18 +189,16 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
             raise np.linalg.LinAlgError(f"block {bad} is not positive definite")
         iters = int(np.sum(counts))
     else:
-        iters = 0
+        iters, step = 0, np.zeros(f.shape[0])
         for p in range(f.shape[0]):
             lane = PrecoderQuadratics(quad.h_hat[p], quad.g_blocks[p],
                                       q.noise_over_p)
-            f[p], steps = fixed_point(
+            f[p], steps, step[p] = fixed_point(
                 lambda x: gpi_matrices(lane, _as_matrix(x, n, k))[0], f[p],
                 settings, signed=True)
             iters += steps
-        image, lam = gpi_matrices(quad, _as_matrix(f, n, k))
-        residual = np.linalg.norm(image - lam[:, None] * f, axis=-1) / np.abs(lam)
     return (f.reshape(lanes + (n * k,)), iters,
-            _lanes_out(residual.reshape(lanes)))
+            _lanes_out(step.reshape(lanes)))
 
 
 def _as_matrix(f: np.ndarray, n: int, k: int) -> np.ndarray:

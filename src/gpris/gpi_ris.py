@@ -135,12 +135,10 @@ def ris_gpi_matrices(q: RisQuadratics, mu: float, r_sigma: float,
     with tau = 1/(LM) derived from the quadratics (``q.tau``).
 
     The objective value lambda_RIS scales Cbar in the underlying fixed-point
-    map, but it cancels from the normalized step and from the normalized
-    residual ||Dbar^-1 (lam Cbar) w - lam w|| / lam == ||Dbar^-1 Cbar w - w||,
-    so it is left out here.  For large mu it underflows a float64 anyway
-    (its log is proportional to -mu/tau), so inspect it in the log domain:
-    sum_k log2(w^H C_k w / w^H D_k w) / R_sigma minus mu/tau times the
-    LogSumExp modulus spread.
+    map, but it cancels from the normalized step, so it is left out here.
+    For large mu it underflows a float64 anyway (its log is proportional to
+    -mu/tau), so inspect it in the log domain: sum_k log2(w^H C_k w /
+    w^H D_k w) / R_sigma minus mu/tau times the LogSumExp modulus spread.
     """
     w = np.asarray(w, dtype=complex)
     if np.linalg.norm(w) == 0:
@@ -172,10 +170,10 @@ class RisGpiResult:
     w: np.ndarray                # relaxed unit-norm solution
     phases: PhaseShifts          # projected, all moduli exactly 1
     iterations: int
-    residual: float | np.ndarray  # fixed-point residual at exit
+    step: float | np.ndarray     # last step ||w_t - w_{t-1}|| of the loop
     nmse: float | np.ndarray     # unit-modulus deviation of the relaxed w
-    loop_seconds: float = 0.0    # wall time of the loop and its exit
-                                 # residual (compiled: and of its intake)
+    loop_seconds: float = 0.0    # wall time of the loop (compiled: and of
+                                 # its intake)
 
 
 def block_diag_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -215,45 +213,42 @@ def run_gpi_ris(q: RisQuadratics, mu: float | np.ndarray, r_sigma: float,
     """Iterate w <- Dbar^-1 Cbar w with normalization, then project phases.
 
     ``w_init`` is (LM,) or (P, LM) against quadratics with the same lane
-    axis, ``mu`` >= 0 the penalty weight, a float or one per lane, and
-    ``r_sigma`` > 0 the sum-SE normalizer.  The loop runs compiled when a
-    C compiler is found (see ``_kernel``), all lanes in one call, and
+    axis, ``mu`` the penalty weight, finite and >= 0, a float or one per
+    lane, and ``r_sigma`` > 0 the sum-SE normalizer.  The loop runs compiled
+    when a C compiler is found (see ``_kernel``), all lanes in one call, and
     through ``gpi_precoder.fixed_point`` lane by lane otherwise; either way
-    each lane also reports its fixed-point residual ||Dbar^-1 Cbar w - w||
-    at exit.  A non-positive-definite Dbar block in any lane raises
+    each lane also reports the last step ||w_t - w_{t-1}|| its stopping rule
+    took.  A non-positive-definite Dbar block in any lane raises
     ``np.linalg.LinAlgError``.
     """
-    if np.any(np.asarray(mu) < 0) or not r_sigma > 0:
-        raise ValueError(f"need mu >= 0 and r_sigma > 0, got {mu}, {r_sigma}")
+    mu_arr = np.asarray(mu, dtype=float)
+    if not (np.all((0 <= mu_arr) & (mu_arr < np.inf)) and r_sigma > 0):
+        raise ValueError(f"need finite mu >= 0 and r_sigma > 0, got {mu}, {r_sigma}")
     w = np.asarray(w_init, dtype=complex)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(norm == 0):
         raise ValueError("initial w must be nonzero")
     w = w / norm
     lanes = w.shape[:-1]
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), lanes)
+    mu = np.broadcast_to(mu_arr, lanes)
 
     if _kernel.available():
-        iters, residual, loop_seconds = _kernel.ris_loop(
+        iters, step, loop_seconds = _kernel.ris_loop(
             q.c_blocks, q.u_vecs, w.reshape(-1, q.l * q.m), mu.reshape(-1),
             q.noise_over_p, 1.0 / (r_sigma * log(2)), q.tau, ALPHA1, ALPHA2,
             settings.tol, settings.max_iters)
         if np.any(iters < 0):
             raise np.linalg.LinAlgError("denominator block not positive definite")
-        residual = _lanes_out(residual.reshape(lanes))
+        step = step.reshape(lanes)
     else:
         t0 = time.perf_counter()
-        iters, residual = np.zeros(lanes, dtype=int), np.zeros(lanes)
+        iters, step = np.zeros(lanes, dtype=int), np.zeros(lanes)
         for idx in np.ndindex(lanes):
             lane, lane_mu = q.lane(idx), float(mu[idx])
-            w[idx], iters[idx] = fixed_point(
+            w[idx], iters[idx], step[idx] = fixed_point(
                 lambda x: _image(lane, lane_mu, r_sigma, x), w[idx], settings)
-            # lambda-free form of ||Dbar^-1 (lam Cbar) w - lam w|| / lam
-            residual[idx] = np.linalg.norm(
-                _image(lane, lane_mu, r_sigma, w[idx]) - w[idx])
         loop_seconds = time.perf_counter() - t0
-        residual = _lanes_out(residual)
     phases = PhaseShifts.from_normalized(w, q.l, q.m).project()
     return RisGpiResult(w=w, phases=phases, iterations=int(np.sum(iters)),
-                        residual=residual, nmse=nmse_unit_modulus(w),
+                        step=_lanes_out(step), nmse=nmse_unit_modulus(w),
                         loop_seconds=loop_seconds)

@@ -262,9 +262,9 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
     (G = 1; see ``_kernel.ris_group``), not the lane groups of ``run_joint``.
     All scenarios must share the same total element count L*M.  The timer
     runs inside the compiled call and covers its intake (the copy of the
-    blocks into the loop's split layout), the fixed-point loop and the one
-    image that gives its exit residual; channel synthesis, quadratic
-    assembly and the call's Python overhead are excluded.
+    blocks into the loop's split layout) and the fixed-point loop; channel
+    synthesis, quadratic assembly and the call's Python overhead are
+    excluded.
     """
     m_tot = {s.config.m_ris * s.config.n_ris for s in scenarios}
     if len(m_tot) != 1:

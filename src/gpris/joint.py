@@ -13,6 +13,7 @@ in one call each, with the lane axis leading every array.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,12 +36,18 @@ class LineSearchPlan:
     n_points: int = 30
 
     def __post_init__(self):
+        for name in ("mu_min", "mu_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mu_min < 0:
             raise ValueError("mu_min must be >= 0")
         if self.mu_min > self.mu_max:
             raise ValueError("mu_min must be <= mu_max")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+        if not (isinstance(self.n_points, (int, np.integer))
+                and self.n_points >= 1):
+            raise ValueError(f"n_points must be an integer >= 1, "
+                             f"got {self.n_points!r}")
         if self.n_points > 1 and self.mu_min == self.mu_max:
             raise ValueError("n_points must be 1 when mu_min == mu_max")
 

@@ -29,6 +29,9 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
 # the paper's intercept alpha, and its noise over W = 1 GHz with a 5 dB figure
 PATHLOSS_INTERCEPT_DB = 61.4
 NOISE_POWER_DBM = noise_power_dbm(1e9, 5.0)
+# bound on |power| in dBm: within it a power and its inverse, in linear
+# terms, are positive normal floats
+POWER_LIMIT_DBM = 300.0
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,11 @@ class SystemConfig:
             raise ValueError("carrier spacing ratios must be > 0")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be unsigned")
+        for name in ("tx_power_dbm", "ul_train_power_dbm"):
+            value = getattr(self, name)
+            if not abs(value) <= POWER_LIMIT_DBM:  # NaN fails it too
+                raise ValueError(f"{name} must be within ±{POWER_LIMIT_DBM:g} "
+                                 f"dBm, got {value!r}")
 
     @property
     def m_ris(self) -> int:

@@ -13,9 +13,11 @@ import pytest
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
 from gpris.channel import estimate_channels, synthesize_channels
-from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
+from gpris.gpi_precoder import (GpiSettings, _as_matrix,
+                                build_precoder_quadratics, gpi_matrices,
                                 run_gpi_precoder)
-from gpris.gpi_ris import block_diag_solve, build_ris_quadratics, run_gpi_ris
+from gpris.gpi_ris import (_image, block_diag_solve, build_ris_quadratics,
+                           run_gpi_ris)
 from gpris.harness import _square_factor, bench_ris_stage
 from gpris.joint import (AlgorithmSettings, LineSearchPlan, initial_pair,
                          run_joint)
@@ -108,13 +110,16 @@ def test_criterion_3_stationary_residuals():
         _, est, rng = scenario_instance(scenario, seed)
         nop = scenario.config.noise_over_power
         f0, phi0 = initial_pair(est, nop, rng)
+        # each residual at the returned iterate, from the numpy images:
+        # ||Bbar^-1 Abar f - lambda f|| / lambda and ||Dbar^-1 Cbar w - w||
         pq = build_precoder_quadratics(est, phi0, nop)
-        _, _, res_pre = run_gpi_precoder(pq, f0.stacked, tight)
-        if res_pre < 1e-3:
+        f, _, _ = run_gpi_precoder(pq, f0.stacked, tight)
+        image, lam = gpi_matrices(pq, _as_matrix(f, pq.n, pq.k))
+        if np.linalg.norm(image - lam * f) / lam < 1e-3:
             hits_pre += 1
         rq = build_ris_quadratics(est, f0, nop)
-        res_ris = run_gpi_ris(rq, 0.0, 1.0, phi0.normalized, tight)
-        if res_ris.residual < 1e-3:
+        w = run_gpi_ris(rq, 0.0, 1.0, phi0.normalized, tight).w
+        if np.linalg.norm(_image(rq, 0.0, 1.0, w) - w) < 1e-3:
             hits_ris += 1
     ok = hits_pre >= 48 and hits_ris >= 48
     _report(3, "stationary residuals", ok,

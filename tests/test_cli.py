@@ -85,8 +85,9 @@ def test_validate_exit_codes(tmp_path):
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize("text,code", [
     (None, 2), ('{"kind": "power_sweep", ', 1),
-    ('{"kind": "power_sweep", "sweep_values": [NaN], "n_seeds": 1}', 1)],
-    ids=["missing", "malformed", "invalid"])
+    ('{"kind": "power_sweep", "sweep_values": [NaN], "n_seeds": 1}', 1),
+    ('{"kind": "power_sweep", "sweep_values": [0.0, 4000.0], "n_seeds": 1}', 1)],
+    ids=["missing", "malformed", "invalid", "power"])
 def test_bad_spec_is_one_line_and_exit_code(command, text, code, tmp_path,
                                             capsys):
     # the same exit codes as validate, and no traceback
@@ -103,3 +104,13 @@ def test_threads_flag_rejected(command, run_spec):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, run_spec, "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_negative_seed_is_a_usage_error(command, run_spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, run_spec, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--seed: must be unsigned, got -1" in err
+    assert "Traceback" not in err

@@ -102,11 +102,11 @@ class TestFixedPoint:
         # plain one 2 at every step, so only the cap stops it
         x0 = np.array([0.6, 0.8j])
         s = GpiSettings(tol=1e-12, max_iters=7)
-        x, steps = fixed_point(lambda x: -x, x0, s, signed=True)
-        assert steps == 1
+        x, steps, step = fixed_point(lambda x: -x, x0, s, signed=True)
+        assert steps == 1 and step == 0.0
         assert np.allclose(x, -x0, rtol=0, atol=1e-15)
-        x, steps = fixed_point(lambda x: -x, x0, s)
-        assert steps == 7
+        x, steps, step = fixed_point(lambda x: -x, x0, s)
+        assert steps == 7 and step == pytest.approx(2.0, rel=1e-15)
         assert np.allclose(x, -x0, rtol=0, atol=1e-15)
 
 
@@ -267,18 +267,28 @@ class TestRunGpi:
         lam_b = lambda_bs(q, f_b.reshape(4, 2, order="F"))
         assert lam_a == pytest.approx(lam_b, rel=1e-6)
 
-    def test_residual_definition(self, rng):
-        # residual is || Bbar^{-1} Abar f - lambda f || / lambda at the
-        # returned iterate
+    @pytest.mark.parametrize("compiled", [
+        pytest.param(True, marks=needs_compiler), False],
+        ids=["compiled", "numpy"])
+    def test_step_definition(self, rng, monkeypatch, compiled):
+        # the reported step is the last one the loop took: from the same
+        # start, the iterates capped at T and at T - 1 are f_T and f_{T-1},
+        # and the step is min(||f_T - f_{T-1}||, ||f_T + f_{T-1}||)
         est = rand_estimate(4, 2, 2, 2, rng, err=0.1)
         ph = rand_phases(2, 2, rng)
         q = build_precoder_quadratics(est, ph, 0.1)
         f0 = rand_precoder(4, 2, rng).stacked
-        f, _, res = run_gpi_precoder(q, f0, GpiSettings(tol=1e-8,
-                                                        max_iters=100))
-        image, lam = dense_image(q, f)
-        assert res == pytest.approx(np.linalg.norm(image - lam * f) / lam,
-                                    rel=1e-6)
+        if not compiled:
+            without_compiler(monkeypatch)
+        cap = 4
+        f_t, iters, step = run_gpi_precoder(q, f0, GpiSettings(tol=1e-14,
+                                                               max_iters=cap))
+        f_prev, _, _ = run_gpi_precoder(q, f0, GpiSettings(tol=1e-14,
+                                                           max_iters=cap - 1))
+        assert iters == cap and step > 1e-14
+        assert step == pytest.approx(min(np.linalg.norm(f_t - f_prev),
+                                         np.linalg.norm(f_t + f_prev)),
+                                     rel=1e-6, abs=1e-12)
 
     @needs_compiler
     def test_backends_agree(self, quad, rng, monkeypatch):
@@ -288,12 +298,14 @@ class TestRunGpi:
         f0 = np.stack([rand_precoder(5, 3, rng).stacked for _ in range(3)])
         for tol in (1e-3, 1e-10):
             s = GpiSettings(tol=tol, max_iters=100)
-            f, iters, res = run_gpi_precoder(lanes, f0, s)
-            f_ref, iters_ref, res_ref = numpy_reference(monkeypatch, lanes,
-                                                        f0, s)
+            f, iters, step = run_gpi_precoder(lanes, f0, s)
+            f_ref, iters_ref, step_ref = numpy_reference(monkeypatch, lanes,
+                                                         f0, s)
             assert iters == iters_ref
             assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
-            assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
+            assert step == pytest.approx(step_ref, rel=1e-6, abs=1e-12)
+            # every lane stops on the tolerance
+            assert np.all(step <= tol)
 
     @needs_compiler
     def test_dense_errors_at_paper_size(self, rng, monkeypatch):
@@ -307,25 +319,23 @@ class TestRunGpi:
         assert np.all(np.abs(xi[..., 0, 1:]) > 0)
         f0 = np.stack([rand_precoder(16, 4, rng).stacked for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
-        f, iters, res = run_gpi_precoder(q, f0, s)
-        f_ref, iters_ref, res_ref = numpy_reference(monkeypatch, q, f0, s)
+        f, iters, step = run_gpi_precoder(q, f0, s)
+        f_ref, iters_ref, step_ref = numpy_reference(monkeypatch, q, f0, s)
         assert iters == iters_ref
         assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
-        assert res == pytest.approx(res_ref, rel=1e-6, abs=1e-12)
+        assert step == pytest.approx(step_ref, rel=1e-6, abs=1e-12)
 
     def test_without_compiler_falls_back(self, quad, rng, monkeypatch):
         without_compiler(monkeypatch)
         f0 = rand_precoder(5, 3, rng).stacked
         s = GpiSettings(tol=1e-10, max_iters=100)
-        f, iters, res = run_gpi_precoder(quad, f0, s)
+        f, iters, step = run_gpi_precoder(quad, f0, s)
         n, k = quad.n, quad.k
-        f_ref, iters_ref = fixed_point(
+        f_ref, iters_ref, step_ref = fixed_point(
             lambda x: gpi_matrices(quad, _as_matrix(x, n, k))[0],
             f0 / np.linalg.norm(f0, axis=-1), s, signed=True)
-        image, lam = gpi_matrices(quad, _as_matrix(f_ref, n, k))
-        res_ref = np.linalg.norm(image - lam * f_ref, axis=-1) / abs(lam)
         assert iters == iters_ref
-        assert np.array_equal(f, f_ref) and res == res_ref
+        assert np.array_equal(f, f_ref) and step == step_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
             _kernel.precoder_loop(quad.h_hat[None], quad.g_blocks[None],
                                   f_ref[None], quad.noise_over_p, 1e-3, 10)
@@ -347,18 +357,18 @@ class TestImageOracle:
         ids=["compiled", "numpy"])
     def test_one_step_matches_dense_solve(self, quad, rng, monkeypatch,
                                           compiled):
-        # one step returns the normalized image; its residual needs the
-        # full-scale image at the new iterate
+        # one step returns the normalized image, and its step is the
+        # distance to the start at the better sign
         if not compiled:
             without_compiler(monkeypatch)
         f0 = rand_precoder(5, 3, rng).stacked
-        f1, iters, res = run_gpi_precoder(quad, f0, GpiSettings(max_iters=1))
+        f1, iters, step = run_gpi_precoder(quad, f0, GpiSettings(max_iters=1))
         dense, _ = dense_image(quad, f0)
         assert iters == 1
         assert np.allclose(f1, dense / np.linalg.norm(dense), rtol=0, atol=1e-12)
-        image, lam = dense_image(quad, f1)
-        assert res == pytest.approx(np.linalg.norm(image - lam * f1) / lam,
-                                    rel=1e-8)
+        x0 = f0 / np.linalg.norm(f0)
+        assert step == pytest.approx(min(np.linalg.norm(f1 - x0),
+                                         np.linalg.norm(f1 + x0)), rel=1e-8)
 
     @pytest.mark.parametrize("bad_block", [0, 1])
     @pytest.mark.parametrize("compiled", [
@@ -409,16 +419,16 @@ class TestPrecoderKernel:
         start = np.stack(f0) / np.linalg.norm(np.stack(f0), axis=-1,
                                                keepdims=True)
         f = start.copy()
-        iters, block, res = _kernel.precoder_loop(h, g, f, 0.1, 1e-8, 50)
+        iters, block, step = _kernel.precoder_loop(h, g, f, 0.1, 1e-8, 50)
         assert iters[2] == -1 and block[2] == 1
         # the failed lane keeps its iterate
         assert np.array_equal(f[2], start[2])
         for i in (0, 1, 3):
             one = start[i:i + 1].copy()
-            it_one, block_one, res_one = _kernel.precoder_loop(
+            it_one, block_one, step_one = _kernel.precoder_loop(
                 h[i:i + 1], g[i:i + 1], one, 0.1, 1e-8, 50)
             assert iters[i] == it_one[0] > 0 and block[i] == block_one[0] == -1
-            assert np.array_equal(f[i], one[0]) and res[i] == res_one[0]
+            assert np.array_equal(f[i], one[0]) and step[i] == step_one[0]
 
     @needs_compiler
     def test_rejects_mismatched_shapes(self, rng):

@@ -86,7 +86,9 @@ class TestRegularizerSettings:
 
     @pytest.mark.parametrize("kwargs", [{"mu": -1.0},
                                         {"mu": np.array([1.0, -1.0])},
-                                        {"r_sigma": 0.0}])
+                                        {"r_sigma": 0.0}, {"mu": np.nan},
+                                        {"mu": np.inf},
+                                        {"mu": np.array([1.0, np.nan])}])
     def test_rejects_bad_values(self, kwargs, rng):
         est = rand_estimate(3, 2, 2, 2, rng)
         f = Precoder(np.stack([rand_precoder(3, 2, rng).matrix
@@ -353,7 +355,9 @@ class TestRunGpiRis:
             w0 = rand_phases(2, 3, rng).normalized
             res = run_gpi_ris(q, 0.0, 1.0, w0,
                               GpiSettings(tol=1e-8, max_iters=300))
-            if res.residual < 1e-3:
+            # ||Dbar^-1 Cbar w - w|| at the returned w, the lambda-free
+            # stationarity residual, from the numpy reference image
+            if np.linalg.norm(_image(q, 0.0, 1.0, res.w) - res.w) < 1e-3:
                 hits += 1
         assert hits >= 48
 
@@ -380,8 +384,9 @@ class TestRunGpiRis:
             ref = numpy_reference(monkeypatch, q, mu, 1.2, w0, s)
             assert res.iterations == ref.iterations
             assert np.allclose(res.w, ref.w, atol=1e-10)
-            assert res.residual == pytest.approx(ref.residual, rel=1e-6,
-                                                 abs=1e-12)
+            assert res.step == pytest.approx(ref.step, rel=1e-6, abs=1e-12)
+            # a step above the tolerance means the cap stopped the lane
+            assert res.step <= s.tol or res.iterations == s.max_iters
 
     @needs_compiler
     def test_dense_errors_at_paper_size(self, rng, monkeypatch):
@@ -401,9 +406,33 @@ class TestRunGpiRis:
         ref = numpy_reference(monkeypatch, q, mus, 1.4, w0, s)
         for i in range(3):
             assert np.allclose(res.w[i], ref.w[i], atol=1e-10)
-            assert res.residual[i] == pytest.approx(ref.residual[i], rel=1e-6,
-                                                    abs=1e-12)
+            assert res.step[i] == pytest.approx(ref.step[i], rel=1e-6,
+                                                abs=1e-12)
         assert res.iterations == ref.iterations
+
+    @pytest.mark.parametrize("compiled", [
+        pytest.param(True, marks=needs_compiler), False],
+        ids=["compiled", "numpy"])
+    def test_step_definition(self, rng, monkeypatch, compiled):
+        # the reported step is the last one the loop took: from the same
+        # start, the iterates capped at T and at T - 1 are w_T and w_{T-1},
+        # and the step is ||w_T - w_{T-1}|| (no sign freedom here)
+        q = self._problem(rng)
+        w0 = rand_phases(2, 3, rng).normalized
+        if not compiled:
+            monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
+        cap = 4
+        res = run_gpi_ris(q, 25.0, 1.2, w0, GpiSettings(tol=1e-14,
+                                                        max_iters=cap))
+        prev = run_gpi_ris(q, 25.0, 1.2, w0, GpiSettings(tol=1e-14,
+                                                         max_iters=cap - 1))
+        assert res.iterations == cap and res.step > 1e-14
+        assert res.step == pytest.approx(np.linalg.norm(res.w - prev.w),
+                                         rel=1e-6, abs=1e-12)
+        # a lane stopped by the tolerance reports a step at or below it
+        loose = run_gpi_ris(q, 25.0, 1.2, w0, GpiSettings(tol=1e-2,
+                                                          max_iters=100))
+        assert loose.iterations < 100 and loose.step <= 1e-2
 
     def test_without_compiler_auto_falls_back(self, rng, monkeypatch):
         monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
@@ -412,12 +441,12 @@ class TestRunGpiRis:
         w0 = rand_phases(2, 3, rng).normalized
         s = GpiSettings(tol=1e-10, max_iters=100)
         res = run_gpi_ris(q, 0.0, 1.0, w0, s)
-        w_ref, iters_ref = fixed_point(lambda x: _image(q, 0.0, 1.0, x),
-                                       w0 / np.linalg.norm(w0, axis=-1), s)
-        res_ref = np.linalg.norm(_image(q, 0.0, 1.0, w_ref) - w_ref)
+        w_ref, iters_ref, step_ref = fixed_point(
+            lambda x: _image(q, 0.0, 1.0, x), w0 / np.linalg.norm(w0, axis=-1),
+            s)
         assert res.iterations == iters_ref
         assert np.array_equal(res.w, w_ref)
-        assert res.residual == res_ref
+        assert res.step == step_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, w0[None].copy(), 0.0,
                              q.noise_over_p,
@@ -531,12 +560,12 @@ class TestKernelDirect:
 
     @staticmethod
     def _alone(c, u, w0, mu, **kw):
-        """One lane's (count, residual, w) from a call with that lane alone."""
+        """One lane's (count, step, w) from a call with that lane alone."""
         w = w0[None].copy()
-        it, res, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
-                                      *kernel_args(1.3, RisQuadratics(c, 0.1, u),
-                                                   **kw))
-        return it[0], res[0], w[0]
+        it, step, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
+                                       *kernel_args(1.3, RisQuadratics(c, 0.1, u),
+                                                    **kw))
+        return it[0], step[0], w[0]
 
     @needs_compiler
     @pytest.mark.parametrize("l, m", [(8, 8), (3, 5)])
@@ -548,12 +577,12 @@ class TestKernelDirect:
         for n_lanes in (1, 3, g, g + 1, 2 * g + 3, 30):
             q, mus, w0 = self._lanes(rng, l, m, n_lanes)
             w = w0.copy()
-            iters, res, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus, 0.1,
-                                             *kernel_args(1.3, q, **caps))
+            iters, step, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus,
+                                              0.1, *kernel_args(1.3, q, **caps))
             for i in range(n_lanes):
-                it_one, res_one, w_one = self._alone(
+                it_one, step_one, w_one = self._alone(
                     q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], **caps)
-                assert iters[i] == it_one > 0 and res[i] == res_one
+                assert iters[i] == it_one > 0 and step[i] == step_one
                 assert np.array_equal(w[i], w_one)
             assert iters[0] == 1
             if n_lanes >= g:
@@ -582,19 +611,19 @@ class TestKernelDirect:
                 c[p], u[p], w0[p] = self._indefinite_lane(3, 2, 3)
                 mus[p] = 0.0
             w = w0.copy()
-            counts, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                              *kernel_args(1.3, q, max_iters=100))
+            counts, step, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
+                                               *kernel_args(1.3, q, max_iters=100))
             assert [p for p in range(n_lanes) if counts[p] < 0] == bad
             for p in range(n_lanes):
                 # the failed lanes keep their iterates, the others are as
                 # if alone
-                it_one, res_one, w_one = self._alone(
+                it_one, step_one, w_one = self._alone(
                     c[p], u[p], w0[p], mus[p], max_iters=100)
                 assert counts[p] == it_one and np.array_equal(w[p], w_one)
                 if p in bad:
                     assert np.array_equal(w[p], w0[p])
                 else:
-                    assert res[p] == res_one
+                    assert step[p] == step_one
 
     @needs_compiler
     def test_broadcast_lanes_equal_their_materialized_copy(self, rng):
@@ -613,10 +642,10 @@ class TestKernelDirect:
         out = []
         for c, u in (views, copies):
             w = w0.copy()
-            iters, res, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                             *kernel_args(1.3, q, tol=1e-2,
-                                                          max_iters=40))
-            out.append((iters, res, w))
+            iters, step, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
+                                              *kernel_args(1.3, q, tol=1e-2,
+                                                           max_iters=40))
+            out.append((iters, step, w))
         assert len(set(out[0][0])) > 2    # ragged exits
         for a, b in zip(*out):
             assert np.array_equal(a, b)

@@ -57,7 +57,9 @@ class TestSpecParsing:
     @pytest.mark.parametrize("kwargs", [
         {"kind": "nope"}, {"sweep_values": ()}, {"n_seeds": 0},
         {"schemes": ("gpi_pris", "magic")}, {"bench_repetitions": 0},
-        {"mu_min": 5.0, "mu_max": 5.0}, {"mu_min": 5.0, "mu_max": 1.0}])
+        {"mu_min": 5.0, "mu_max": 5.0}, {"mu_min": 5.0, "mu_max": 1.0},
+        {"mu_min": math.nan}, {"mu_max": math.nan}, {"mu_max": math.inf},
+        {"mu_points": 2.5}])
     def test_invalid_fields_rejected(self, kwargs):
         base = dict(kind="power_sweep", sweep_values=(0.0,), n_seeds=1)
         base.update(kwargs)

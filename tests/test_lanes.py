@@ -41,7 +41,7 @@ def test_lane_equals_unbatched_call(lanes, sel):
     quad = build_precoder_quadratics(est, phi, NOP)
     lb = lower_bound_sum_se(est, f, phi, NOP)
     gpi = GpiSettings(tol=1e-4, max_iters=40)
-    f_star, pre_iters, pre_res = run_gpi_precoder(quad, f.stacked, gpi)
+    f_star, pre_iters, pre_step = run_gpi_precoder(quad, f.stacked, gpi)
     ris_quad = build_ris_quadratics(est, f, NOP)
     ris = run_gpi_ris(ris_quad, MUS[sel], R_SIGMA, phi.normalized, GpiSettings())
     assert type(pre_iters) is int and type(ris.iterations) is int
@@ -50,15 +50,16 @@ def test_lane_equals_unbatched_call(lanes, sel):
         one_quad = build_precoder_quadratics(est, phases[p], NOP)
         assert np.array_equal(quad.g_blocks[i], one_quad.g_blocks)
         assert lb[i] == lower_bound_sum_se(est, precoders[p], phases[p], NOP)
-        one_f, one_iters, one_res = run_gpi_precoder(one_quad, precoders[p].stacked, gpi)
-        assert np.array_equal(f_star[i], one_f) and pre_res[i] == one_res
+        one_f, one_iters, one_step = run_gpi_precoder(one_quad,
+                                                      precoders[p].stacked, gpi)
+        assert np.array_equal(f_star[i], one_f) and pre_step[i] == one_step
         one_ris_quad = build_ris_quadratics(est, precoders[p], NOP)
         assert np.array_equal(ris_quad.c_blocks[i], one_ris_quad.c_blocks)
         one = run_gpi_ris(one_ris_quad, float(MUS[p]), R_SIGMA,
                           phases[p].normalized, GpiSettings())
         assert np.array_equal(ris.w[i], one.w)
         assert np.array_equal(ris.phases.per_ris[i], one.phases.per_ris)
-        assert ris.residual[i] == one.residual and ris.nmse[i] == one.nmse
+        assert ris.step[i] == one.step and ris.nmse[i] == one.nmse
         totals[0] += one_iters
         totals[1] += one.iterations
     assert [pre_iters, ris.iterations] == totals

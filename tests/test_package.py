@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import importlib
 import os
 import platform
@@ -175,3 +176,33 @@ def test_library_has_no_fused_multiply_add():
     fused = [line.strip() for line in listing.splitlines()
              if _FUSED.search(line)]
     assert fused == []
+
+
+# a C definition at file scope: return type, name, parameter list, body
+_C_EXPORT = re.compile(r"^(int|long) (gpris_\w+)\(([^)]*)\)\s*\{", re.M)
+_C_TYPES = {"int": ctypes.c_int, "long": ctypes.c_long,
+            "double": ctypes.c_double}
+
+
+def _ctype(decl):
+    """The ctypes type that passes one C parameter or return type."""
+    if "*" in decl:
+        return ctypes.c_void_p
+    words = decl.split()
+    return _C_TYPES[words[-2] if len(words) > 1 else words[0]]
+
+
+@pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
+def test_ctypes_signatures_match_the_c_definitions():
+    # ctypes trusts argtypes: a parameter added, dropped or retyped on one
+    # side only corrupts memory without an error
+    exports = {}
+    for src in _kernel._SOURCES:
+        for ret, name, params in _C_EXPORT.findall(src.read_text()):
+            exports[name] = (_ctype(ret), [_ctype(p) for p in params.split(",")])
+    assert sorted(exports) == ["gpris_precoder_loop", "gpris_precoder_loop_work",
+                               "gpris_ris_loop", "gpris_ris_loop_work"]
+    lib = _kernel._library()
+    for name, (restype, argtypes) in exports.items():
+        func = getattr(lib, name)
+        assert (func.restype, func.argtypes) == (restype, argtypes), name

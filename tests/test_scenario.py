@@ -140,6 +140,18 @@ class TestSystemConfigInvariants:
         cfg = SystemConfig(tx_power_dbm=20.0)
         assert cfg.noise_over_power == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("name", ["tx_power_dbm", "ul_train_power_dbm"])
+    def test_powers_bounded(self, name):
+        # out of range, 10^(P/10) overflows or its inverse divides by zero
+        # in the middle of a run; NaN would pass every comparison
+        for value in (4000.0, -4000.0, 300.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"{name}.*got {value}"):
+                SystemConfig(**{name: value})
+        for value in (-300.0, 300.0):
+            cfg = SystemConfig(**{name: value})
+            for x in (cfg.noise_over_power, cfg.ul_train_power_linear):
+                assert np.isfinite(x) and abs(x) >= np.finfo(float).tiny
+
 
 class TestJsonConfig:
     DOC = {"n_bs_antennas": 8, "n_users": 3, "n_ris": 2,
