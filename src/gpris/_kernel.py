@@ -16,7 +16,11 @@ complex arrays as numpy holds them:
   view, lane stride 0) load them once per slot;
 - ``_precoder_loop.c``, the precoder stage (see ``precoder_loop``): one
   Cholesky factor of the common denominator block per lane-iteration and a
-  Sherman-Morrison correction per user, on split re/im scratch as well.
+  Sherman-Morrison correction per user, on split re/im scratch as well;
+- ``_round.c``, one whole alternation round of ``run_joint`` on its
+  isotropic path (see ``Rounds``): the precoder stage, the RIS quadratics,
+  both loops above (called from C), the projection and the objective of
+  every active lane in one call.
 
 In both, every inner loop runs over independent outputs (the rows of a
 matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
@@ -56,7 +60,7 @@ HAVE_NUMBA = False
 _COMPILERS = ("cc", "gcc", "clang")
 _DIR = Path(__file__).parent
 # every C source of the library; pyproject.toml ships them as package data
-_SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c")
+_SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c", _DIR / "_round.c")
 _LIBRARY = "_kernel"
 # no FP contraction: the same rounding as the numpy reference on every CPU.
 # gcc 12 honours it only with real and imaginary parts in separate arrays: on
@@ -168,7 +172,7 @@ def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(compiler)))
     lib.gpris_ris_loop_work.argtypes = [_int] * 4
     lib.gpris_ris_loop_work.restype = ctypes.c_long
-    lib.gpris_ris_loop.argtypes = ([_int] * 5 + [_ptr, _long] * 2
+    lib.gpris_ris_loop.argtypes = ([_int] * 5 + [_ptr, _long] * 2 + [_ptr] * 2
                                    + [_dbl] * 2 + [_ptr] + [_dbl] * 3
                                    + [_ptr, _dbl, _int] + [_ptr] * 4)
     lib.gpris_ris_loop.restype = _int
@@ -177,6 +181,12 @@ def _library() -> ctypes.CDLL:
     lib.gpris_precoder_loop.argtypes = ([_int] * 3 + [_ptr] * 2
                                         + [_dbl, _ptr, _dbl, _int] + [_ptr] * 4)
     lib.gpris_precoder_loop.restype = _int
+    lib.gpris_round_work.argtypes = [_int] * 6
+    lib.gpris_round_work.restype = ctypes.c_long
+    lib.gpris_round.argtypes = ([_int] * 5 + [_ptr] * 3 + [_dbl] * 5 + [_ptr]
+                                + [_dbl, _int] * 2 + [_ptr] * 9 + [_int]
+                                + [_ptr] * 3)
+    lib.gpris_round.restype = _int
     return lib
 
 
@@ -229,8 +239,9 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     g = ris_group(p, l)
     work = np.empty(lib.gpris_ris_loop_work(g, k, m, l))
     lib.gpris_ris_loop(p, g, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
-                       u_stride, float(noise_over_p), float(inv_rs_ln2),
-                       mu.ctypes.data, float(tau), float(alpha1), float(alpha2),
+                       u_stride, None, None, float(noise_over_p),
+                       float(inv_rs_ln2), mu.ctypes.data, float(tau),
+                       float(alpha1), float(alpha2),
                        w.ctypes.data, float(tol), int(max_iters),
                        iters.ctypes.data, step.ctypes.data,
                        ctypes.byref(seconds), work.ctypes.data)
@@ -266,6 +277,72 @@ def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
                             block.ctypes.data, step.ctypes.data,
                             work.ctypes.data)
     return iters, block, step
+
+
+class Rounds:
+    """The alternation rounds of one ``run_joint`` on its isotropic path, one
+    compiled call each (see ``_round.c``).
+
+    ``stack`` (KN, LM) and ``conj_rows`` (KLM, N) are the estimate's two
+    copies (``ChannelEstimate.stacked`` and ``.conj_rows``), ``err_scale``
+    its (K, L) error scales and ``mu`` the P lanes' weights.  ``f`` (P, KN)
+    and ``w`` (P, LM) are the lanes' precoders and RIS vectors, C-contiguous
+    complex128, which each round updates in place for the lanes it runs;
+    the round also leaves its objective in ``obj`` and 0 or a failure code
+    in ``status`` (see ``_round.c``; ``block`` names a precoder failure's
+    block), each indexed by lane.  The objective's h-hat and xi, which the
+    next round's precoder stage starts from, stay in ``h`` and ``xi``.
+    ``seconds`` adds up the precoder, RIS and objective stage times of every
+    round.  Each lane's results are bit for bit those of a call with that
+    lane alone.
+    """
+
+    def __init__(self, stack, conj_rows, err_scale, f, w, mu, noise_over_p,
+                 inv_rs_ln2, tau, alpha1, alpha2, precoder, ris):
+        lib = _library()
+        p, lm = w.shape
+        kn, n = f.shape[1], conj_rows.shape[1]
+        k, l = err_scale.shape
+        m = lm // l
+        for x in (f, w):
+            if x.dtype != np.complex128 or not x.flags.c_contiguous:
+                raise ValueError("f and w must be C-contiguous complex128")
+        if (stack.shape != (kn, lm) or conj_rows.shape != (k * lm, n)
+                or kn != k * n or f.shape[0] != p or len(mu) != p):
+            raise ValueError("the estimate, f, w and mu disagree on shape")
+        g = ris_group(p, l)
+        self.obj = np.zeros(p)
+        self.status, self.block = (np.zeros(p, dtype=np.intc) for _ in range(2))
+        self.seconds = np.zeros(3)
+        self.h, self.xi = np.zeros((p, k, n), dtype=complex), np.zeros((p, k))
+        arrays = (np.ascontiguousarray(stack, dtype=np.complex128),
+                  np.ascontiguousarray(conj_rows, dtype=np.complex128),
+                  np.ascontiguousarray(err_scale, dtype=np.float64),
+                  np.ascontiguousarray(mu, dtype=np.float64), f, w, self.h,
+                  self.xi, self.obj, self.status, self.block, self.seconds,
+                  np.empty(lib.gpris_round_work(p, g, k, n, l, m)))
+        self._keep = arrays
+        self._blocks = (k, l, m, m)
+        ptr = [x.ctypes.data for x in arrays]
+        self._call = functools.partial(
+            lib.gpris_round, g, k, n, l, m, *ptr[:3], float(noise_over_p),
+            float(inv_rs_ln2), float(tau), float(alpha1), float(alpha2),
+            ptr[3], float(precoder.tol), int(precoder.max_iters),
+            float(ris.tol), int(ris.max_iters), *ptr[4:])
+
+    def __call__(self, sel, shared=None):
+        """Run one round of the lanes ``sel``; ``shared`` is the first
+        round's (c_blocks, u_vecs), one set for every lane (and ``f`` then
+        holds their precoder), or None in the later rounds.  Returns the
+        number of lanes that failed."""
+        sel = np.ascontiguousarray(sel, dtype=np.intc)
+        if shared is None:
+            return self._call(len(sel), sel.ctypes.data, None, None)
+        c, u = (np.ascontiguousarray(x, dtype=np.complex128) for x in shared)
+        if c.shape != self._blocks or u.shape != self._blocks[:-1]:
+            raise ValueError("shared quadratics disagree on shape")
+        return self._call(len(sel), sel.ctypes.data, c.ctypes.data,
+                          u.ctypes.data)
 
 
 def warm_up():

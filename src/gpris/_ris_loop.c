@@ -28,6 +28,10 @@
  *   u              (P, K, L, M) signal columns with C_k - D_k = u_k u_k^H,
  *                  lane stride u_stride, so the D quadratic form is a
  *                  rank-one correction of the C one
+ *   fill, ctx      NULL, or the source of the blocks in place of c and u:
+ *                  fill(ctx, p, i, &c_p, &u_p) points c_p and u_p at lane
+ *                  p's, the i-th (i < G) of the lanes that one refill
+ *                  loads, when it loads them (see _round.c)
  *   mu             (P,) penalty weight of each lane
  *   w              (P, L*M) unit-norm iterates, updated in place
  *   iters          (P,) iteration count of each lane, negative when a
@@ -64,6 +68,10 @@
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
+
+/* the source of a lane's blocks, in place of the c and u arrays */
+typedef void gpris_ris_fill(void *ctx, int lane, int index, const double **c,
+                            const double **u);
 
 /* offset of row a of a packed lower triangle */
 #define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
@@ -509,6 +517,7 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
 int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    const double *restrict c, long c_stride,
                    const double *restrict u, long u_stride,
+                   gpris_ris_fill *fill, void *ctx,
                    double noise_over_p, double inv_rs_ln2,
                    const double *restrict mu, double tau, double alpha1,
                    double alpha2, double *restrict w, double tol,
@@ -520,7 +529,7 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
     const size_t s = (size_t)g_slots * l, k = (size_t)k_users;
     /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ml : l;
-    const int shared = c_stride == 0 && u_stride == 0;
+    const int shared = !fill && c_stride == 0 && u_stride == 0;
     struct timespec t0, t1;
     clock_gettime(CLOCK_MONOTONIC, &t0);
     struct group gr;
@@ -545,8 +554,13 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
             const int p = next++;
             if (!shared || g >= n) {
                 at[nb] = o;
-                cs[nb] = c + 2 * (size_t)p * c_stride;
-                us[nb++] = u + 2 * (size_t)p * u_stride;
+                if (fill) {
+                    fill(ctx, p, nb, &cs[nb], &us[nb]);
+                } else {
+                    cs[nb] = c + 2 * (size_t)p * c_stride;
+                    us[nb] = u + 2 * (size_t)p * u_stride;
+                }
+                ++nb;
             }
             const double *wp = w + 2 * (size_t)p * ml;
             for (size_t ll = 0; ll < l; ++ll)

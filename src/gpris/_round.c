@@ -1,0 +1,447 @@
+/* One alternation round of run_joint for every active mu lane, compiled.
+ *
+ * On the isotropic path (Xi_k = xi_k I, Theta_{k,l} = theta_{k,l} I) a round
+ * of lane p is, with the lane's precoder f, relaxed RIS vector w and the
+ * h-hat and xi that the previous round's objective left:
+ *   1. the precoder stage: the blocks G_k = h_k h_k^H + xi_k I, then the
+ *      precoder loop (gpris_precoder_loop, _precoder_loop.c) from f;
+ *   2. the RIS quadratics of the new F: G-hat = Hhat^H F as one (KLM x N) by
+ *      (N x K) product, C_{k,l} = LM G-hat G-hat^H + LM theta_{k,l} I with
+ *      theta_{k,l} = err_{k,l} ||F||^2, and u_{k,l} = sqrt(LM) G-hat[:, k];
+ *   3. the RIS loop (gpris_ris_loop, _ris_loop.c) from w, all lanes of the
+ *      round in one call, so they advance in its lane groups; it asks for
+ *      step 2 of each lane as the lane enters a group, so the scratch holds
+ *      one group's quadratics, not every lane's;
+ *   4. the projection phi = e^{j arg(sqrt(LM) w)}, as sqrt(LM) w / |.|;
+ *   5. the Jensen lower bound of (F, phi) in its precoder-quadratic form,
+ *      whose h-hat = Hhat phi and xi_k = sum_l err_{k,l} ||phi_l||^2 are
+ *      kept for the next round's step 1.
+ * In the first round every lane shares one precoder and one set of RIS
+ * quadratics (gpris._kernel passes them), so steps 1 and 2 are skipped.
+ * gpris.joint's numpy round (build_precoder_quadratics, run_gpi_precoder,
+ * build_ris_quadratics, run_gpi_ris, lower_bound_sum_se) is the reference
+ * this mirrors; its sums run in other orders, so the results agree to
+ * rounding, not bit for bit.  Each lane's results are bit for bit those of
+ * a call with that lane alone.
+ *
+ * Layout, complex128 as interleaved (re, im) doubles in C order:
+ *   sel            (S,) the lanes of this round
+ *   c_sh, u_sh     (K, L, M, M) and (K, L, M) quadratics shared by every
+ *                  lane in the first round, NULL in the later ones
+ *   stack          (KN, LM) Hhat, row (k, n), column (l, m)
+ *   conj_rows      (KLM, N) rows of the Hhat_{k,l}^H, row (k, l, m)
+ *   err            (K, L) real error scales
+ *   mu             (P,) penalty weight of each lane
+ *   f              (P, K, N) unit-norm column-stacked precoders, in place
+ *   w              (P, L*M) relaxed RIS vectors, in place
+ *   h, xi          (P, K, N) and real (P, K): the objective's h-hat and xi
+ *   obj            (P,) the objective of the round's pair
+ *   status         (P,) ROUND_OK or the failure below; a failed lane's
+ *                  f, w, h, xi and obj are left in any state
+ *   block          (P,) on a precoder failure, its block (see
+ *                  _precoder_loop.c)
+ *   seconds        (3,) adds the wall time of steps 1, 2-4 and 5
+ *   work           gpris_round_work(P, G, K, N, L, M) doubles of scratch
+ * Entries of lanes outside sel are not touched.
+ */
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <time.h>
+
+/* the loops this round calls, built into the same library */
+long gpris_precoder_loop_work(int k_users, int n);
+int gpris_precoder_loop(int p_lanes, int k_users, int n, const double *h,
+                        const double *g, double noise_over_p, double *f,
+                        double tol, int max_iters, int *iters, int *block,
+                        double *step, double *work);
+typedef void gpris_ris_fill(void *ctx, int lane, int index, const double **c,
+                            const double **u);
+long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris);
+int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
+                   const double *c, long c_stride, const double *u,
+                   long u_stride, gpris_ris_fill *fill, void *ctx,
+                   double noise_over_p, double inv_rs_ln2, const double *mu,
+                   double tau, double alpha1, double alpha2, double *w,
+                   double tol, int max_iters, int *iters, double *step,
+                   double *seconds, double *work);
+
+/* status codes, named after the numpy round's exceptions */
+enum {
+    ROUND_OK = 0,
+    PRECODER_VANISHING = 1,  /* FloatingPointError, a quadratic form */
+    PRECODER_NOT_PD = 2,     /* LinAlgError, Bbar block `block` */
+    RIS_NOT_PD = 3,          /* LinAlgError, a Dbar block */
+    PHASE_NOT_FINITE = 4     /* FloatingPointError, the projection */
+};
+
+struct scratch {
+    double *str, *sti;  /* (LM, KN) stack by columns */
+    double *cjr, *cji;  /* (N, KLM) conj_rows by columns */
+    double *fr, *fi;    /* (K, N) one lane's precoder */
+    double *gr, *gi;    /* (K, KLM) one lane's G-hat by columns */
+    double *vr, *vi;    /* (M) one column of a block product */
+    double *pr, *pi;    /* (LM) one lane's projected phases */
+    double *hr, *hi;    /* (KN) one lane's h-hat */
+    double *g;          /* (K, N, N) one lane's precoder blocks */
+    double *c, *u;      /* (G, K, L, M, M), (G, K, L, M) one refill's */
+    double *w, *mu, *step;  /* (P, LM), (P), (P) the RIS lanes' */
+    int *lane, *iters;  /* (P) lane and count of each RIS lane */
+    double *pwork, *rwork;
+};
+
+/* Lay out the scratch (when given); returns the doubles it needs. */
+static size_t carve(int p_lanes, int g_slots, int k_users, int n, int l_ris,
+                    int m, double *work, struct scratch *sc)
+{
+    const size_t p = (size_t)p_lanes, k = (size_t)k_users, nn = (size_t)n;
+    const size_t lm = (size_t)l_ris * (size_t)m, klm = k * lm;
+    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
+                        : NULL;
+    size_t used = 0;
+#define TAKE(field, len) \
+    (field = base ? (void *)(base + used) : NULL, used += ((len) + 7) / 8 * 8)
+    TAKE(sc->str, lm * k * nn);
+    TAKE(sc->sti, lm * k * nn);
+    TAKE(sc->cjr, nn * klm);
+    TAKE(sc->cji, nn * klm);
+    TAKE(sc->fr, k * nn);
+    TAKE(sc->fi, k * nn);
+    TAKE(sc->gr, k * klm);
+    TAKE(sc->gi, k * klm);
+    TAKE(sc->vr, (size_t)m);
+    TAKE(sc->vi, (size_t)m);
+    TAKE(sc->pr, lm);
+    TAKE(sc->pi, lm);
+    TAKE(sc->hr, k * nn);
+    TAKE(sc->hi, k * nn);
+    TAKE(sc->g, 2 * k * nn * nn);
+    TAKE(sc->c, 2 * (size_t)g_slots * klm * (size_t)m);
+    TAKE(sc->u, 2 * (size_t)g_slots * klm);
+    TAKE(sc->w, 2 * p * lm);
+    TAKE(sc->mu, p);
+    TAKE(sc->step, p);
+    TAKE(sc->lane, p);   /* an int in each double */
+    TAKE(sc->iters, p);
+    TAKE(sc->pwork, (size_t)gpris_precoder_loop_work(k_users, n));
+    TAKE(sc->rwork, (size_t)gpris_ris_loop_work(g_slots, k_users, m, l_ris));
+#undef TAKE
+    return used + 7;  /* the slack for the alignment */
+}
+
+long gpris_round_work(int p_lanes, int g_slots, int k_users, int n, int l_ris,
+                      int m)
+{
+    struct scratch sc;
+    return (long)carve(p_lanes, g_slots, k_users, n, l_ris, m, NULL, &sc);
+}
+
+/* The (rows, cols) interleaved matrix x by columns, real and imaginary
+ * parts split. */
+static void split_columns(size_t rows, size_t cols, const double *x,
+                          double *restrict xr, double *restrict xi)
+{
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c) {
+            xr[c * rows + r] = x[2 * (r * cols + c)];
+            xi[c * rows + r] = x[2 * (r * cols + c) + 1];
+        }
+}
+
+/* y = A x for A held by columns (split_columns), over the independent rows */
+static void matvec(size_t rows, size_t cols, const double *restrict ar,
+                   const double *restrict ai, const double *restrict xr,
+                   const double *restrict xi, double *restrict yr,
+                   double *restrict yi)
+{
+    for (size_t r = 0; r < rows; ++r) {
+        yr[r] = 0.0;
+        yi[r] = 0.0;
+    }
+    for (size_t c = 0; c < cols; ++c) {
+        const double *restrict cr = ar + c * rows;
+        const double *restrict ci = ai + c * rows;
+        const double br = xr[c], bi = xi[c];
+        for (size_t r = 0; r < rows; ++r) {
+            yr[r] += cr[r] * br - ci[r] * bi;
+            yi[r] += cr[r] * bi + ci[r] * br;
+        }
+    }
+}
+
+/* x *= 1/||x|| for n interleaved entries, as numpy's x / norm(x) */
+static void normalize(double *x, size_t n)
+{
+    double nrm = 0.0;
+    for (size_t i = 0; i < 2 * n; ++i)
+        nrm += x[i] * x[i];
+    const double inv = 1.0 / sqrt(nrm);
+    for (size_t i = 0; i < 2 * n; ++i)
+        x[i] *= inv;
+}
+
+static double elapsed(struct timespec *t)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    const double s = (double)(now.tv_sec - t->tv_sec)
+                     + 1e-9 * (double)(now.tv_nsec - t->tv_nsec);
+    *t = now;
+    return s;
+}
+
+/* Step 1 of lane p: returns ROUND_OK or its failure. */
+static int precoder_stage(int k_users, int n, const struct scratch *sc,
+                          const double *hp, const double *xip,
+                          double noise_over_p, double *fp, double tol,
+                          int max_iters, int *block)
+{
+    const size_t k = (size_t)k_users, nn = (size_t)n;
+    normalize(fp, k * nn);
+    split_columns(1, k * nn, hp, sc->hr, sc->hi);
+    for (size_t kk = 0; kk < k; ++kk)
+        for (size_t a = 0; a < nn; ++a) {
+            const double *restrict br = sc->hr + kk * nn;
+            const double *restrict bi = sc->hi + kk * nn;
+            const double ar = br[a], ai = bi[a];
+            double *restrict row = sc->g + 2 * (kk * nn + a) * nn;
+            /* the real parts, then the imaginary ones: interleaved, gcc
+             * would fuse the pair into an fmaddsub despite -ffp-contract */
+            for (size_t b = 0; b < nn; ++b)
+                row[2 * b] = ar * br[b] + ai * bi[b];
+            for (size_t b = 0; b < nn; ++b)
+                row[2 * b + 1] = ai * br[b] - ar * bi[b];
+            row[2 * a] += xip[kk];
+        }
+    int iters;
+    double step;
+    gpris_precoder_loop(1, k_users, n, hp, sc->g, noise_over_p, fp, tol,
+                        max_iters, &iters, block, &step, sc->pwork);
+    if (iters >= 0)
+        return ROUND_OK;
+    return *block < 0 ? PRECODER_VANISHING : PRECODER_NOT_PD;
+}
+
+/* Step 2 of the lane whose precoder is split in sc->fr / sc->fi: its
+ * C_{k,l} blocks into c and u_{k,l} into u. */
+static void ris_quadratics(int k_users, int n, int l_ris, int m,
+                           const struct scratch *sc, const double *err,
+                           double *restrict c, double *restrict u)
+{
+    const size_t k = (size_t)k_users, nn = (size_t)n, l = (size_t)l_ris;
+    const size_t mm = (size_t)m, lm = l * mm, klm = k * lm;
+    for (size_t j = 0; j < k; ++j)
+        matvec(klm, nn, sc->cjr, sc->cji, sc->fr + j * nn, sc->fi + j * nn,
+               sc->gr + j * klm, sc->gi + j * klm);
+    double power = 0.0;
+    for (size_t i = 0; i < k * nn; ++i) {
+        power += sc->fr[i] * sc->fr[i];
+        power += sc->fi[i] * sc->fi[i];
+    }
+    const double scale = (double)lm, root = sqrt(scale);
+    double *restrict vr = sc->vr;
+    double *restrict vi = sc->vi;
+    for (size_t blk = 0; blk < k * l; ++blk) {
+        const size_t r0 = blk * mm;
+        const double theta = scale * (err[blk] * power);
+        double *cb = c + 2 * blk * mm * mm;
+        for (size_t b = 0; b < mm; ++b) {
+            /* column b of G G^H, whose conjugate is row b */
+            for (size_t a = 0; a < mm; ++a) {
+                vr[a] = 0.0;
+                vi[a] = 0.0;
+            }
+            for (size_t j = 0; j < k; ++j) {
+                const double *restrict ar = sc->gr + j * klm + r0;
+                const double *restrict ai = sc->gi + j * klm + r0;
+                const double br = ar[b], bi = ai[b];
+                for (size_t a = 0; a < mm; ++a) {
+                    vr[a] += ar[a] * br + ai[a] * bi;
+                    vi[a] += ai[a] * br - ar[a] * bi;
+                }
+            }
+            double *row = cb + 2 * b * mm;
+            for (size_t a = 0; a < mm; ++a) {
+                row[2 * a] = scale * vr[a];
+                row[2 * a + 1] = -(scale * vi[a]);
+            }
+            row[2 * b] += theta;
+            row[2 * b + 1] = 0.0;
+        }
+        const size_t kk = blk / l;  /* the block's own user */
+        for (size_t a = 0; a < mm; ++a) {
+            u[2 * (r0 + a)] = root * sc->gr[kk * klm + r0 + a];
+            u[2 * (r0 + a) + 1] = root * sc->gi[kk * klm + r0 + a];
+        }
+    }
+}
+
+/* What the RIS loop's refills need to form a lane's quadratics. */
+struct source {
+    int k_users, n, l_ris, m;
+    const struct scratch *sc;
+    const double *err, *f;
+};
+
+/* gpris_ris_fill: step 2 of RIS lane p, as the index-th of its refill */
+static void fill_quadratics(void *ctx, int p, int index, const double **c,
+                            const double **u)
+{
+    const struct source *src = ctx;
+    const struct scratch *sc = src->sc;
+    const size_t kn = (size_t)src->k_users * (size_t)src->n;
+    const size_t klm = (size_t)src->k_users * (size_t)src->l_ris
+                       * (size_t)src->m;
+    double *cp = sc->c + 2 * (size_t)index * klm * (size_t)src->m;
+    double *up = sc->u + 2 * (size_t)index * klm;
+    split_columns(1, kn, src->f + 2 * (size_t)sc->lane[p] * kn, sc->fr,
+                  sc->fi);
+    ris_quadratics(src->k_users, src->n, src->l_ris, src->m, sc, src->err,
+                   cp, up);
+    *c = cp;
+    *u = up;
+}
+
+/* Step 4 of lane w into sc->pr / sc->pi: 0 when a phase is not finite. */
+static int project(size_t lm, const double *w, const struct scratch *sc)
+{
+    const double root = sqrt((double)lm);
+    int finite = 1;
+    for (size_t i = 0; i < lm; ++i) {
+        const double x = root * w[2 * i], y = root * w[2 * i + 1];
+        const double r = hypot(x, y);
+        /* the angle of 0 is 0 */
+        sc->pr[i] = r == 0.0 ? 1.0 : x / r;
+        sc->pi[i] = r == 0.0 ? 0.0 : y / r;
+        finite &= isfinite(sc->pr[i]) && isfinite(sc->pi[i]);
+    }
+    return finite;
+}
+
+/* Step 5 of the lane whose precoder is split in sc->fr / sc->fi and whose
+ * phases are in sc->pr / sc->pi: returns the bound, and leaves h-hat in hp
+ * and xi in xip. */
+static double objective(int k_users, int n, int l_ris, int m,
+                        const struct scratch *sc, const double *err,
+                        double noise_over_p, double *hp, double *xip)
+{
+    const size_t k = (size_t)k_users, nn = (size_t)n, l = (size_t)l_ris;
+    const size_t mm = (size_t)m, kn = k * nn;
+    matvec(kn, l * mm, sc->str, sc->sti, sc->pr, sc->pi, sc->hr, sc->hi);
+    for (size_t i = 0; i < kn; ++i) {
+        hp[2 * i] = sc->hr[i];
+        hp[2 * i + 1] = sc->hi[i];
+    }
+    double power = 0.0;
+    for (size_t i = 0; i < kn; ++i) {
+        power += sc->fr[i] * sc->fr[i];
+        power += sc->fi[i] * sc->fi[i];
+    }
+    double bound = 0.0;
+    for (size_t kk = 0; kk < k; ++kk) {
+        double xi = 0.0;
+        for (size_t ll = 0; ll < l; ++ll) {
+            double sq = 0.0;
+            for (size_t a = ll * mm; a < (ll + 1) * mm; ++a)
+                sq += sc->pr[a] * sc->pr[a] + sc->pi[a] * sc->pi[a];
+            xi += err[kk * l + ll] * sq;
+        }
+        xip[kk] = xi;
+        /* |h_k^H f_i|^2 over the users i: the signal and the sum */
+        const double *restrict hkr = sc->hr + kk * nn;
+        const double *restrict hki = sc->hi + kk * nn;
+        double signal = 0.0, total = 0.0;
+        for (size_t i = 0; i < k; ++i) {
+            const double *restrict fr = sc->fr + i * nn;
+            const double *restrict fi = sc->fi + i * nn;
+            double tr = 0.0, ti = 0.0;
+            for (size_t a = 0; a < nn; ++a) {
+                tr += hkr[a] * fr[a] + hki[a] * fi[a];
+                ti += hkr[a] * fi[a] - hki[a] * fr[a];
+            }
+            const double g = tr * tr + ti * ti;
+            total += g;
+            if (i == kk)
+                signal = g;
+        }
+        const double sinr = signal
+            / ((total - signal) + xi * power + noise_over_p);
+        bound += log2(1.0 + sinr);
+    }
+    return bound;
+}
+
+/* Runs one round of the lanes sel; returns the number that failed. */
+int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
+                const double *stack, const double *conj_rows,
+                const double *err, double noise_over_p, double inv_rs_ln2,
+                double tau, double alpha1, double alpha2, const double *mu,
+                double pre_tol, int pre_max, double ris_tol, int ris_max,
+                double *f, double *w, double *h, double *xi, double *obj,
+                int *status, int *block, double *seconds, double *work,
+                int n_sel, const int *sel,
+                const double *c_sh, const double *u_sh)
+{
+    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
+    const size_t lm = (size_t)l_ris * (size_t)m, klm = k * lm;
+    struct scratch sc;
+    carve(n_sel, g_slots, k_users, n, l_ris, m, work, &sc);
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    split_columns(kn, lm, stack, sc.str, sc.sti);
+    split_columns(klm, nn, conj_rows, sc.cjr, sc.cji);
+    int failed = 0, n_ris = 0;
+    for (int i = 0; i < n_sel; ++i) {
+        const int p = sel[i];
+        status[p] = ROUND_OK;
+        if (!c_sh) {
+            status[p] = precoder_stage(k_users, n, &sc, h + 2 * (size_t)p * kn,
+                                       xi + (size_t)p * k, noise_over_p,
+                                       f + 2 * (size_t)p * kn, pre_tol,
+                                       pre_max, block + p);
+            seconds[0] += elapsed(&t);
+            if (status[p] != ROUND_OK) {
+                ++failed;
+                continue;
+            }
+        }
+        double *wq = sc.w + 2 * (size_t)n_ris * lm;
+        const double *wp = w + 2 * (size_t)p * lm;
+        for (size_t a = 0; a < 2 * lm; ++a)
+            wq[a] = wp[a];
+        normalize(wq, lm);
+        sc.mu[n_ris] = mu[p];
+        sc.lane[n_ris++] = p;
+    }
+    if (n_ris > 0) {
+        /* the later rounds form each lane's quadratics as it enters */
+        struct source src = {k_users, n, l_ris, m, &sc, err, f};
+        const int g = g_slots < n_ris ? g_slots : n_ris;
+        double loop_s;
+        gpris_ris_loop(n_ris, g, k_users, m, l_ris, c_sh, 0, u_sh, 0,
+                       c_sh ? NULL : fill_quadratics, &src, noise_over_p,
+                       inv_rs_ln2, sc.mu, tau, alpha1, alpha2, sc.w, ris_tol,
+                       ris_max, sc.iters, sc.step, &loop_s, sc.rwork);
+    }
+    for (int i = 0; i < n_ris; ++i) {
+        const int p = sc.lane[i];
+        const double *wq = sc.w + 2 * (size_t)i * lm;
+        double *wp = w + 2 * (size_t)p * lm;
+        if (sc.iters[i] < 0)
+            status[p] = RIS_NOT_PD;
+        else if (!project(lm, wq, &sc))
+            status[p] = PHASE_NOT_FINITE;
+        seconds[1] += elapsed(&t);
+        if (status[p] != ROUND_OK) {
+            ++failed;
+            continue;
+        }
+        for (size_t a = 0; a < 2 * lm; ++a)
+            wp[a] = wq[a];
+        split_columns(1, kn, f + 2 * (size_t)p * kn, sc.fr, sc.fi);
+        obj[p] = objective(k_users, n, l_ris, m, &sc, err, noise_over_p,
+                           h + 2 * (size_t)p * kn, xi + (size_t)p * k);
+        seconds[2] += elapsed(&t);
+    }
+    return failed;
+}

@@ -232,7 +232,15 @@ def _norms(x: np.ndarray) -> list:
 
 
 def _cn_vector(size, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+    """CN(0, 1) entries: the real parts of all, then the imaginary ones,
+    drawn as one block.  numpy divides a complex by sqrt(2) as (re, im) *
+    fl(1/sqrt(2)), so scaling the normals by it rounds the same."""
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    normals = rng.standard_normal((2,) + shape)
+    normals *= 1.0 / np.sqrt(2)
+    z = np.empty(normals.shape[1:], dtype=complex)
+    z.real, z.imag = normals
+    return z
 
 
 def error_scale_dft(gamma, t_ul: int, rho_ul_linear: float):
@@ -300,10 +308,10 @@ def _read_only(x) -> np.ndarray:
 def draw_estimate(truth: ChannelSet, err_scale: np.ndarray,
                   rng: np.random.Generator) -> ChannelEstimate:
     """Draw hat(c) = c - e with e ~ CN(0, err_scale[k, l] * I) per (k, l) link."""
-    k, l, n, m = truth.cascaded.shape
-    e = np.sqrt(np.maximum(err_scale, 0.0))[:, :, None, None] * _cn_vector(
-        (k, l, n, m), rng)
-    return ChannelEstimate(truth.cascaded - e, err_scale=err_scale)
+    e = _cn_vector(truth.cascaded.shape, rng)
+    e *= np.sqrt(np.maximum(err_scale, 0.0))[:, :, None, None]
+    return ChannelEstimate(np.subtract(truth.cascaded, e, out=e),
+                           err_scale=err_scale)
 
 
 def _psd_factor(r: np.ndarray) -> np.ndarray:

@@ -98,7 +98,7 @@ def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
     return PrecoderQuadratics(h_hat=h_hat, g_blocks=g, noise_over_p=noise_over_p)
 
 
-_VANISHING = "vanishing quadratic form in GPI matrices"
+VANISHING = "vanishing quadratic form in GPI matrices"
 
 
 def _weighted_block_sum(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
     """
     qa, qb = q.quad_forms(f_mat)
     if np.any(qa <= 0) or np.any(qb <= 0):
-        raise FloatingPointError(_VANISHING)
+        raise FloatingPointError(VANISHING)
     lam = np.prod(qa / qb, axis=-1)
     inv = 1.0 / np.stack([qa, qb], axis=-2)  # (..., 2, K)
     # the weighted sums of A's and B's common block, then their noise floors
@@ -185,7 +185,7 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
         if failed.size:
             bad = block[failed[0]]
             if bad < 0:
-                raise FloatingPointError(_VANISHING)
+                raise FloatingPointError(VANISHING)
             raise np.linalg.LinAlgError(f"block {bad} is not positive definite")
         iters = int(np.sum(counts))
     else:

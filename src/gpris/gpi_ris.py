@@ -28,6 +28,7 @@ from .metrics import (PhaseShifts, Precoder, _lanes_out, add_to_diagonal,
 
 # smooth max ln(sum e^(ALPHA1 x))/ALPHA1, smooth min -ALPHA2 ln(sum e^(-x/ALPHA2))
 ALPHA1 = ALPHA2 = 2.0
+DBAR_NOT_PD = "denominator block not positive definite"
 
 
 @dataclass
@@ -238,7 +239,7 @@ def run_gpi_ris(q: RisQuadratics, mu: float | np.ndarray, r_sigma: float,
             q.noise_over_p, 1.0 / (r_sigma * log(2)), q.tau, ALPHA1, ALPHA2,
             settings.tol, settings.max_iters)
         if np.any(iters < 0):
-            raise np.linalg.LinAlgError("denominator block not positive definite")
+            raise np.linalg.LinAlgError(DBAR_NOT_PD)
         step = step.reshape(lanes)
     else:
         t0 = time.perf_counter()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -18,7 +17,7 @@ from .gpi_ris import build_ris_quadratics, run_gpi_ris
 from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
                     initial_pair, run_joint)
 from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
-from .scenario import (PathlossModel, Scenario, default_geometry,
+from .scenario import (PathlossModel, Scenario, check_count, default_geometry,
                        scenario_from_dict)
 
 EXPERIMENT_KINDS = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
@@ -49,9 +48,7 @@ class ExperimentSpec:
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must be nonempty")
         for name in ("n_seeds", "bench_repetitions", "bench_iters"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -169,38 +166,43 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
     n, k, _, _ = est.dims
     f0, phi0 = initial_pair(est, nop, rng)
 
-    def evaluate(scheme, precoder, phases, mu=math.nan, iters=0,
-                 nmse=math.nan, pre_s=0.0, ris_s=0.0) -> ResultRow:
-        return ResultRow(
-            experiment=spec.kind, seed=seed, sweep_value=float(value), scheme=scheme,
-            lb_sum_se=lower_bound_sum_se(est, precoder, phases, nop),
-            exact_sum_se=exact_sum_se(truth.cascaded, precoder, phases, nop),
-            nmse=nmse, mu=mu, iterations=iters, precoder_s=pre_s, ris_s=ris_s)
+    def row(scheme, **fields) -> ResultRow:
+        return ResultRow(experiment=spec.kind, seed=seed,
+                         sweep_value=float(value), scheme=scheme, **fields)
 
+    baselines = []  # (scheme, precoder, iterations), all against phi0
     for scheme in spec.schemes:
         try:
             if scheme == "rzf_random":
-                rows.append(evaluate(scheme, f0, phi0))
+                baselines.append((scheme, f0, 0))
             elif scheme == "gpi_random":
                 quad = build_precoder_quadratics(est, phi0, nop)
                 f_star, iters, _ = run_gpi_precoder(quad, f0.stacked,
                                                     settings.precoder)
-                rows.append(evaluate(scheme, Precoder.from_stacked(f_star, n, k),
-                                     phi0, iters=iters))
+                baselines.append((scheme, Precoder.from_stacked(f_star, n, k),
+                                  iters))
             elif scheme == "gpi_pris":
                 plan = (LineSearchPlan(float(value), float(value), 1)
                         if spec.kind == "mu_study" else spec.plan)
                 res = run_joint(est, nop, plan, settings, rng, init=(f0, phi0))
-                row = evaluate(scheme, res.best_precoder, res.best_phases,
-                               mu=res.best_mu,
-                               iters=res.iterations.get(res.best_mu, 0),
-                               nmse=res.nmse, pre_s=res.timing["precoder"],
-                               ris_s=res.timing["ris"])
-                rows.append(row)
+                rows.append(row(
+                    scheme, mu=res.best_mu, nmse=res.nmse,
+                    lb_sum_se=lower_bound_sum_se(est, res.best_precoder,
+                                                 res.best_phases, nop),
+                    exact_sum_se=exact_sum_se(truth.cascaded, res.best_precoder,
+                                              res.best_phases, nop),
+                    iterations=res.iterations.get(res.best_mu, 0),
+                    precoder_s=res.timing["precoder"], ris_s=res.timing["ris"]))
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
-            rows.append(ResultRow(experiment=spec.kind, seed=seed,
-                                  sweep_value=float(value), scheme=scheme,
-                                  error=f"{type(exc).__name__}: {exc}"))
+            rows.append(row(scheme, error=f"{type(exc).__name__}: {exc}"))
+    if baselines:
+        # the baselines' SEs as the lanes of one call each
+        lanes = Precoder(np.stack([f.matrix for _, f, _ in baselines]))
+        lb = lower_bound_sum_se(est, lanes, phi0, nop).tolist()
+        exact = exact_sum_se(truth.cascaded, lanes, phi0, nop).tolist()
+        for (scheme, _, iters), lb_p, exact_p in zip(baselines, lb, exact):
+            rows.append(row(scheme, lb_sum_se=lb_p, exact_sum_se=exact_p,
+                            iterations=iters))
     return rows
 
 
@@ -234,7 +236,7 @@ def write_results(rows: list[ResultRow], output_path: str) -> tuple[str, str]:
             fh.write(row.csv_line() + "\n")
     with open(jsonl_path, "a", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
+            fh.write(json.dumps(vars(row)) + "\n")  # the fields in order
     return csv_path, jsonl_path
 
 

@@ -8,7 +8,10 @@ argmax is returned.
 
 The grid points run as lanes of one batch: each round takes every lane
 still running through the precoder stage, the RIS stage and the objective
-in one call each, with the lane axis leading every array.
+in one call each, with the lane axis leading every array.  With isotropic
+errors and a C compiler the whole round is one compiled call
+(``_kernel.Rounds``); the numpy stages serve dense errors and hosts without
+a compiler, and are the reference the compiled round is tested against.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .baselines import random_phases, rzf_precoder, rzf_regularizer
 from .channel import ChannelEstimate
-from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
-from .gpi_ris import RisQuadratics, build_ris_quadratics, run_gpi_ris
-from .metrics import (PhaseShifts, Precoder, effective_channels,
-                      lower_bound_sum_se, nmse_unit_modulus)
+from .gpi_precoder import (VANISHING, GpiSettings, build_precoder_quadratics,
+                           run_gpi_precoder)
+from .gpi_ris import (ALPHA1, ALPHA2, DBAR_NOT_PD, RisQuadratics,
+                      build_ris_quadratics, run_gpi_ris)
+from .metrics import (NOT_UNIT_MODULUS, PhaseShifts, Precoder,
+                      effective_channels, lower_bound_sum_se, nmse_unit_modulus)
+from .scenario import check_count
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,7 @@ class LineSearchPlan:
             raise ValueError("mu_min must be >= 0")
         if self.mu_min > self.mu_max:
             raise ValueError("mu_min must be <= mu_max")
-        if not (isinstance(self.n_points, (int, np.integer))
-                and self.n_points >= 1):
-            raise ValueError(f"n_points must be an integer >= 1, "
-                             f"got {self.n_points!r}")
+        check_count("n_points", self.n_points)
         if self.n_points > 1 and self.mu_min == self.mu_max:
             raise ValueError("n_points must be 1 when mu_min == mu_max")
 
@@ -114,8 +118,8 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     Every grid point is a lane.  All lanes start from the shared initial
     pair and its objective, share the mu-independent first precoder stage,
     and then advance together one round at a time; a lane leaves once it
-    meets ε₃ or fails.  A failing round is rerun lane by lane, so only
-    the lanes that fail on their own are recorded in ``errors``.
+    meets ε₃ or fails, and only the lanes that fail on their own are
+    recorded in ``errors``.
     """
     n, k, _, _ = est.dims
     if init is None:
@@ -134,11 +138,65 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         errors = dict.fromkeys(grid, f"{type(exc).__name__}: {exc}")
         raise RuntimeError(f"every mu point failed: {errors}") from exc
 
+    lanes = _Lanes(len(grid), f0, phi0, r_sigma, settings.alternation.max_iters)
+    rounds = (_compiled_rounds if est.is_isotropic and _kernel.available()
+              else _numpy_rounds)
+    rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes, timing)
+    return lanes.result(grid, f0, phi0, n, k, timing)
+
+
+_STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+# the numpy round's message for each failure code of the compiled round
+# (see _round.c)
+_ROUND_ERRORS = {
+    1: f"FloatingPointError: {VANISHING}",
+    2: "LinAlgError: block {} is not positive definite",
+    3: f"LinAlgError: {DBAR_NOT_PD}",
+    4: f"FloatingPointError: {NOT_UNIT_MODULUS}",
+}
+
+
+def _compiled_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
+                     timing):
+    """Every round as one compiled call over the active lanes."""
+    precoder, q = first
+    lanes.f[:] = precoder.stacked
+    rounds = _kernel.Rounds(est.stacked, est.conj_rows, est.err_scale, lanes.f,
+                            lanes.w, mus, noise_over_p,
+                            1.0 / (r_sigma * math.log(2)), q.tau, ALPHA1,
+                            ALPHA2, settings.precoder, settings.ris)
+    shared = (q.c_blocks, q.u_vecs)
     rule = settings.alternation
-    lanes = _Lanes(len(grid), f0, phi0, r_sigma, rule.max_iters)
+    for _ in range(rule.max_iters):
+        sel = lanes.active
+        if rounds(sel, shared):
+            status = rounds.status[sel]
+            for p in sel[status != 0]:
+                lanes.fail(p, _ROUND_ERRORS[rounds.status[p]].format(
+                    rounds.block[p]))
+            sel = sel[status == 0]
+        shared = None
+        lanes.record(sel, rounds.obj[sel], rule.tol)
+        if not lanes.active.size:
+            break
+    for key, seconds in zip(("precoder", "ris", "objective"),
+                            rounds.seconds.tolist()):
+        timing[key] += seconds
+
+
+def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
+                  timing):
+    """Every round through the numpy stages, one call each over the active
+    lanes; a failing round is rerun lane by lane to find the lanes that fail
+    on their own."""
+    n, k, l, m = est.dims
+    # the lanes' phases, written by each round before the next one reads them
+    phi = np.empty((len(mus), l, m), dtype=complex)
     # the later rounds write their RIS quadratics here, sliced to their lanes
-    ris_out = tuple(np.empty((len(grid),) + x.shape, dtype=complex)
+    ris_out = tuple(np.empty((len(mus),) + x.shape, dtype=complex)
                     for x in (first[1].c_blocks, first[1].u_vecs))
+    rule = settings.alternation
 
     def advance(rnd, sel):
         """Round ``rnd`` of the lanes ``sel``: precoder stage (shared in the
@@ -148,11 +206,13 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
         else:
             stage = _precoder_stage(est, noise_over_p, settings,
                                     Precoder.from_stacked(lanes.f[sel], n, k),
-                                    PhaseShifts(lanes.phi[sel], projected=True),
+                                    PhaseShifts(phi[sel], projected=True),
                                     timing, [x[:sel.size] for x in ris_out])
-        out = _ris_and_objective(est, noise_over_p, settings, mus[sel], r_sigma,
-                                 lanes.w[sel], stage, timing)
-        lanes.record(sel, *out, rule.tol)
+        f, w, phi_sel, obj = _ris_and_objective(est, noise_over_p, settings,
+                                                mus[sel], r_sigma, lanes.w[sel],
+                                                stage, timing)
+        lanes.f[sel], lanes.w[sel], phi[sel] = f, w, phi_sel
+        lanes.record(sel, obj, rule.tol)
 
     for rnd in range(rule.max_iters):
         sel = lanes.active
@@ -167,11 +227,6 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
                     lanes.fail(p, f"{type(exc).__name__}: {exc}")
         if not lanes.active.size:
             break
-
-    return lanes.result(grid, f0, phi0, n, k, timing)
-
-
-_STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
 
 def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing,
@@ -217,18 +272,20 @@ def _ris_and_objective(est, noise_over_p, settings, mu, r_sigma, w, stage,
 
 
 class _Lanes:
-    """Per-mu state of the alternation: current pair, best pair, trace."""
+    """Per-mu state of the alternation: current pair, best pair, trace.
+
+    The rounds write each lane's new pair into ``f`` and ``w`` and then
+    hand its objective to ``record``."""
 
     def __init__(self, p, f0, phi0, obj0, rounds):
         def rep(x):
             return np.repeat(x[None], p, axis=0)
 
-        self.f, self.phi, self.w = rep(f0.stacked), rep(phi0.per_ris), rep(phi0.normalized)
+        self.f, self.w = rep(f0.stacked), rep(phi0.normalized)
         self.obj_prev = np.full(p, obj0)
         self.best_obj = np.full(p, obj0)
         # the best pair of each lane, valid where improved (a round beat obj0)
-        self.best_f, self.best_phi, self.best_w = (
-            np.empty_like(x) for x in (self.f, self.phi, self.w))
+        self.best_f, self.best_w = np.empty_like(self.f), np.empty_like(self.w)
         self.improved = np.zeros(p, dtype=bool)
         self.trace = np.empty((p, rounds))     # objective of each round
         self.iters = np.zeros(p, dtype=int)
@@ -236,17 +293,15 @@ class _Lanes:
         self.errors: dict[int, str] = {}
         self.active = np.arange(p)
 
-    def record(self, sel, f, w, phi, obj, tol):
+    def record(self, sel, obj, tol):
         """Take one round of the lanes ``sel``; converged lanes leave."""
-        self.f[sel], self.w[sel], self.phi[sel] = f, w, phi
         self.trace[sel, self.iters[sel]] = obj
         self.iters[sel] += 1
         better = obj > self.best_obj[sel]
         if better.any():
             up = sel[better]
             self.best_obj[up] = obj[better]
-            self.best_f[up], self.best_phi[up], self.best_w[up] = (
-                f[better], phi[better], w[better])
+            self.best_f[up], self.best_w[up] = self.f[up], self.w[up]
             self.improved[up] = True
         prev = self.obj_prev[sel]
         # relative change, taken only where the previous objective is positive
@@ -279,8 +334,9 @@ class _Lanes:
             precoder, phases, w = f0, phi0, phi0.normalized
         else:
             precoder = Precoder.from_stacked(self.best_f[best], n, k)
-            phases = PhaseShifts(self.best_phi[best], projected=True)
             w = self.best_w[best]
+            # projected as run_gpi_ris projects: every modulus exactly 1.0
+            phases = PhaseShifts.from_normalized(w, *phi0.per_ris.shape).project()
         return JointResult(best_precoder=precoder, best_phases=phases, best_w=w,
                            best_mu=grid[best], objective=per_mu_final[grid[best]],
                            per_mu_final=per_mu_final, objective_trace=traces,

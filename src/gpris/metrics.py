@@ -103,6 +103,8 @@ class PhaseShifts:
                            projected=True)
 
 
+NOT_UNIT_MODULUS = "could not renormalize phases to unit modulus"
+
 # (re, im) rows of the -2..+2 ulp ladder, in order of increasing perturbation
 _ULP_STEPS = np.array(sorted(np.ndindex(5, 5), key=lambda s: (
     abs(s[0] - 2) + abs(s[1] - 2), s))[1:])
@@ -137,7 +139,7 @@ def exact_unit_modulus(angles: np.ndarray) -> np.ndarray:
     cols = np.arange(idx.size)
     first = good.argmax(axis=0)
     if not good[first, cols].all():
-        raise FloatingPointError("could not renormalize phases to unit modulus")
+        raise FloatingPointError(NOT_UNIT_MODULUS)
     pick = cand[first, cols]
     re[idx] = pick.real
     im[idx] = pick.imag
@@ -159,7 +161,16 @@ def effective_channels(cascaded: np.ndarray | ChannelEstimate,
         k, l, n, m = cascaded.shape
         stack = cascaded.transpose(0, 2, 1, 3).reshape(k * n, l * m)
     phi = phases.per_ris
-    h = stack @ phi.reshape(phi.shape[:-2] + (l * m, 1))
+    x = phi.reshape(phi.shape[:-2] + (l * m, 1))
+    h = np.empty(phi.shape[:-2] + (k * n, 1), dtype=complex)
+    # OpenBLAS runs a zgemv of rows * LM >= 4096 entries on its thread pool,
+    # whose threads then spin on a core each at every call: in row blocks
+    # below that it stays on the calling thread.  Its kernel takes rows four
+    # at a time, and each row's sum runs the same way in any block of a
+    # multiple of four rows, so the blocks change no bit
+    rows = max(4, (4095 // (l * m)) // 4 * 4)
+    for r in range(0, k * n, rows):
+        np.matmul(stack[r:r + rows], x, out=h[..., r:r + rows, :])
     return h.reshape(phi.shape[:-2] + (k, n))
 
 
@@ -175,8 +186,9 @@ def block_quad_forms(blocks: np.ndarray, f: np.ndarray) -> np.ndarray:
     single matmul.
     """
     k, n = blocks.shape[-3], blocks.shape[-1]
+    lanes = np.broadcast_shapes(blocks.shape[:-3], f.shape[:-2])
     bf = (blocks.reshape(blocks.shape[:-3] + (k * n, n)) @ f).reshape(
-        blocks.shape[:-3] + (k, n, f.shape[-1]))
+        lanes + (k, n, f.shape[-1]))
     return _sum_quad_forms(f, bf)
 
 
@@ -268,7 +280,8 @@ def lower_bound_sum_se(est: ChannelEstimate, precoder: Precoder,
         # returns it: in F's column-major layout the sum would round
         # differently
         xi = xi_scales(est, phases)
-        xi_f = np.empty(xi.shape + f.shape[-2:], dtype=complex)
+        lanes = np.broadcast_shapes(xi.shape[:-1], f.shape[:-2])
+        xi_f = np.empty(lanes + xi.shape[-1:] + f.shape[-2:], dtype=complex)
         np.multiply(xi[..., None, None], f[..., None, :, :], out=xi_f)
         extra = _sum_quad_forms(f, xi_f)
     else:

@@ -15,6 +15,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise unless ``value`` is an integer >= ``minimum`` (a bool or an
+    integral float is not one), naming the field ``name``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -138,12 +146,10 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("n_bs_antennas", "n_users", "n_ris", "ris_elems_y", "ris_elems_z",
                      "n_paths_bs_ris", "n_paths_ris_user"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            check_count(name, getattr(self, name))
+        check_count("rng_seed", self.rng_seed, 0)  # numpy takes it unsigned
         if any(r <= 0 for r in self.carrier_spacing_ratios):
             raise ValueError("carrier spacing ratios must be > 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be unsigned")
         for name in ("tx_power_dbm", "ul_train_power_dbm"):
             value = getattr(self, name)
             if not abs(value) <= POWER_LIMIT_DBM:  # NaN fails it too

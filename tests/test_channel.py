@@ -287,6 +287,36 @@ class TestDrawEstimate:
         assert np.array_equal(est.cascaded_est, truth.cascaded)
 
 
+def _old_cn_vector(size, rng):
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+
+class TestDrawsTakeTheOldBits:
+    """The CN draws and the estimate, formed with fewer temporaries, equal
+    the formulas they replace bit for bit."""
+
+    @pytest.mark.parametrize("size", [7, (3, 4), (2, 3, 4, 5), ()])
+    def test_cn_vector(self, size):
+        for seed in range(5):
+            new = _cn_vector(size, np.random.default_rng(seed))
+            old = _old_cn_vector(size, np.random.default_rng(seed))
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_draw_estimate(self, zero):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            truth = synthesize_channels(small_scenario(), rng)
+            err = rng.uniform(0.0, 0.3, size=truth.gamma.shape)
+            if zero:
+                err[0] = 0.0  # err_scale = 0 on every link of one user
+            est = draw_estimate(truth, err, np.random.default_rng(seed + 10))
+            e = np.sqrt(np.maximum(err, 0.0))[:, :, None, None] * _old_cn_vector(
+                truth.cascaded.shape, np.random.default_rng(seed + 10))
+            assert est.cascaded_est.tobytes() == (truth.cascaded - e).tobytes()
+
+
 class TestSynthesizeChannels:
     def test_cascaded_consistency(self, rng):
         truth = synthesize_channels(small_scenario(), rng)

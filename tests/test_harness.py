@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -73,7 +74,9 @@ class TestSpecParsing:
         ({"kind": "ris_elems_sweep", "sweep_values": (0,)}, "sweep_values", "0"),
         ({"kind": "bench", "sweep_values": (1, -2)}, "sweep_values", "-2"),
         ({"n_seeds": 1.5}, "n_seeds", "1.5"),
-        ({"bench_iters": 0}, "bench_iters", "0")])
+        ({"bench_iters": 0}, "bench_iters", "0"),
+        ({"n_seeds": True}, "n_seeds", "True"),
+        ({"mu_points": True}, "n_points", "True")])
     def test_counts_must_be_positive_integers(self, kwargs, field, value):
         base = dict(kind="power_sweep", sweep_values=(0.0,), n_seeds=1)
         base.update(kwargs)
@@ -242,6 +245,29 @@ class TestWriteResults:
         # a row without a comma or quote is written unquoted, as before
         assert rows[1].csv_line() == ("power_sweep,2,10.0,rzf_random,1.5,nan,"
                                       "nan,nan,nan,3,0.0,0.0,")
+
+    def test_rows_write_the_bytes_of_their_fields(self, tmp_path):
+        # CSV and JSONL lines as csv.writer and json.dumps(asdict(row)) write
+        # them, for an error holding a comma, a quote and a line break
+        import dataclasses
+        error = 'ValueError: a, "b"\nc'
+        rows = [ResultRow(experiment="power_sweep", seed=1, sweep_value=0.5,
+                          scheme="gpi_pris", error=error),
+                ResultRow(experiment="power_sweep", seed=2, sweep_value=10.0,
+                          scheme="rzf_random", lb_sum_se=1.25, mu=0.1,
+                          iterations=3, precoder_s=2e-3)]
+        csv_path, jsonl_path = write_results(rows, str(tmp_path / "res"))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in dataclasses.astuple(row)])
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == buf.getvalue()
+        with open(jsonl_path, encoding="utf-8") as fh:
+            assert fh.read() == "".join(json.dumps(dataclasses.asdict(row)) + "\n"
+                                        for row in rows)
 
     def test_append_only_single_header(self, tmp_path):
         rows = run_experiment(small_spec(), FAST)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_estimate, rand_phases, rand_precoder
 import gpris.joint
+from gpris import _kernel
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
                                 run_gpi_precoder)
 from gpris.gpi_ris import build_ris_quadratics, run_gpi_ris
@@ -19,6 +20,13 @@ NOP = 0.1
 def capped(t3):
     """Default settings with the alternation capped at ``t3`` rounds."""
     return AlgorithmSettings(alternation=GpiSettings(max_iters=t3))
+
+
+@pytest.fixture
+def numpy_round(monkeypatch):
+    """run_joint on a host without a C compiler: every round runs through
+    the numpy stages, whose calls the tests below count."""
+    monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
 
 
 def small_problem(seed, n=4, k=2, l=2, m=3, err=0.1):
@@ -225,7 +233,7 @@ class TestSharedFirstStage:
             assert res.iterations[mu] == one.iterations[mu]
             assert res.converged[mu] == one.converged[mu]
 
-    def test_precoder_gpi_calls(self, monkeypatch):
+    def test_precoder_gpi_calls(self, monkeypatch, numpy_round):
         est, init = self._instance()
         calls = []
         original = gpris.joint.run_gpi_precoder
@@ -349,7 +357,8 @@ class TestLanes:
         assert res.converged == conv
         assert res.best_mu == best_mu
 
-    def test_failing_lane_leaves_the_others_alone(self, monkeypatch):
+    def test_failing_lane_leaves_the_others_alone(self, monkeypatch,
+                                                  numpy_round):
         est, rng = small_problem(31)
         init = initial_pair(est, NOP, rng)
         plan, settings = LineSearchPlan(n_points=5), capped(4)
@@ -375,7 +384,7 @@ class TestLanes:
             assert res.iterations[mu] == clean.iterations[mu]
             assert res.converged[mu] == clean.converged[mu]
 
-    def test_stage_calls_through_joint_names(self, monkeypatch):
+    def test_stage_calls_through_joint_names(self, monkeypatch, numpy_round):
         est, rng = small_problem(32)
         init = initial_pair(est, NOP, rng)
         plan = LineSearchPlan(n_points=6)
@@ -404,3 +413,84 @@ class TestLanes:
         for out in results["run_gpi_ris"]:
             assert type(out.iterations) is int and out.iterations > 0
             assert type(out.loop_seconds) is float
+
+
+@pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
+class TestCompiledRound:
+    """With isotropic errors each round after the shared first stage is one
+    compiled call (``_kernel.Rounds``)."""
+
+    PLAN = LineSearchPlan(n_points=5)
+
+    def _instance(self, seed=41):
+        est, rng = small_problem(seed)
+        return est, initial_pair(est, NOP, rng)
+
+    def test_no_numpy_stage_after_the_first(self, monkeypatch):
+        est, init = self._instance()
+        calls = []
+        for name in ("run_gpi_precoder", "build_ris_quadratics", "run_gpi_ris",
+                     "lower_bound_sum_se"):
+            original = getattr(gpris.joint, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(gpris.joint, name, counting)
+        res = run_joint(est, NOP, self.PLAN, capped(4),
+                        np.random.default_rng(0), init=init)
+        assert max(res.iterations.values()) > 1
+        # r_sigma, then the shared first stage
+        assert calls == ["lower_bound_sum_se", "run_gpi_precoder",
+                         "build_ris_quadratics"]
+
+    def test_stage_clocks_fill_the_timing(self):
+        est, init = self._instance()
+        res = run_joint(est, NOP, self.PLAN, capped(4),
+                        np.random.default_rng(0), init=init)
+        assert set(res.timing) == {"precoder", "ris", "objective"}
+        for seconds in res.timing.values():
+            assert type(seconds) is float and seconds > 0.0
+
+    @pytest.mark.parametrize("poison,value,message", [
+        # G_k = h_k h_k^H + xi_k I: with xi_k << 0 the quadratic forms fail
+        ("xi", -1e6, "FloatingPointError: vanishing quadratic form in GPI "
+                     "matrices"),
+        # with xi_k + sigma^2/P just below 0 they hold, but B = sum_k (h_k
+        # h_k^H + (xi_k + sigma^2/P) I) / qb_k is not positive definite
+        ("xi", -NOP - 1e-9, "LinAlgError: block 0 is not positive definite"),
+        ("w", np.nan, "FloatingPointError: could not renormalize phases to "
+                      "unit modulus")])
+    def test_failing_lane_leaves_the_others_alone(self, monkeypatch, poison,
+                                                  value, message):
+        est, init = self._instance()
+        settings = capped(4)
+        clean = run_joint(est, NOP, self.PLAN, settings,
+                          np.random.default_rng(0), init=init)
+        bad = 2
+
+        class Poisoned(_kernel.Rounds):
+            """Breaks lane ``bad``'s state after the first round."""
+
+            def __init__(self, stack, conj_rows, err_scale, f, w, *args):
+                super().__init__(stack, conj_rows, err_scale, f, w, *args)
+                self.state = self.xi if poison == "xi" else w
+
+            def __call__(self, sel, shared=None):
+                if shared is None and bad in sel:
+                    self.state[bad] = value
+                return super().__call__(sel, shared)
+
+        monkeypatch.setattr(_kernel, "Rounds", Poisoned)
+        res = run_joint(est, NOP, self.PLAN, settings,
+                        np.random.default_rng(0), init=init)
+        bad_mu = float(self.PLAN.grid[bad])
+        assert clean.iterations[bad_mu] > 1
+        assert res.errors == {bad_mu: message}
+        others = [float(mu) for mu in self.PLAN.grid if mu != bad_mu]
+        assert list(res.per_mu_final) == others
+        for mu in others:
+            assert res.per_mu_final[mu] == clean.per_mu_final[mu]
+            assert res.objective_trace[mu] == clean.objective_trace[mu]
+            assert res.iterations[mu] == clean.iterations[mu]

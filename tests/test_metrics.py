@@ -206,6 +206,19 @@ class TestLowerBound:
             exact_sum_se(est.cascaded_est, f, ph, 0.1), abs=1e-9)
 
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_precoder_lanes_against_unbatched_phases(self, rng, dense):
+        # as exact_sum_se takes them: each lane as a call on that lane alone
+        est = rand_estimate(4, 3, 2, 3, rng, err=0.2, dense=dense)
+        precoders = [rand_precoder(4, 3, rng) for _ in range(2)]
+        ph = rand_phases(2, 3, rng)
+        lanes = Precoder(np.stack([f.matrix for f in precoders]))
+        lb = lower_bound_sum_se(est, lanes, ph, 0.05)
+        assert lb.shape == (2,)
+        for i, f in enumerate(precoders):
+            assert lb[i] == lower_bound_sum_se(est, f, ph, 0.05)
+
+
 def xi_dense_reference(err_cov: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
     """Dense-Kronecker Xi contribution of one (k, l) link."""
     sel = np.kron(phi[np.newaxis, :], np.eye(n))  # phi^T kron I_N, N x NM
@@ -398,3 +411,19 @@ def test_effective_channel_linearity(rng):
     lhs = effective_channels(casc, combo)
     rhs = a * effective_channels(casc, u) + b * effective_channels(casc, v)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,k,l,m,lanes", [
+    (16, 4, 8, 8, ()), (16, 4, 2, 64, (3,)), (16, 4, 8, 4, (2,)),
+    (5, 3, 2, 7, ()), (64, 4, 1, 16, (2,)), (4, 1, 1, 1, ())])
+def test_effective_channels_in_row_blocks_take_the_same_bits(rng, n, k, l, m,
+                                                             lanes):
+    # the row blocks keep OpenBLAS off its thread pool; each row must still
+    # round as in the one (KN x LM) product
+    est = rand_estimate(n, k, l, m, rng)
+    ph = PhaseShifts(np.exp(2j * np.pi * rng.uniform(size=lanes + (l, m))),
+                     projected=True)
+    whole = est.stacked @ ph.per_ris.reshape(lanes + (l * m, 1))
+    h = effective_channels(est, ph)
+    assert h.shape == lanes + (k, n)
+    assert np.array_equal(h, whole.reshape(lanes + (k, n)))

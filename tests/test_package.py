@@ -201,8 +201,60 @@ def test_ctypes_signatures_match_the_c_definitions():
         for ret, name, params in _C_EXPORT.findall(src.read_text()):
             exports[name] = (_ctype(ret), [_ctype(p) for p in params.split(",")])
     assert sorted(exports) == ["gpris_precoder_loop", "gpris_precoder_loop_work",
-                               "gpris_ris_loop", "gpris_ris_loop_work"]
+                               "gpris_ris_loop", "gpris_ris_loop_work",
+                               "gpris_round", "gpris_round_work"]
     lib = _kernel._library()
     for name, (restype, argtypes) in exports.items():
         func = getattr(lib, name)
         assert (func.restype, func.argtypes) == (restype, argtypes), name
+
+
+def _openblas() -> bool:
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# a small power sweep and five run_joint calls at L=8, M=8, timed after a
+# warm-up: the process's CPU time over the wall time of that work
+_CPU_OVER_WALL = """
+import time
+import numpy as np
+import gpris
+from gpris.harness import ExperimentSpec, run_experiment
+
+sc = gpris.scenario_from_dict({"n_ris": 8, "ris_elems_y": 4, "ris_elems_z": 2})
+nop = sc.config.noise_over_power
+spec = ExperimentSpec(kind="power_sweep", sweep_values=(0.0, 20.0), n_seeds=3,
+                      schemes=("gpi_random", "rzf_random"))
+
+def work():
+    run_experiment(spec)
+    for i in range(5):
+        rng = np.random.default_rng(i)
+        est = gpris.estimate_channels(gpris.synthesize_channels(sc, rng), sc, rng)
+        gpris.run_joint(est, nop, gpris.LineSearchPlan(), gpris.AlgorithmSettings(),
+                        rng)
+
+work()
+wall, cpu = time.perf_counter(), time.process_time()
+work()
+print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+
+
+@pytest.mark.skipif(not _openblas() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs OpenBLAS and two CPUs")
+def test_blas_pool_stays_asleep():
+    # with OPENBLAS_NUM_THREADS=2 a (KN x LM) product of 4096 entries or more
+    # wakes the second BLAS thread, which then spins on its own core: the
+    # process burnt about twice its wall time in CPU
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(Path(gpris.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CPU_OVER_WALL], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) < 1.3

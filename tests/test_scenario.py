@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestSystemConfigInvariants:
         for name in ("n_bs_antennas", "n_users", "n_ris", "ris_elems_y"):
             with pytest.raises(ValueError):
                 SystemConfig(**{name: 0})
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_users", 2.5), ("n_bs_antennas", 4.5), ("rng_seed", 1.5),
+        ("ris_elems_y", 2.0), ("n_paths_ris_user", True), ("rng_seed", -1),
+        ("n_ris", np.float64(2.0))])
+    def test_counts_must_be_integers(self, name, value):
+        # a fractional count used to load and fail mid-run (or run quietly)
+        with pytest.raises(ValueError, match=rf"{name} must be an integer "
+                                             rf".*got {re.escape(repr(value))}"):
+            SystemConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            scenario_from_dict({name: value})
+        assert SystemConfig(**{name: np.int64(2)}).m_ris >= 1
 
     def test_spacing_ratios_positive(self):
         with pytest.raises(ValueError):
