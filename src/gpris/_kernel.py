@@ -1,7 +1,7 @@
 """Compiled inner loops of both GPI stages, in one library built on first use.
 
 A numpy loop spends most of its time in per-call overhead once the
-blocks are small and the lanes exit at ragged times.  Two C files are
+blocks are small and the lanes exit at ragged times.  Three C files are
 built into one shared library and called through ctypes, each running the
 whole loop of every lane (one per penalty weight mu) in one call, on the
 complex arrays as numpy holds them:
@@ -14,15 +14,16 @@ complex arrays as numpy holds them:
   hands its slot to the next queued lane, once the queue is empty the
   group closes the gap, and lanes that share their blocks (a broadcast
   view, lane stride 0) load them once per slot;
-- ``_precoder_loop.c``, the precoder stage (see ``precoder_loop``): one
-  Cholesky factor of the common denominator block per lane-iteration and a
+- ``_precoder_loop.c``, the precoder stage under isotropic errors (see
+  ``precoder_loop``), read from each lane's h-hat and xi: one Cholesky
+  factor of the common denominator block per lane-iteration and a
   Sherman-Morrison correction per user, on split re/im scratch as well;
 - ``_round.c``, one whole alternation round of ``run_joint`` on its
   isotropic path (see ``Rounds``): the precoder stage, the RIS quadratics,
   both loops above (called from C), the projection and the objective of
   every active lane in one call.
 
-In both, every inner loop runs over independent outputs (the rows of a
+In all three, every inner loop runs over independent outputs (the rows of a
 matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
 each output keeps its accumulation order, so the loops vectorize without
 reassociating a reduction.
@@ -33,8 +34,9 @@ cached in the package's ``__pycache__`` (or, when that is read-only, in a
 private directory under the system temp directory) under a name keyed by
 the sources, the flags, the compiler and the host CPU, so a host-tuned
 build is never loaded on another CPU; a new build removes the older ones
-beside it.  Callers check ``available()`` and, when no compiler is found,
-run each lane through the numpy loop ``gpi_precoder.fixed_point``.
+beside it.  Callers check ``available()`` and, when no compiler is found
+(and for the precoder stage on dense errors), run each lane through the
+numpy loop ``gpi_precoder.fixed_point``.
 """
 
 from __future__ import annotations
@@ -248,30 +250,31 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     return iters, step, seconds.value
 
 
-def precoder_loop(h_hat, g_blocks, f, noise_over_p, tol, max_iters):
+def precoder_loop(h_hat, xi, f, noise_over_p, tol, max_iters):
     """Run the precoder fixed-point loop of every lane in one compiled call.
 
-    ``h_hat`` (P, K, N) and ``g_blocks`` (P, K, N, N) are the lanes'
-    quadratics as ``PrecoderQuadratics`` holds them; ``f`` holds the (P, KN)
-    unit-norm column-stacked iterates, C-contiguous complex128, and is
-    updated in place.  Returns the per-lane iteration counts, failed blocks
-    and final steps, the smaller of ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.
+    ``h_hat`` (P, K, N) and the real ``xi`` (P, K) are the lanes' isotropic
+    quadratics, G_k = h_k h_k^H + xi_k I, as ``PrecoderQuadratics`` holds
+    them; ``f`` holds the (P, KN) unit-norm column-stacked iterates,
+    C-contiguous complex128, and is updated in place.  Returns the per-lane
+    iteration counts, failed blocks and final steps, the smaller of
+    ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.
     A negative count flags a failed lane, whose iterate is left at the
     previous one; its block entry names the Bbar block that is not positive
     definite, or is -1 when a quadratic form is not positive.
     """
     lib = _library()
     h = np.ascontiguousarray(h_hat, dtype=np.complex128)
-    g = np.ascontiguousarray(g_blocks, dtype=np.complex128)
     p, k, n = h.shape
-    if (g.shape != (p, k, n, n) or f.shape != (p, k * n)
+    if (np.shape(xi) != (p, k) or np.iscomplexobj(xi) or f.shape != (p, k * n)
             or f.dtype != np.complex128 or not f.flags.c_contiguous):
-        raise ValueError("h_hat, g_blocks and f disagree on shape or layout")
+        raise ValueError("h_hat, xi and f disagree on shape or layout")
+    xi = np.ascontiguousarray(xi, dtype=np.float64)
     iters = np.zeros(p, dtype=np.intc)
     block = np.zeros(p, dtype=np.intc)
     step = np.zeros(p)
     work = np.empty(lib.gpris_precoder_loop_work(k, n))
-    lib.gpris_precoder_loop(p, k, n, h.ctypes.data, g.ctypes.data,
+    lib.gpris_precoder_loop(p, k, n, h.ctypes.data, xi.ctypes.data,
                             float(noise_over_p), f.ctypes.data, float(tol),
                             int(max_iters), iters.ctypes.data,
                             block.ctypes.data, step.ctypes.data,

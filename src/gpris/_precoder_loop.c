@@ -1,17 +1,20 @@
 /* Compiled inner loop for the precoder-stage fixed-point iteration.
  *
  * Iterates f <- normalize(Bbar^-1 Abar f) for the stacked precoder f of K
- * columns f_j, each of N entries.  Abar is block diagonal with one repeated
- * block lambda A, and Bbar's k-th block is B - h_k h_k^H / qb_k, where
- *   A = sum_k G_k / qa_k + (sigma^2/P) sum_k (1/qa_k) I,
- *   B = sum_k G_k / qb_k + (sigma^2/P) sum_k (1/qb_k) I.
- * One Cholesky factor of B per iteration solves the 2K right-hand sides
- * lambda A f_k -> y_k and h_k -> z_k, and Sherman-Morrison gives
- * Bbar_k^-1 lambda A f_k = y_k + z_k (h_k^H y_k) / s_k, s_k = qb_k - h_k^H z_k.
+ * columns f_j, each of N entries, under isotropic errors: user k's block is
+ * G_k = h_k h_k^H + xi_k I.  Abar is block diagonal with one repeated block
+ * lambda A, and Bbar's k-th block is B - h_k h_k^H / qb_k, where
+ *   A = sum_k h_k h_k^H / qa_k + sum_k (xi_k + sigma^2/P) / qa_k I,
+ *   B = sum_k h_k h_k^H / qb_k + sum_k (xi_k + sigma^2/P) / qb_k I,
+ * so the quadratic forms and A f_j follow from the K^2 products
+ * t_kj = h_k^H f_j.  One Cholesky factor of B per iteration solves the 2K
+ * right-hand sides lambda A f_k -> y_k and h_k -> z_k, and Sherman-Morrison
+ * gives Bbar_k^-1 lambda A f_k = y_k + z_k (h_k^H y_k) / s_k with
+ * s_k = qb_k - h_k^H z_k.
  * Bbar_k is positive definite exactly when B is and s_k > 0.  gpris._kernel
  * builds this file into the same shared library as the RIS loop and calls
- * it through ctypes; gpi_precoder.gpi_matrices is the numpy reference it
- * mirrors.
+ * it through ctypes; gpi_precoder.gpi_matrices, on the dense blocks G_k, is
+ * the numpy reference it mirrors.
  *
  * P independent lanes run one after another in a single call, each on its
  * own quadratics and iterate and each with its own iteration count, so a
@@ -19,7 +22,7 @@
  *
  * Layout, all row-major complex128 as interleaved (re, im) doubles:
  *   h              (P, K, N) estimated effective channels h_k
- *   g              (P, K, N, N) Hermitian blocks G_k = h_k h_k^H + Xi_k
+ *   xi             real (P, K) error scales xi_k
  *   f              (P, K, N) unit-norm column-stacked iterates, in place
  *   iters          (P,) iteration count of each lane, negative on failure
  *   block          (P,) on failure, the Bbar block that is not positive
@@ -29,8 +32,8 @@
  *                  took none leaves its entry as it was
  *   work           gpris_precoder_loop_work(K, N) doubles of scratch
  *
- * Each lane is first copied into scratch with real and imaginary parts
- * split, G_k by columns, so every inner loop runs over independent outputs
+ * Each lane's h and f are first copied into scratch with real and imaginary
+ * parts split, so every inner loop runs over independent outputs
  * (the rows of a matvec, of a Cholesky column, or of all 2K right-hand sides
  * of a triangular solve) and each output keeps its accumulation order.
  * "ivdep" tells gcc that such a loop's outputs never alias its inputs, so
@@ -41,13 +44,15 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Split re/im arrays of one lane's inputs and of one image computation. */
+/* Split re/im arrays of one lane's inputs (and its xi, in place) and of
+ * one image computation. */
 struct lane {
-    double *gtr, *gti, *hr, *hi, *fr, *fi;
+    double *hr, *hi, *fr, *fi;
+    const double *xi;
 };
 
 struct image {
-    double *ur, *ui, *br, *bi, *vr, *vi, *xr, *xi, *qa, *qb, *iqa, *iqb;
+    double *tr, *ti, *br, *bi, *vr, *vi, *outr, *outi, *qa, *qb, *iqa, *iqb;
 };
 
 /* Lay out both in the scratch (when given); returns the doubles it needs. */
@@ -62,20 +67,18 @@ static size_t carve(int k_users, int n, double *work, struct lane *ln,
     size_t used = 0;
 #define TAKE(field, len) \
     (field = base ? base + used : NULL, used += ((len) + 7) / 8 * 8)
-    TAKE(ln->gtr, k * nn * nn);  /* (K, N, N) G_k by columns */
-    TAKE(ln->gti, k * nn * nn);
     TAKE(ln->hr, k * nn);        /* (K, N) */
     TAKE(ln->hi, k * nn);
     TAKE(ln->fr, k * nn);        /* (K, N) */
     TAKE(ln->fi, k * nn);
-    TAKE(im->ur, k * k * nn);    /* (K, K, N): G_k f_j */
-    TAKE(im->ui, k * k * nn);
+    TAKE(im->tr, k * k);         /* (K, K): t_kj = h_k^H f_j */
+    TAKE(im->ti, k * k);
     TAKE(im->br, nn * nn);       /* B, then its factor, by columns */
     TAKE(im->bi, nn * nn);
     TAKE(im->vr, nn * 2 * k);    /* (N, 2K): the y_j, then the z_j */
     TAKE(im->vi, nn * 2 * k);
-    TAKE(im->xr, k * nn);        /* (K, N) the image */
-    TAKE(im->xi, k * nn);
+    TAKE(im->outr, k * nn);      /* (K, N) the image */
+    TAKE(im->outi, k * nn);
     TAKE(im->qa, k);
     TAKE(im->qb, k);
     TAKE(im->iqa, k);
@@ -91,8 +94,8 @@ long gpris_precoder_loop_work(int k_users, int n)
     return (long)carve(k_users, n, NULL, &ln, &im);
 }
 
-/* Image x = Bbar(f)^-1 Abar(f) f of one lane, unnormalized, in im->xr /
- * im->xi.  Returns 0 on failure with *block set as in the layout above. */
+/* Image x = Bbar(f)^-1 Abar(f) f of one lane, unnormalized, in im->outr /
+ * im->outi.  Returns 0 on failure with *block set as in the layout above. */
 static int precoder_image(int k_users, int n, const struct lane *ln,
                           const struct image *im, double noise_over_p,
                           int *restrict block)
@@ -103,6 +106,9 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
     const double *restrict fi = ln->fi;
     const double *restrict hr = ln->hr;
     const double *restrict hi = ln->hi;
+    const double *restrict xi = ln->xi;
+    double *restrict tr = im->tr;
+    double *restrict ti = im->ti;
     double *restrict qa = im->qa;
     double *restrict qb = im->qb;
     double *restrict iqa = im->iqa;
@@ -116,73 +122,56 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
         power += fr[i] * fr[i];
         power += fi[i] * fi[i];
     }
-    /* the block matvecs G_k f_j serve both the quadratic forms and A f */
+    /* the products t_kj = h_k^H f_j serve both the quadratic forms and A f */
     for (size_t kk = 0; kk < k; ++kk) {
-        const double *restrict gr = ln->gtr + kk * nn * nn;
-        const double *restrict gi = ln->gti + kk * nn * nn;
+        const double *hkr = hr + kk * nn, *hki = hi + kk * nn;
         double acc = 0.0;
         for (size_t j = 0; j < k; ++j) {
-            const double *fjr = fr + j * nn;
-            const double *fji = fi + j * nn;
-            double *restrict ur = im->ur + (kk * k + j) * nn;
-            double *restrict ui = im->ui + (kk * k + j) * nn;
+            const double *fjr = fr + j * nn, *fji = fi + j * nn;
+            double t_re = 0.0, t_im = 0.0;
             for (size_t a = 0; a < nn; ++a) {
-                ur[a] = 0.0;
-                ui[a] = 0.0;
+                t_re += hkr[a] * fjr[a] + hki[a] * fji[a];
+                t_im += hkr[a] * fji[a] - hki[a] * fjr[a];
             }
-            for (size_t b = 0; b < nn; ++b) {
-                const double *restrict cr = gr + b * nn;
-                const double *restrict ci = gi + b * nn;
-                const double xr = fjr[b], xi = fji[b];
-                #pragma GCC ivdep
-                for (size_t a = 0; a < nn; ++a) {
-                    ur[a] += cr[a] * xr - ci[a] * xi;
-                    ui[a] += cr[a] * xi + ci[a] * xr;
-                }
-            }
-            for (size_t a = 0; a < nn; ++a)
-                acc += fjr[a] * ur[a] + fji[a] * ui[a];
+            tr[kk * k + j] = t_re;
+            ti[kk * k + j] = t_im;
+            acc += t_re * t_re + t_im * t_im;
         }
-        /* signal |h_k^H f_k|^2 */
-        const double *hkr = hr + kk * nn, *hki = hi + kk * nn;
-        const double *fkr = fr + kk * nn, *fki = fi + kk * nn;
-        double tr = 0.0, ti = 0.0;
-        for (size_t a = 0; a < nn; ++a) {
-            tr += hkr[a] * fkr[a] + hki[a] * fki[a];
-            ti += hkr[a] * fki[a] - hki[a] * fkr[a];
-        }
-        qa[kk] = acc + noise_over_p * power;
-        qb[kk] = qa[kk] - (tr * tr + ti * ti);
+        const double signal = tr[kk * k + kk] * tr[kk * k + kk]
+                              + ti[kk * k + kk] * ti[kk * k + kk];
+        qa[kk] = acc + (xi[kk] + noise_over_p) * power;
+        qb[kk] = qa[kk] - signal;
         if (qa[kk] <= 0.0 || qb[kk] <= 0.0) {
             *block = -1;
             return 0;
         }
     }
-    double prod = 1.0, sum_ia = 0.0, sum_ib = 0.0;
+    double prod = 1.0, diag_a = 0.0, diag_b = 0.0;
     for (size_t kk = 0; kk < k; ++kk) {
         prod *= qa[kk] / qb[kk];
         iqa[kk] = 1.0 / qa[kk];
         iqb[kk] = 1.0 / qb[kk];
-        sum_ia += iqa[kk];
-        sum_ib += iqb[kk];
+        diag_a += (xi[kk] + noise_over_p) * iqa[kk];
+        diag_b += (xi[kk] + noise_over_p) * iqb[kk];
     }
     /* right-hand sides lambda A f_j (columns j of v), and h_j (K + j) */
-    const double diag_a = noise_over_p * sum_ia;
-    double *restrict sr = im->xr;  /* the image is not formed yet */
-    double *restrict si = im->xi;
+    double *restrict sr = im->outr;  /* the image is not formed yet */
+    double *restrict si = im->outi;
     for (size_t j = 0; j < k; ++j) {
         for (size_t a = 0; a < nn; ++a) {
             sr[a] = 0.0;
             si[a] = 0.0;
         }
         for (size_t kk = 0; kk < k; ++kk) {
-            const double *restrict ur = im->ur + (kk * k + j) * nn;
-            const double *restrict ui = im->ui + (kk * k + j) * nn;
-            const double q = iqa[kk];
+            /* h_k t_kj / qa_k */
+            const double *restrict hkr = hr + kk * nn;
+            const double *restrict hki = hi + kk * nn;
+            const double cr = tr[kk * k + j] * iqa[kk];
+            const double ci = ti[kk * k + j] * iqa[kk];
             #pragma GCC ivdep
             for (size_t a = 0; a < nn; ++a) {
-                sr[a] += ur[a] * q;
-                si[a] += ui[a] * q;
+                sr[a] += hkr[a] * cr - hki[a] * ci;
+                si[a] += hkr[a] * ci + hki[a] * cr;
             }
         }
         #pragma GCC ivdep
@@ -194,7 +183,6 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
         }
     }
     /* lower triangle of B by columns, then its Cholesky factor in place */
-    const double diag_b = noise_over_p * sum_ib;
     for (size_t b = 0; b < nn; ++b) {
         double *restrict cr = br + b * nn;
         double *restrict ci = bi + b * nn;
@@ -203,13 +191,14 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
             ci[a] = 0.0;
         }
         for (size_t kk = 0; kk < k; ++kk) {
-            const double *restrict gr = ln->gtr + (kk * nn + b) * nn;
-            const double *restrict gi = ln->gti + (kk * nn + b) * nn;
-            const double q = iqb[kk];
+            /* h_k conj(h_k[b]) / qb_k */
+            const double *restrict hkr = hr + kk * nn;
+            const double *restrict hki = hi + kk * nn;
+            const double wr = hkr[b] * iqb[kk], wi = -(hki[b] * iqb[kk]);
             #pragma GCC ivdep
             for (size_t a = b; a < nn; ++a) {
-                cr[a] += gr[a] * q;
-                ci[a] += gi[a] * q;
+                cr[a] += hkr[a] * wr - hki[a] * wi;
+                ci[a] += hkr[a] * wi + hki[a] * wr;
             }
         }
         cr[b] += diag_b;
@@ -309,8 +298,8 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
         #pragma GCC ivdep
         for (size_t a = 0; a < nn; ++a) {
             const double zr = vr[a * r2 + k + j], zi = vi[a * r2 + k + j];
-            im->xr[j * nn + a] = vr[a * r2 + j] + (zr * cr - zi * ci);
-            im->xi[j * nn + a] = vi[a * r2 + j] + (zr * ci + zi * cr);
+            im->outr[j * nn + a] = vr[a * r2 + j] + (zr * cr - zi * ci);
+            im->outi[j * nn + a] = vi[a * r2 + j] + (zr * ci + zi * cr);
         }
     }
     return 1;
@@ -324,8 +313,8 @@ static int precoder_lane(int k_users, int n, const struct lane *ln,
                          double *restrict step)
 {
     const size_t kn = (size_t)k_users * n;
-    const double *restrict xr = im->xr;
-    const double *restrict xi = im->xi;
+    const double *restrict xr = im->outr;
+    const double *restrict xi = im->outi;
     double *restrict fr = ln->fr;
     double *restrict fi = ln->fi;
     int iters = 0;
@@ -359,7 +348,7 @@ static int precoder_lane(int k_users, int n, const struct lane *ln,
 
 /* Runs every lane; returns the number of lanes with a negative count. */
 int gpris_precoder_loop(int p_lanes, int k_users, int n,
-                        const double *restrict h, const double *restrict g,
+                        const double *restrict h, const double *restrict xi,
                         double noise_over_p, double *restrict f, double tol,
                         int max_iters, int *restrict iters,
                         int *restrict block, double *restrict step,
@@ -372,21 +361,14 @@ int gpris_precoder_loop(int p_lanes, int k_users, int n,
     int failed = 0;
     for (int p = 0; p < p_lanes; ++p) {
         const double *hp = h + 2 * (size_t)p * kn;
-        const double *gp = g + 2 * (size_t)p * kn * nn;
         double *fp = f + 2 * (size_t)p * kn;
+        ln.xi = xi + (size_t)p * k;
         for (size_t i = 0; i < kn; ++i) {
             ln.hr[i] = hp[2 * i];
             ln.hi[i] = hp[2 * i + 1];
             ln.fr[i] = fp[2 * i];
             ln.fi[i] = fp[2 * i + 1];
         }
-        for (size_t kk = 0; kk < k; ++kk)
-            for (size_t a = 0; a < nn; ++a)
-                for (size_t b = 0; b < nn; ++b) {
-                    const double *gab = gp + 2 * ((kk * nn + a) * nn + b);
-                    ln.gtr[(kk * nn + b) * nn + a] = gab[0];
-                    ln.gti[(kk * nn + b) * nn + a] = gab[1];
-                }
         block[p] = -1;
         iters[p] = precoder_lane(k_users, n, &ln, &im, noise_over_p, tol,
                                  max_iters, block + p, step + p);

@@ -3,8 +3,8 @@
  * On the isotropic path (Xi_k = xi_k I, Theta_{k,l} = theta_{k,l} I) a round
  * of lane p is, with the lane's precoder f, relaxed RIS vector w and the
  * h-hat and xi that the previous round's objective left:
- *   1. the precoder stage: the blocks G_k = h_k h_k^H + xi_k I, then the
- *      precoder loop (gpris_precoder_loop, _precoder_loop.c) from f;
+ *   1. the precoder stage: the precoder loop (gpris_precoder_loop,
+ *      _precoder_loop.c) on that h-hat and xi, from f;
  *   2. the RIS quadratics of the new F: G-hat = Hhat^H F as one (KLM x N) by
  *      (N x K) product, C_{k,l} = LM G-hat G-hat^H + LM theta_{k,l} I with
  *      theta_{k,l} = err_{k,l} ||F||^2, and u_{k,l} = sqrt(LM) G-hat[:, k];
@@ -52,7 +52,7 @@
 /* the loops this round calls, built into the same library */
 long gpris_precoder_loop_work(int k_users, int n);
 int gpris_precoder_loop(int p_lanes, int k_users, int n, const double *h,
-                        const double *g, double noise_over_p, double *f,
+                        const double *xi, double noise_over_p, double *f,
                         double tol, int max_iters, int *iters, int *block,
                         double *step, double *work);
 typedef void gpris_ris_fill(void *ctx, int lane, int index, const double **c,
@@ -83,7 +83,6 @@ struct scratch {
     double *vr, *vi;    /* (M) one column of a block product */
     double *pr, *pi;    /* (LM) one lane's projected phases */
     double *hr, *hi;    /* (KN) one lane's h-hat */
-    double *g;          /* (K, N, N) one lane's precoder blocks */
     double *c, *u;      /* (G, K, L, M, M), (G, K, L, M) one refill's */
     double *w, *mu, *step;  /* (P, LM), (P), (P) the RIS lanes' */
     int *lane, *iters;  /* (P) lane and count of each RIS lane */
@@ -115,7 +114,6 @@ static size_t carve(int p_lanes, int g_slots, int k_users, int n, int l_ris,
     TAKE(sc->pi, lm);
     TAKE(sc->hr, k * nn);
     TAKE(sc->hi, k * nn);
-    TAKE(sc->g, 2 * k * nn * nn);
     TAKE(sc->c, 2 * (size_t)g_slots * klm * (size_t)m);
     TAKE(sc->u, 2 * (size_t)g_slots * klm);
     TAKE(sc->w, 2 * p * lm);
@@ -196,26 +194,10 @@ static int precoder_stage(int k_users, int n, const struct scratch *sc,
                           double noise_over_p, double *fp, double tol,
                           int max_iters, int *block)
 {
-    const size_t k = (size_t)k_users, nn = (size_t)n;
-    normalize(fp, k * nn);
-    split_columns(1, k * nn, hp, sc->hr, sc->hi);
-    for (size_t kk = 0; kk < k; ++kk)
-        for (size_t a = 0; a < nn; ++a) {
-            const double *restrict br = sc->hr + kk * nn;
-            const double *restrict bi = sc->hi + kk * nn;
-            const double ar = br[a], ai = bi[a];
-            double *restrict row = sc->g + 2 * (kk * nn + a) * nn;
-            /* the real parts, then the imaginary ones: interleaved, gcc
-             * would fuse the pair into an fmaddsub despite -ffp-contract */
-            for (size_t b = 0; b < nn; ++b)
-                row[2 * b] = ar * br[b] + ai * bi[b];
-            for (size_t b = 0; b < nn; ++b)
-                row[2 * b + 1] = ai * br[b] - ar * bi[b];
-            row[2 * a] += xip[kk];
-        }
+    normalize(fp, (size_t)k_users * (size_t)n);
     int iters;
     double step;
-    gpris_precoder_loop(1, k_users, n, hp, sc->g, noise_over_p, fp, tol,
+    gpris_precoder_loop(1, k_users, n, hp, xip, noise_over_p, fp, tol,
                         max_iters, &iters, block, &step, sc->pwork);
     if (iters >= 0)
         return ROUND_OK;

@@ -61,12 +61,15 @@ class PrecoderQuadratics:
 
     g_blocks[k] = h_hat_k h_hat_k^H + Xi_k is the repeated diagonal block of
     A_k (before the sigma^2/P shift); B_k removes the signal outer product
-    from the k-th block only.  Both arrays may carry leading lane axes.
+    from the k-th block only.  Under isotropic errors, Xi_k = xi_k I, ``xi``
+    holds the xi_k, which is all the compiled loop reads besides h_hat; it is
+    None for dense errors.  The arrays may carry leading lane axes.
     """
 
     h_hat: np.ndarray        # (..., K, N) estimated effective channels
     g_blocks: np.ndarray     # (..., K, N, N)
     noise_over_p: float
+    xi: np.ndarray | None = None  # (..., K) real, or None
 
     @property
     def n(self) -> int:
@@ -91,11 +94,13 @@ def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
     """A_k / B_k blocks at the given phases, with their lane axes if any."""
     h_hat = effective_channels(est, phases)
     g = h_hat[..., :, None] * h_hat[..., None, :].conj()
+    xi = None
     if est.is_isotropic:
-        add_to_diagonal(g, xi_scales(est, phases))  # Xi_k = xi_k I
+        xi = xi_scales(est, phases)
+        add_to_diagonal(g, xi)  # Xi_k = xi_k I
     else:
         g += xi_matrices(est, phases)
-    return PrecoderQuadratics(h_hat=h_hat, g_blocks=g, noise_over_p=noise_over_p)
+    return PrecoderQuadratics(h_hat, g, noise_over_p, xi)
 
 
 VANISHING = "vanishing quadratic form in GPI matrices"
@@ -121,9 +126,11 @@ def gpi_matrices(q: PrecoderQuadratics, f_mat: np.ndarray):
     Sherman-Morrison gives the k-th image column y_k + z_k (h_k^H y_k) / s_k
     with s_k = qb_k - h_k^H z_k.  Bbar_k is positive definite exactly when
     B is and s_k > 0.  With lane axes, lambda_bs holds one value per lane.
-    This is the reference the compiled loop (``_precoder_loop.c``) mirrors:
-    here a Cholesky call checks B and ``np.linalg.solve`` then solves with
-    it, where the compiled loop solves with that one Cholesky factor.
+    This is the reference the compiled loop (``_precoder_loop.c``) mirrors
+    on isotropic quadratics: here the dense blocks G_k form A and B, a
+    Cholesky call checks B and ``np.linalg.solve`` then solves with it,
+    where the compiled loop forms A f and B from h-hat and xi and solves
+    with that one Cholesky factor.
     """
     qa, qb = q.quad_forms(f_mat)
     if np.any(qa <= 0) or np.any(qb <= 0):
@@ -161,11 +168,12 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.  With a leading lane axis
     (f_init (P, NK) against lane-stacked quadratics) each lane stops once its
     own step reaches the tolerance; the iteration count is then the total
-    over all lanes and the step holds one value per lane.  The loop runs
-    compiled when a C compiler is found (see ``_kernel``), all lanes in one
-    call, and through ``fixed_point`` lane by lane otherwise.  A Bbar block
-    that is not positive definite raises ``np.linalg.LinAlgError`` naming
-    the block, and a vanishing quadratic form ``FloatingPointError``.
+    over all lanes and the step holds one value per lane.  On isotropic
+    quadratics (``q.xi`` set) the loop runs compiled when a C compiler is
+    found (see ``_kernel``), all lanes in one call; dense errors and hosts
+    without a compiler run it through ``fixed_point`` lane by lane.  A Bbar
+    block that is not positive definite raises ``np.linalg.LinAlgError``
+    naming the block, and a vanishing quadratic form ``FloatingPointError``.
     """
     f = np.asarray(f_init, dtype=complex)
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
@@ -175,11 +183,10 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     n, k = q.n, q.k
     # the lane axis always exists inside the loop; an unbatched call is one lane
     f = (f / norm).reshape(-1, n * k)
-    quad = PrecoderQuadratics(q.h_hat.reshape((-1, k, n)),
-                              q.g_blocks.reshape((-1, k, n, n)), q.noise_over_p)
-    if _kernel.available():
+    h, g = q.h_hat.reshape((-1, k, n)), q.g_blocks.reshape((-1, k, n, n))
+    if q.xi is not None and _kernel.available():
         counts, block, step = _kernel.precoder_loop(
-            quad.h_hat, quad.g_blocks, f, q.noise_over_p, settings.tol,
+            h, q.xi.reshape((-1, k)), f, q.noise_over_p, settings.tol,
             settings.max_iters)
         failed = np.flatnonzero(counts < 0)
         if failed.size:
@@ -191,8 +198,7 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     else:
         iters, step = 0, np.zeros(f.shape[0])
         for p in range(f.shape[0]):
-            lane = PrecoderQuadratics(quad.h_hat[p], quad.g_blocks[p],
-                                      q.noise_over_p)
+            lane = PrecoderQuadratics(h[p], g[p], q.noise_over_p)
             f[p], steps, step[p] = fixed_point(
                 lambda x: gpi_matrices(lane, _as_matrix(x, n, k))[0], f[p],
                 settings, signed=True)

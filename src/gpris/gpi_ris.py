@@ -83,15 +83,8 @@ class RisQuadratics:
 
 
 def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
-                         noise_over_p: float,
-                         out: tuple[np.ndarray, np.ndarray] | None = None
-                         ) -> RisQuadratics:
-    """C_k / D_k blocks for the given precoder, with its lane axes if any.
-
-    ``out``, as in numpy, is a (c_blocks, u_vecs) pair of complex arrays of
-    the result's shapes to write the result into, instead of new ones.
-    """
-    c_out, u_out = (None, None) if out is None else out
+                         noise_over_p: float) -> RisQuadratics:
+    """C_k / D_k blocks for the given precoder, with its lane axes if any."""
     k, l, _, m = est.cascaded_est.shape
     lm = l * m
     f = precoder.matrix
@@ -100,7 +93,7 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
     # O(K L N M K + K L M^2 K), where the sandwich Hhat^H Q Hhat would cost
     # O(K L N^2 M^2)
     g = (est.conj_rows @ f).reshape(f.shape[:-2] + (k, l, m, k))
-    c = np.matmul(g, np.conj(np.swapaxes(g, -1, -2)), out=c_out)
+    c = np.matmul(g, np.conj(np.swapaxes(g, -1, -2)))
     c *= lm
     # theta_matrices is the quadratic for the unit-modulus phases phi; the
     # relaxed vector satisfies phi = sqrt(LM) w, so the same LM factor that
@@ -112,8 +105,7 @@ def build_ris_quadratics(est: ChannelEstimate, precoder: Precoder,
         theta *= lm
         c += theta
     # signal-column factors: C_k - D_k = LM (Hhat^H f_k)(Hhat^H f_k)^H
-    u_vecs = np.multiply(np.sqrt(lm), np.einsum("...klmk->...klm", g),
-                         out=u_out)  # own-user columns
+    u_vecs = np.sqrt(lm) * np.einsum("...klmk->...klm", g)  # own-user columns
     return RisQuadratics(c_blocks=c, noise_over_p=noise_over_p, u_vecs=u_vecs)
 
 

@@ -193,9 +193,6 @@ def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
     n, k, l, m = est.dims
     # the lanes' phases, written by each round before the next one reads them
     phi = np.empty((len(mus), l, m), dtype=complex)
-    # the later rounds write their RIS quadratics here, sliced to their lanes
-    ris_out = tuple(np.empty((len(mus),) + x.shape, dtype=complex)
-                    for x in (first[1].c_blocks, first[1].u_vecs))
     rule = settings.alternation
 
     def advance(rnd, sel):
@@ -207,7 +204,7 @@ def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
             stage = _precoder_stage(est, noise_over_p, settings,
                                     Precoder.from_stacked(lanes.f[sel], n, k),
                                     PhaseShifts(phi[sel], projected=True),
-                                    timing, [x[:sel.size] for x in ris_out])
+                                    timing)
         f, w, phi_sel, obj = _ris_and_objective(est, noise_over_p, settings,
                                                 mus[sel], r_sigma, lanes.w[sel],
                                                 stage, timing)
@@ -229,10 +226,9 @@ def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
             break
 
 
-def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing,
-                    ris_out=None):
+def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing):
     """Precoder GPI against fixed phases, then the RIS quadratics it yields
-    (per lane when the pair carries a lane axis; into ``ris_out`` if given)."""
+    (per lane when the pair carries a lane axis)."""
     n, k, _, _ = est.dims
     t0 = time.perf_counter()
     f_star, _, _ = run_gpi_precoder(
@@ -240,7 +236,7 @@ def _precoder_stage(est, noise_over_p, settings, precoder, phases, timing,
         settings.precoder)
     precoder = Precoder.from_stacked(f_star, n, k)
     t1 = time.perf_counter()
-    ris_quad = build_ris_quadratics(est, precoder, noise_over_p, out=ris_out)
+    ris_quad = build_ris_quadratics(est, precoder, noise_over_p)
     timing["precoder"] += t1 - t0
     timing["ris"] += time.perf_counter() - t1
     return precoder, ris_quad

@@ -1,10 +1,24 @@
-"""Shared builders for random instances at desk scale."""
+"""Shared builders for random instances at desk scale, and the
+``--no-compiler`` option."""
 
 import numpy as np
 import pytest
 
+from gpris import _kernel
 from gpris.channel import ChannelEstimate, _cn_vector
 from gpris.metrics import PhaseShifts, Precoder
+
+
+def pytest_addoption(parser):
+    parser.addoption("--no-compiler", action="store_true",
+                     help="hide the C compiler for the whole session, so "
+                          "every stage runs its numpy loop")
+
+
+def pytest_configure(config):
+    if config.getoption("--no-compiler"):
+        _kernel.find_compiler = lambda: None
+        _kernel._library.cache_clear()
 
 
 def cn(shape, rng):

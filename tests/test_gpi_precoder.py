@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cn, rand_estimate, rand_phases, rand_precoder, rand_psd
-from gpris import _kernel
+from gpris import _kernel, gpi_precoder
 from gpris.gpi_precoder import (GpiSettings, PrecoderQuadratics, _as_matrix,
                                 build_precoder_quadratics, fixed_point,
                                 gpi_matrices, run_gpi_precoder)
@@ -45,34 +45,60 @@ def dense_image(q, x):
     return np.linalg.solve(bbar, abar @ x), lam
 
 
-def indefinite_problem(bad_block):
-    """N=2, K=2 quadratics whose Bbar has exactly the blocks >= bad_block
-    not positive definite at f0, while every quadratic form stays positive.
+def isotropic(h, xi, noise_over_p):
+    """Quadratics of the channels h (K, N) under the errors Xi_k = xi_k I."""
+    g = h[:, :, None] * h[:, None, :].conj()
+    return PrecoderQuadratics(h, g + xi[:, None, None] * np.eye(h.shape[1]),
+                              noise_over_p, xi)
 
-    Xi = diag(-1, 0) pushes (sigma^2/P - 1) sum_k 1/qb_k onto Bbar's first
-    diagonal entry, which only the other user's signal, h_1 in block 0, can
-    lift.  With bad_block=0 the first user's qb is so small that even the
-    common block B fails.
+
+def indefinite_problem(bad_block):
+    """N=2, K=3 isotropic quadratics whose Bbar has exactly the blocks >=
+    bad_block not positive definite at f0, while every quadratic form stays
+    positive.
+
+    User 0 has no channel and xi_0 = 0; xi_1 = xi_2 = -1 push
+    c = sum_k (xi_k + sigma^2/P) / qb_k below 0, so Bbar_j = sum_{k != j}
+    h_k h_k^H / qb_k + c I is positive definite only where the other users'
+    signals lift both directions.  Users 1 and 2 are orthogonal for
+    bad_block=1, so only Bbar_0 holds both; for bad_block=0 they are
+    parallel, and even the common block B fails.
     """
-    x, y = (3.0, 3.0) if bad_block else (1.2806, 1.5)
-    h = np.array([[0.0, x], [y, 0.0]], dtype=complex)
-    g = np.diag([-1.0, 0.0])[None] + h[:, :, None] * h[:, None, :].conj()
-    q = PrecoderQuadratics(h_hat=h, g_blocks=g, noise_over_p=0.1)
-    f0 = np.full(4, 0.5, dtype=complex)
-    qa, qb = q.quad_forms(f0.reshape(2, 2, order="F"))
+    h = np.array([[0, 0], [0, 2], [2, 0]] if bad_block
+                 else [[0, 0], [2, 0], [2, 0]], dtype=complex)
+    q = isotropic(h, np.array([0.0, -1.0, -1.0]), 0.1)
+    f0 = np.full(6, 6 ** -0.5, dtype=complex)
+    qa, qb = q.quad_forms(f0.reshape(3, 2).T)
     assert np.all(qa > 0) and np.all(qb > 0)
     return q, f0
 
 
+def random_quadratics(rng, dense):
+    est = rand_estimate(5, 3, 2, 2, rng, err=0.2, dense=dense)
+    return build_precoder_quadratics(est, rand_phases(2, 2, rng), 0.1)
+
+
 @pytest.fixture(params=[False, True], ids=["isotropic", "dense"])
 def quad(request, rng):
-    est = rand_estimate(5, 3, 2, 2, rng, err=0.2, dense=request.param)
-    return build_precoder_quadratics(est, rand_phases(2, 2, rng), 0.1)
+    return random_quadratics(rng, request.param)
 
 
 def without_compiler(monkeypatch):
     monkeypatch.setattr(_kernel, "find_compiler", lambda: None)
     _kernel._library.cache_clear()
+
+
+def _numpy_loop_ran(*args, **kwargs):
+    raise AssertionError("the numpy loop ran where the compiled one should")
+
+
+def use_backend(monkeypatch, compiled):
+    """Run the rest of the test on the named path: the numpy loop raises on
+    the compiled one, and the compiler is hidden on the numpy one."""
+    if compiled:
+        monkeypatch.setattr(gpi_precoder, "fixed_point", _numpy_loop_ran)
+    else:
+        without_compiler(monkeypatch)
 
 
 def numpy_reference(monkeypatch, *args):
@@ -278,8 +304,7 @@ class TestRunGpi:
         ph = rand_phases(2, 2, rng)
         q = build_precoder_quadratics(est, ph, 0.1)
         f0 = rand_precoder(4, 2, rng).stacked
-        if not compiled:
-            without_compiler(monkeypatch)
+        use_backend(monkeypatch, compiled)
         cap = 4
         f_t, iters, step = run_gpi_precoder(q, f0, GpiSettings(tol=1e-14,
                                                                max_iters=cap))
@@ -293,8 +318,9 @@ class TestRunGpi:
     @needs_compiler
     def test_backends_agree(self, quad, rng, monkeypatch):
         # three lanes of the same quadratics from different starts
-        lanes = PrecoderQuadratics(np.stack([quad.h_hat] * 3),
-                                   np.stack([quad.g_blocks] * 3), quad.noise_over_p)
+        lanes = PrecoderQuadratics(
+            np.stack([quad.h_hat] * 3), np.stack([quad.g_blocks] * 3),
+            quad.noise_over_p, None if quad.xi is None else np.stack([quad.xi] * 3))
         f0 = np.stack([rand_precoder(5, 3, rng).stacked for _ in range(3)])
         for tol in (1e-3, 1e-10):
             s = GpiSettings(tol=tol, max_iters=100)
@@ -308,22 +334,39 @@ class TestRunGpi:
             assert np.all(step <= tol)
 
     @needs_compiler
-    def test_dense_errors_at_paper_size(self, rng, monkeypatch):
-        # N=16, K=4 with a dense error covariance on every link: each Xi_k is
-        # a full N x N block, so the kernel reads every entry of G_k
+    def test_backends_agree_at_paper_size(self, rng, monkeypatch):
+        # N=16, K=4, three lanes of their own phases: the compiled loop,
+        # which reads h-hat and xi, against the numpy one on the G_k blocks
+        est = rand_estimate(16, 4, 2, 4, rng, err=0.05)
+        phi = PhaseShifts(np.stack([rand_phases(2, 4, rng).per_ris
+                                    for _ in range(3)]), projected=True)
+        q = build_precoder_quadratics(est, phi, 0.1)
+        assert q.xi.shape == (3, 4)
+        f0 = np.stack([rand_precoder(16, 4, rng).stacked for _ in range(3)])
+        s = GpiSettings(tol=1e-10, max_iters=100)
+        f_ref, iters_ref, step_ref = numpy_reference(monkeypatch, q, f0, s)
+        use_backend(monkeypatch, compiled=True)
+        f, iters, step = run_gpi_precoder(q, f0, s)
+        assert iters == iters_ref
+        assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
+        assert step == pytest.approx(step_ref, rel=1e-6, abs=1e-12)
+
+    @needs_compiler
+    def test_dense_errors_take_the_numpy_loop(self, rng, monkeypatch):
+        # a dense error covariance on every link makes each Xi_k a full
+        # N x N block, which the compiled loop cannot read: with a compiler
+        # present the result is the no-compiler one, bit for bit
         est = rand_estimate(16, 4, 2, 4, rng, err=0.05, dense=True)
         phi = PhaseShifts(np.stack([rand_phases(2, 4, rng).per_ris
                                     for _ in range(3)]), projected=True)
         q = build_precoder_quadratics(est, phi, 0.1)
-        xi = q.g_blocks - q.h_hat[..., :, None] * q.h_hat[..., None, :].conj()
-        assert np.all(np.abs(xi[..., 0, 1:]) > 0)
+        assert q.xi is None
         f0 = np.stack([rand_precoder(16, 4, rng).stacked for _ in range(3)])
         s = GpiSettings(tol=1e-10, max_iters=100)
         f, iters, step = run_gpi_precoder(q, f0, s)
         f_ref, iters_ref, step_ref = numpy_reference(monkeypatch, q, f0, s)
         assert iters == iters_ref
-        assert np.allclose(f, f_ref, rtol=0, atol=1e-10)
-        assert step == pytest.approx(step_ref, rel=1e-6, abs=1e-12)
+        assert np.array_equal(f, f_ref) and np.array_equal(step, step_ref)
 
     def test_without_compiler_falls_back(self, quad, rng, monkeypatch):
         without_compiler(monkeypatch)
@@ -337,7 +380,7 @@ class TestRunGpi:
         assert iters == iters_ref
         assert np.array_equal(f, f_ref) and step == step_ref
         with pytest.raises(RuntimeError, match="no C compiler"):
-            _kernel.precoder_loop(quad.h_hat[None], quad.g_blocks[None],
+            _kernel.precoder_loop(quad.h_hat[None], np.zeros((1, k)),
                                   f_ref[None], quad.noise_over_p, 1e-3, 10)
 
 
@@ -352,15 +395,17 @@ class TestImageOracle:
         assert lam == pytest.approx(dense_lam, rel=1e-12)
         assert np.linalg.norm(image - dense) < 1e-10 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("compiled", [
-        pytest.param(True, marks=needs_compiler), False],
-        ids=["compiled", "numpy"])
-    def test_one_step_matches_dense_solve(self, quad, rng, monkeypatch,
+    @pytest.mark.parametrize("dense,compiled", [
+        pytest.param(False, True, marks=needs_compiler, id="isotropic-compiled"),
+        pytest.param(False, False, id="isotropic-numpy"),
+        pytest.param(True, False, id="dense-numpy")])
+    def test_one_step_matches_dense_solve(self, rng, monkeypatch, dense,
                                           compiled):
         # one step returns the normalized image, and its step is the
-        # distance to the start at the better sign
-        if not compiled:
-            without_compiler(monkeypatch)
+        # distance to the start at the better sign; dense errors have the
+        # numpy loop alone
+        quad = random_quadratics(rng, dense)
+        use_backend(monkeypatch, compiled)
         f0 = rand_precoder(5, 3, rng).stacked
         f1, iters, step = run_gpi_precoder(quad, f0, GpiSettings(max_iters=1))
         dense, _ = dense_image(quad, f0)
@@ -377,14 +422,14 @@ class TestImageOracle:
     def test_indefinite_block_is_named(self, monkeypatch, compiled, bad_block):
         q, f0 = indefinite_problem(bad_block)
         # the dense oracle agrees on which blocks fail
-        _, qb = q.quad_forms(f0.reshape(2, 2, order="F"))
-        bbar = sum(dense_matrix(q, k, with_signal=False) / qb[k]
-                   for k in range(2))
-        eig = [np.linalg.eigvalsh(bbar[2 * k:2 * k + 2, 2 * k:2 * k + 2]).min()
-               for k in range(2)]
-        assert [e <= 0 for e in eig] == [k >= bad_block for k in range(2)]
-        if not compiled:
-            without_compiler(monkeypatch)
+        n, k = q.n, q.k
+        _, qb = q.quad_forms(f0.reshape(k, n).T)
+        bbar = sum(dense_matrix(q, j, with_signal=False) / qb[j]
+                   for j in range(k))
+        eig = [np.linalg.eigvalsh(bbar[n * j:n * (j + 1), n * j:n * (j + 1)]).min()
+               for j in range(k)]
+        assert [e <= 0 for e in eig] == [j >= bad_block for j in range(k)]
+        use_backend(monkeypatch, compiled)
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"block {bad_block} is not positive definite"):
             run_gpi_precoder(q, f0, GpiSettings())
@@ -393,10 +438,10 @@ class TestImageOracle:
         pytest.param(True, marks=needs_compiler), False],
         ids=["compiled", "numpy"])
     def test_vanishing_quadratic_form_raises(self, monkeypatch, compiled):
-        h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        q = PrecoderQuadratics(h, np.zeros((2, 2, 2), dtype=complex), 0.0)
-        if not compiled:
-            without_compiler(monkeypatch)
+        # at f = 1/2 everywhere, qa_k = sum_j |h_k^H f_j|^2 + xi_k ||f||^2
+        # is exactly 1/2 - 1/2
+        q = isotropic(np.eye(2, dtype=complex), np.full(2, -0.5), 0.0)
+        use_backend(monkeypatch, compiled)
         with pytest.raises(FloatingPointError):
             run_gpi_precoder(q, np.ones(4, dtype=complex), GpiSettings())
 
@@ -407,26 +452,26 @@ class TestPrecoderKernel:
         # lane 2 holds the indefinite problem; every other lane must equal
         # its single-lane run bit for bit
         bad, bad_f0 = indefinite_problem(1)
-        quads = [build_precoder_quadratics(rand_estimate(2, 2, 2, 2, rng,
+        quads = [build_precoder_quadratics(rand_estimate(2, 3, 2, 2, rng,
                                                          err=0.1),
                                            rand_phases(2, 2, rng), 0.1)
                  for _ in range(4)]
         quads[2] = bad
-        f0 = [rand_precoder(2, 2, rng).stacked for _ in range(4)]
+        f0 = [rand_precoder(2, 3, rng).stacked for _ in range(4)]
         f0[2] = bad_f0
         h = np.stack([q.h_hat for q in quads])
-        g = np.stack([q.g_blocks for q in quads])
+        xi = np.stack([q.xi for q in quads])
         start = np.stack(f0) / np.linalg.norm(np.stack(f0), axis=-1,
                                                keepdims=True)
         f = start.copy()
-        iters, block, step = _kernel.precoder_loop(h, g, f, 0.1, 1e-8, 50)
+        iters, block, step = _kernel.precoder_loop(h, xi, f, 0.1, 1e-8, 50)
         assert iters[2] == -1 and block[2] == 1
         # the failed lane keeps its iterate
         assert np.array_equal(f[2], start[2])
         for i in (0, 1, 3):
             one = start[i:i + 1].copy()
             it_one, block_one, step_one = _kernel.precoder_loop(
-                h[i:i + 1], g[i:i + 1], one, 0.1, 1e-8, 50)
+                h[i:i + 1], xi[i:i + 1], one, 0.1, 1e-8, 50)
             assert iters[i] == it_one[0] > 0 and block[i] == block_one[0] == -1
             assert np.array_equal(f[i], one[0]) and step[i] == step_one[0]
 
@@ -435,9 +480,13 @@ class TestPrecoderKernel:
         q = build_precoder_quadratics(rand_estimate(3, 2, 1, 2, rng),
                                       rand_phases(1, 2, rng), 0.1)
         f = rand_precoder(3, 2, rng).stacked[None]
+        h, xi = q.h_hat[None], q.xi[None]
+        # a complex xi (say, the G_k blocks) or one without its lane axis is
+        # refused, not cast to real
+        for bad_xi in (xi + 0j, q.xi, q.g_blocks[None]):
+            with pytest.raises(ValueError, match="disagree"):
+                _kernel.precoder_loop(h, bad_xi, f, 0.1, 1e-3, 5)
         with pytest.raises(ValueError, match="disagree"):
-            _kernel.precoder_loop(q.h_hat[None], q.g_blocks[None], f.T.copy(),
-                                  0.1, 1e-3, 5)
+            _kernel.precoder_loop(h, xi, f.T.copy(), 0.1, 1e-3, 5)
         with pytest.raises(ValueError, match="disagree"):
-            _kernel.precoder_loop(q.h_hat[None], q.g_blocks[None],
-                                  f.astype(np.complex64), 0.1, 1e-3, 5)
+            _kernel.precoder_loop(h, xi, f.astype(np.complex64), 0.1, 1e-3, 5)

@@ -179,22 +179,6 @@ class TestQuadratics:
         np.testing.assert_allclose(q.c_blocks - q.d_blocks, outer, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(q.c_blocks)))
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_out_buffers_take_the_same_bits(self, rng, dense):
-        # run_joint writes each round's quadratics into slices of buffers
-        # sized for every lane; the values must equal a fresh build's
-        est = rand_estimate(5, 3, 2, 4, rng, err=0.2, dense=dense)
-        f = Precoder(np.stack([rand_precoder(5, 3, rng).matrix
-                               for _ in range(3)]))
-        fresh = build_ris_quadratics(est, f, 0.05)
-        bufs = [np.full((5,) + x.shape[1:], np.nan, dtype=complex)
-                for x in (fresh.c_blocks, fresh.u_vecs)]
-        q = build_ris_quadratics(est, f, 0.05, out=[x[:3] for x in bufs])
-        assert np.shares_memory(q.c_blocks, bufs[0])
-        assert np.shares_memory(q.u_vecs, bufs[1])
-        assert np.array_equal(q.c_blocks, fresh.c_blocks)
-        assert np.array_equal(q.u_vecs, fresh.u_vecs)
-
     def test_objective_matches_phase_form_bound_single_ris(self, rng):
         # with one RIS there are no cross-block terms, so the blockwise
         # quadratic ratio reproduces the rate bound exactly
