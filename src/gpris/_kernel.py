@@ -21,12 +21,16 @@ complex arrays as numpy holds them:
 - ``_round.c``, one whole alternation round of ``run_joint`` on its
   isotropic path (see ``Rounds``): the precoder stage, the RIS quadratics,
   both loops above (called from C), the projection and the objective of
-  every active lane in one call.
+  every active lane in one call.  The RIS quadratics of a lane are formed
+  as it enters the RIS loop's group, straight into its slot; the estimate
+  they are formed from is split once per ``run_joint``, by ``Rounds``.
 
 In all three, every inner loop runs over independent outputs (the rows of a
 matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
 each output keeps its accumulation order, so the loops vectorize without
-reassociating a reduction.
+reassociating a reduction.  Where a strip of 8 outputs can run together (the
+RIS image's products when its rows hold a multiple of 8 columns, and the
+round's), each output's sum is held in a register and stored once.
 
 The library is built on first use, never at import, with the first C
 compiler found on PATH, tuned for the host CPU (``-march=native``).  It is
@@ -287,13 +291,15 @@ class Rounds:
     compiled call each (see ``_round.c``).
 
     ``stack`` (KN, LM) and ``conj_rows`` (KLM, N) are the estimate's two
-    copies (``ChannelEstimate.stacked`` and ``.conj_rows``), ``err_scale``
-    its (K, L) error scales and ``mu`` the P lanes' weights.  ``f`` (P, KN)
-    and ``w`` (P, LM) are the lanes' precoders and RIS vectors, C-contiguous
-    complex128, which each round updates in place for the lanes it runs;
-    the round also leaves its objective in ``obj`` and 0 or a failure code
-    in ``status`` (see ``_round.c``; ``block`` names a precoder failure's
-    block), each indexed by lane.  The objective's h-hat and xi, which the
+    copies (``ChannelEstimate.stacked`` and ``.conj_rows``), which the
+    constructor splits into the layouts ``_round.c`` reads, once for every
+    round; ``err_scale`` holds its (K, L) error scales and ``mu`` the P
+    lanes' weights.  ``f`` (P, KN) and ``w`` (P, LM) are the lanes'
+    precoders and RIS vectors, C-contiguous complex128, which each round
+    updates in place for the lanes it runs; the round also leaves its
+    objective in ``obj`` and 0 or a failure code in ``status`` (see
+    ``_round.c``; ``block`` names a precoder failure's block), each indexed
+    by lane.  The objective's h-hat and xi, which the
     next round's precoder stage starts from, stay in ``h`` and ``xi``.
     ``seconds`` adds up the precoder, RIS and objective stage times of every
     round.  Each lane's results are bit for bit those of a call with that
@@ -318,8 +324,10 @@ class Rounds:
         self.status, self.block = (np.zeros(p, dtype=np.intc) for _ in range(2))
         self.seconds = np.zeros(3)
         self.h, self.xi = np.zeros((p, k, n), dtype=complex), np.zeros((p, k))
-        arrays = (np.ascontiguousarray(stack, dtype=np.complex128),
-                  np.ascontiguousarray(conj_rows, dtype=np.complex128),
+        # conj_rows' rows (k, l, m) as (k, m, l), the order _round.c reads
+        rows_kml = conj_rows.reshape(k, l, m, n).transpose(0, 2, 1, 3)
+        arrays = (_split_columns(stack),
+                  _split_columns(rows_kml.reshape(k * lm, n)),
                   np.ascontiguousarray(err_scale, dtype=np.float64),
                   np.ascontiguousarray(mu, dtype=np.float64), f, w, self.h,
                   self.xi, self.obj, self.status, self.block, self.seconds,
@@ -346,6 +354,19 @@ class Rounds:
             raise ValueError("shared quadratics disagree on shape")
         return self._call(len(sel), sel.ctypes.data, c.ctypes.data,
                           u.ctypes.data)
+
+
+def _split_columns(x):
+    """The complex matrix ``x`` by columns, real and imaginary parts split:
+    the (2, cols, rows) float64 array that ``_round.c`` reads, starting on
+    a 64-byte boundary as its scratch does (so its 8-double loads along
+    the columns do not straddle cache lines when the rows fill them)."""
+    size = 2 * x.size
+    buf = np.empty(size + 8)
+    start = -buf.ctypes.data % 64 // 8
+    out = buf[start:start + size].reshape((2,) + x.T.shape)
+    out[0], out[1] = x.real.T, x.imag.T
+    return out
 
 
 def warm_up():

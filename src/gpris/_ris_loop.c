@@ -18,8 +18,7 @@
  *     over their n*L (slot, RIS) columns alone: an idle slot is never
  *     computed and never reports.
  * With G = 1 this is the loop of one lane at a time, with the same
- * arithmetic; where a loop's columns are a whole row (no idle slot) it runs
- * flat over the rows.
+ * arithmetic.
  *
  * Inputs are read as numpy holds them, complex128 as interleaved (re, im)
  * doubles in C order (int for iters):
@@ -28,10 +27,12 @@
  *   u              (P, K, L, M) signal columns with C_k - D_k = u_k u_k^H,
  *                  lane stride u_stride, so the D quadratic form is a
  *                  rank-one correction of the C one
- *   fill, ctx      NULL, or the source of the blocks in place of c and u:
- *                  fill(ctx, p, i, &c_p, &u_p) points c_p and u_p at lane
- *                  p's, the i-th (i < G) of the lanes that one refill
- *                  loads, when it loads them (see _round.c)
+ *   fill, ctx      NULL, or the source of the blocks in place of c and u
+ *                  (see _round.c): as lane p enters slot g,
+ *                  fill(ctx, p, S, ctr, cti, dr, di, ur, ui) writes the
+ *                  lane's C_k, packed D_k and u_k into the slot arrays
+ *                  below, each pointer at the slot's first column g*L, so
+ *                  that entry (row, l) of the lane is at [row * S + l]
  *   mu             (P,) penalty weight of each lane
  *   w              (P, L*M) unit-norm iterates, updated in place
  *   iters          (P,) iteration count of each lane, negative when a
@@ -48,20 +49,25 @@
  * over independent outputs, the (row, column) entries of the matvecs, of
  * the Cbar image and of the Dbar blocks, and the right-looking Cholesky
  * updates each trailing row over its columns; each output keeps its
- * accumulation order.  Every per-lane reduction (the quadratic forms over a
- * lane's blocks, the penalty max/min and exp sums, the norm and the step)
- * runs over that lane's own columns in the order of a lone lane.  So no
- * reduction is reassociated, and each lane's w, count and step are bit for
- * bit those of a one-lane call, whatever G and its neighbours.  The slot
- * arrays:
+ * accumulation order.  When S is a multiple of W = 8, the matvecs, the
+ * quadratic forms, Cbar w and Dbar run over strips of 8 columns whose sums
+ * (over b, over a, over the users) stay in registers and are stored once;
+ * otherwise (one slot of L = 2 or 4, say) they keep their sums in the
+ * arrays and run flat over whole rows.  Every per-lane reduction (the
+ * quadratic forms over a lane's blocks, the penalty max/min and exp sums,
+ * the norm and the step) runs over that lane's own columns in the order of
+ * a lone lane.  So no reduction is reassociated, and each lane's w, count
+ * and step are bit for bit those of a one-lane call, whatever G, the path
+ * and its neighbours.  The slot arrays:
  *   ct             (K, M, M, S) C_k by columns, ct[k][b][a][x] = C_kl[a, b]
  *   d              (K, T, S) lower triangles of D_k = C_k - u_k u_k^H, rows
  *                  packed (T = M(M+1)/2 entries per block)
  *   us, ws         (K, M, S) and (M, S)
  * and the image's, (K, M, S) for the matvecs, (T, S) for Dbar and (M, S),
  * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 9)M + 2K + 4) doubles
- * in all, G times one lane's.  That is 7.1 MB at K=4, L=2, M=64 (G=8) and
- * 0.28 MB at K=4, L=8, M=8 (G=4).
+ * in all (each array rounded up to 8), G times one lane's.  That is 7.1 MB
+ * at K=4, L=2, M=64 (G=8) and 0.28 MB at K=4, L=8, M=8 (G=4), and all a
+ * call needs: a fill writes its lane into the slot, with no staging copy.
  */
 #include <math.h>
 #include <stddef.h>
@@ -69,9 +75,28 @@
 #include <string.h>
 #include <time.h>
 
-/* the source of a lane's blocks, in place of the c and u arrays */
-typedef void gpris_ris_fill(void *ctx, int lane, int index, const double **c,
-                            const double **u);
+/* the source of a lane's blocks, in place of the c and u arrays: writes
+ * them into the lane's slot columns (see the header) */
+typedef void gpris_ris_fill(void *ctx, int lane, size_t s, double *ctr,
+                            double *cti, double *dr, double *di, double *ur,
+                            double *ui);
+
+/* W-column strips, each sum held in registers and stored once: the image's
+ * products take them when every row starts on a strip (s a multiple of W) */
+#define W 8
+typedef double vd __attribute__((vector_size(W * sizeof(double))));
+
+static inline vd ld(const double *p)
+{
+    vd v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void st(double *p, vd v)
+{
+    memcpy(p, &v, sizeof v);
+}
 
 /* offset of row a of a packed lower triangle */
 #define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
@@ -253,6 +278,174 @@ static void add_weighted(double *restrict yr, double *restrict yi,
         }
 }
 
+/* The strip path's products of block k over the columns x < nv: the matvec
+ * y = C_k w, its b-walk in runs of BB rows (one run for M <= BB, whose sums
+ * never leave the registers), then w^H y and u_k^H w into sr, tr and ti.
+ * Each sum runs over b or a in the order of the loops below. */
+#define BB 8
+static void strip_products(size_t mm, size_t s, size_t nv, const double *ctr,
+                           const double *cti, const double *ur,
+                           const double *ui, const double *wr,
+                           const double *wi, double *yr, double *yi,
+                           double *sr, double *tr, double *ti)
+{
+    const size_t ms = mm * s;
+    for (size_t b0 = 0; b0 < mm; b0 += BB) {
+        const size_t b1 = b0 + BB < mm ? b0 + BB : mm;
+        for (size_t a = 0; a < mm; ++a)
+            for (size_t x = 0; x < nv; x += W) {
+                const size_t i = a * s + x;
+                vd accr = {0}, acci = {0};
+                if (b0) {
+                    accr = ld(yr + i);
+                    acci = ld(yi + i);
+                }
+                for (size_t b = b0; b < b1; ++b) {
+                    const vd cr = ld(ctr + b * ms + i), ci = ld(cti + b * ms + i);
+                    const vd wrb = ld(wr + b * s + x), wib = ld(wi + b * s + x);
+                    accr += cr * wrb - ci * wib;
+                    acci += cr * wib + ci * wrb;
+                }
+                st(yr + i, accr);
+                st(yi + i, acci);
+            }
+    }
+    for (size_t x = 0; x < nv; x += W) {
+        vd q = {0}, pr = {0}, pi = {0};
+        for (size_t a = 0; a < mm; ++a) {
+            const size_t i = a * s + x;
+            const vd wra = ld(wr + i), wia = ld(wi + i);
+            const vd ura = ld(ur + i), uia = ld(ui + i);
+            q += wra * ld(yr + i) + wia * ld(yi + i);
+            pr += ura * wra + uia * wia;
+            pi += ura * wia - uia * wra;
+        }
+        st(sr + x, q);
+        st(tr + x, pr);
+        st(ti + x, pi);
+    }
+}
+
+/* The strip path's Cbar w and Dbar over the columns x < nv, each entry's sum
+ * over the users held in registers: Cbar w = f sum_k qc_k y_k + exc w and
+ * Dbar = (sum_k qd_k D_k) f + diag(exd), with f = 1/(r_sigma ln 2). */
+static void strip_cbar_dbar(int k_users, size_t mm, size_t s, size_t nv,
+                            const struct group *gr, const struct image *im,
+                            double f)
+{
+    const size_t ms = mm * s, ts = TRI(mm) * s;
+    for (size_t a = 0; a < mm; ++a)
+        for (size_t x = 0; x < nv; x += W) {
+            const size_t i = a * s + x;
+            vd accr = {0}, acci = {0};
+            for (int kk = 0; kk < k_users; ++kk) {
+                const vd q = ld(im->qc + (size_t)kk * s + x);
+                accr += ld(im->ycr + (size_t)kk * ms + i) * q;
+                acci += ld(im->yci + (size_t)kk * ms + i) * q;
+            }
+            const vd ex = ld(im->exc + i);
+            st(im->cwr + i, f * accr + ex * ld(gr->wr + i));
+            st(im->cwi + i, f * acci + ex * ld(gr->wi + i));
+        }
+    for (size_t a = 0; a < mm; ++a)
+        for (size_t b = 0; b <= a; ++b)
+            for (size_t x = 0; x < nv; x += W) {
+                const size_t i = (TRI(a) + b) * s + x;
+                vd accr = {0}, acci = {0};
+                for (int kk = 0; kk < k_users; ++kk) {
+                    const vd q = ld(im->qd + (size_t)kk * s + x);
+                    accr += ld(gr->dr + (size_t)kk * ts + i) * q;
+                    acci += ld(gr->di + (size_t)kk * ts + i) * q;
+                }
+                accr = accr * f;
+                if (a == b)
+                    accr += ld(im->exd + a * s + x);
+                st(im->dbr + i, accr);
+                st(im->dbi + i, acci * f);
+            }
+}
+
+/* The products of strip_products over the columns x < nw, with the sums
+ * kept in the arrays: the path of rows that do not start on a strip. */
+static void flat_products(size_t mm, size_t s, size_t nw, const double *ctr,
+                          const double *cti, const double *ur,
+                          const double *ui, const double *restrict wr,
+                          const double *restrict wi, double *restrict yr,
+                          double *restrict yi, double *restrict sr,
+                          double *restrict tr, double *restrict ti)
+{
+    const size_t ms = mm * s;
+    zero_cols(yr, yi, mm, s, nw);
+    for (size_t b = 0; b < mm; ++b) {
+        const double *restrict crv = ctr + b * ms;
+        const double *restrict civ = cti + b * ms;
+        const double *restrict wrb = wr + b * s;
+        const double *restrict wib = wi + b * s;
+        for (size_t a = 0; a < mm; ++a) {
+            const size_t row = a * s;
+            for (size_t x = 0; x < nw; ++x) {
+                yr[row + x] += crv[row + x] * wrb[x]
+                               - civ[row + x] * wib[x];
+                yi[row + x] += crv[row + x] * wib[x]
+                               + civ[row + x] * wrb[x];
+            }
+        }
+    }
+    for (size_t x = 0; x < nw; ++x) {
+        sr[x] = 0.0;
+        tr[x] = 0.0;
+        ti[x] = 0.0;
+    }
+    for (size_t a = 0; a < mm; ++a) {
+        const double *wra = wr + a * s;
+        const double *wia = wi + a * s;
+        const double *yra = yr + a * s;
+        const double *yia = yi + a * s;
+        const double *urv = ur + a * s;
+        const double *uiv = ui + a * s;
+        for (size_t x = 0; x < nw; ++x) {
+            sr[x] += wra[x] * yra[x] + wia[x] * yia[x];
+            tr[x] += urv[x] * wra[x] + uiv[x] * wia[x];
+            ti[x] += urv[x] * wia[x] - uiv[x] * wra[x];
+        }
+    }
+}
+
+/* Cbar w and Dbar as strip_cbar_dbar forms them, over the columns x < nw. */
+static void flat_cbar_dbar(int k_users, size_t mm, size_t s, size_t nw,
+                           size_t l, const struct group *gr,
+                           const struct image *im, double f)
+{
+    const size_t ms = mm * s, ts = TRI(mm) * s;
+    double *restrict cwr = im->cwr;
+    double *restrict cwi = im->cwi;
+    double *restrict dbr = im->dbr;
+    double *restrict dbi = im->dbi;
+    zero_cols(cwr, cwi, mm, s, nw);
+    for (int kk = 0; kk < k_users; ++kk)
+        add_weighted(cwr, cwi, im->ycr + (size_t)kk * ms,
+                     im->yci + (size_t)kk * ms, im->qc + (size_t)kk * s, mm, s,
+                     nw, l);
+    const size_t rows = nw == s ? 1 : mm, cols = nw == s ? ms : nw;
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t x = r * s; x < r * s + cols; ++x) {
+            cwr[x] = f * cwr[x] + im->exc[x] * gr->wr[x];
+            cwi[x] = f * cwi[x] + im->exc[x] * gr->wi[x];
+        }
+    zero_cols(dbr, dbi, TRI(mm), s, nw);
+    for (int kk = 0; kk < k_users; ++kk)
+        add_weighted(dbr, dbi, gr->dr + (size_t)kk * ts,
+                     gr->di + (size_t)kk * ts, im->qd + (size_t)kk * s, TRI(mm),
+                     s, nw, l);
+    scale_cols(dbr, dbi, f, TRI(mm), s, nw);
+    for (size_t a = 0; a < mm; ++a) {
+        double *restrict diag = dbr + (TRI(a) + a) * s;
+        const double *restrict ex = im->exd + a * s;
+        for (size_t x = 0; x < nw; ++x)
+            diag[x] += ex[x];
+    }
+}
+
 /* Image Dbar(w)^-1 Cbar(w) w of the iterates of the first n slots,
  * unnormalized, left in im->cwr / im->cwi; ok[g] is cleared when a
  * denominator block of slot g is not positive definite (that slot's
@@ -264,9 +457,14 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
                       double alpha2, int *ok)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, nw = (size_t)n_slots * l;
-    const size_t ms = mm * s, ts = TRI(m) * s;
+    const size_t ms = mm * s;
     /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ms : l;
+    /* rows that start on a strip take the strip path over whole strips:
+     * the idle columns up to the last strip's end are computed as well,
+     * and nothing reads them */
+    const int strips = s % W == 0;
+    const size_t nv = (nw + W - 1) / W * W;
     const double *restrict wr = gr->wr;
     const double *restrict wi = gr->wi;
     double *restrict qc = im->qc;
@@ -285,42 +483,17 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
      * the Cbar image (Cbar itself is never assembled); w^H D_k w is the
      * rank-one correction w^H C_k w - |u_k^H w|^2 */
     for (int kk = 0; kk < k_users; ++kk) {
-        double *restrict yr = im->ycr + (size_t)kk * ms;
-        double *restrict yi = im->yci + (size_t)kk * ms;
-        zero_cols(yr, yi, mm, s, nw);
-        for (size_t b = 0; b < mm; ++b) {
-            const double *restrict crv = gr->ctr + ((size_t)kk * mm + b) * ms;
-            const double *restrict civ = gr->cti + ((size_t)kk * mm + b) * ms;
-            const double *restrict wrb = wr + b * s;
-            const double *restrict wib = wi + b * s;
-            for (size_t a = 0; a < mm; ++a) {
-                const size_t row = a * s;
-                for (size_t x = 0; x < nw; ++x) {
-                    yr[row + x] += crv[row + x] * wrb[x]
-                                   - civ[row + x] * wib[x];
-                    yi[row + x] += crv[row + x] * wib[x]
-                                   + civ[row + x] * wrb[x];
-                }
-            }
-        }
-        for (size_t x = 0; x < nw; ++x) {
-            sr[x] = 0.0;     /* running Re(w^H C_k w) per block */
-            tr[x] = 0.0;     /* Re/Im of u_k^H w per block */
-            ti[x] = 0.0;
-        }
-        for (size_t a = 0; a < mm; ++a) {
-            const double *wra = wr + a * s;
-            const double *wia = wi + a * s;
-            const double *yra = yr + a * s;
-            const double *yia = yi + a * s;
-            const double *urv = gr->ur + ((size_t)kk * mm + a) * s;
-            const double *uiv = gr->ui + ((size_t)kk * mm + a) * s;
-            for (size_t x = 0; x < nw; ++x) {
-                sr[x] += wra[x] * yra[x] + wia[x] * yia[x];
-                tr[x] += urv[x] * wra[x] + uiv[x] * wia[x];
-                ti[x] += urv[x] * wia[x] - uiv[x] * wra[x];
-            }
-        }
+        const double *ctr = gr->ctr + (size_t)kk * mm * ms;
+        const double *cti = gr->cti + (size_t)kk * mm * ms;
+        const double *ur = gr->ur + (size_t)kk * ms;
+        const double *ui = gr->ui + (size_t)kk * ms;
+        double *yr = im->ycr + (size_t)kk * ms, *yi = im->yci + (size_t)kk * ms;
+        if (strips)
+            strip_products(mm, s, nv, ctr, cti, ur, ui, wr, wi, yr, yi, sr,
+                           tr, ti);
+        else
+            flat_products(mm, s, nw, ctr, cti, ur, ui, wr, wi, yr, yi, sr, tr,
+                          ti);
         /* each slot's 1/(w^H C_k w), 1/(w^H D_k w), spread over its columns */
         for (size_t g = 0; g < (size_t)n_slots; ++g) {
             const size_t o = g * l;
@@ -388,31 +561,12 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
                 }
         }
     }
-    /* image (Cbar w) from the cached matvecs, diagonal shifts folded in */
-    zero_cols(cwr, cwi, mm, s, nw);
-    for (int kk = 0; kk < k_users; ++kk)
-        add_weighted(cwr, cwi, im->ycr + (size_t)kk * ms,
-                     im->yci + (size_t)kk * ms, qc + (size_t)kk * s, mm, s,
-                     nw, l);
-    const size_t rows = nw == s ? 1 : mm, cols = nw == s ? ms : nw;
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t x = r * s; x < r * s + cols; ++x) {
-            cwr[x] = inv_rs_ln2 * cwr[x] + exc[x] * wr[x];
-            cwi[x] = inv_rs_ln2 * cwi[x] + exc[x] * wi[x];
-        }
-    /* lower triangles of the Dbar blocks, assembled batched for the solve */
-    zero_cols(dbr, dbi, TRI(m), s, nw);
-    for (int kk = 0; kk < k_users; ++kk)
-        add_weighted(dbr, dbi, gr->dr + (size_t)kk * ts,
-                     gr->di + (size_t)kk * ts, qd + (size_t)kk * s, TRI(m), s,
-                     nw, l);
-    scale_cols(dbr, dbi, inv_rs_ln2, TRI(m), s, nw);
-    for (size_t a = 0; a < mm; ++a) {
-        double *restrict diag = dbr + (TRI(a) + a) * s;
-        const double *restrict ex = exd + a * s;
-        for (size_t x = 0; x < nw; ++x)
-            diag[x] += ex[x];
-    }
+    /* the image Cbar w from the cached matvecs, and the lower triangles of
+     * the Dbar blocks for the solve, the diagonal shifts folded into both */
+    if (strips)
+        strip_cbar_dbar(k_users, mm, s, nv, gr, im, inv_rs_ln2);
+    else
+        flat_cbar_dbar(k_users, mm, s, nw, l, gr, im, inv_rs_ln2);
     /* batched in-place lower Cholesky of all the blocks at once,
      * right-looking: each entry takes its updates in the same order as the
      * left-looking dot products would */
@@ -552,14 +706,13 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                 continue;
             const size_t o = (size_t)g * l;
             const int p = next++;
-            if (!shared || g >= n) {
+            if (fill) {
+                fill(ctx, p, s, gr.ctr + o, gr.cti + o, gr.dr + o, gr.di + o,
+                     gr.ur + o, gr.ui + o);
+            } else if (!shared || g >= n) {
                 at[nb] = o;
-                if (fill) {
-                    fill(ctx, p, nb, &cs[nb], &us[nb]);
-                } else {
-                    cs[nb] = c + 2 * (size_t)p * c_stride;
-                    us[nb] = u + 2 * (size_t)p * u_stride;
-                }
+                cs[nb] = c + 2 * (size_t)p * c_stride;
+                us[nb] = u + 2 * (size_t)p * u_stride;
                 ++nb;
             }
             const double *wp = w + 2 * (size_t)p * ml;

@@ -7,11 +7,13 @@
  *      _precoder_loop.c) on that h-hat and xi, from f;
  *   2. the RIS quadratics of the new F: G-hat = Hhat^H F as one (KLM x N) by
  *      (N x K) product, C_{k,l} = LM G-hat G-hat^H + LM theta_{k,l} I with
- *      theta_{k,l} = err_{k,l} ||F||^2, and u_{k,l} = sqrt(LM) G-hat[:, k];
+ *      theta_{k,l} = err_{k,l} ||F||^2, u_{k,l} = sqrt(LM) G-hat[:, k] and
+ *      D_{k,l} = C_{k,l} - u u^H;
  *   3. the RIS loop (gpris_ris_loop, _ris_loop.c) from w, all lanes of the
  *      round in one call, so they advance in its lane groups; it asks for
- *      step 2 of each lane as the lane enters a group, so the scratch holds
- *      one group's quadratics, not every lane's;
+ *      step 2 of each lane as the lane enters a group, and step 2 writes the
+ *      blocks straight into the lane's slot of the group (no staging copy),
+ *      so the scratch holds one group's quadratics, not every lane's;
  *   4. the projection phi = e^{j arg(sqrt(LM) w)}, as sqrt(LM) w / |.|;
  *   5. the Jensen lower bound of (F, phi) in its precoder-quadratic form,
  *      whose h-hat = Hhat phi and xi_k = sum_l err_{k,l} ||phi_l||^2 are
@@ -28,8 +30,10 @@
  *   sel            (S,) the lanes of this round
  *   c_sh, u_sh     (K, L, M, M) and (K, L, M) quadratics shared by every
  *                  lane in the first round, NULL in the later ones
- *   stack          (KN, LM) Hhat, row (k, n), column (l, m)
- *   conj_rows      (KLM, N) rows of the Hhat_{k,l}^H, row (k, l, m)
+ *   stack          (KN, LM) Hhat, row (k, n), column (l, m), as float64
+ *                  (2, LM, KN): by columns, real and imaginary parts split
+ *   conj_rows      (KML, N) rows of the Hhat_{k,l}^H, row (k, m, l), as
+ *                  float64 (2, N, KML) likewise
  *   err            (K, L) real error scales
  *   mu             (P,) penalty weight of each lane
  *   f              (P, K, N) unit-norm column-stacked precoders, in place
@@ -42,11 +46,16 @@
  *                  _precoder_loop.c)
  *   seconds        (3,) adds the wall time of steps 1, 2-4 and 5
  *   work           gpris_round_work(P, G, K, N, L, M) doubles of scratch
- * Entries of lanes outside sel are not touched.
+ * Entries of lanes outside sel are not touched.  gpris._kernel.Rounds
+ * splits stack and conj_rows once per run_joint; a round only reads them.
+ * Every product's sum (over the N or LM columns, over the users) is held in
+ * registers for a strip of W = 8 rows and stored once, in the order of a
+ * plain loop.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 /* the loops this round calls, built into the same library */
@@ -55,8 +64,9 @@ int gpris_precoder_loop(int p_lanes, int k_users, int n, const double *h,
                         const double *xi, double noise_over_p, double *f,
                         double tol, int max_iters, int *iters, int *block,
                         double *step, double *work);
-typedef void gpris_ris_fill(void *ctx, int lane, int index, const double **c,
-                            const double **u);
+typedef void gpris_ris_fill(void *ctx, int lane, size_t s, double *ctr,
+                            double *cti, double *dr, double *di, double *ur,
+                            double *ui);
 long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris);
 int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    const double *c, long c_stride, const double *u,
@@ -75,15 +85,30 @@ enum {
     PHASE_NOT_FINITE = 4     /* FloatingPointError, the projection */
 };
 
+/* W-row strips, each sum held in registers and stored once */
+#define W 8
+typedef double vd __attribute__((vector_size(W * sizeof(double))));
+
+static inline vd ld(const double *p)
+{
+    vd v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void st(double *p, vd v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
 struct scratch {
-    double *str, *sti;  /* (LM, KN) stack by columns */
-    double *cjr, *cji;  /* (N, KLM) conj_rows by columns */
+    const double *str, *sti;  /* (LM, KN) stack by columns, from gpris_round */
+    const double *cjr, *cji;  /* (N, KML) conj_rows by columns, likewise */
     double *fr, *fi;    /* (K, N) one lane's precoder */
-    double *gr, *gi;    /* (K, KLM) one lane's G-hat by columns */
-    double *vr, *vi;    /* (M) one column of a block product */
+    double *gr, *gi;    /* (K, KML) one lane's G-hat by columns */
+    double *rep;        /* (2 + 2K, L + W) one row of u and of G-hat_j */
     double *pr, *pi;    /* (LM) one lane's projected phases */
     double *hr, *hi;    /* (KN) one lane's h-hat */
-    double *c, *u;      /* (G, K, L, M, M), (G, K, L, M) one refill's */
     double *w, *mu, *step;  /* (P, LM), (P), (P) the RIS lanes' */
     int *lane, *iters;  /* (P) lane and count of each RIS lane */
     double *pwork, *rwork;
@@ -100,22 +125,15 @@ static size_t carve(int p_lanes, int g_slots, int k_users, int n, int l_ris,
     size_t used = 0;
 #define TAKE(field, len) \
     (field = base ? (void *)(base + used) : NULL, used += ((len) + 7) / 8 * 8)
-    TAKE(sc->str, lm * k * nn);
-    TAKE(sc->sti, lm * k * nn);
-    TAKE(sc->cjr, nn * klm);
-    TAKE(sc->cji, nn * klm);
     TAKE(sc->fr, k * nn);
     TAKE(sc->fi, k * nn);
-    TAKE(sc->gr, k * klm);
-    TAKE(sc->gi, k * klm);
-    TAKE(sc->vr, (size_t)m);
-    TAKE(sc->vi, (size_t)m);
+    TAKE(sc->gr, k * klm + W);  /* the slack of fill_quadratics' strips */
+    TAKE(sc->gi, k * klm + W);
+    TAKE(sc->rep, (2 + 2 * k) * ((size_t)l_ris + W));
     TAKE(sc->pr, lm);
     TAKE(sc->pi, lm);
     TAKE(sc->hr, k * nn);
     TAKE(sc->hi, k * nn);
-    TAKE(sc->c, 2 * (size_t)g_slots * klm * (size_t)m);
-    TAKE(sc->u, 2 * (size_t)g_slots * klm);
     TAKE(sc->w, 2 * p * lm);
     TAKE(sc->mu, p);
     TAKE(sc->step, p);
@@ -134,36 +152,42 @@ long gpris_round_work(int p_lanes, int g_slots, int k_users, int n, int l_ris,
     return (long)carve(p_lanes, g_slots, k_users, n, l_ris, m, NULL, &sc);
 }
 
-/* The (rows, cols) interleaved matrix x by columns, real and imaginary
- * parts split. */
-static void split_columns(size_t rows, size_t cols, const double *x,
-                          double *restrict xr, double *restrict xi)
+/* The n interleaved entries of x, real and imaginary parts split. */
+static void split(size_t n, const double *x, double *restrict xr,
+                  double *restrict xi)
 {
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t c = 0; c < cols; ++c) {
-            xr[c * rows + r] = x[2 * (r * cols + c)];
-            xi[c * rows + r] = x[2 * (r * cols + c) + 1];
-        }
+    for (size_t i = 0; i < n; ++i) {
+        xr[i] = x[2 * i];
+        xi[i] = x[2 * i + 1];
+    }
 }
 
-/* y = A x for A held by columns (split_columns), over the independent rows */
+/* y = A x for A held by columns, each row's sum over the columns in order */
 static void matvec(size_t rows, size_t cols, const double *restrict ar,
                    const double *restrict ai, const double *restrict xr,
                    const double *restrict xi, double *restrict yr,
                    double *restrict yi)
 {
-    for (size_t r = 0; r < rows; ++r) {
-        yr[r] = 0.0;
-        yi[r] = 0.0;
-    }
-    for (size_t c = 0; c < cols; ++c) {
-        const double *restrict cr = ar + c * rows;
-        const double *restrict ci = ai + c * rows;
-        const double br = xr[c], bi = xi[c];
-        for (size_t r = 0; r < rows; ++r) {
-            yr[r] += cr[r] * br - ci[r] * bi;
-            yi[r] += cr[r] * bi + ci[r] * br;
+    size_t r = 0;
+    for (; r + W <= rows; r += W) {
+        vd accr = {0}, acci = {0};
+        for (size_t c = 0; c < cols; ++c) {
+            const vd cr = ld(ar + c * rows + r), ci = ld(ai + c * rows + r);
+            accr += cr * xr[c] - ci * xi[c];
+            acci += cr * xi[c] + ci * xr[c];
         }
+        st(yr + r, accr);
+        st(yi + r, acci);
+    }
+    for (; r < rows; ++r) {
+        double accr = 0.0, acci = 0.0;
+        for (size_t c = 0; c < cols; ++c) {
+            const double cr = ar[c * rows + r], ci = ai[c * rows + r];
+            accr += cr * xr[c] - ci * xi[c];
+            acci += cr * xi[c] + ci * xr[c];
+        }
+        yr[r] = accr;
+        yi[r] = acci;
     }
 }
 
@@ -204,59 +228,8 @@ static int precoder_stage(int k_users, int n, const struct scratch *sc,
     return *block < 0 ? PRECODER_VANISHING : PRECODER_NOT_PD;
 }
 
-/* Step 2 of the lane whose precoder is split in sc->fr / sc->fi: its
- * C_{k,l} blocks into c and u_{k,l} into u. */
-static void ris_quadratics(int k_users, int n, int l_ris, int m,
-                           const struct scratch *sc, const double *err,
-                           double *restrict c, double *restrict u)
-{
-    const size_t k = (size_t)k_users, nn = (size_t)n, l = (size_t)l_ris;
-    const size_t mm = (size_t)m, lm = l * mm, klm = k * lm;
-    for (size_t j = 0; j < k; ++j)
-        matvec(klm, nn, sc->cjr, sc->cji, sc->fr + j * nn, sc->fi + j * nn,
-               sc->gr + j * klm, sc->gi + j * klm);
-    double power = 0.0;
-    for (size_t i = 0; i < k * nn; ++i) {
-        power += sc->fr[i] * sc->fr[i];
-        power += sc->fi[i] * sc->fi[i];
-    }
-    const double scale = (double)lm, root = sqrt(scale);
-    double *restrict vr = sc->vr;
-    double *restrict vi = sc->vi;
-    for (size_t blk = 0; blk < k * l; ++blk) {
-        const size_t r0 = blk * mm;
-        const double theta = scale * (err[blk] * power);
-        double *cb = c + 2 * blk * mm * mm;
-        for (size_t b = 0; b < mm; ++b) {
-            /* column b of G G^H, whose conjugate is row b */
-            for (size_t a = 0; a < mm; ++a) {
-                vr[a] = 0.0;
-                vi[a] = 0.0;
-            }
-            for (size_t j = 0; j < k; ++j) {
-                const double *restrict ar = sc->gr + j * klm + r0;
-                const double *restrict ai = sc->gi + j * klm + r0;
-                const double br = ar[b], bi = ai[b];
-                for (size_t a = 0; a < mm; ++a) {
-                    vr[a] += ar[a] * br + ai[a] * bi;
-                    vi[a] += ai[a] * br - ar[a] * bi;
-                }
-            }
-            double *row = cb + 2 * b * mm;
-            for (size_t a = 0; a < mm; ++a) {
-                row[2 * a] = scale * vr[a];
-                row[2 * a + 1] = -(scale * vi[a]);
-            }
-            row[2 * b] += theta;
-            row[2 * b + 1] = 0.0;
-        }
-        const size_t kk = blk / l;  /* the block's own user */
-        for (size_t a = 0; a < mm; ++a) {
-            u[2 * (r0 + a)] = root * sc->gr[kk * klm + r0 + a];
-            u[2 * (r0 + a) + 1] = root * sc->gi[kk * klm + r0 + a];
-        }
-    }
-}
+/* offset of row a of a packed lower triangle */
+#define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
 
 /* What the RIS loop's refills need to form a lane's quadratics. */
 struct source {
@@ -265,23 +238,111 @@ struct source {
     const double *err, *f;
 };
 
-/* gpris_ris_fill: step 2 of RIS lane p, as the index-th of its refill */
-static void fill_quadratics(void *ctx, int p, int index, const double **c,
-                            const double **u)
+/* Store the first n entries of v as entries (a, q), (a, q + 1), ... of
+ * rows of L columns at stride s, going on to the next row after column
+ * L - 1. */
+static inline void put(double *rows, size_t s, size_t l, size_t a, size_t q,
+                       size_t n, vd v)
+{
+    if (n == W && q + W <= l) {  /* within one row: at L = 8, a whole row */
+        st(rows + a * s + q, v);
+        return;
+    }
+    double x[W];
+    st(x, v);
+    for (size_t t = 0; t < n; ++a, q = 0)
+        for (; q < l && t < n; ++q, ++t)
+            rows[a * s + q] = x[t];
+}
+
+/* gpris_ris_fill: step 2 of RIS lane p, written straight into its slot
+ * columns: C_{k,l}[a, b] = LM conj(sum_j G-hat_j[b] conj(G-hat_j[a])) +
+ * theta_{k,l} on the diagonal, u_{k,l} = sqrt(LM) G-hat_k and D_{k,l} =
+ * C_{k,l} - u u^H.  G-hat's rows are (k, m, l), so column b of user k's
+ * L blocks is formed over the (a, l) entries in strips of W, each sum over
+ * the users j held in registers, and leaves in the slot's row order.  With
+ * it goes row b of the D triangles: C is Hermitian, C[b, a] =
+ * conj(C[a, b]) (the imaginary parts' sums are each other's negatives; a
+ * zero can differ in sign, which the Dbar sums, each started from +0, do
+ * not see).  A strip past the last entry reads on into the slack. */
+static void fill_quadratics(void *ctx, int p, size_t s, double *ctr,
+                            double *cti, double *dr, double *di, double *ur,
+                            double *ui)
 {
     const struct source *src = ctx;
     const struct scratch *sc = src->sc;
-    const size_t kn = (size_t)src->k_users * (size_t)src->n;
-    const size_t klm = (size_t)src->k_users * (size_t)src->l_ris
-                       * (size_t)src->m;
-    double *cp = sc->c + 2 * (size_t)index * klm * (size_t)src->m;
-    double *up = sc->u + 2 * (size_t)index * klm;
-    split_columns(1, kn, src->f + 2 * (size_t)sc->lane[p] * kn, sc->fr,
-                  sc->fi);
-    ris_quadratics(src->k_users, src->n, src->l_ris, src->m, sc, src->err,
-                   cp, up);
-    *c = cp;
-    *u = up;
+    const size_t k = (size_t)src->k_users, nn = (size_t)src->n;
+    const size_t l = (size_t)src->l_ris, mm = (size_t)src->m;
+    const size_t lm = l * mm, kn = k * nn, klm = k * lm, ts = TRI(mm) * s;
+    const size_t lw = l + W;
+    split(kn, src->f + 2 * (size_t)sc->lane[p] * kn, sc->fr, sc->fi);
+    for (size_t j = 0; j < k; ++j)
+        matvec(klm, nn, sc->cjr, sc->cji, sc->fr + j * nn, sc->fi + j * nn,
+               sc->gr + j * klm, sc->gi + j * klm);
+    double power = 0.0;
+    for (size_t i = 0; i < kn; ++i) {
+        power += sc->fr[i] * sc->fr[i];
+        power += sc->fi[i] * sc->fi[i];
+    }
+    const double scale = (double)lm, root = sqrt(scale);
+    for (size_t kk = 0; kk < k; ++kk) {
+        /* user k's rows (m, l) of every G-hat_j, at j * KLM, and its own */
+        const double *gr = sc->gr + kk * lm, *gi = sc->gi + kk * lm;
+        const double *own_r = gr + kk * klm, *own_i = gi + kk * klm;
+        for (size_t a = 0; a < mm; ++a)
+            for (size_t ll = 0; ll < l; ++ll) {
+                ur[(kk * mm + a) * s + ll] = root * own_r[a * l + ll];
+                ui[(kk * mm + a) * s + ll] = root * own_i[a * l + ll];
+            }
+        for (size_t b = 0; b < mm; ++b) {
+            /* row b of u and of each G-hat_j, repeated: the entries (b, l)
+             * that meet a strip from (a, q) start at q.  With L a multiple
+             * of W a strip lies in one row, and row b of G-hat_j serves. */
+            double *rep = sc->rep;
+            const size_t kr = l % W ? k : 0;
+            for (size_t t = 0; t < lw; ++t) {
+                const size_t e = b * l + t % l;
+                rep[t] = root * own_r[e];
+                rep[lw + t] = root * own_i[e];
+                for (size_t j = 0; j < kr; ++j) {
+                    rep[(2 * j + 2) * lw + t] = gr[j * klm + e];
+                    rep[(2 * j + 3) * lw + t] = gi[j * klm + e];
+                }
+            }
+            double *cr = ctr + (kk * mm + b) * mm * s;
+            double *ci = cti + (kk * mm + b) * mm * s;
+            double *pr = dr + kk * ts + TRI(b) * s;
+            double *pi = di + kk * ts + TRI(b) * s;
+            for (size_t i = 0; i < lm; i += W) {
+                const size_t a = i / l, q = i % l, n = lm - i < W ? lm - i : W;
+                vd xr = {0}, xi = {0};
+                for (size_t j = 0; j < k; ++j) {
+                    const double *jr = gr + j * klm, *ji = gi + j * klm;
+                    const double *er = kr ? rep + (2 * j + 2) * lw : jr + b * l;
+                    const double *ei = kr ? rep + (2 * j + 3) * lw : ji + b * l;
+                    const vd ar = ld(jr + i), ai = ld(ji + i);
+                    xr += ar * ld(er + q) + ai * ld(ei + q);
+                    xi += ld(ei + q) * ar - ld(er + q) * ai;
+                }
+                vd c_r = scale * xr, c_i = -(scale * xi);
+                const size_t d0 = b * l;  /* the diagonal: entries (b, l) */
+                for (size_t t = d0 > i ? d0 - i : 0; t < n && i + t < d0 + l;
+                     ++t) {
+                    c_r[t] += scale * (src->err[kk * l + i + t - d0] * power);
+                    c_i[t] = 0.0;
+                }
+                put(cr, s, l, a, q, n, c_r);
+                put(ci, s, l, a, q, n, c_i);
+                if (a > b)
+                    continue;
+                const vd uar = root * ld(own_r + i), uai = root * ld(own_i + i);
+                const vd ubr = ld(rep + q), ubi = ld(rep + lw + q);
+                const size_t nd = d0 + l - i < n ? d0 + l - i : n;
+                put(pr, s, l, a, q, nd, c_r - (ubr * uar + ubi * uai));
+                put(pi, s, l, a, q, nd, -c_i - (ubi * uar - ubr * uai));
+            }
+        }
+    }
 }
 
 /* Step 4 of lane w into sc->pr / sc->pi: 0 when a phase is not finite. */
@@ -368,10 +429,12 @@ int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
     const size_t lm = (size_t)l_ris * (size_t)m, klm = k * lm;
     struct scratch sc;
     carve(n_sel, g_slots, k_users, n, l_ris, m, work, &sc);
+    sc.str = stack;
+    sc.sti = stack + kn * lm;
+    sc.cjr = conj_rows;
+    sc.cji = conj_rows + klm * nn;
     struct timespec t;
     clock_gettime(CLOCK_MONOTONIC, &t);
-    split_columns(kn, lm, stack, sc.str, sc.sti);
-    split_columns(klm, nn, conj_rows, sc.cjr, sc.cji);
     int failed = 0, n_ris = 0;
     for (int i = 0; i < n_sel; ++i) {
         const int p = sel[i];
@@ -420,7 +483,7 @@ int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
         }
         for (size_t a = 0; a < 2 * lm; ++a)
             wp[a] = wq[a];
-        split_columns(1, kn, f + 2 * (size_t)p * kn, sc.fr, sc.fi);
+        split(kn, f + 2 * (size_t)p * kn, sc.fr, sc.fi);
         obj[p] = objective(k_users, n, l_ris, m, &sc, err, noise_over_p,
                            h + 2 * (size_t)p * kn, xi + (size_t)p * k);
         seconds[2] += elapsed(&t);

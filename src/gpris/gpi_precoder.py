@@ -63,13 +63,22 @@ class PrecoderQuadratics:
     A_k (before the sigma^2/P shift); B_k removes the signal outer product
     from the k-th block only.  Under isotropic errors, Xi_k = xi_k I, ``xi``
     holds the xi_k, which is all the compiled loop reads besides h_hat; it is
-    None for dense errors.  The arrays may carry leading lane axes.
+    None for dense errors.  Given xi, the blocks may be left out (None) and
+    are then formed on first use, as only the numpy loop reads them.  The
+    arrays may carry leading lane axes.
     """
 
     h_hat: np.ndarray        # (..., K, N) estimated effective channels
-    g_blocks: np.ndarray     # (..., K, N, N)
+    _g: np.ndarray | None    # (..., K, N, N) g_blocks, or None (see above)
     noise_over_p: float
     xi: np.ndarray | None = None  # (..., K) real, or None
+
+    @property
+    def g_blocks(self) -> np.ndarray:
+        if self._g is None:
+            self._g = self.h_hat[..., :, None] * self.h_hat[..., None, :].conj()
+            add_to_diagonal(self._g, self.xi)  # Xi_k = xi_k I
+        return self._g
 
     @property
     def n(self) -> int:
@@ -93,14 +102,12 @@ def build_precoder_quadratics(est: ChannelEstimate, phases: PhaseShifts,
                               noise_over_p: float) -> PrecoderQuadratics:
     """A_k / B_k blocks at the given phases, with their lane axes if any."""
     h_hat = effective_channels(est, phases)
-    g = h_hat[..., :, None] * h_hat[..., None, :].conj()
-    xi = None
     if est.is_isotropic:
-        xi = xi_scales(est, phases)
-        add_to_diagonal(g, xi)  # Xi_k = xi_k I
-    else:
-        g += xi_matrices(est, phases)
-    return PrecoderQuadratics(h_hat, g, noise_over_p, xi)
+        return PrecoderQuadratics(h_hat, None, noise_over_p,
+                                  xi_scales(est, phases))
+    g = h_hat[..., :, None] * h_hat[..., None, :].conj()
+    g += xi_matrices(est, phases)
+    return PrecoderQuadratics(h_hat, g, noise_over_p)
 
 
 VANISHING = "vanishing quadratic form in GPI matrices"
@@ -183,7 +190,7 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     n, k = q.n, q.k
     # the lane axis always exists inside the loop; an unbatched call is one lane
     f = (f / norm).reshape(-1, n * k)
-    h, g = q.h_hat.reshape((-1, k, n)), q.g_blocks.reshape((-1, k, n, n))
+    h = q.h_hat.reshape((-1, k, n))
     if q.xi is not None and _kernel.available():
         counts, block, step = _kernel.precoder_loop(
             h, q.xi.reshape((-1, k)), f, q.noise_over_p, settings.tol,
@@ -197,6 +204,7 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
         iters = int(np.sum(counts))
     else:
         iters, step = 0, np.zeros(f.shape[0])
+        g = q.g_blocks.reshape((-1, k, n, n))
         for p in range(f.shape[0]):
             lane = PrecoderQuadratics(h[p], g[p], q.noise_over_p)
             f[p], steps, step[p] = fixed_point(

@@ -300,12 +300,13 @@ class _Lanes:
             self.best_f[up], self.best_w[up] = self.f[up], self.w[up]
             self.improved[up] = True
         prev = self.obj_prev[sel]
-        # relative change, taken only where the previous objective is positive
-        change = np.divide(np.abs(obj - prev), prev, where=prev > 0,
-                           out=np.full_like(prev, np.inf))
-        self.converged[sel[change <= tol]] = True
         self.obj_prev[sel] = obj
-        self.active = self.active[~self.converged[self.active]]
+        # relative change, taken only where the previous objective is
+        # positive (elsewhere a NaN, which meets no tolerance)
+        done = np.abs(obj - prev) / np.where(prev > 0, prev, np.nan) <= tol
+        if done.any():
+            self.converged[sel[done]] = True
+            self.active = self.active[~self.converged[self.active]]
 
     def fail(self, p, message):
         self.errors[p] = message

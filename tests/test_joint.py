@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rand_estimate, rand_phases, rand_precoder
+import gpris
 import gpris.joint
 from gpris import _kernel
 from gpris.gpi_precoder import (GpiSettings, build_precoder_quadratics,
@@ -415,6 +420,28 @@ class TestLanes:
             assert type(out.loop_seconds) is float
 
 
+# run_joint on instance i of an L=8, M=8 scenario, as a digest of its bits
+_STATE_DIGEST = """
+import hashlib
+import numpy as np
+from gpris import (AlgorithmSettings, LineSearchPlan, estimate_channels,
+                   run_joint, scenario_from_dict, synthesize_channels)
+
+scenario = scenario_from_dict({"n_ris": 8, "ris_elems_y": 4, "ris_elems_z": 2})
+
+
+def digest(i):
+    rng = np.random.default_rng([23, i])
+    est = estimate_channels(synthesize_channels(scenario, rng), scenario, rng)
+    res = run_joint(est, scenario.config.noise_over_power,
+                    LineSearchPlan(0.0, 100.0, 8), AlgorithmSettings(), rng)
+    h = hashlib.sha256(res.best_w.tobytes() + res.best_precoder.stacked.tobytes())
+    h.update(repr((res.per_mu_final, res.objective_trace)).encode())
+    return h.hexdigest()
+
+"""
+
+
 @pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
 class TestCompiledRound:
     """With isotropic errors each round after the shared first stage is one
@@ -444,6 +471,19 @@ class TestCompiledRound:
         # r_sigma, then the shared first stage
         assert calls == ["lower_bound_sum_se", "run_gpi_precoder",
                          "build_ris_quadratics"]
+
+    def test_an_earlier_estimate_leaves_no_state(self):
+        # each Rounds keeps its own split copies of its estimate: estimate B
+        # run right after estimate A (of the same shape) gives exactly the
+        # bits of B run alone, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(Path(gpris.__file__).parents[1]))
+        alone = subprocess.run(
+            [sys.executable, "-c", _STATE_DIGEST + "print(digest(2))"],
+            env=env, capture_output=True, text=True, check=True)
+        scope = {}
+        exec(_STATE_DIGEST, scope)
+        scope["digest"](1)
+        assert scope["digest"](2) == alone.stdout.strip()
 
     def test_stage_clocks_fill_the_timing(self):
         est, init = self._instance()
