@@ -29,8 +29,10 @@ In all three, every inner loop runs over independent outputs (the rows of a
 matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
 each output keeps its accumulation order, so the loops vectorize without
 reassociating a reduction.  Where a strip of 8 outputs can run together (the
-RIS image's products when its rows hold a multiple of 8 columns, and the
-round's), each output's sum is held in a register and stored once.
+RIS image's products, over rows padded to whole strips, and the round's),
+each output's sum is held in a register and stored once.  The RIS loop's
+strips read the padding, so its scratch is allocated zeroed: recycled bytes
+there could hold subnormals, which would slow the strips.
 
 The library is built on first use, never at import, with the first C
 compiler found on PATH, tuned for the host CPU (``-march=native``).  It is
@@ -65,8 +67,9 @@ HAVE_NUMBA = False
 
 _COMPILERS = ("cc", "gcc", "clang")
 _DIR = Path(__file__).parent
-# every C source of the library; pyproject.toml ships them as package data
-_SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c", _DIR / "_round.c")
+# every source of the library; pyproject.toml ships them as package data
+_SOURCES = (_DIR / "_ris_loop.c", _DIR / "_precoder_loop.c", _DIR / "_round.c",
+            _DIR / "_loops.h")
 _LIBRARY = "_kernel"
 # no FP contraction: the same rounding as the numpy reference on every CPU.
 # gcc 12 honours it only with real and imaginary parts in separate arrays: on
@@ -76,7 +79,7 @@ _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
 # the RIS loop's group: enough lanes that its inner loops run over 32
 # (slot, RIS) columns, four 8-wide vectors, but at most 8 lanes, whose
-# scratch is 8 lanes' (7.1 MB at K=4, L=2, M=64).  Per lane-iteration, 4
+# scratch is 8 lanes' (7.0 MB at K=4, L=2, M=64).  Per lane-iteration, 4
 # lanes at L=8, M=8 ran as fast as 8 and faster than 16 or 30, and 8 lanes
 # at L=2, M=64 faster than 4 or 16
 _RIS_GROUP = 8
@@ -156,7 +159,8 @@ def _build(compiler: str) -> Path:
         return target
     tmp = cache / f"{name}.{os.getpid()}.tmp"
     proc = subprocess.run(
-        [compiler, *_FLAGS, "-o", str(tmp), *map(str, _SOURCES), "-lm"],
+        [compiler, *_FLAGS, "-o", str(tmp),
+         *(str(src) for src in _SOURCES if src.suffix == ".c"), "-lm"],
         capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         tmp.unlink(missing_ok=True)
@@ -243,7 +247,8 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     step = np.zeros(p)
     seconds = ctypes.c_double()
     g = ris_group(p, l)
-    work = np.empty(lib.gpris_ris_loop_work(g, k, m, l))
+    # zeroed, as the module docstring says
+    work = np.zeros(lib.gpris_ris_loop_work(g, k, m, l))
     lib.gpris_ris_loop(p, g, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
                        u_stride, None, None, float(noise_over_p),
                        float(inv_rs_ln2), mu.ctypes.data, float(tau),
@@ -324,14 +329,15 @@ class Rounds:
         self.status, self.block = (np.zeros(p, dtype=np.intc) for _ in range(2))
         self.seconds = np.zeros(3)
         self.h, self.xi = np.zeros((p, k, n), dtype=complex), np.zeros((p, k))
-        # conj_rows' rows (k, l, m) as (k, m, l), the order _round.c reads
+        # conj_rows' rows (k, l, m) as (k, m, l), the order _round.c reads;
+        # the scratch, last, is zeroed (see the module docstring)
         rows_kml = conj_rows.reshape(k, l, m, n).transpose(0, 2, 1, 3)
         arrays = (_split_columns(stack),
                   _split_columns(rows_kml.reshape(k * lm, n)),
                   np.ascontiguousarray(err_scale, dtype=np.float64),
                   np.ascontiguousarray(mu, dtype=np.float64), f, w, self.h,
                   self.xi, self.obj, self.status, self.block, self.seconds,
-                  np.empty(lib.gpris_round_work(p, g, k, n, l, m)))
+                  np.zeros(lib.gpris_round_work(p, g, k, n, l, m)))
         self._keep = arrays
         self._blocks = (k, l, m, m)
         ptr = [x.ctypes.data for x in arrays]

@@ -41,8 +41,8 @@
  * reassociation.
  */
 #include <math.h>
-#include <stddef.h>
-#include <stdint.h>
+
+#include "_loops.h"
 
 /* Split re/im arrays of one lane's inputs (and its xi, in place) and of
  * one image computation. */
@@ -60,31 +60,24 @@ static size_t carve(int k_users, int n, double *work, struct lane *ln,
                     struct image *im)
 {
     const size_t k = (size_t)k_users, nn = (size_t)n;
-    /* each array starts on a 64-byte boundary: a vector that loads a
-     * whole row of an aligned array then never straddles two cache lines */
-    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
-                        : NULL;
-    size_t used = 0;
-#define TAKE(field, len) \
-    (field = base ? base + used : NULL, used += ((len) + 7) / 8 * 8)
-    TAKE(ln->hr, k * nn);        /* (K, N) */
-    TAKE(ln->hi, k * nn);
-    TAKE(ln->fr, k * nn);        /* (K, N) */
-    TAKE(ln->fi, k * nn);
-    TAKE(im->tr, k * k);         /* (K, K): t_kj = h_k^H f_j */
-    TAKE(im->ti, k * k);
-    TAKE(im->br, nn * nn);       /* B, then its factor, by columns */
-    TAKE(im->bi, nn * nn);
-    TAKE(im->vr, nn * 2 * k);    /* (N, 2K): the y_j, then the z_j */
-    TAKE(im->vi, nn * 2 * k);
-    TAKE(im->outr, k * nn);      /* (K, N) the image */
-    TAKE(im->outi, k * nn);
-    TAKE(im->qa, k);
-    TAKE(im->qb, k);
-    TAKE(im->iqa, k);
-    TAKE(im->iqb, k);
-#undef TAKE
-    return used + 7;  /* the slack for the alignment */
+    struct carver c = carver(work);
+    ln->hr = take(&c, k * nn);  /* (K, N) */
+    ln->hi = take(&c, k * nn);
+    ln->fr = take(&c, k * nn);  /* (K, N) */
+    ln->fi = take(&c, k * nn);
+    im->tr = take(&c, k * k);  /* (K, K): t_kj = h_k^H f_j */
+    im->ti = take(&c, k * k);
+    im->br = take(&c, nn * nn);  /* B, then its factor, by columns */
+    im->bi = take(&c, nn * nn);
+    im->vr = take(&c, nn * 2 * k);  /* (N, 2K): the y_j, then the z_j */
+    im->vi = take(&c, nn * 2 * k);
+    im->outr = take(&c, k * nn);  /* (K, N) the image */
+    im->outi = take(&c, k * nn);
+    im->qa = take(&c, k);
+    im->qb = take(&c, k);
+    im->iqa = take(&c, k);
+    im->iqb = take(&c, k);
+    return c.used + 7;
 }
 
 long gpris_precoder_loop_work(int k_users, int n)

@@ -43,63 +43,39 @@
  *   work           gpris_ris_loop_work(G, K, M, L) doubles of scratch
  *
  * A lane is copied into its slot with real and imaginary parts split and
- * the (slot, RIS) column innermost: with S = G*L, column x = g*L + l holds
- * block l of slot g.  Lanes that share their blocks (lane stride 0) load
- * them once per slot and keep them across refills.  Every inner loop runs
- * over independent outputs, the (row, column) entries of the matvecs, of
- * the Cbar image and of the Dbar blocks, and the right-looking Cholesky
- * updates each trailing row over its columns; each output keeps its
- * accumulation order.  When S is a multiple of W = 8, the matvecs, the
- * quadratic forms, Cbar w and Dbar run over strips of 8 columns whose sums
- * (over b, over a, over the users) stay in registers and are stored once;
- * otherwise (one slot of L = 2 or 4, say) they keep their sums in the
- * arrays and run flat over whole rows.  Every per-lane reduction (the
- * quadratic forms over a lane's blocks, the penalty max/min and exp sums,
- * the norm and the step) runs over that lane's own columns in the order of
- * a lone lane.  So no reduction is reassociated, and each lane's w, count
- * and step are bit for bit those of a one-lane call, whatever G, the path
- * and its neighbours.  The slot arrays:
+ * the (slot, RIS) column innermost: column x = g*L + l holds block l of
+ * slot g, and each row has S columns, the G*L rounded up to a multiple of
+ * W = 8 (S = 8 for one slot of L = 2, say).  Lanes that share their blocks
+ * (lane stride 0) load them once per slot and keep them across refills.
+ * Every inner loop runs over independent outputs, the (row, column) entries
+ * of the matvecs, of the Cbar image and of the Dbar blocks, and the
+ * right-looking Cholesky updates each trailing row over its columns; each
+ * output keeps its accumulation order.  The matvecs, the quadratic forms,
+ * Cbar w and Dbar run over strips of 8 columns whose sums (over b, over a,
+ * over the users) stay in registers and are stored once.  A strip runs
+ * over padding columns as well, which nothing else touches (the caller
+ * zeroes the scratch, so they hold no stray bits) and nothing reads.  The
+ * Cholesky, the solves and every per-lane reduction (the quadratic forms
+ * over a lane's blocks, the penalty max/min and exp sums, the norm and the
+ * step) run over the occupied columns alone, a lane's reductions over its
+ * own columns in the order of a lone lane.  So no reduction is
+ * reassociated, and each lane's w, count and step are bit for bit those of
+ * a one-lane call, whatever G and its neighbours.  The slot arrays:
  *   ct             (K, M, M, S) C_k by columns, ct[k][b][a][x] = C_kl[a, b]
  *   d              (K, T, S) lower triangles of D_k = C_k - u_k u_k^H, rows
  *                  packed (T = M(M+1)/2 entries per block)
  *   us, ws         (K, M, S) and (M, S)
  * and the image's, (K, M, S) for the matvecs, (T, S) for Dbar and (M, S),
- * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 9)M + 2K + 4) doubles
- * in all (each array rounded up to 8), G times one lane's.  That is 7.1 MB
- * at K=4, L=2, M=64 (G=8) and 0.28 MB at K=4, L=8, M=8 (G=4), and all a
- * call needs: a fill writes its lane into the slot, with no staging copy.
+ * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 7)M + 2K + 3) doubles
+ * in all (each array rounded up to 8).  That is 7.0 MB at K=4, L=2, M=64
+ * (G=8, S=16), 3.5 MB for one lane there (S=8) and 0.27 MB at K=4, L=8,
+ * M=8 (G=4), and all a call needs: a fill writes its lane into the slot,
+ * with no staging copy.
  */
 #include <math.h>
-#include <stddef.h>
-#include <stdint.h>
-#include <string.h>
 #include <time.h>
 
-/* the source of a lane's blocks, in place of the c and u arrays: writes
- * them into the lane's slot columns (see the header) */
-typedef void gpris_ris_fill(void *ctx, int lane, size_t s, double *ctr,
-                            double *cti, double *dr, double *di, double *ur,
-                            double *ui);
-
-/* W-column strips, each sum held in registers and stored once: the image's
- * products take them when every row starts on a strip (s a multiple of W) */
-#define W 8
-typedef double vd __attribute__((vector_size(W * sizeof(double))));
-
-static inline vd ld(const double *p)
-{
-    vd v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void st(double *p, vd v)
-{
-    memcpy(p, &v, sizeof v);
-}
-
-/* offset of row a of a packed lower triangle */
-#define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
+#include "_loops.h"
 
 /* Split re/im arrays of the group's inputs and of one image computation. */
 struct group {
@@ -107,50 +83,47 @@ struct group {
 };
 
 struct image {
-    double *qc, *qd, *ycr, *yci, *cwr, *cwi, *exc, *exd, *dbr, *dbi, *colr,
-        *coli, *sr, *si, *tr, *ti;
+    double *qc, *qd, *ycr, *yci, *cwr, *cwi, *exc, *exd, *dbr, *dbi, *sr, *tr,
+        *ti;
 };
+
+/* The row stride S of the slot arrays: the group's G*L columns, rounded up
+ * to whole strips. */
+static size_t stride(int g_slots, int l_ris)
+{
+    return ((size_t)g_slots * (size_t)l_ris + W - 1) / W * W;
+}
 
 /* Lay out both in the scratch (when given); returns the doubles it needs. */
 static size_t carve(int g_slots, int k_users, int m, int l_ris, double *work,
                     struct group *gr, struct image *im)
 {
-    const size_t k = (size_t)k_users, s = (size_t)g_slots * (size_t)l_ris;
+    const size_t k = (size_t)k_users, s = stride(g_slots, l_ris);
     const size_t ms = (size_t)m * s, mms = (size_t)m * ms;
     const size_t ts = TRI(m) * s;
-    /* each array starts on a 64-byte boundary: a vector that loads a
-     * whole row of an aligned array then never straddles two cache lines */
-    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
-                        : NULL;
-    size_t used = 0;
-#define TAKE(field, n) \
-    (field = base ? base + used : NULL, used += ((n) + 7) / 8 * 8)
-    TAKE(gr->ctr, k * mms);
-    TAKE(gr->cti, k * mms);
-    TAKE(gr->dr, k * ts);
-    TAKE(gr->di, k * ts);
-    TAKE(gr->ur, k * ms);
-    TAKE(gr->ui, k * ms);
-    TAKE(gr->wr, ms);
-    TAKE(gr->wi, ms);
-    TAKE(im->qc, k * s);
-    TAKE(im->qd, k * s);
-    TAKE(im->ycr, k * ms);
-    TAKE(im->yci, k * ms);
-    TAKE(im->cwr, ms);
-    TAKE(im->cwi, ms);
-    TAKE(im->exc, ms);
-    TAKE(im->exd, ms);
-    TAKE(im->dbr, ts);
-    TAKE(im->dbi, ts);
-    TAKE(im->colr, ms);
-    TAKE(im->coli, ms);
-    TAKE(im->sr, s);
-    TAKE(im->si, s);
-    TAKE(im->tr, s);
-    TAKE(im->ti, s);
-#undef TAKE
-    return used + 7;  /* the slack for the alignment */
+    struct carver c = carver(work);
+    gr->ctr = take(&c, k * mms);
+    gr->cti = take(&c, k * mms);
+    gr->dr = take(&c, k * ts);
+    gr->di = take(&c, k * ts);
+    gr->ur = take(&c, k * ms);
+    gr->ui = take(&c, k * ms);
+    gr->wr = take(&c, ms);
+    gr->wi = take(&c, ms);
+    im->qc = take(&c, k * s);
+    im->qd = take(&c, k * s);
+    im->ycr = take(&c, k * ms);
+    im->yci = take(&c, k * ms);
+    im->cwr = take(&c, ms);
+    im->cwi = take(&c, ms);
+    im->exc = take(&c, ms);
+    im->exd = take(&c, ms);
+    im->dbr = take(&c, ts);
+    im->dbi = take(&c, ts);
+    im->sr = take(&c, s);
+    im->tr = take(&c, s);
+    im->ti = take(&c, s);
+    return c.used + 7;
 }
 
 long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris)
@@ -222,63 +195,7 @@ static void move_columns(double *x, size_t rows, size_t s, size_t from,
         memcpy(x + r * s + to, x + r * s + from, l * sizeof *x);
 }
 
-/* The loops over the occupied columns x < nw of `rows` rows of stride s,
- * on the real and imaginary parts together, run as one flat loop when no
- * column is idle (nw == s). */
-
-/* y = 0 */
-static void zero_cols(double *restrict yr, double *restrict yi, size_t rows,
-                      size_t s, size_t nw)
-{
-    if (nw == s) {
-        nw *= rows;
-        rows = 1;
-    }
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t x = r * s; x < r * s + nw; ++x) {
-            yr[x] = 0.0;
-            yi[x] = 0.0;
-        }
-}
-
-/* y *= f */
-static void scale_cols(double *restrict yr, double *restrict yi, double f,
-                       size_t rows, size_t s, size_t nw)
-{
-    if (nw == s) {
-        nw *= rows;
-        rows = 1;
-    }
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t x = r * s; x < r * s + nw; ++x) {
-            yr[x] *= f;
-            yi[x] *= f;
-        }
-}
-
-/* y += v * q with one weight q[x] per column; a group of one slot (s == l)
- * has one weight throughout and runs flat as well */
-static void add_weighted(double *restrict yr, double *restrict yi,
-                         const double *restrict vr, const double *restrict vi,
-                         const double *restrict q, size_t rows, size_t s,
-                         size_t nw, size_t l)
-{
-    if (s == l) {
-        const double q0 = q[0];
-        for (size_t i = 0; i < rows * s; ++i) {
-            yr[i] += vr[i] * q0;
-            yi[i] += vi[i] * q0;
-        }
-        return;
-    }
-    for (size_t r = 0; r < rows * s; r += s)
-        for (size_t x = r; x < r + nw; ++x) {
-            yr[x] += vr[x] * q[x - r];
-            yi[x] += vi[x] * q[x - r];
-        }
-}
-
-/* The strip path's products of block k over the columns x < nv: the matvec
+/* The products of block k over the columns x < nv: the matvec
  * y = C_k w, its b-walk in runs of BB rows (one run for M <= BB, whose sums
  * never leave the registers), then w^H y and u_k^H w into sr, tr and ti.
  * Each sum runs over b or a in the order of the loops below. */
@@ -326,7 +243,7 @@ static void strip_products(size_t mm, size_t s, size_t nv, const double *ctr,
     }
 }
 
-/* The strip path's Cbar w and Dbar over the columns x < nv, each entry's sum
+/* Cbar w and Dbar over the columns x < nv, each entry's sum
  * over the users held in registers: Cbar w = f sum_k qc_k y_k + exc w and
  * Dbar = (sum_k qd_k D_k) f + diag(exd), with f = 1/(r_sigma ln 2). */
 static void strip_cbar_dbar(int k_users, size_t mm, size_t s, size_t nv,
@@ -365,87 +282,6 @@ static void strip_cbar_dbar(int k_users, size_t mm, size_t s, size_t nv,
             }
 }
 
-/* The products of strip_products over the columns x < nw, with the sums
- * kept in the arrays: the path of rows that do not start on a strip. */
-static void flat_products(size_t mm, size_t s, size_t nw, const double *ctr,
-                          const double *cti, const double *ur,
-                          const double *ui, const double *restrict wr,
-                          const double *restrict wi, double *restrict yr,
-                          double *restrict yi, double *restrict sr,
-                          double *restrict tr, double *restrict ti)
-{
-    const size_t ms = mm * s;
-    zero_cols(yr, yi, mm, s, nw);
-    for (size_t b = 0; b < mm; ++b) {
-        const double *restrict crv = ctr + b * ms;
-        const double *restrict civ = cti + b * ms;
-        const double *restrict wrb = wr + b * s;
-        const double *restrict wib = wi + b * s;
-        for (size_t a = 0; a < mm; ++a) {
-            const size_t row = a * s;
-            for (size_t x = 0; x < nw; ++x) {
-                yr[row + x] += crv[row + x] * wrb[x]
-                               - civ[row + x] * wib[x];
-                yi[row + x] += crv[row + x] * wib[x]
-                               + civ[row + x] * wrb[x];
-            }
-        }
-    }
-    for (size_t x = 0; x < nw; ++x) {
-        sr[x] = 0.0;
-        tr[x] = 0.0;
-        ti[x] = 0.0;
-    }
-    for (size_t a = 0; a < mm; ++a) {
-        const double *wra = wr + a * s;
-        const double *wia = wi + a * s;
-        const double *yra = yr + a * s;
-        const double *yia = yi + a * s;
-        const double *urv = ur + a * s;
-        const double *uiv = ui + a * s;
-        for (size_t x = 0; x < nw; ++x) {
-            sr[x] += wra[x] * yra[x] + wia[x] * yia[x];
-            tr[x] += urv[x] * wra[x] + uiv[x] * wia[x];
-            ti[x] += urv[x] * wia[x] - uiv[x] * wra[x];
-        }
-    }
-}
-
-/* Cbar w and Dbar as strip_cbar_dbar forms them, over the columns x < nw. */
-static void flat_cbar_dbar(int k_users, size_t mm, size_t s, size_t nw,
-                           size_t l, const struct group *gr,
-                           const struct image *im, double f)
-{
-    const size_t ms = mm * s, ts = TRI(mm) * s;
-    double *restrict cwr = im->cwr;
-    double *restrict cwi = im->cwi;
-    double *restrict dbr = im->dbr;
-    double *restrict dbi = im->dbi;
-    zero_cols(cwr, cwi, mm, s, nw);
-    for (int kk = 0; kk < k_users; ++kk)
-        add_weighted(cwr, cwi, im->ycr + (size_t)kk * ms,
-                     im->yci + (size_t)kk * ms, im->qc + (size_t)kk * s, mm, s,
-                     nw, l);
-    const size_t rows = nw == s ? 1 : mm, cols = nw == s ? ms : nw;
-    for (size_t r = 0; r < rows; ++r)
-        for (size_t x = r * s; x < r * s + cols; ++x) {
-            cwr[x] = f * cwr[x] + im->exc[x] * gr->wr[x];
-            cwi[x] = f * cwi[x] + im->exc[x] * gr->wi[x];
-        }
-    zero_cols(dbr, dbi, TRI(mm), s, nw);
-    for (int kk = 0; kk < k_users; ++kk)
-        add_weighted(dbr, dbi, gr->dr + (size_t)kk * ts,
-                     gr->di + (size_t)kk * ts, im->qd + (size_t)kk * s, TRI(mm),
-                     s, nw, l);
-    scale_cols(dbr, dbi, f, TRI(mm), s, nw);
-    for (size_t a = 0; a < mm; ++a) {
-        double *restrict diag = dbr + (TRI(a) + a) * s;
-        const double *restrict ex = im->exd + a * s;
-        for (size_t x = 0; x < nw; ++x)
-            diag[x] += ex[x];
-    }
-}
-
 /* Image Dbar(w)^-1 Cbar(w) w of the iterates of the first n slots,
  * unnormalized, left in im->cwr / im->cwi; ok[g] is cleared when a
  * denominator block of slot g is not positive definite (that slot's
@@ -458,12 +294,10 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, nw = (size_t)n_slots * l;
     const size_t ms = mm * s;
-    /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
+    /* a slot's entries, row by row; one run when it fills the rows */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ms : l;
-    /* rows that start on a strip take the strip path over whole strips:
-     * the idle columns up to the last strip's end are computed as well,
-     * and nothing reads them */
-    const int strips = s % W == 0;
+    /* the products run over whole strips: the idle and padding columns up
+     * to the last strip's end are computed as well, and nothing reads them */
     const size_t nv = (nw + W - 1) / W * W;
     const double *restrict wr = gr->wr;
     const double *restrict wi = gr->wi;
@@ -476,7 +310,6 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
     double *restrict dbr = im->dbr;
     double *restrict dbi = im->dbi;
     double *restrict sr = im->sr;
-    double *restrict si = im->si;
     double *restrict tr = im->tr;
     double *restrict ti = im->ti;
     /* block matvecs y = C_k w reused for both the quadratic forms and
@@ -488,12 +321,8 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
         const double *ur = gr->ur + (size_t)kk * ms;
         const double *ui = gr->ui + (size_t)kk * ms;
         double *yr = im->ycr + (size_t)kk * ms, *yi = im->yci + (size_t)kk * ms;
-        if (strips)
-            strip_products(mm, s, nv, ctr, cti, ur, ui, wr, wi, yr, yi, sr,
-                           tr, ti);
-        else
-            flat_products(mm, s, nw, ctr, cti, ur, ui, wr, wi, yr, yi, sr, tr,
-                          ti);
+        strip_products(mm, s, nv, ctr, cti, ur, ui, wr, wi, yr, yi, sr, tr,
+                       ti);
         /* each slot's 1/(w^H C_k w), 1/(w^H D_k w), spread over its columns */
         for (size_t g = 0; g < (size_t)n_slots; ++g) {
             const size_t o = g * l;
@@ -563,15 +392,11 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
     }
     /* the image Cbar w from the cached matvecs, and the lower triangles of
      * the Dbar blocks for the solve, the diagonal shifts folded into both */
-    if (strips)
-        strip_cbar_dbar(k_users, mm, s, nv, gr, im, inv_rs_ln2);
-    else
-        flat_cbar_dbar(k_users, mm, s, nw, l, gr, im, inv_rs_ln2);
+    strip_cbar_dbar(k_users, mm, s, nv, gr, im, inv_rs_ln2);
     /* batched in-place lower Cholesky of all the blocks at once,
      * right-looking: each entry takes its updates in the same order as the
-     * left-looking dot products would */
-    double *restrict colr = im->colr;
-    double *restrict coli = im->coli;
+     * left-looking dot products would; the factor's diagonal holds the
+     * reciprocals of its entries, which the solves multiply by */
     for (size_t j = 0; j < mm; ++j) {
         double *restrict djj = dbr + (TRI(j) + j) * s;
         for (size_t g = 0; g < (size_t)n_slots; ++g) {
@@ -580,32 +405,26 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
                 bad |= djj[g * l + ll] <= 0.0;
             ok[g] &= !bad;
         }
-        for (size_t x = 0; x < nw; ++x) {
-            djj[x] = sqrt(djj[x]);
-            si[x] = 1.0 / djj[x];
-        }
-        /* scale column j, and keep a contiguous copy of it */
+        for (size_t x = 0; x < nw; ++x)
+            djj[x] = 1.0 / sqrt(djj[x]);
+        /* scale column j */
         for (size_t i = j + 1; i < mm; ++i) {
             double *restrict av = dbr + (TRI(i) + j) * s;
             double *restrict bv = dbi + (TRI(i) + j) * s;
             for (size_t x = 0; x < nw; ++x) {
-                av[x] = av[x] * si[x];
-                bv[x] = bv[x] * si[x];
-                colr[i * s + x] = av[x];
-                coli[i * s + x] = bv[x];
+                av[x] = av[x] * djj[x];
+                bv[x] = bv[x] * djj[x];
             }
         }
         /* a[i, k] -= a[i, j] * conj(a[k, j]) for j < k <= i */
         for (size_t i = j + 1; i < mm; ++i) {
-            const double *ir = colr + i * s;
-            const double *ii = coli + i * s;
-            double *restrict rowr = dbr + TRI(i) * s;
-            double *restrict rowi = dbi + TRI(i) * s;
+            const double *ir = dbr + (TRI(i) + j) * s;
+            const double *ii = dbi + (TRI(i) + j) * s;
             for (size_t k = j + 1; k <= i; ++k) {
-                const double *jr = colr + k * s;
-                const double *ji = coli + k * s;
-                double *restrict ar = rowr + k * s;
-                double *restrict ai = rowi + k * s;
+                const double *jr = dbr + (TRI(k) + j) * s;
+                const double *ji = dbi + (TRI(k) + j) * s;
+                double *restrict ar = dbr + (TRI(i) + k) * s;
+                double *restrict ai = dbi + (TRI(i) + k) * s;
                 for (size_t x = 0; x < nw; ++x) {
                     ar[x] -= ir[x] * jr[x] + ii[x] * ji[x];
                     ai[x] -= ii[x] * jr[x] - ir[x] * ji[x];
@@ -613,51 +432,43 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
             }
         }
     }
-    /* forward substitution L y = Cbar w */
+    /* forward substitution L y = Cbar w, row i of y in place */
     for (size_t i = 0; i < mm; ++i) {
-        const size_t row = i * s;
-        for (size_t x = 0; x < nw; ++x) {
-            tr[x] = cwr[row + x];
-            ti[x] = cwi[row + x];
-        }
+        double *restrict yr = cwr + i * s;
+        double *restrict yi = cwi + i * s;
         for (size_t p = 0; p < i; ++p) {
             const double *ir = dbr + (TRI(i) + p) * s;
             const double *ii = dbi + (TRI(i) + p) * s;
-            const size_t col = p * s;
+            const double *zr = cwr + p * s, *zi = cwi + p * s;
             for (size_t x = 0; x < nw; ++x) {
-                tr[x] -= ir[x] * cwr[col + x] - ii[x] * cwi[col + x];
-                ti[x] -= ir[x] * cwi[col + x] + ii[x] * cwr[col + x];
+                yr[x] -= ir[x] * zr[x] - ii[x] * zi[x];
+                yi[x] -= ir[x] * zi[x] + ii[x] * zr[x];
             }
         }
-        const double *dii = dbr + (TRI(i) + i) * s;
+        const double *inv = dbr + (TRI(i) + i) * s;
         for (size_t x = 0; x < nw; ++x) {
-            double inv = 1.0 / dii[x];
-            cwr[row + x] = tr[x] * inv;
-            cwi[row + x] = ti[x] * inv;
+            yr[x] = yr[x] * inv[x];
+            yi[x] = yi[x] * inv[x];
         }
     }
-    /* backward substitution L^H z = y */
+    /* backward substitution L^H z = y, row i of z in place */
     for (size_t i = mm; i-- > 0;) {
-        const size_t row = i * s;
-        for (size_t x = 0; x < nw; ++x) {
-            tr[x] = cwr[row + x];
-            ti[x] = cwi[row + x];
-        }
+        double *restrict yr = cwr + i * s;
+        double *restrict yi = cwi + i * s;
         for (size_t p = i + 1; p < mm; ++p) {
             const double *pr = dbr + (TRI(p) + i) * s;
             const double *pi = dbi + (TRI(p) + i) * s;
-            const size_t col = p * s;
-            /* acc -= conj(a[p,i]) * z[p] */
+            const double *zr = cwr + p * s, *zi = cwi + p * s;
+            /* z[i] -= conj(a[p,i]) * z[p] */
             for (size_t x = 0; x < nw; ++x) {
-                tr[x] -= pr[x] * cwr[col + x] + pi[x] * cwi[col + x];
-                ti[x] -= pr[x] * cwi[col + x] - pi[x] * cwr[col + x];
+                yr[x] -= pr[x] * zr[x] + pi[x] * zi[x];
+                yi[x] -= pr[x] * zi[x] - pi[x] * zr[x];
             }
         }
-        const double *dii = dbr + (TRI(i) + i) * s;
+        const double *inv = dbr + (TRI(i) + i) * s;
         for (size_t x = 0; x < nw; ++x) {
-            double inv = 1.0 / dii[x];
-            cwr[row + x] = tr[x] * inv;
-            cwi[row + x] = ti[x] * inv;
+            yr[x] = yr[x] * inv[x];
+            yi[x] = yi[x] * inv[x];
         }
     }
 }
@@ -680,8 +491,8 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
                    double *restrict work)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, ml = mm * l;
-    const size_t s = (size_t)g_slots * l, k = (size_t)k_users;
-    /* a slot's entries, row by row; one run when it fills the rows (G = 1) */
+    const size_t s = stride(g_slots, l_ris), k = (size_t)k_users;
+    /* a slot's entries, row by row; one run when it fills the rows */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ml : l;
     const int shared = !fill && c_stride == 0 && u_stride == 0;
     struct timespec t0, t1;

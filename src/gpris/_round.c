@@ -53,28 +53,9 @@
  * plain loop.
  */
 #include <math.h>
-#include <stddef.h>
-#include <stdint.h>
-#include <string.h>
 #include <time.h>
 
-/* the loops this round calls, built into the same library */
-long gpris_precoder_loop_work(int k_users, int n);
-int gpris_precoder_loop(int p_lanes, int k_users, int n, const double *h,
-                        const double *xi, double noise_over_p, double *f,
-                        double tol, int max_iters, int *iters, int *block,
-                        double *step, double *work);
-typedef void gpris_ris_fill(void *ctx, int lane, size_t s, double *ctr,
-                            double *cti, double *dr, double *di, double *ur,
-                            double *ui);
-long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris);
-int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
-                   const double *c, long c_stride, const double *u,
-                   long u_stride, gpris_ris_fill *fill, void *ctx,
-                   double noise_over_p, double inv_rs_ln2, const double *mu,
-                   double tau, double alpha1, double alpha2, double *w,
-                   double tol, int max_iters, int *iters, double *step,
-                   double *seconds, double *work);
+#include "_loops.h"
 
 /* status codes, named after the numpy round's exceptions */
 enum {
@@ -84,22 +65,6 @@ enum {
     RIS_NOT_PD = 3,          /* LinAlgError, a Dbar block */
     PHASE_NOT_FINITE = 4     /* FloatingPointError, the projection */
 };
-
-/* W-row strips, each sum held in registers and stored once */
-#define W 8
-typedef double vd __attribute__((vector_size(W * sizeof(double))));
-
-static inline vd ld(const double *p)
-{
-    vd v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void st(double *p, vd v)
-{
-    memcpy(p, &v, sizeof v);
-}
 
 struct scratch {
     const double *str, *sti;  /* (LM, KN) stack by columns, from gpris_round */
@@ -120,29 +85,25 @@ static size_t carve(int p_lanes, int g_slots, int k_users, int n, int l_ris,
 {
     const size_t p = (size_t)p_lanes, k = (size_t)k_users, nn = (size_t)n;
     const size_t lm = (size_t)l_ris * (size_t)m, klm = k * lm;
-    double *base = work ? (double *)(((uintptr_t)work + 63) & ~(uintptr_t)63)
-                        : NULL;
-    size_t used = 0;
-#define TAKE(field, len) \
-    (field = base ? (void *)(base + used) : NULL, used += ((len) + 7) / 8 * 8)
-    TAKE(sc->fr, k * nn);
-    TAKE(sc->fi, k * nn);
-    TAKE(sc->gr, k * klm + W);  /* the slack of fill_quadratics' strips */
-    TAKE(sc->gi, k * klm + W);
-    TAKE(sc->rep, (2 + 2 * k) * ((size_t)l_ris + W));
-    TAKE(sc->pr, lm);
-    TAKE(sc->pi, lm);
-    TAKE(sc->hr, k * nn);
-    TAKE(sc->hi, k * nn);
-    TAKE(sc->w, 2 * p * lm);
-    TAKE(sc->mu, p);
-    TAKE(sc->step, p);
-    TAKE(sc->lane, p);   /* an int in each double */
-    TAKE(sc->iters, p);
-    TAKE(sc->pwork, (size_t)gpris_precoder_loop_work(k_users, n));
-    TAKE(sc->rwork, (size_t)gpris_ris_loop_work(g_slots, k_users, m, l_ris));
-#undef TAKE
-    return used + 7;  /* the slack for the alignment */
+    struct carver c = carver(work);
+    sc->fr = take(&c, k * nn);
+    sc->fi = take(&c, k * nn);
+    sc->gr = take(&c, k * klm + W);  /* the slack of fill_quadratics' strips */
+    sc->gi = take(&c, k * klm + W);
+    sc->rep = take(&c, (2 + 2 * k) * ((size_t)l_ris + W));
+    sc->pr = take(&c, lm);
+    sc->pi = take(&c, lm);
+    sc->hr = take(&c, k * nn);
+    sc->hi = take(&c, k * nn);
+    sc->w = take(&c, 2 * p * lm);
+    sc->mu = take(&c, p);
+    sc->step = take(&c, p);
+    sc->lane = take(&c, p);  /* an int in each double */
+    sc->iters = take(&c, p);
+    sc->pwork = take(&c, (size_t)gpris_precoder_loop_work(k_users, n));
+    sc->rwork = take(&c, (size_t)gpris_ris_loop_work(g_slots, k_users, m,
+                                                      l_ris));
+    return c.used + 7;
 }
 
 long gpris_round_work(int p_lanes, int g_slots, int k_users, int n, int l_ris,
@@ -227,9 +188,6 @@ static int precoder_stage(int k_users, int n, const struct scratch *sc,
         return ROUND_OK;
     return *block < 0 ? PRECODER_VANISHING : PRECODER_NOT_PD;
 }
-
-/* offset of row a of a packed lower triangle */
-#define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
 
 /* What the RIS loop's refills need to form a lane's quadratics. */
 struct source {

@@ -261,7 +261,8 @@ def bench_ris_stage(scenarios: list[Scenario], repetitions: int = 5,
     """Median wall time per RIS-stage iteration for each config.
 
     It times one lane per call, so the compiled loop runs a group of one
-    (G = 1; see ``_kernel.ris_group``), not the lane groups of ``run_joint``.
+    (G = 1; see ``_kernel.ris_group``), not the lane groups of ``run_joint``;
+    its rows of L columns are padded to a multiple of 8 (at L = 2, 8).
     All scenarios must share the same total element count L*M.  The timer
     runs inside the compiled call and covers its intake (the copy of the
     blocks into the loop's split layout) and the fixed-point loop; channel

@@ -23,6 +23,21 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def finite_reals(name: str, value, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """``value`` as an array of ``shape``, or a ValueError naming the field
+    ``name`` unless every entry is a finite real (a bool or a string is not
+    one).  NaN passes every range check after it, so this comes first."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape
+            or not np.isfinite(arr).all()):
+        raise ValueError(f"{name} must be finite reals of shape {shape}, "
+                         f"got {value!r}")
+    return arr
+
+
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -56,10 +71,9 @@ class PathlossModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.beta_pl < 0:
-            raise ValueError("beta_pl must be >= 0")
-        if self.shadow_var_db < 0:
-            raise ValueError("shadow_var_db must be >= 0")
+        for name in ("beta_pl", "shadow_var_db"):
+            if finite_reals(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def pathloss_db(model: PathlossModel, d: float, shadow_draw: float = 0.0) -> float:
@@ -97,10 +111,14 @@ class Geometry:
     ris_positions: tuple[tuple[float, float], ...] = ((20.0, 20.0), (20.0, -20.0))
 
     def __post_init__(self):
-        if self.circle_center_distance < 0 or self.user_radius < 0:
-            raise ValueError("distances must be >= 0")
+        for name in ("circle_center_distance", "user_radius"):
+            if finite_reals(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        finite_reals("bs_position", self.bs_position, (2,))
         if len(self.ris_positions) < 1:
             raise ValueError("at least one RIS position required")
+        finite_reals("ris_positions", self.ris_positions,
+                     (len(self.ris_positions), 2))
 
 
 def default_geometry(n_ris: int) -> Geometry:
@@ -148,8 +166,9 @@ class SystemConfig:
                      "n_paths_bs_ris", "n_paths_ris_user"):
             check_count(name, getattr(self, name))
         check_count("rng_seed", self.rng_seed, 0)  # numpy takes it unsigned
-        if any(r <= 0 for r in self.carrier_spacing_ratios):
-            raise ValueError("carrier spacing ratios must be > 0")
+        if np.any(finite_reals("carrier_spacing_ratios",
+                               self.carrier_spacing_ratios, (3,)) <= 0):
+            raise ValueError("carrier_spacing_ratios must be > 0")
         for name in ("tx_power_dbm", "ul_train_power_dbm"):
             value = getattr(self, name)
             if not abs(value) <= POWER_LIMIT_DBM:  # NaN fails it too

@@ -552,10 +552,11 @@ class TestKernelDirect:
         return it[0], step[0], w[0]
 
     @needs_compiler
-    @pytest.mark.parametrize("l, m", [(8, 8), (3, 5)])
+    @pytest.mark.parametrize("l, m", [(8, 8), (3, 5), (5, 4)])
     def test_every_lane_equals_its_single_lane_call(self, rng, l, m):
         # the lanes advance in groups of G slots, exit at ragged times and
-        # hand their slots to queued lanes: none of it may move a lane's bits
+        # hand their slots to queued lanes: none of it may move a lane's bits.
+        # At L=5 a full group's 30 columns are padded to 32
         caps = dict(tol=1e-2, max_iters=40)
         g = _kernel.ris_group(1 << 30, l)     # the largest group at this L
         for n_lanes in (1, 3, g, g + 1, 2 * g + 3, 30):
@@ -638,9 +639,11 @@ class TestKernelDirect:
     def test_group_scratch_stays_small(self):
         # a larger group or a new scratch array must not silently inflate
         # the RSS: at paper size (K=4, L=2, M=64, 30 mu lanes) the scratch
-        # stays within 8 MB, and at L=8, M=8 within 1 MB
+        # stays within 8 MB, as does a single lane's there, whose rows are
+        # padded from 2 to 8 columns, and at L=8, M=8 within 1 MB
         work = _kernel._library().gpris_ris_loop_work
         assert 8 * work(_kernel.ris_group(30, 2), 4, 64, 2) <= 8e6
+        assert 8 * work(_kernel.ris_group(1, 2), 4, 64, 2) <= 8e6
         assert 8 * work(_kernel.ris_group(30, 8), 4, 8, 8) <= 1e6
 
     @needs_compiler

@@ -155,8 +155,9 @@ def test_package_data_ships_every_kernel_source():
     shipped = set(data["tool"]["setuptools"]["package-data"]["gpris"])
     sources = {src.name for src in _kernel._SOURCES}
     assert sources <= shipped
-    # and the library is built from every C file of the package
-    assert sources == {p.name for p in Path(gpris.__file__).parent.glob("*.c")}
+    # and the library is built from every C file and header of the package
+    assert sources == {p.name
+                       for p in Path(gpris.__file__).parent.glob("*.[ch]")}
 
 
 # vfmadd*, vfmsub*, vfnmadd*, vfnmsub*, vfmaddsub*, vfmsubadd*
@@ -176,6 +177,21 @@ def test_library_has_no_fused_multiply_add():
     fused = [line.strip() for line in listing.splitlines()
              if _FUSED.search(line)]
     assert fused == []
+
+
+@pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
+@pytest.mark.parametrize("src", _kernel._SOURCES, ids=lambda src: src.name)
+def test_kernel_source_compiles_without_warnings(src, tmp_path):
+    # the C counterpart of test_no_test_only_code: a static helper that a
+    # deletion leaves without a caller fails here (-Wunused-function).
+    # -Wno-psabi: the ABI note on the 8-double vector helpers, which appears
+    # on CPUs without AVX-512, is moot for static inline functions
+    flags = [flag for flag in _kernel._FLAGS if flag not in ("-O3", "-shared")]
+    proc = subprocess.run(
+        [_kernel.find_compiler(), *flags, "-O0", "-c", "-Wall", "-Wextra",
+         "-Werror", "-Wno-psabi", "-o", str(tmp_path / "out.o"), str(src)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 # a C definition at file scope: return type, name, parameter list, body

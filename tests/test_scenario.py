@@ -200,6 +200,30 @@ class TestJsonConfig:
         with pytest.raises(ValueError, match="RIS positions"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section,name,value", [
+        (None, "carrier_spacing_ratios", [math.nan, 0.5, 0.5]),
+        (None, "carrier_spacing_ratios", [math.inf, 0.5, 0.5]),
+        (None, "carrier_spacing_ratios", [0.5, 0.5]),
+        (None, "carrier_spacing_ratios", [0.5, 0.0, 0.5]),
+        ("pathloss", "beta_pl", math.nan),
+        ("pathloss", "beta_pl", "2.0"),
+        ("pathloss", "shadow_var_db", math.inf),
+        ("pathloss", "shadow_var_db", -1.0),
+        ("geometry", "circle_center_distance", math.nan),
+        ("geometry", "user_radius", -math.inf),
+        ("geometry", "bs_position", [0.0, math.nan]),
+        ("geometry", "bs_position", [0.0]),
+        ("geometry", "ris_positions", [[20.0, math.nan], [20.0, -20.0]]),
+        ("geometry", "ris_positions", [[20.0, 20.0, 0.0], [20.0, -20.0]]),
+        ("geometry", "ris_positions", [[20.0, 20.0], [20.0]])])
+    def test_bad_reals_rejected_at_load(self, section, name, value):
+        # NaN passes an `x < 0` check, and synthesis then returns non-finite
+        # channels; a 2-entry ratio tuple failed only inside synthesis
+        doc = dict(self.DOC, **({name: value} if section is None
+                                else {section: {name: value}}))
+        with pytest.raises(ValueError, match=name):
+            scenario_from_dict(doc)
+
 
 def test_default_geometry_layout_rule():
     geo = default_geometry(4)
