@@ -2,9 +2,8 @@
 
 A numpy loop spends most of its time in per-call overhead once the
 blocks are small and the lanes exit at ragged times.  Three C files are
-built into one shared library and called through ctypes, each running the
-whole loop of every lane (one per penalty weight mu) in one call, on the
-complex arrays as numpy holds them:
+built into one shared library and called through ctypes, each running a
+whole loop in one call, on the complex arrays as numpy holds them:
 
 - ``_ris_loop.c``, the RIS stage (see ``ris_loop``): it advances the lanes
   a group of G = ``ris_group(P, L)`` at a time, each lane copied as it
@@ -13,17 +12,21 @@ complex arrays as numpy holds them:
   over the G*L independent blocks of the whole group; a lane that exits
   hands its slot to the next queued lane, once the queue is empty the
   group closes the gap, and lanes that share their blocks (a broadcast
-  view, lane stride 0) load them once per slot;
-- ``_precoder_loop.c``, the precoder stage under isotropic errors (see
-  ``precoder_loop``), read from each lane's h-hat and xi: one Cholesky
-  factor of the common denominator block per lane-iteration and a
+  view, lane stride 0) load them once per slot; tau = 1/(LM) is derived
+  from the sizes;
+- ``_precoder_loop.c``, the precoder stage of one lane under isotropic
+  errors (see ``precoder_loop``), read from its h-hat and xi: one Cholesky
+  factor of the common denominator block per iteration and a
   Sherman-Morrison correction per user, on split re/im scratch as well;
 - ``_round.c``, one whole alternation round of ``run_joint`` on its
   isotropic path (see ``Rounds``): the precoder stage, the RIS quadratics,
   both loops above (called from C), the projection and the objective of
-  every active lane in one call.  The RIS quadratics of a lane are formed
-  as it enters the RIS loop's group, straight into its slot; the estimate
-  they are formed from is split once per ``run_joint``, by ``Rounds``.
+  every active lane in one call, the first round included, whose
+  mu-independent precoder stage runs once and whose quadratics, the same
+  for every lane, are formed once per slot.  The RIS quadratics of a lane
+  are formed as it enters the RIS loop's group, straight into its slot;
+  the estimate they are formed from is split once per ``run_joint``, by
+  ``Rounds``.
 
 In all three, every inner loop runs over independent outputs (the rows of a
 matvec, the blocks of a Cholesky step, the right-hand sides of a solve) and
@@ -87,7 +90,6 @@ _RIS_COLUMNS = 32
 
 _dbl = ctypes.c_double
 _int = ctypes.c_int
-_long = ctypes.c_long
 _ptr = ctypes.c_void_p
 
 
@@ -182,32 +184,23 @@ def _library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(_build(compiler)))
     lib.gpris_ris_loop_work.argtypes = [_int] * 4
     lib.gpris_ris_loop_work.restype = ctypes.c_long
-    lib.gpris_ris_loop.argtypes = ([_int] * 5 + [_ptr, _long] * 2 + [_ptr] * 2
-                                   + [_dbl] * 2 + [_ptr] + [_dbl] * 3
-                                   + [_ptr, _dbl, _int] + [_ptr] * 4)
+    lib.gpris_ris_loop.argtypes = ([_int] * 5 + [_ptr] * 2 + [_int]
+                                   + [_ptr] * 2 + [_dbl] * 2 + [_ptr]
+                                   + [_dbl] * 2 + [_ptr, _dbl, _int]
+                                   + [_ptr] * 4)
     lib.gpris_ris_loop.restype = _int
     lib.gpris_precoder_loop_work.argtypes = [_int, _int]
     lib.gpris_precoder_loop_work.restype = ctypes.c_long
-    lib.gpris_precoder_loop.argtypes = ([_int] * 3 + [_ptr] * 2
-                                        + [_dbl, _ptr, _dbl, _int] + [_ptr] * 4)
+    lib.gpris_precoder_loop.argtypes = ([_int] * 2 + [_ptr] * 2
+                                        + [_dbl, _ptr, _dbl, _int] + [_ptr] * 3)
     lib.gpris_precoder_loop.restype = _int
     lib.gpris_round_work.argtypes = [_int] * 6
     lib.gpris_round_work.restype = ctypes.c_long
-    lib.gpris_round.argtypes = ([_int] * 5 + [_ptr] * 3 + [_dbl] * 5 + [_ptr]
-                                + [_dbl, _int] * 2 + [_ptr] * 9 + [_int]
-                                + [_ptr] * 3)
+    lib.gpris_round.argtypes = ([_int] * 5 + [_ptr] * 3 + [_dbl] * 4 + [_ptr]
+                                + [_dbl, _int] * 2 + [_ptr] * 9
+                                + [_int, _ptr, _int])
     lib.gpris_round.restype = _int
     return lib
-
-
-def _lanes(x, inner):
-    """``x`` as (P,) + ``inner`` complex128 lanes, each C-contiguous, and its
-    lane stride in complex entries: 0 when every lane is the same memory,
-    as for a broadcast view, which is then passed without a copy."""
-    x = np.asarray(x, dtype=np.complex128).reshape((-1,) + inner)
-    if x.strides[0] == 0 and x[0].flags.c_contiguous:
-        return x, 0
-    return np.ascontiguousarray(x), math.prod(inner)
 
 
 def ris_group(p: int, l: int) -> int:
@@ -216,14 +209,16 @@ def ris_group(p: int, l: int) -> int:
     return max(1, min(p, _RIS_GROUP, _RIS_COLUMNS // l))
 
 
-def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
+def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, alpha1,
              alpha2, tol, max_iters):
     """Run the RIS fixed-point loop of every lane in one compiled call.
 
     ``c_blocks`` (..., K, L, M, M) and ``u_vecs`` (..., K, L, M) are the
     quadratics of the P lanes as ``RisQuadratics`` holds them, possibly as
-    broadcast views that share one set across the lanes; ``mu`` holds one
-    weight per lane; ``w`` holds the (P, LM) unit-norm iterates,
+    broadcast views that share one set across the lanes (both with lane
+    stride 0: passed without a copy and loaded once per slot); ``mu`` holds
+    one weight per lane, normalized by tau = 1/(LM), which the loop derives
+    from the sizes; ``w`` holds the (P, LM) unit-norm iterates,
     C-contiguous complex128, and is updated in place.  The kernel runs the
     lanes ``ris_group(P, L)`` at a time, copying each into a slot of its
     layout as it enters the group; every lane's result is bit for bit that
@@ -240,8 +235,11 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
             or u_vecs.shape != lanes + (k, l, m)
             or w.dtype != np.complex128 or not w.flags.c_contiguous):
         raise ValueError("c_blocks, u_vecs and w disagree on shape or layout")
-    c, c_stride = _lanes(c_blocks, (k, l, m, m))
-    u, u_stride = _lanes(u_vecs, (k, l, m))
+    c = np.asarray(c_blocks, dtype=np.complex128).reshape((p, k, l, m, m))
+    u = np.asarray(u_vecs, dtype=np.complex128).reshape((p, k, l, m))
+    shared = all(x.strides[0] == 0 and x[0].flags.c_contiguous for x in (c, u))
+    if not shared:
+        c, u = np.ascontiguousarray(c), np.ascontiguousarray(u)
     mu = np.ascontiguousarray(np.broadcast_to(mu, (p,)), dtype=np.float64)
     iters = np.zeros(p, dtype=np.intc)
     step = np.zeros(p)
@@ -249,9 +247,9 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
     g = ris_group(p, l)
     # zeroed, as the module docstring says
     work = np.zeros(lib.gpris_ris_loop_work(g, k, m, l))
-    lib.gpris_ris_loop(p, g, k, m, l, c.ctypes.data, c_stride, u.ctypes.data,
-                       u_stride, None, None, float(noise_over_p),
-                       float(inv_rs_ln2), mu.ctypes.data, float(tau),
+    lib.gpris_ris_loop(p, g, k, m, l, c.ctypes.data, u.ctypes.data,
+                       int(shared), None, None, float(noise_over_p),
+                       float(inv_rs_ln2), mu.ctypes.data,
                        float(alpha1), float(alpha2),
                        w.ctypes.data, float(tol), int(max_iters),
                        iters.ctypes.data, step.ctypes.data,
@@ -260,35 +258,34 @@ def ris_loop(c_blocks, u_vecs, w, mu, noise_over_p, inv_rs_ln2, tau, alpha1,
 
 
 def precoder_loop(h_hat, xi, f, noise_over_p, tol, max_iters):
-    """Run the precoder fixed-point loop of every lane in one compiled call.
+    """Run the precoder fixed-point loop of one lane in one compiled call.
 
-    ``h_hat`` (P, K, N) and the real ``xi`` (P, K) are the lanes' isotropic
+    ``h_hat`` (K, N) and the real ``xi`` (K,) are the lane's isotropic
     quadratics, G_k = h_k h_k^H + xi_k I, as ``PrecoderQuadratics`` holds
-    them; ``f`` holds the (P, KN) unit-norm column-stacked iterates,
-    C-contiguous complex128, and is updated in place.  Returns the per-lane
-    iteration counts, failed blocks and final steps, the smaller of
-    ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.
-    A negative count flags a failed lane, whose iterate is left at the
-    previous one; its block entry names the Bbar block that is not positive
+    them; ``f`` holds the (KN,) unit-norm column-stacked iterate,
+    C-contiguous complex128, and is updated in place.  Returns the
+    iteration count, the failed block and the final step, the smaller of
+    ||f_t - f_{t-1}|| and ||f_t + f_{t-1}|| (0.0 when no step ran).
+    A negative count flags a failure, which leaves the iterate at the
+    previous one; the block then names the Bbar block that is not positive
     definite, or is -1 when a quadratic form is not positive.
     """
     lib = _library()
     h = np.ascontiguousarray(h_hat, dtype=np.complex128)
-    p, k, n = h.shape
-    if (np.shape(xi) != (p, k) or np.iscomplexobj(xi) or f.shape != (p, k * n)
-            or f.dtype != np.complex128 or not f.flags.c_contiguous):
+    if (h.ndim != 2 or np.shape(xi) != h.shape[:1] or np.iscomplexobj(xi)
+            or f.shape != (h.size,) or f.dtype != np.complex128
+            or not f.flags.c_contiguous):
         raise ValueError("h_hat, xi and f disagree on shape or layout")
+    k, n = h.shape
     xi = np.ascontiguousarray(xi, dtype=np.float64)
-    iters = np.zeros(p, dtype=np.intc)
-    block = np.zeros(p, dtype=np.intc)
-    step = np.zeros(p)
+    block, step = ctypes.c_int(), ctypes.c_double()
     work = np.empty(lib.gpris_precoder_loop_work(k, n))
-    lib.gpris_precoder_loop(p, k, n, h.ctypes.data, xi.ctypes.data,
-                            float(noise_over_p), f.ctypes.data, float(tol),
-                            int(max_iters), iters.ctypes.data,
-                            block.ctypes.data, step.ctypes.data,
-                            work.ctypes.data)
-    return iters, block, step
+    iters = lib.gpris_precoder_loop(k, n, h.ctypes.data, xi.ctypes.data,
+                                    float(noise_over_p), f.ctypes.data,
+                                    float(tol), int(max_iters),
+                                    ctypes.byref(block), ctypes.byref(step),
+                                    work.ctypes.data)
+    return iters, block.value, step.value
 
 
 class Rounds:
@@ -304,15 +301,16 @@ class Rounds:
     updates in place for the lanes it runs; the round also leaves its
     objective in ``obj`` and 0 or a failure code in ``status`` (see
     ``_round.c``; ``block`` names a precoder failure's block), each indexed
-    by lane.  The objective's h-hat and xi, which the
-    next round's precoder stage starts from, stay in ``h`` and ``xi``.
+    by lane.  The objective's h-hat and xi, which the next round's precoder
+    stage starts from, stay in ``h`` and ``xi``; for the first round the
+    caller writes those of the initial phases into lane ``sel[0]``'s.
     ``seconds`` adds up the precoder, RIS and objective stage times of every
     round.  Each lane's results are bit for bit those of a call with that
     lane alone.
     """
 
     def __init__(self, stack, conj_rows, err_scale, f, w, mu, noise_over_p,
-                 inv_rs_ln2, tau, alpha1, alpha2, precoder, ris):
+                 inv_rs_ln2, alpha1, alpha2, precoder, ris):
         lib = _library()
         p, lm = w.shape
         kn, n = f.shape[1], conj_rows.shape[1]
@@ -339,27 +337,21 @@ class Rounds:
                   self.xi, self.obj, self.status, self.block, self.seconds,
                   np.zeros(lib.gpris_round_work(p, g, k, n, l, m)))
         self._keep = arrays
-        self._blocks = (k, l, m, m)
         ptr = [x.ctypes.data for x in arrays]
         self._call = functools.partial(
             lib.gpris_round, g, k, n, l, m, *ptr[:3], float(noise_over_p),
-            float(inv_rs_ln2), float(tau), float(alpha1), float(alpha2),
-            ptr[3], float(precoder.tol), int(precoder.max_iters),
-            float(ris.tol), int(ris.max_iters), *ptr[4:])
+            float(inv_rs_ln2), float(alpha1), float(alpha2), ptr[3],
+            float(precoder.tol), int(precoder.max_iters), float(ris.tol),
+            int(ris.max_iters), *ptr[4:])
 
-    def __call__(self, sel, shared=None):
-        """Run one round of the lanes ``sel``; ``shared`` is the first
-        round's (c_blocks, u_vecs), one set for every lane (and ``f`` then
-        holds their precoder), or None in the later rounds.  Returns the
-        number of lanes that failed."""
+    def __call__(self, sel, first=False):
+        """Run one round of the lanes ``sel``; in the ``first`` round the
+        mu-independent precoder stage runs once, for ``sel[0]``, and every
+        lane of ``sel`` takes its result (``f`` then holds the same
+        precoder in every lane of ``sel``).  Returns the number of lanes
+        that failed."""
         sel = np.ascontiguousarray(sel, dtype=np.intc)
-        if shared is None:
-            return self._call(len(sel), sel.ctypes.data, None, None)
-        c, u = (np.ascontiguousarray(x, dtype=np.complex128) for x in shared)
-        if c.shape != self._blocks or u.shape != self._blocks[:-1]:
-            raise ValueError("shared quadratics disagree on shape")
-        return self._call(len(sel), sel.ctypes.data, c.ctypes.data,
-                          u.ctypes.data)
+        return self._call(len(sel), sel.ctypes.data, int(first))
 
 
 def _split_columns(x):

@@ -55,15 +55,14 @@ typedef void gpris_ris_fill(void *ctx, int lane, size_t s, double *ctr,
                             double *ui);
 
 long gpris_precoder_loop_work(int k_users, int n);
-int gpris_precoder_loop(int p_lanes, int k_users, int n, const double *h,
-                        const double *xi, double noise_over_p, double *f,
-                        double tol, int max_iters, int *iters, int *block,
-                        double *step, double *work);
+int gpris_precoder_loop(int k_users, int n, const double *h, const double *xi,
+                        double noise_over_p, double *f, double tol,
+                        int max_iters, int *block, double *step,
+                        double *work);
 long gpris_ris_loop_work(int g_slots, int k_users, int m, int l_ris);
 int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
-                   const double *c, long c_stride, const double *u,
-                   long u_stride, gpris_ris_fill *fill, void *ctx,
-                   double noise_over_p, double inv_rs_ln2, const double *mu,
-                   double tau, double alpha1, double alpha2, double *w,
-                   double tol, int max_iters, int *iters, double *step,
-                   double *seconds, double *work);
+                   const double *c, const double *u, int shared,
+                   gpris_ris_fill *fill, void *ctx, double noise_over_p,
+                   double inv_rs_ln2, const double *mu, double alpha1,
+                   double alpha2, double *w, double tol, int max_iters,
+                   int *iters, double *step, double *seconds, double *work);

@@ -16,23 +16,22 @@
  * it through ctypes; gpi_precoder.gpi_matrices, on the dense blocks G_k, is
  * the numpy reference it mirrors.
  *
- * P independent lanes run one after another in a single call, each on its
- * own quadratics and iterate and each with its own iteration count, so a
- * lane's result does not depend on the others.
+ * One call runs the loop of one lane; a batch of lanes (run_gpi_precoder's
+ * lane axis) is a call per lane.
  *
  * Layout, all row-major complex128 as interleaved (re, im) doubles:
- *   h              (P, K, N) estimated effective channels h_k
- *   xi             real (P, K) error scales xi_k
- *   f              (P, K, N) unit-norm column-stacked iterates, in place
- *   iters          (P,) iteration count of each lane, negative on failure
- *   block          (P,) on failure, the Bbar block that is not positive
+ *   h              (K, N) estimated effective channels h_k
+ *   xi             real (K,) error scales xi_k
+ *   f              (K, N) unit-norm column-stacked iterate, in place
+ *   block          on failure, the Bbar block that is not positive
  *                  definite, or -1 when a quadratic form is not positive
- *   step           (P,) the last step each lane took, the smaller of
- *                  ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||; a lane that
- *                  took none leaves its entry as it was
+ *   step           the last step the loop took, the smaller of
+ *                  ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||; left as it was
+ *                  when it took none
  *   work           gpris_precoder_loop_work(K, N) doubles of scratch
+ * and the return value is the iteration count, negative on failure.
  *
- * Each lane's h and f are first copied into scratch with real and imaginary
+ * The lane's h and f are first copied into scratch with real and imaginary
  * parts split, so every inner loop runs over independent outputs
  * (the rows of a matvec, of a Cholesky column, or of all 2K right-hand sides
  * of a triangular solve) and each output keeps its accumulation order.
@@ -298,33 +297,47 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
     return 1;
 }
 
-/* One lane: returns the iteration count, or minus it on failure (f is then
- * left at the previous iterate), with its last step in *step. */
-static int precoder_lane(int k_users, int n, const struct lane *ln,
-                         const struct image *im, double noise_over_p,
-                         double tol, int max_iters, int *restrict block,
-                         double *restrict step)
+/* Runs the lane; returns its iteration count, or minus it on failure (f is
+ * then left at the previous iterate). */
+int gpris_precoder_loop(int k_users, int n, const double *restrict h,
+                        const double *restrict xi, double noise_over_p,
+                        double *restrict f, double tol, int max_iters,
+                        int *restrict block, double *restrict step,
+                        double *restrict work)
 {
-    const size_t kn = (size_t)k_users * n;
-    const double *restrict xr = im->outr;
-    const double *restrict xi = im->outi;
-    double *restrict fr = ln->fr;
-    double *restrict fi = ln->fi;
+    const size_t kn = (size_t)k_users * (size_t)n;
+    struct lane ln;
+    struct image im;
+    carve(k_users, n, work, &ln, &im);
+    ln.xi = xi;
+    double *restrict fr = ln.fr;
+    double *restrict fi = ln.fi;
+    const double *restrict xr = im.outr;
+    const double *restrict xim = im.outi;
+    for (size_t i = 0; i < kn; ++i) {
+        ln.hr[i] = h[2 * i];
+        ln.hi[i] = h[2 * i + 1];
+        fr[i] = f[2 * i];
+        fi[i] = f[2 * i + 1];
+    }
+    *block = -1;
     int iters = 0;
     for (int it = 0; it < max_iters; ++it) {
         ++iters;
-        if (!precoder_image(k_users, n, ln, im, noise_over_p, block))
-            return -iters;
+        if (!precoder_image(k_users, n, &ln, &im, noise_over_p, block)) {
+            iters = -iters;
+            break;
+        }
         double nrm = 0.0;
         for (size_t i = 0; i < kn; ++i) {
             nrm += xr[i] * xr[i];
-            nrm += xi[i] * xi[i];
+            nrm += xim[i] * xim[i];
         }
         const double inv_nrm = 1.0 / sqrt(nrm);
         /* the step, minimized over the +-f sign ambiguity */
         double minus = 0.0, plus = 0.0;
         for (size_t i = 0; i < kn; ++i) {
-            const double v = xr[i] * inv_nrm, w = xi[i] * inv_nrm;
+            const double v = xr[i] * inv_nrm, w = xim[i] * inv_nrm;
             minus += (v - fr[i]) * (v - fr[i]);
             plus += (v + fr[i]) * (v + fr[i]);
             minus += (w - fi[i]) * (w - fi[i]);
@@ -336,41 +349,9 @@ static int precoder_lane(int k_users, int n, const struct lane *ln,
         if (*step <= tol)
             break;
     }
-    return iters;
-}
-
-/* Runs every lane; returns the number of lanes with a negative count. */
-int gpris_precoder_loop(int p_lanes, int k_users, int n,
-                        const double *restrict h, const double *restrict xi,
-                        double noise_over_p, double *restrict f, double tol,
-                        int max_iters, int *restrict iters,
-                        int *restrict block, double *restrict step,
-                        double *restrict work)
-{
-    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
-    struct lane ln;
-    struct image im;
-    carve(k_users, n, work, &ln, &im);
-    int failed = 0;
-    for (int p = 0; p < p_lanes; ++p) {
-        const double *hp = h + 2 * (size_t)p * kn;
-        double *fp = f + 2 * (size_t)p * kn;
-        ln.xi = xi + (size_t)p * k;
-        for (size_t i = 0; i < kn; ++i) {
-            ln.hr[i] = hp[2 * i];
-            ln.hi[i] = hp[2 * i + 1];
-            ln.fr[i] = fp[2 * i];
-            ln.fi[i] = fp[2 * i + 1];
-        }
-        block[p] = -1;
-        iters[p] = precoder_lane(k_users, n, &ln, &im, noise_over_p, tol,
-                                 max_iters, block + p, step + p);
-        for (size_t i = 0; i < kn; ++i) {
-            fp[2 * i] = ln.fr[i];
-            fp[2 * i + 1] = ln.fi[i];
-        }
-        if (iters[p] < 0)
-            ++failed;
+    for (size_t i = 0; i < kn; ++i) {
+        f[2 * i] = fr[i];
+        f[2 * i + 1] = fi[i];
     }
-    return failed;
+    return iters;
 }

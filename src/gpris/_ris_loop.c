@@ -1,6 +1,7 @@
 /* Compiled inner loop for the RIS-stage fixed-point iteration.
  *
- * Iterates w <- normalize(Dbar^-1 Cbar w).  gpris._kernel builds this file
+ * Iterates w <- normalize(Dbar^-1 Cbar w), the penalty weight mu normalized
+ * by tau = 1/(LM).  gpris._kernel builds this file
  * into a shared library on first use and calls it through ctypes;
  * gpi_ris.ris_gpi_matrices is the numpy reference it mirrors.
  *
@@ -22,11 +23,12 @@
  *
  * Inputs are read as numpy holds them, complex128 as interleaved (re, im)
  * doubles in C order (int for iters):
- *   c              (P, K, L, M, M) per-user per-RIS C_k blocks, lane stride
- *                  c_stride complex entries (0 when every lane shares them)
+ *   c              (P, K, L, M, M) per-user per-RIS C_k blocks
  *   u              (P, K, L, M) signal columns with C_k - D_k = u_k u_k^H,
- *                  lane stride u_stride, so the D quadratic form is a
- *                  rank-one correction of the C one
+ *                  so the D quadratic form is a rank-one correction of the
+ *                  C one
+ *   shared         nonzero when every lane has the same blocks: c and u
+ *                  then hold one lane's, (K, L, M, M) and (K, L, M)
  *   fill, ctx      NULL, or the source of the blocks in place of c and u
  *                  (see _round.c): as lane p enters slot g,
  *                  fill(ctx, p, S, ctr, cti, dr, di, ur, ui) writes the
@@ -45,8 +47,9 @@
  * A lane is copied into its slot with real and imaginary parts split and
  * the (slot, RIS) column innermost: column x = g*L + l holds block l of
  * slot g, and each row has S columns, the G*L rounded up to a multiple of
- * W = 8 (S = 8 for one slot of L = 2, say).  Lanes that share their blocks
- * (lane stride 0) load them once per slot and keep them across refills.
+ * W = 8 (S = 8 for one slot of L = 2, say).  Shared blocks, from either
+ * source, are filled or loaded only as a slot is first occupied, and stay
+ * there across refills and compaction.
  * Every inner loop runs over independent outputs, the (row, column) entries
  * of the matvecs, of the Cbar image and of the Dbar blocks, and the
  * right-looking Cholesky updates each trailing row over its columns; each
@@ -289,11 +292,12 @@ static void strip_cbar_dbar(int k_users, size_t mm, size_t s, size_t nv,
 static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
                       const struct group *gr, const struct image *im,
                       double noise_over_p, double inv_rs_ln2,
-                      const double *mu, double tau, double alpha1,
-                      double alpha2, int *ok)
+                      const double *mu, double alpha1, double alpha2,
+                      int *ok)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, nw = (size_t)n_slots * l;
     const size_t ms = mm * s;
+    const double tau = 1.0 / (double)(l_ris * m);
     /* a slot's entries, row by row; one run when it fills the rows */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ms : l;
     /* the products run over whole strips: the idle and padding columns up
@@ -480,21 +484,21 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
  * previous iterate).  With max_iters <= 0 every lane passes through its
  * slot untouched, with count 0. */
 int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
-                   const double *restrict c, long c_stride,
-                   const double *restrict u, long u_stride,
-                   gpris_ris_fill *fill, void *ctx,
+                   const double *restrict c, const double *restrict u,
+                   int shared, gpris_ris_fill *fill, void *ctx,
                    double noise_over_p, double inv_rs_ln2,
-                   const double *restrict mu, double tau, double alpha1,
-                   double alpha2, double *restrict w, double tol,
-                   int max_iters, int *restrict iters,
-                   double *restrict step, double *restrict seconds,
-                   double *restrict work)
+                   const double *restrict mu, double alpha1, double alpha2,
+                   double *restrict w, double tol, int max_iters,
+                   int *restrict iters, double *restrict step,
+                   double *restrict seconds, double *restrict work)
 {
     const size_t l = (size_t)l_ris, mm = (size_t)m, ml = mm * l;
     const size_t s = stride(g_slots, l_ris), k = (size_t)k_users;
     /* a slot's entries, row by row; one run when it fills the rows */
     const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ml : l;
-    const int shared = !fill && c_stride == 0 && u_stride == 0;
+    /* each lane's blocks, in complex entries (the same ones when shared) */
+    const size_t c_lane = shared ? 0 : k * ml * mm;
+    const size_t u_lane = shared ? 0 : k * ml;
     struct timespec t0, t1;
     clock_gettime(CLOCK_MONOTONIC, &t0);
     struct group gr;
@@ -510,20 +514,20 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
     int n = 0, next = 0, failed = 0;
     for (;;) {
         /* refill the free slots from the queue, their blocks in one pass
-         * (lanes that share their blocks load them once per slot) */
+         * (shared blocks only as a slot is first occupied) */
         int nb = 0;
         for (int g = 0; g < g_slots && next < p_lanes; ++g) {
             if (g < n && lane[g] >= 0)
                 continue;
             const size_t o = (size_t)g * l;
-            const int p = next++;
-            if (fill) {
+            const int p = next++, load = !shared || g >= n;
+            if (load && fill) {
                 fill(ctx, p, s, gr.ctr + o, gr.cti + o, gr.dr + o, gr.di + o,
                      gr.ur + o, gr.ui + o);
-            } else if (!shared || g >= n) {
+            } else if (load) {
                 at[nb] = o;
-                cs[nb] = c + 2 * (size_t)p * c_stride;
-                us[nb] = u + 2 * (size_t)p * u_stride;
+                cs[nb] = c + 2 * (size_t)p * c_lane;
+                us[nb] = u + 2 * (size_t)p * u_lane;
                 ++nb;
             }
             const double *wp = w + 2 * (size_t)p * ml;
@@ -569,7 +573,7 @@ int gpris_ris_loop(int p_lanes, int g_slots, int k_users, int m, int l_ris,
             ok[g] = 1;
         if (max_iters > 0)
             ris_image(k_users, m, l_ris, n, s, &gr, &im, noise_over_p,
-                      inv_rs_ln2, mus, tau, alpha1, alpha2, ok);
+                      inv_rs_ln2, mus, alpha1, alpha2, ok);
         for (int g = 0; g < n; ++g) {
             const size_t o = (size_t)g * l;
             double *restrict wr = gr.wr;

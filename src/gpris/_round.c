@@ -18,8 +18,11 @@
  *   5. the Jensen lower bound of (F, phi) in its precoder-quadratic form,
  *      whose h-hat = Hhat phi and xi_k = sum_l err_{k,l} ||phi_l||^2 are
  *      kept for the next round's step 1.
- * In the first round every lane shares one precoder and one set of RIS
- * quadratics (gpris._kernel passes them), so steps 1 and 2 are skipped.
+ * In the first round (first != 0) step 1 does not depend on mu: it runs for
+ * the first lane of sel alone, from the h-hat and xi of the initial phases
+ * that the caller leaves in that lane's h and xi, and its f, status and
+ * block are copied to every other lane of sel; the RIS loop then takes the
+ * lanes' quadratics as shared, formed once per slot of its group.
  * gpris.joint's numpy round (build_precoder_quadratics, run_gpi_precoder,
  * build_ris_quadratics, run_gpi_ris, lower_bound_sum_se) is the reference
  * this mirrors; its sums run in other orders, so the results agree to
@@ -28,8 +31,6 @@
  *
  * Layout, complex128 as interleaved (re, im) doubles in C order:
  *   sel            (S,) the lanes of this round
- *   c_sh, u_sh     (K, L, M, M) and (K, L, M) quadratics shared by every
- *                  lane in the first round, NULL in the later ones
  *   stack          (KN, LM) Hhat, row (k, n), column (l, m), as float64
  *                  (2, LM, KN): by columns, real and imaginary parts split
  *   conj_rows      (KML, N) rows of the Hhat_{k,l}^H, row (k, m, l), as
@@ -46,6 +47,7 @@
  *                  _precoder_loop.c)
  *   seconds        (3,) adds the wall time of steps 1, 2-4 and 5
  *   work           gpris_round_work(P, G, K, N, L, M) doubles of scratch
+ *   first          nonzero in the first round (see above)
  * Entries of lanes outside sel are not touched.  gpris._kernel.Rounds
  * splits stack and conj_rows once per run_joint; a round only reads them.
  * Every product's sum (over the N or LM columns, over the users) is held in
@@ -180,11 +182,9 @@ static int precoder_stage(int k_users, int n, const struct scratch *sc,
                           int max_iters, int *block)
 {
     normalize(fp, (size_t)k_users * (size_t)n);
-    int iters;
     double step;
-    gpris_precoder_loop(1, k_users, n, hp, xip, noise_over_p, fp, tol,
-                        max_iters, &iters, block, &step, sc->pwork);
-    if (iters >= 0)
+    if (gpris_precoder_loop(k_users, n, hp, xip, noise_over_p, fp, tol,
+                            max_iters, block, &step, sc->pwork) >= 0)
         return ROUND_OK;
     return *block < 0 ? PRECODER_VANISHING : PRECODER_NOT_PD;
 }
@@ -376,12 +376,11 @@ static double objective(int k_users, int n, int l_ris, int m,
 int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
                 const double *stack, const double *conj_rows,
                 const double *err, double noise_over_p, double inv_rs_ln2,
-                double tau, double alpha1, double alpha2, const double *mu,
+                double alpha1, double alpha2, const double *mu,
                 double pre_tol, int pre_max, double ris_tol, int ris_max,
                 double *f, double *w, double *h, double *xi, double *obj,
                 int *status, int *block, double *seconds, double *work,
-                int n_sel, const int *sel,
-                const double *c_sh, const double *u_sh)
+                int n_sel, const int *sel, int first)
 {
     const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
     const size_t lm = (size_t)l_ris * (size_t)m, klm = k * lm;
@@ -395,18 +394,22 @@ int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
     clock_gettime(CLOCK_MONOTONIC, &t);
     int failed = 0, n_ris = 0;
     for (int i = 0; i < n_sel; ++i) {
-        const int p = sel[i];
-        status[p] = ROUND_OK;
-        if (!c_sh) {
+        const int p = sel[i], q = sel[0];
+        if (first && i > 0) {
+            memcpy(f + 2 * (size_t)p * kn, f + 2 * (size_t)q * kn,
+                   2 * kn * sizeof *f);
+            status[p] = status[q];
+            block[p] = block[q];
+        } else {
             status[p] = precoder_stage(k_users, n, &sc, h + 2 * (size_t)p * kn,
                                        xi + (size_t)p * k, noise_over_p,
                                        f + 2 * (size_t)p * kn, pre_tol,
                                        pre_max, block + p);
             seconds[0] += elapsed(&t);
-            if (status[p] != ROUND_OK) {
-                ++failed;
-                continue;
-            }
+        }
+        if (status[p] != ROUND_OK) {
+            ++failed;
+            continue;
         }
         double *wq = sc.w + 2 * (size_t)n_ris * lm;
         const double *wp = w + 2 * (size_t)p * lm;
@@ -417,14 +420,15 @@ int gpris_round(int g_slots, int k_users, int n, int l_ris, int m,
         sc.lane[n_ris++] = p;
     }
     if (n_ris > 0) {
-        /* the later rounds form each lane's quadratics as it enters */
+        /* each lane's quadratics formed as it enters, or once per slot in
+         * the first round, where every lane has the same f */
         struct source src = {k_users, n, l_ris, m, &sc, err, f};
         const int g = g_slots < n_ris ? g_slots : n_ris;
         double loop_s;
-        gpris_ris_loop(n_ris, g, k_users, m, l_ris, c_sh, 0, u_sh, 0,
-                       c_sh ? NULL : fill_quadratics, &src, noise_over_p,
-                       inv_rs_ln2, sc.mu, tau, alpha1, alpha2, sc.w, ris_tol,
-                       ris_max, sc.iters, sc.step, &loop_s, sc.rwork);
+        gpris_ris_loop(n_ris, g, k_users, m, l_ris, NULL, NULL, first,
+                       fill_quadratics, &src, noise_over_p, inv_rs_ln2,
+                       sc.mu, alpha1, alpha2, sc.w, ris_tol, ris_max,
+                       sc.iters, sc.step, &loop_s, sc.rwork);
     }
     for (int i = 0; i < n_ris; ++i) {
         const int p = sc.lane[i];

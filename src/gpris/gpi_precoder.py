@@ -175,12 +175,12 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||.  With a leading lane axis
     (f_init (P, NK) against lane-stacked quadratics) each lane stops once its
     own step reaches the tolerance; the iteration count is then the total
-    over all lanes and the step holds one value per lane.  On isotropic
-    quadratics (``q.xi`` set) the loop runs compiled when a C compiler is
-    found (see ``_kernel``), all lanes in one call; dense errors and hosts
-    without a compiler run it through ``fixed_point`` lane by lane.  A Bbar
-    block that is not positive definite raises ``np.linalg.LinAlgError``
-    naming the block, and a vanishing quadratic form ``FloatingPointError``.
+    over all lanes and the step holds one value per lane.  The lanes run
+    one after another.  On isotropic quadratics (``q.xi`` set) the loop runs
+    compiled when a C compiler is found (see ``_kernel``); dense errors and
+    hosts without a compiler run it through ``fixed_point``.  A Bbar block
+    that is not positive definite raises ``np.linalg.LinAlgError`` naming
+    the block, and a vanishing quadratic form ``FloatingPointError``.
     """
     f = np.asarray(f_init, dtype=complex)
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
@@ -191,26 +191,24 @@ def run_gpi_precoder(q: PrecoderQuadratics, f_init: np.ndarray,
     # the lane axis always exists inside the loop; an unbatched call is one lane
     f = (f / norm).reshape(-1, n * k)
     h = q.h_hat.reshape((-1, k, n))
-    if q.xi is not None and _kernel.available():
-        counts, block, step = _kernel.precoder_loop(
-            h, q.xi.reshape((-1, k)), f, q.noise_over_p, settings.tol,
-            settings.max_iters)
-        failed = np.flatnonzero(counts < 0)
-        if failed.size:
-            bad = block[failed[0]]
-            if bad < 0:
+    iters, step = 0, np.zeros(f.shape[0])
+    for p in range(f.shape[0]):
+        if q.xi is not None and _kernel.available():
+            steps, block, step[p] = _kernel.precoder_loop(
+                h[p], q.xi.reshape((-1, k))[p], f[p], q.noise_over_p,
+                settings.tol, settings.max_iters)
+            if steps < 0 and block < 0:
                 raise FloatingPointError(VANISHING)
-            raise np.linalg.LinAlgError(f"block {bad} is not positive definite")
-        iters = int(np.sum(counts))
-    else:
-        iters, step = 0, np.zeros(f.shape[0])
-        g = q.g_blocks.reshape((-1, k, n, n))
-        for p in range(f.shape[0]):
-            lane = PrecoderQuadratics(h[p], g[p], q.noise_over_p)
+            if steps < 0:
+                raise np.linalg.LinAlgError(
+                    f"block {block} is not positive definite")
+        else:
+            lane = PrecoderQuadratics(
+                h[p], q.g_blocks.reshape((-1, k, n, n))[p], q.noise_over_p)
             f[p], steps, step[p] = fixed_point(
                 lambda x: gpi_matrices(lane, _as_matrix(x, n, k))[0], f[p],
                 settings, signed=True)
-            iters += steps
+        iters += steps
     return (f.reshape(lanes + (n * k,)), iters,
             _lanes_out(step.reshape(lanes)))
 

@@ -228,7 +228,7 @@ def run_gpi_ris(q: RisQuadratics, mu: float | np.ndarray, r_sigma: float,
     if _kernel.available():
         iters, step, loop_seconds = _kernel.ris_loop(
             q.c_blocks, q.u_vecs, w.reshape(-1, q.l * q.m), mu.reshape(-1),
-            q.noise_over_p, 1.0 / (r_sigma * log(2)), q.tau, ALPHA1, ALPHA2,
+            q.noise_over_p, 1.0 / (r_sigma * log(2)), ALPHA1, ALPHA2,
             settings.tol, settings.max_iters)
         if np.any(iters < 0):
             raise np.linalg.LinAlgError(DBAR_NOT_PD)

@@ -14,15 +14,17 @@ from . import _kernel
 from .channel import estimate_channels, synthesize_channels
 from .gpi_precoder import GpiSettings, build_precoder_quadratics, run_gpi_precoder
 from .gpi_ris import build_ris_quadratics, run_gpi_ris
-from .joint import (AlgorithmSettings, LineSearchPlan, compute_r_sigma,
-                    initial_pair, run_joint)
+from .joint import (_STAGE_ERRORS, AlgorithmSettings, AllMuPointsFailed,
+                    LineSearchPlan, compute_r_sigma, initial_pair, run_joint)
 from .metrics import Precoder, exact_sum_se, lower_bound_sum_se
 from .scenario import (PathlossModel, Scenario, check_count, default_geometry,
                        scenario_from_dict)
 
-EXPERIMENT_KINDS = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
-                    "csit_sweep", "convergence", "mu_study", "scalability",
-                    "bench")
+# each kind and the id that keys its RNG streams, pinned so that removing a
+# kind moves no other kind's rows (4 belonged to the removed "convergence")
+EXPERIMENT_KINDS = {"power_sweep": 0, "ris_elems_sweep": 1,
+                    "antennas_sweep": 2, "csit_sweep": 3, "mu_study": 5,
+                    "scalability": 6, "bench": 7}
 SCHEMES = ("gpi_pris", "gpi_random", "rzf_random")
 # kinds whose sweep values are counts (M, N or L); 4.0 reads as 4
 _COUNT_SWEEPS = ("ris_elems_sweep", "antennas_sweep", "scalability", "bench")
@@ -129,7 +131,7 @@ def _square_factor(m: int) -> tuple[int, int]:
 
 def _apply_sweep(base: Scenario, kind: str, value) -> Scenario:
     cfg = base.config
-    if kind in ("power_sweep", "convergence"):
+    if kind == "power_sweep":
         cfg = replace(cfg, tx_power_dbm=float(value))
     elif kind == "ris_elems_sweep":
         my, mz = _square_factor(int(value))
@@ -158,7 +160,7 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
                settings: AlgorithmSettings) -> list[ResultRow]:
     rows = []
     rng = np.random.default_rng([scenario.config.rng_seed,
-                                 EXPERIMENT_KINDS.index(spec.kind),
+                                 EXPERIMENT_KINDS[spec.kind],
                                  int(abs(float(value) * 1024)), seed])
     truth = synthesize_channels(scenario, rng)
     est = estimate_channels(truth, scenario, rng)
@@ -193,7 +195,8 @@ def _run_point(spec: ExperimentSpec, scenario: Scenario, value, seed: int,
                                               res.best_phases, nop),
                     iterations=res.iterations.get(res.best_mu, 0),
                     precoder_s=res.timing["precoder"], ris_s=res.timing["ris"]))
-        except Exception as exc:  # noqa: BLE001 - recorded, not raised
+        except (*_STAGE_ERRORS, AllMuPointsFailed) as exc:
+            # what the stages report is recorded; a bug propagates
             rows.append(row(scheme, error=f"{type(exc).__name__}: {exc}"))
     if baselines:
         # the baselines' SEs as the lanes of one call each

@@ -30,7 +30,8 @@ from .gpi_precoder import (VANISHING, GpiSettings, build_precoder_quadratics,
 from .gpi_ris import (ALPHA1, ALPHA2, DBAR_NOT_PD, RisQuadratics,
                       build_ris_quadratics, run_gpi_ris)
 from .metrics import (NOT_UNIT_MODULUS, PhaseShifts, Precoder,
-                      effective_channels, lower_bound_sum_se, nmse_unit_modulus)
+                      effective_channels, lower_bound_sum_se, nmse_unit_modulus,
+                      xi_scales)
 from .scenario import check_count
 
 
@@ -116,10 +117,11 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     """Full alternating optimization with the mu line search.
 
     Every grid point is a lane.  All lanes start from the shared initial
-    pair and its objective, share the mu-independent first precoder stage,
-    and then advance together one round at a time; a lane leaves once it
-    meets ε₃ or fails, and only the lanes that fail on their own are
-    recorded in ``errors``.
+    pair and its objective, share the mu-independent first precoder stage
+    (when it fails, every mu point fails with it), and then advance
+    together one round at a time; a lane leaves once it meets ε₃ or fails,
+    and only the lanes that fail on their own are recorded in ``errors``.
+    Raises ``AllMuPointsFailed`` when no mu point is left.
     """
     n, k, _, _ = est.dims
     if init is None:
@@ -129,20 +131,16 @@ def run_joint(est: ChannelEstimate, noise_over_p: float, plan: LineSearchPlan,
     mus = plan.grid
     grid = mus.tolist()
     timing = {"precoder": 0.0, "ris": 0.0, "objective": 0.0}
-
-    # the first precoder stage sees only (est, f0, phi0), so all mu points
-    # share it; when it fails, every mu point fails with it
-    try:
-        first = _precoder_stage(est, noise_over_p, settings, f0, phi0, timing)
-    except _STAGE_ERRORS as exc:
-        errors = dict.fromkeys(grid, f"{type(exc).__name__}: {exc}")
-        raise RuntimeError(f"every mu point failed: {errors}") from exc
-
     lanes = _Lanes(len(grid), f0, phi0, r_sigma, settings.alternation.max_iters)
     rounds = (_compiled_rounds if est.is_isotropic and _kernel.available()
               else _numpy_rounds)
-    rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes, timing)
+    rounds(est, noise_over_p, settings, mus, r_sigma, init, lanes, timing)
     return lanes.result(grid, f0, phi0, n, k, timing)
+
+
+class AllMuPointsFailed(RuntimeError):
+    """Every mu point of a ``run_joint`` failed; the message holds each
+    point's error."""
 
 
 _STAGE_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
@@ -157,26 +155,27 @@ _ROUND_ERRORS = {
 }
 
 
-def _compiled_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
+def _compiled_rounds(est, noise_over_p, settings, mus, r_sigma, init, lanes,
                      timing):
     """Every round as one compiled call over the active lanes."""
-    precoder, q = first
-    lanes.f[:] = precoder.stacked
     rounds = _kernel.Rounds(est.stacked, est.conj_rows, est.err_scale, lanes.f,
                             lanes.w, mus, noise_over_p,
-                            1.0 / (r_sigma * math.log(2)), q.tau, ALPHA1,
-                            ALPHA2, settings.precoder, settings.ris)
-    shared = (q.c_blocks, q.u_vecs)
+                            1.0 / (r_sigma * math.log(2)), ALPHA1, ALPHA2,
+                            settings.precoder, settings.ris)
+    # the first round's precoder stage, run for lane 0 alone, starts from
+    # the initial phases
+    phi0 = init[1]
+    rounds.h[0] = effective_channels(est, phi0)
+    rounds.xi[0] = xi_scales(est, phi0)
     rule = settings.alternation
-    for _ in range(rule.max_iters):
+    for rnd in range(rule.max_iters):
         sel = lanes.active
-        if rounds(sel, shared):
+        if rounds(sel, first=rnd == 0):
             status = rounds.status[sel]
             for p in sel[status != 0]:
                 lanes.fail(p, _ROUND_ERRORS[rounds.status[p]].format(
                     rounds.block[p]))
             sel = sel[status == 0]
-        shared = None
         lanes.record(sel, rounds.obj[sel], rule.tol)
         if not lanes.active.size:
             break
@@ -185,12 +184,20 @@ def _compiled_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
         timing[key] += seconds
 
 
-def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, first, lanes,
+def _numpy_rounds(est, noise_over_p, settings, mus, r_sigma, init, lanes,
                   timing):
     """Every round through the numpy stages, one call each over the active
     lanes; a failing round is rerun lane by lane to find the lanes that fail
     on their own."""
     n, k, l, m = est.dims
+    # the mu-independent first precoder stage, shared by every lane, which
+    # all fail with it
+    try:
+        first = _precoder_stage(est, noise_over_p, settings, *init, timing)
+    except _STAGE_ERRORS as exc:
+        for p in lanes.active:
+            lanes.fail(p, f"{type(exc).__name__}: {exc}")
+        return
     # the lanes' phases, written by each round before the next one reads them
     phi = np.empty((len(mus), l, m), dtype=complex)
     rule = settings.alternation
@@ -326,7 +333,7 @@ class _Lanes:
                 best = p
         errors = {grid[p]: msg for p, msg in self.errors.items()}
         if best is None:
-            raise RuntimeError(f"every mu point failed: {errors}")
+            raise AllMuPointsFailed(f"every mu point failed: {errors}")
         if not self.improved[best]:
             precoder, phases, w = f0, phi0, phi0.normalized
         else:

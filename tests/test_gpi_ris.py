@@ -72,10 +72,10 @@ def numpy_reference(monkeypatch, *args):
         return run_gpi_ris(*args)
 
 
-def kernel_args(r_sigma, q, tol=1e-9, max_iters=200):
-    """The scalar arguments of _kernel.ris_loop after the noise level, with
-    the tau that run_gpi_ris derives from the quadratics ``q``."""
-    return (1.0 / (r_sigma * np.log(2)), q.tau, ALPHA1, ALPHA2, tol, max_iters)
+def kernel_args(r_sigma, tol=1e-9, max_iters=200):
+    """The scalar arguments of _kernel.ris_loop after the noise level (the
+    loop derives tau = 1/(LM) from the sizes, as ``RisQuadratics.tau``)."""
+    return (1.0 / (r_sigma * np.log(2)), ALPHA1, ALPHA2, tol, max_iters)
 
 
 class TestRegularizerSettings:
@@ -434,7 +434,7 @@ class TestRunGpiRis:
         with pytest.raises(RuntimeError, match="no C compiler"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, w0[None].copy(), 0.0,
                              q.noise_over_p,
-                             *kernel_args(1.0, q))
+                             *kernel_args(1.0))
 
     @staticmethod
     def _indefinite_problem():
@@ -513,7 +513,7 @@ class TestKernelDirect:
         def run(w, max_iters):
             return _kernel.ris_loop(q.c_blocks, q.u_vecs, w, 10.0,
                                     q.noise_over_p,
-                                    *kernel_args(1.1, q, max_iters=max_iters))
+                                    *kernel_args(1.1, max_iters=max_iters))
 
         # the split re/im layout unpacks to the iterate it was given
         w = w0[None].copy()
@@ -539,7 +539,7 @@ class TestKernelDirect:
         w0 = np.stack([rand_phases(l, m, rng).normalized
                        for _ in range(n_lanes)])
         _kernel.ris_loop(q.c_blocks[0], q.u_vecs[0], w0[:1], 0.0, 0.1,
-                         *kernel_args(1.3, q, tol=1e-13, max_iters=500))
+                         *kernel_args(1.3, tol=1e-13, max_iters=500))
         return q, mus, w0
 
     @staticmethod
@@ -547,8 +547,7 @@ class TestKernelDirect:
         """One lane's (count, step, w) from a call with that lane alone."""
         w = w0[None].copy()
         it, step, _ = _kernel.ris_loop(c[None], u[None], w, mu, 0.1,
-                                       *kernel_args(1.3, RisQuadratics(c, 0.1, u),
-                                                    **kw))
+                                       *kernel_args(1.3, **kw))
         return it[0], step[0], w[0]
 
     @needs_compiler
@@ -563,7 +562,7 @@ class TestKernelDirect:
             q, mus, w0 = self._lanes(rng, l, m, n_lanes)
             w = w0.copy()
             iters, step, _ = _kernel.ris_loop(q.c_blocks, q.u_vecs, w, mus,
-                                              0.1, *kernel_args(1.3, q, **caps))
+                                              0.1, *kernel_args(1.3, **caps))
             for i in range(n_lanes):
                 it_one, step_one, w_one = self._alone(
                     q.c_blocks[i], q.u_vecs[i], w0[i], mus[i], **caps)
@@ -597,7 +596,7 @@ class TestKernelDirect:
                 mus[p] = 0.0
             w = w0.copy()
             counts, step, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                               *kernel_args(1.3, q, max_iters=100))
+                                               *kernel_args(1.3, max_iters=100))
             assert [p for p in range(n_lanes) if counts[p] < 0] == bad
             for p in range(n_lanes):
                 # the failed lanes keep their iterates, the others are as
@@ -612,14 +611,15 @@ class TestKernelDirect:
 
     @needs_compiler
     def test_broadcast_lanes_equal_their_materialized_copy(self, rng):
-        # the shared first stage reaches the kernel as a stride-0 view, over
-        # enough lanes to refill and then compact the group
+        # the numpy round's shared first stage reaches the kernel as a
+        # stride-0 view, over enough lanes to refill and then compact the
+        # group
         est = rand_estimate(6, 3, 4, 4, rng, err=0.1)
         q = build_ris_quadratics(est, rand_precoder(6, 3, rng), 0.1)
         n_lanes = 2 * _kernel.ris_group(1 << 30, 4) + 3
         views = [np.broadcast_to(x, (n_lanes,) + x.shape)
                  for x in (q.c_blocks, q.u_vecs)]
-        assert _kernel._lanes(views[0], q.c_blocks.shape)[1] == 0
+        assert views[0].strides[0] == views[1].strides[0] == 0
         copies = [np.ascontiguousarray(v) for v in views]
         mus = rng.permutation(np.linspace(0.0, 40.0, n_lanes))
         w0 = np.stack([rand_phases(4, 4, rng).normalized
@@ -628,7 +628,7 @@ class TestKernelDirect:
         for c, u in (views, copies):
             w = w0.copy()
             iters, step, _ = _kernel.ris_loop(c, u, w, mus, 0.1,
-                                              *kernel_args(1.3, q, tol=1e-2,
+                                              *kernel_args(1.3, tol=1e-2,
                                                            max_iters=40))
             out.append((iters, step, w))
         assert len(set(out[0][0])) > 2    # ragged exits
@@ -650,7 +650,7 @@ class TestKernelDirect:
     def test_rejects_mismatched_shapes(self, rng):
         q = build_ris_quadratics(rand_estimate(3, 2, 2, 2, rng),
                                  rand_precoder(3, 2, rng), 0.1)
-        args = (0.0, 0.1, *kernel_args(1.0, q))
+        args = (0.0, 0.1, *kernel_args(1.0))
         w = rand_phases(2, 2, rng).normalized[None]
         with pytest.raises(ValueError, match="disagree"):
             _kernel.ris_loop(q.c_blocks, q.u_vecs, np.tile(w, (1, 2)), *args)

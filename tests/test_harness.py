@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from gpris import harness
 from gpris.harness import (BenchRow, CSV_HEADER, EXPERIMENT_KINDS,
                            ExperimentSpec, ResultRow, SCHEMES, _apply_sweep,
                            _square_factor, bench_from_spec,
                            bench_ris_stage, load_spec,
                            run_experiment, spec_from_dict, write_results)
 from gpris.gpi_precoder import GpiSettings
-from gpris.joint import AlgorithmSettings
+from gpris.joint import AlgorithmSettings, AllMuPointsFailed
 from gpris.scenario import scenario_from_dict
 
 BASE_CONFIG = {
@@ -85,7 +86,7 @@ class TestSpecParsing:
 
     @pytest.mark.parametrize("kind,value", [
         ("power_sweep", math.nan), ("csit_sweep", math.inf),
-        ("convergence", -math.inf), ("mu_study", math.nan),
+        ("scalability", -math.inf), ("mu_study", math.nan),
         ("antennas_sweep", math.inf)])
     def test_sweep_values_must_be_finite(self, kind, value):
         # the stream key int(abs(value * 1024)) would fail mid-run
@@ -193,6 +194,43 @@ class TestRunExperiment:
         rows = run_experiment(small_spec(mu_min=7.0, mu_points=1, n_seeds=1,
                                          schemes=("gpi_pris",)), FAST)
         assert [(r.error, r.mu) for r in rows] == [("", 7.0)] * 2
+
+    def test_stream_ids_stay_pinned(self, monkeypatch):
+        # each kind keys its RNG streams by its index in the kind list that
+        # still held "convergence" (4), so removing that kind moved no rows
+        old = ("power_sweep", "ris_elems_sweep", "antennas_sweep",
+               "csit_sweep", "convergence", "mu_study", "scalability", "bench")
+        assert EXPERIMENT_KINDS == {kind: old.index(kind) for kind in old
+                                    if kind != "convergence"}
+        keys = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(harness.np.random, "default_rng",
+                            lambda seed: keys.append(seed) or default_rng(seed))
+        run_experiment(small_spec(kind="mu_study", sweep_values=(5.0,),
+                                  n_seeds=1, schemes=("rzf_random",)), FAST)
+        assert keys == [[BASE_CONFIG["rng_seed"], 5, 5 * 1024, 0]]
+
+    @pytest.mark.parametrize("exc,recorded", [
+        (np.linalg.LinAlgError("block 0 is not positive definite"), True),
+        (AllMuPointsFailed("every mu point failed: {0.0: 'ValueError: x'}"),
+         True),
+        (TypeError("a bug"), False), (AttributeError("a bug"), False)])
+    def test_only_stage_errors_become_row_errors(self, monkeypatch, exc,
+                                                 recorded):
+        # what the stages report is the row's error; a bug propagates
+        def fails(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_joint", fails)
+        spec = small_spec(sweep_values=(0.0,), n_seeds=1,
+                          schemes=("gpi_pris", "rzf_random"))
+        if recorded:
+            rows = run_experiment(spec, FAST)
+            assert [r.error for r in rows] == [f"{type(exc).__name__}: {exc}",
+                                               ""]
+        else:
+            with pytest.raises(type(exc), match="a bug"):
+                run_experiment(spec, FAST)
 
     def test_bench_kind_rejected(self):
         spec = small_spec(kind="bench", sweep_values=(2,))

@@ -253,7 +253,7 @@ class TestSharedFirstStage:
         # the shared first stage, then one call per later round of the lanes
         assert len(calls) == max(res.iterations.values())
 
-    def test_failed_first_stage_fails_every_mu(self, monkeypatch):
+    def test_failed_first_stage_fails_every_mu(self, monkeypatch, numpy_round):
         est, init = self._instance()
         calls = []
         original = gpris.joint.run_gpi_precoder
@@ -444,8 +444,8 @@ def digest(i):
 
 @pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
 class TestCompiledRound:
-    """With isotropic errors each round after the shared first stage is one
-    compiled call (``_kernel.Rounds``)."""
+    """With isotropic errors each round, the first one and its shared
+    precoder stage included, is one compiled call (``_kernel.Rounds``)."""
 
     PLAN = LineSearchPlan(n_points=5)
 
@@ -456,7 +456,8 @@ class TestCompiledRound:
     def test_no_numpy_stage_after_the_first(self, monkeypatch):
         est, init = self._instance()
         calls = []
-        for name in ("run_gpi_precoder", "build_ris_quadratics", "run_gpi_ris",
+        for name in ("build_precoder_quadratics", "run_gpi_precoder",
+                     "build_ris_quadratics", "run_gpi_ris",
                      "lower_bound_sum_se"):
             original = getattr(gpris.joint, name)
 
@@ -468,9 +469,29 @@ class TestCompiledRound:
         res = run_joint(est, NOP, self.PLAN, capped(4),
                         np.random.default_rng(0), init=init)
         assert max(res.iterations.values()) > 1
-        # r_sigma, then the shared first stage
-        assert calls == ["lower_bound_sum_se", "run_gpi_precoder",
-                         "build_ris_quadratics"]
+        # r_sigma alone
+        assert calls == ["lower_bound_sum_se"]
+
+    def test_failed_first_stage_fails_every_mu(self, monkeypatch):
+        # B = sum_k (h_k h_k^H + (xi_k + sigma^2/P) I) / qb_k is not positive
+        # definite at the initial phases: the shared precoder stage fails
+        # once, and every mu point with it
+        est, init = self._instance()
+
+        class FirstFails(_kernel.Rounds):
+            def __call__(self, sel, first=False):
+                if first:
+                    self.xi[sel[0]] = -NOP - 1e-9
+                return super().__call__(sel, first)
+
+        monkeypatch.setattr(_kernel, "Rounds", FirstFails)
+        with pytest.raises(RuntimeError, match="every mu point failed") as info:
+            run_joint(est, NOP, self.PLAN, capped(4),
+                      np.random.default_rng(0), init=init)
+        message = str(info.value)
+        for mu in self.PLAN.grid:
+            assert (f"{float(mu)}: 'LinAlgError: block 0 is not positive "
+                    f"definite'") in message
 
     def test_an_earlier_estimate_leaves_no_state(self):
         # each Rounds keeps its own split copies of its estimate: estimate B
@@ -517,10 +538,10 @@ class TestCompiledRound:
                 super().__init__(stack, conj_rows, err_scale, f, w, *args)
                 self.state = self.xi if poison == "xi" else w
 
-            def __call__(self, sel, shared=None):
-                if shared is None and bad in sel:
+            def __call__(self, sel, first=False):
+                if not first and bad in sel:
                     self.state[bad] = value
-                return super().__call__(sel, shared)
+                return super().__call__(sel, first)
 
         monkeypatch.setattr(_kernel, "Rounds", Poisoned)
         res = run_joint(est, NOP, self.PLAN, settings,

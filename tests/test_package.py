@@ -194,6 +194,30 @@ def test_kernel_source_compiles_without_warnings(src, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_C_COMMENT = re.compile(r"/\*.*?\*/", re.S)
+# a macro, or a function defined or declared at file scope (its return type
+# starts the line)
+_C_NAMES = re.compile(r"^#define (\w+)|^[A-Za-z][\w *]*?\b(?!__)(\w+)\(",
+                      re.M)
+
+
+def test_shared_header_names_are_all_used():
+    # -Wunused-function cannot see the helpers of _loops.h, which every C
+    # file includes: each of its macros, functions and prototypes must be
+    # used by some C file of the library, not counting a definition's head
+    header = _C_COMMENT.sub("", (_kernel._DIR / "_loops.h").read_text())
+    names = {a or b for a, b in _C_NAMES.findall(header)}
+    code = []
+    for src in _kernel._SOURCES:
+        if src.suffix == ".c":
+            text = _C_COMMENT.sub("", src.read_text())
+            code.append(re.sub(r"^(?:int|long) \w+\(", "(", text, flags=re.M))
+    assert "take" in names and "TRI" in names
+    unused = [name for name in sorted(names)
+              if not any(re.search(rf"\b{name}\b", c) for c in code)]
+    assert unused == []
+
+
 # a C definition at file scope: return type, name, parameter list, body
 _C_EXPORT = re.compile(r"^(int|long) (gpris_\w+)\(([^)]*)\)\s*\{", re.M)
 _C_TYPES = {"int": ctypes.c_int, "long": ctypes.c_long,
