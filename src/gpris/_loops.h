@@ -21,6 +21,49 @@ static inline void st(double *p, vd v)
     memcpy(p, &v, sizeof v);
 }
 
+/* n rounded up to whole strips */
+#define PAD(n) (((size_t)(n) + W - 1) / W * W)
+
+/* the lanes' bits as integers, and the lanes of a where m is set, else b's */
+typedef int64_t vi __attribute__((vector_size(W * sizeof(double))));
+typedef uint64_t vu __attribute__((vector_size(W * sizeof(double))));
+
+static inline vd pick(vi m, vd a, vd b)
+{
+    return (vd)((m & (vi)a) | (~m & (vi)b));
+}
+
+/* e^x of a strip, within 1 ulp of glibc's exp (tests/test_package.py
+ * measures it), and as glibc's on NaN, +-inf, overflow and underflow.
+ * Cody-Waite: x = k ln2 + r with |r| <= ln2/2, ln2 in two parts so that
+ * x - k ln2_hi is exact, then fdlibm's e_exp.c approximation of e^r,
+ * 1 - ((lo - r c / (2 - c)) - hi) with c = r - r^2 P(r^2), and the scaling
+ * by 2^k in two exact halves 2^(k/2) 2^(k - k/2), so that a subnormal or
+ * infinite result is rounded once.  x is clamped to [-746, 710] first,
+ * which moves no result: e^x is 0 below and inf above at that precision. */
+static inline vd vexp(vd x)
+{
+    const double shift = 0x1.8p52;  /* adding it rounds to an integer */
+    const double p1 = 0x1.555555555553ep-3, p2 = -0x1.6c16c16bebd93p-9;
+    const double p3 = 0x1.1566aaf25de2cp-14, p4 = -0x1.bbd41c5d26bf1p-20;
+    const double p5 = 0x1.6376972bea4d0p-25;
+    x = pick(x > 710.0, (vd){0} + 710.0, x);
+    x = pick(x < -746.0, (vd){0} - 746.0, x);
+    const vd t = x * 0x1.71547652b82fep0 + shift;  /* k + shift */
+    const vd k = t - shift;
+    const vd hi = x - k * 0x1.62e42feep-1;
+    const vd lo = k * 0x1.a39ef35793c76p-33;
+    const vd r = hi - lo, r2 = r * r;
+    const vd c = r - r2 * (p1 + r2 * (p2 + r2 * (p3 + r2 * (p4 + r2 * p5))));
+    const vd y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    /* k from the low bits of t, as a two's complement (NaN's lanes carry
+     * junk, and stay NaN); the exponent fields of 2^(k/2) and 2^(k - k/2) */
+    const vu ki = (vu)t - (vu)((vd){0} + shift), half = (vu)((vi)ki >> 1);
+    const vd s1 = (vd)((half + 1023) << 52);
+    const vd s2 = (vd)((ki - half + 1023) << 52);
+    return y * s1 * s2;
+}
+
 /* offset of row a of a packed lower triangle */
 #define TRI(a) ((size_t)(a) * ((size_t)(a) + 1) / 2)
 

@@ -28,16 +28,20 @@
  *   step           the last step the loop took, the smaller of
  *                  ||f_t - f_{t-1}|| and ||f_t + f_{t-1}||; left as it was
  *                  when it took none
- *   work           gpris_precoder_loop_work(K, N) doubles of scratch
+ *   work           gpris_precoder_loop_work(K, N) doubles of scratch,
+ *                  zeroed (see below)
  * and the return value is the iteration count, negative on failure.
  *
  * The lane's h and f are first copied into scratch with real and imaginary
- * parts split, so every inner loop runs over independent outputs
- * (the rows of a matvec, of a Cholesky column, or of all 2K right-hand sides
- * of a triangular solve) and each output keeps its accumulation order.
- * "ivdep" tells gcc that such a loop's outputs never alias its inputs, so
- * it vectorizes the loop without a run-time overlap check; it licenses no
- * reassociation.
+ * parts split and each row of N entries padded to whole strips of W = 8.
+ * The sums of B's columns (over the users), of the Cholesky columns (over
+ * the earlier columns) and of each row of the triangular solves (over the
+ * earlier rows, for all 2K right-hand sides, padded to whole strips too)
+ * are held in registers a strip at a time and stored once, and every
+ * output keeps its accumulation order.  The strips run over padding as
+ * well, which the caller zeroes and no output reads: B's column b and the
+ * factor's column j from the strip that holds their diagonal, where the
+ * entries above it are left as the strip computed them, to the padded N.
  */
 #include <math.h>
 
@@ -58,18 +62,18 @@ struct image {
 static size_t carve(int k_users, int n, double *work, struct lane *ln,
                     struct image *im)
 {
-    const size_t k = (size_t)k_users, nn = (size_t)n;
+    const size_t k = (size_t)k_users, nn = (size_t)n, np = PAD(n);
     struct carver c = carver(work);
-    ln->hr = take(&c, k * nn);  /* (K, N) */
-    ln->hi = take(&c, k * nn);
-    ln->fr = take(&c, k * nn);  /* (K, N) */
-    ln->fi = take(&c, k * nn);
+    ln->hr = take(&c, k * np);  /* (K, N) rows padded to np */
+    ln->hi = take(&c, k * np);
+    ln->fr = take(&c, k * np);  /* (K, N) likewise */
+    ln->fi = take(&c, k * np);
     im->tr = take(&c, k * k);  /* (K, K): t_kj = h_k^H f_j */
     im->ti = take(&c, k * k);
-    im->br = take(&c, nn * nn);  /* B, then its factor, by columns */
-    im->bi = take(&c, nn * nn);
-    im->vr = take(&c, nn * 2 * k);  /* (N, 2K): the y_j, then the z_j */
-    im->vi = take(&c, nn * 2 * k);
+    im->br = take(&c, nn * np);  /* B, then its factor, by padded columns */
+    im->bi = take(&c, nn * np);
+    im->vr = take(&c, nn * PAD(2 * k));  /* (N, 2K): the y_j, then the z_j */
+    im->vi = take(&c, nn * PAD(2 * k));
     im->outr = take(&c, k * nn);  /* (K, N) the image */
     im->outi = take(&c, k * nn);
     im->qa = take(&c, k);
@@ -92,8 +96,8 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
                           const struct image *im, double noise_over_p,
                           int *restrict block)
 {
-    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
-    const size_t r2 = 2 * k;  /* right-hand sides per row of v */
+    const size_t k = (size_t)k_users, nn = (size_t)n, np = PAD(n);
+    const size_t rs = PAD(2 * k);  /* the row stride of v */
     const double *restrict fr = ln->fr;
     const double *restrict fi = ln->fi;
     const double *restrict hr = ln->hr;
@@ -110,16 +114,17 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
     double *restrict vr = im->vr;
     double *restrict vi = im->vi;
     double power = 0.0;
-    for (size_t i = 0; i < kn; ++i) {
-        power += fr[i] * fr[i];
-        power += fi[i] * fi[i];
-    }
+    for (size_t kk = 0; kk < k; ++kk)
+        for (size_t a = kk * np; a < kk * np + nn; ++a) {
+            power += fr[a] * fr[a];
+            power += fi[a] * fi[a];
+        }
     /* the products t_kj = h_k^H f_j serve both the quadratic forms and A f */
     for (size_t kk = 0; kk < k; ++kk) {
-        const double *hkr = hr + kk * nn, *hki = hi + kk * nn;
+        const double *hkr = hr + kk * np, *hki = hi + kk * np;
         double acc = 0.0;
         for (size_t j = 0; j < k; ++j) {
-            const double *fjr = fr + j * nn, *fji = fi + j * nn;
+            const double *fjr = fr + j * np, *fji = fi + j * np;
             double t_re = 0.0, t_im = 0.0;
             for (size_t a = 0; a < nn; ++a) {
                 t_re += hkr[a] * fjr[a] + hki[a] * fji[a];
@@ -146,137 +151,116 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
         diag_a += (xi[kk] + noise_over_p) * iqa[kk];
         diag_b += (xi[kk] + noise_over_p) * iqb[kk];
     }
-    /* right-hand sides lambda A f_j (columns j of v), and h_j (K + j) */
-    double *restrict sr = im->outr;  /* the image is not formed yet */
-    double *restrict si = im->outi;
-    for (size_t j = 0; j < k; ++j) {
-        for (size_t a = 0; a < nn; ++a) {
-            sr[a] = 0.0;
-            si[a] = 0.0;
-        }
-        for (size_t kk = 0; kk < k; ++kk) {
-            /* h_k t_kj / qa_k */
-            const double *restrict hkr = hr + kk * nn;
-            const double *restrict hki = hi + kk * nn;
-            const double cr = tr[kk * k + j] * iqa[kk];
-            const double ci = ti[kk * k + j] * iqa[kk];
-            #pragma GCC ivdep
-            for (size_t a = 0; a < nn; ++a) {
-                sr[a] += hkr[a] * cr - hki[a] * ci;
-                si[a] += hkr[a] * ci + hki[a] * cr;
+    /* right-hand sides lambda A f_j (columns j of v), and h_j (K + j):
+     * a strip of rows, each summing h_k t_kj / qa_k over the users */
+    for (size_t j = 0; j < k; ++j)
+        for (size_t a0 = 0; a0 < nn; a0 += W) {
+            vd sr = {0}, si = {0};
+            for (size_t kk = 0; kk < k; ++kk) {
+                const double cr = tr[kk * k + j] * iqa[kk];
+                const double ci = ti[kk * k + j] * iqa[kk];
+                const vd hkr = ld(hr + kk * np + a0);
+                const vd hki = ld(hi + kk * np + a0);
+                sr += hkr * cr - hki * ci;
+                si += hkr * ci + hki * cr;
+            }
+            sr = prod * (sr + diag_a * ld(fr + j * np + a0));
+            si = prod * (si + diag_a * ld(fi + j * np + a0));
+            for (size_t a = a0; a < nn && a < a0 + W; ++a) {
+                vr[a * rs + j] = sr[a - a0];
+                vi[a * rs + j] = si[a - a0];
+                vr[a * rs + k + j] = hr[j * np + a];
+                vi[a * rs + k + j] = hi[j * np + a];
             }
         }
-        #pragma GCC ivdep
-        for (size_t a = 0; a < nn; ++a) {
-            vr[a * r2 + j] = prod * (sr[a] + diag_a * fr[j * nn + a]);
-            vi[a * r2 + j] = prod * (si[a] + diag_a * fi[j * nn + a]);
-            vr[a * r2 + k + j] = hr[j * nn + a];
-            vi[a * r2 + k + j] = hi[j * nn + a];
-        }
-    }
-    /* lower triangle of B by columns, then its Cholesky factor in place */
-    for (size_t b = 0; b < nn; ++b) {
-        double *restrict cr = br + b * nn;
-        double *restrict ci = bi + b * nn;
-        for (size_t a = b; a < nn; ++a) {
-            cr[a] = 0.0;
-            ci[a] = 0.0;
-        }
-        for (size_t kk = 0; kk < k; ++kk) {
-            /* h_k conj(h_k[b]) / qb_k */
-            const double *restrict hkr = hr + kk * nn;
-            const double *restrict hki = hi + kk * nn;
-            const double wr = hkr[b] * iqb[kk], wi = -(hki[b] * iqb[kk]);
-            #pragma GCC ivdep
-            for (size_t a = b; a < nn; ++a) {
-                cr[a] += hkr[a] * wr - hki[a] * wi;
-                ci[a] += hkr[a] * wi + hki[a] * wr;
+    /* lower triangle of B by columns: column b, a strip of rows at a time,
+     * each summing h_k conj(h_k[b]) / qb_k over the users */
+    for (size_t b = 0; b < nn; ++b)
+        for (size_t a0 = b / W * W; a0 < np; a0 += W) {
+            vd xr = {0}, xq = {0};
+            for (size_t kk = 0; kk < k; ++kk) {
+                const double wr = hr[kk * np + b] * iqb[kk];
+                const double wi = -(hi[kk * np + b] * iqb[kk]);
+                const vd hkr = ld(hr + kk * np + a0);
+                const vd hki = ld(hi + kk * np + a0);
+                xr += hkr * wr - hki * wi;
+                xq += hkr * wi + hki * wr;
             }
+            if (a0 <= b)
+                xr[b - a0] += diag_b;
+            st(br + b * np + a0, xr);
+            st(bi + b * np + a0, xq);
         }
-        cr[b] += diag_b;
-    }
+    /* its Cholesky factor in place, left-looking: column j takes
+     * l[i,j] = (b[i,j] - sum_p l[i,p] conj(l[j,p])) / l[j,j] for i > j, and
+     * in its first strip the same sum gives l[j,j]^2 */
     for (size_t j = 0; j < nn; ++j) {
-        double *restrict cr = br + j * nn;
-        double *restrict ci = bi + j * nn;
-        double d = cr[j];
-        for (size_t p = 0; p < j; ++p) {
-            const double ljr = br[p * nn + j], lji = bi[p * nn + j];
-            d -= ljr * ljr + lji * lji;
-        }
-        /* Bbar_k lies below B, so every block fails with it */
-        if (!(d > 0.0)) {
-            *block = 0;
-            return 0;
-        }
-        d = sqrt(d);
-        cr[j] = d;
-        ci[j] = 0.0;
-        for (size_t p = 0; p < j; ++p) {
-            /* l[i,j] -= l[i,p] * conj(l[j,p]) for i > j */
-            const double *restrict pr = br + p * nn;
-            const double *restrict pi = bi + p * nn;
-            const double ljr = pr[j], lji = pi[j];
-            #pragma GCC ivdep
-            for (size_t i = j + 1; i < nn; ++i) {
-                cr[i] -= pr[i] * ljr + pi[i] * lji;
-                ci[i] -= pi[i] * ljr - pr[i] * lji;
+        double d = 0.0;
+        for (size_t i0 = j / W * W; i0 < np; i0 += W) {
+            vd xr = ld(br + j * np + i0), xq = ld(bi + j * np + i0);
+            for (size_t p = 0; p < j; ++p) {
+                const double ljr = br[p * np + j], lji = bi[p * np + j];
+                const vd pr = ld(br + p * np + i0), pi = ld(bi + p * np + i0);
+                xr -= pr * ljr + pi * lji;
+                xq -= pi * ljr - pr * lji;
             }
-        }
-        #pragma GCC ivdep
-        for (size_t i = j + 1; i < nn; ++i) {
-            cr[i] = cr[i] / d;
-            ci[i] = ci[i] / d;
+            if (i0 <= j) {
+                d = xr[j - i0];
+                /* Bbar_k lies below B, so every block fails with it */
+                if (!(d > 0.0)) {
+                    *block = 0;
+                    return 0;
+                }
+                d = sqrt(d);
+            }
+            xr = xr / d;
+            xq = xq / d;
+            if (i0 <= j) {
+                xr[j - i0] = d;
+                xq[j - i0] = 0.0;
+            }
+            st(br + j * np + i0, xr);
+            st(bi + j * np + i0, xq);
         }
     }
-    /* all 2K right-hand sides through B^-1 = L^-H L^-1 in one pass */
+    /* all 2K right-hand sides through B^-1 = L^-H L^-1, a strip of them at
+     * a time: row i of L y = v, then row i of L^H z = y from the last */
     for (size_t i = 0; i < nn; ++i) {
-        double *restrict ar = vr + i * r2;
-        double *restrict ai = vi + i * r2;
-        for (size_t p = 0; p < i; ++p) {
-            const double lr = br[p * nn + i], li = bi[p * nn + i];
-            const double *restrict pr = vr + p * r2;
-            const double *restrict pi = vi + p * r2;
-            #pragma GCC ivdep
-            for (size_t r = 0; r < r2; ++r) {
-                ar[r] -= lr * pr[r] - li * pi[r];
-                ai[r] -= lr * pi[r] + li * pr[r];
+        const double d = br[i * np + i];
+        for (size_t r = 0; r < rs; r += W) {
+            vd xr = ld(vr + i * rs + r), xq = ld(vi + i * rs + r);
+            for (size_t p = 0; p < i; ++p) {
+                const double lr = br[p * np + i], li = bi[p * np + i];
+                const vd pr = ld(vr + p * rs + r), pi = ld(vi + p * rs + r);
+                xr -= lr * pr - li * pi;
+                xq -= lr * pi + li * pr;
             }
-        }
-        const double d = br[i * nn + i];
-        #pragma GCC ivdep
-        for (size_t r = 0; r < r2; ++r) {
-            ar[r] = ar[r] / d;
-            ai[r] = ai[r] / d;
+            st(vr + i * rs + r, xr / d);
+            st(vi + i * rs + r, xq / d);
         }
     }
     for (size_t i = nn; i-- > 0;) {
-        double *restrict ar = vr + i * r2;
-        double *restrict ai = vi + i * r2;
-        for (size_t p = i + 1; p < nn; ++p) {
-            /* acc -= conj(l[p,i]) * v[p] */
-            const double lr = br[i * nn + p], li = bi[i * nn + p];
-            const double *restrict pr = vr + p * r2;
-            const double *restrict pi = vi + p * r2;
-            #pragma GCC ivdep
-            for (size_t r = 0; r < r2; ++r) {
-                ar[r] -= lr * pr[r] + li * pi[r];
-                ai[r] -= lr * pi[r] - li * pr[r];
+        const double d = br[i * np + i];
+        for (size_t r = 0; r < rs; r += W) {
+            vd xr = ld(vr + i * rs + r), xq = ld(vi + i * rs + r);
+            for (size_t p = i + 1; p < nn; ++p) {
+                /* acc -= conj(l[p,i]) * v[p] */
+                const double lr = br[i * np + p], li = bi[i * np + p];
+                const vd pr = ld(vr + p * rs + r), pi = ld(vi + p * rs + r);
+                xr -= lr * pr + li * pi;
+                xq -= lr * pi - li * pr;
             }
-        }
-        const double d = br[i * nn + i];
-        #pragma GCC ivdep
-        for (size_t r = 0; r < r2; ++r) {
-            ar[r] = ar[r] / d;
-            ai[r] = ai[r] / d;
+            st(vr + i * rs + r, xr / d);
+            st(vi + i * rs + r, xq / d);
         }
     }
     /* Sherman-Morrison: x_j = y_j + z_j (h_j^H y_j) / s_j */
     for (size_t j = 0; j < k; ++j) {
-        const double *hjr = hr + j * nn, *hji = hi + j * nn;
+        const double *hjr = hr + j * np, *hji = hi + j * np;
         double hyr = 0.0, hyi = 0.0, hz = 0.0;
         for (size_t a = 0; a < nn; ++a) {
-            const double yr = vr[a * r2 + j], yi = vi[a * r2 + j];
-            const double zr = vr[a * r2 + k + j], zi = vi[a * r2 + k + j];
+            const double yr = vr[a * rs + j], yi = vi[a * rs + j];
+            const double zr = vr[a * rs + k + j], zi = vi[a * rs + k + j];
             hyr += hjr[a] * yr + hji[a] * yi;
             hyi += hjr[a] * yi - hji[a] * yr;
             hz += hjr[a] * zr + hji[a] * zi;
@@ -287,11 +271,13 @@ static int precoder_image(int k_users, int n, const struct lane *ln,
             return 0;
         }
         const double cr = hyr / s, ci = hyi / s;
+        /* ivdep: the outputs never alias the inputs, so gcc vectorizes the
+         * loop without a run-time overlap check (no reassociation) */
         #pragma GCC ivdep
         for (size_t a = 0; a < nn; ++a) {
-            const double zr = vr[a * r2 + k + j], zi = vi[a * r2 + k + j];
-            im->outr[j * nn + a] = vr[a * r2 + j] + (zr * cr - zi * ci);
-            im->outi[j * nn + a] = vi[a * r2 + j] + (zr * ci + zi * cr);
+            const double zr = vr[a * rs + k + j], zi = vi[a * rs + k + j];
+            im->outr[j * nn + a] = vr[a * rs + j] + (zr * cr - zi * ci);
+            im->outi[j * nn + a] = vi[a * rs + j] + (zr * ci + zi * cr);
         }
     }
     return 1;
@@ -305,7 +291,8 @@ int gpris_precoder_loop(int k_users, int n, const double *restrict h,
                         int *restrict block, double *restrict step,
                         double *restrict work)
 {
-    const size_t kn = (size_t)k_users * (size_t)n;
+    const size_t k = (size_t)k_users, nn = (size_t)n, kn = k * nn;
+    const size_t np = PAD(n);  /* the padded rows of the split h and f */
     struct lane ln;
     struct image im;
     carve(k_users, n, work, &ln, &im);
@@ -314,12 +301,13 @@ int gpris_precoder_loop(int k_users, int n, const double *restrict h,
     double *restrict fi = ln.fi;
     const double *restrict xr = im.outr;
     const double *restrict xim = im.outi;
-    for (size_t i = 0; i < kn; ++i) {
-        ln.hr[i] = h[2 * i];
-        ln.hi[i] = h[2 * i + 1];
-        fr[i] = f[2 * i];
-        fi[i] = f[2 * i + 1];
-    }
+    for (size_t j = 0, i = 0; j < k; ++j)
+        for (size_t a = j * np; a < j * np + nn; ++a, ++i) {
+            ln.hr[a] = h[2 * i];
+            ln.hi[a] = h[2 * i + 1];
+            fr[a] = f[2 * i];
+            fi[a] = f[2 * i + 1];
+        }
     *block = -1;
     int iters = 0;
     for (int it = 0; it < max_iters; ++it) {
@@ -336,22 +324,24 @@ int gpris_precoder_loop(int k_users, int n, const double *restrict h,
         const double inv_nrm = 1.0 / sqrt(nrm);
         /* the step, minimized over the +-f sign ambiguity */
         double minus = 0.0, plus = 0.0;
-        for (size_t i = 0; i < kn; ++i) {
-            const double v = xr[i] * inv_nrm, w = xim[i] * inv_nrm;
-            minus += (v - fr[i]) * (v - fr[i]);
-            plus += (v + fr[i]) * (v + fr[i]);
-            minus += (w - fi[i]) * (w - fi[i]);
-            plus += (w + fi[i]) * (w + fi[i]);
-            fr[i] = v;
-            fi[i] = w;
-        }
+        for (size_t j = 0, i = 0; j < k; ++j)
+            for (size_t a = j * np; a < j * np + nn; ++a, ++i) {
+                const double v = xr[i] * inv_nrm, w = xim[i] * inv_nrm;
+                minus += (v - fr[a]) * (v - fr[a]);
+                plus += (v + fr[a]) * (v + fr[a]);
+                minus += (w - fi[a]) * (w - fi[a]);
+                plus += (w + fi[a]) * (w + fi[a]);
+                fr[a] = v;
+                fi[a] = w;
+            }
         *step = sqrt(minus < plus ? minus : plus);
         if (*step <= tol)
             break;
     }
-    for (size_t i = 0; i < kn; ++i) {
-        f[2 * i] = fr[i];
-        f[2 * i + 1] = fi[i];
-    }
+    for (size_t j = 0, i = 0; j < k; ++j)
+        for (size_t a = j * np; a < j * np + nn; ++a, ++i) {
+            f[2 * i] = fr[a];
+            f[2 * i + 1] = fi[a];
+        }
     return iters;
 }

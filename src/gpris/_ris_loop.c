@@ -57,19 +57,21 @@
  * Cbar w and Dbar run over strips of 8 columns whose sums (over b, over a,
  * over the users) stay in registers and are stored once.  A strip runs
  * over padding columns as well, which nothing else touches (the caller
- * zeroes the scratch, so they hold no stray bits) and nothing reads.  The
- * Cholesky, the solves and every per-lane reduction (the quadratic forms
- * over a lane's blocks, the penalty max/min and exp sums, the norm and the
- * step) run over the occupied columns alone, a lane's reductions over its
- * own columns in the order of a lone lane.  So no reduction is
- * reassociated, and each lane's w, count and step are bit for bit those of
+ * zeroes the scratch, so they hold no stray bits) and nothing reads.  So
+ * does the penalty (see penalty below), whose max, min and exp sums are
+ * each column's over the rows, then a lane's over its columns in order.
+ * The Cholesky, the solves and every other per-lane reduction (the
+ * quadratic forms over a lane's blocks, the norm and the step) run over the
+ * occupied columns alone, a lane's reductions over its own columns in the
+ * order of a lone lane.  So a lane's reductions run in an order set by L
+ * and M alone, and each lane's w, count and step are bit for bit those of
  * a one-lane call, whatever G and its neighbours.  The slot arrays:
  *   ct             (K, M, M, S) C_k by columns, ct[k][b][a][x] = C_kl[a, b]
  *   d              (K, T, S) lower triangles of D_k = C_k - u_k u_k^H, rows
  *                  packed (T = M(M+1)/2 entries per block)
  *   us, ws         (K, M, S) and (M, S)
  * and the image's, (K, M, S) for the matvecs, (T, S) for Dbar and (M, S),
- * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 7)M + 2K + 3) doubles
+ * (K, S) or (S) for the rest: S((3K + 1)M^2 + (5K + 7)M + 2K + 8) doubles
  * in all (each array rounded up to 8).  That is 7.0 MB at K=4, L=2, M=64
  * (G=8, S=16), 3.5 MB for one lane there (S=8) and 0.27 MB at K=4, L=8,
  * M=8 (G=4), and all a call needs: a fill writes its lane into the slot,
@@ -87,14 +89,14 @@ struct group {
 
 struct image {
     double *qc, *qd, *ycr, *yci, *cwr, *cwi, *exc, *exd, *dbr, *dbi, *sr, *tr,
-        *ti;
+        *ti, *mu, *xmax, *xmin, *zc, *zd;
 };
 
 /* The row stride S of the slot arrays: the group's G*L columns, rounded up
  * to whole strips. */
 static size_t stride(int g_slots, int l_ris)
 {
-    return ((size_t)g_slots * (size_t)l_ris + W - 1) / W * W;
+    return PAD((size_t)g_slots * (size_t)l_ris);
 }
 
 /* Lay out both in the scratch (when given); returns the doubles it needs. */
@@ -126,6 +128,11 @@ static size_t carve(int g_slots, int k_users, int m, int l_ris, double *work,
     im->sr = take(&c, s);
     im->tr = take(&c, s);
     im->ti = take(&c, s);
+    im->mu = take(&c, s);  /* the penalty's, each column its slot's */
+    im->xmax = take(&c, s);
+    im->xmin = take(&c, s);
+    im->zc = take(&c, s);
+    im->zd = take(&c, s);
     return c.used + 7;
 }
 
@@ -285,6 +292,132 @@ static void strip_cbar_dbar(int k_users, size_t mm, size_t s, size_t nv,
             }
 }
 
+/* whether a strip of columns holds a slot with mu > 0 */
+static int penalized(const double *mu)
+{
+    int any = 0;
+    for (size_t t = 0; t < W; ++t)
+        any |= mu[t] > 0.0;
+    return any;
+}
+
+/* The diagonal shifts of the first n slots in exc and exd: each column's
+ * noise terms, `noise` = noise_over_p / (r_sigma ln 2) times its slot's
+ * sums over the users of 1/(w^H C_k w) and 1/(w^H D_k w), and the penalty,
+ * mu / tau times softmax(-|w_i|^2 / alpha2) and softmax(alpha1 |w_i|^2)
+ * over the slot's entries.  The penalty runs over strips of W columns, each
+ * column with its own slot's mu, xmin and xmax, and only in the strips that
+ * hold a slot with mu > 0: a slot with mu = 0 computes no exp.  Each
+ * column's max, min and sums run over the rows in order, and a slot's over
+ * its columns in order, so they depend on L and M alone; the max and min
+ * are exact in any order.  Kept out of line: inlined into ris_image, it
+ * slowed the mu = 0 image by about 1 % at G = 1, L = 8 and 16. */
+static __attribute__((noinline)) void
+penalty(int k_users, size_t mm, size_t s, int n_slots, size_t l,
+        const struct group *gr, const struct image *im, double noise,
+        double tau, const double *mu, double alpha1, double alpha2)
+{
+    const size_t nw = (size_t)n_slots * l, nv = PAD(nw);
+    int any = 0;
+    for (int g = 0; g < n_slots; ++g)
+        any |= mu[g] > 0.0;
+    if (any) {
+        for (int g = 0; g < n_slots; ++g)
+            for (size_t x = (size_t)g * l; x < (size_t)(g + 1) * l; ++x)
+                im->mu[x] = mu[g];
+        for (size_t x = nw; x < nv; ++x)
+            im->mu[x] = 0.0;
+        /* each column's max and min, then its slot's in their place */
+        for (size_t x = 0; x < nv; x += W) {
+            if (!penalized(im->mu + x))
+                continue;
+            vd hi = (vd){0} - 1.0e300, lo = (vd){0} + 1.0e300;
+            for (size_t i = x; i < mm * s; i += s) {
+                const vd wr = ld(gr->wr + i), wi = ld(gr->wi + i);
+                const vd xi = wr * wr + wi * wi;
+                hi = pick(xi > hi, xi, hi);
+                lo = pick(xi < lo, xi, lo);
+            }
+            st(im->xmax + x, hi);
+            st(im->xmin + x, lo);
+        }
+        for (size_t o = 0; o < nw; o += l) {
+            if (!(im->mu[o] > 0.0))
+                continue;
+            double xmax = -1.0e300, xmin = 1.0e300;
+            for (size_t x = o; x < o + l; ++x) {
+                if (im->xmax[x] > xmax)
+                    xmax = im->xmax[x];
+                if (im->xmin[x] < xmin)
+                    xmin = im->xmin[x];
+            }
+            for (size_t x = o; x < o + l; ++x) {
+                im->xmax[x] = xmax;
+                im->xmin[x] = xmin;
+            }
+        }
+        /* the exps and each column's sums of them, then its slot's
+         * mu / (tau z) in their place */
+        for (size_t x = 0; x < nv; x += W) {
+            if (!penalized(im->mu + x))
+                continue;
+            const vd xmax = ld(im->xmax + x), xmin = ld(im->xmin + x);
+            vd zc = {0}, zd = {0};
+            for (size_t a = 0; a < mm; ++a) {
+                const size_t i = a * s + x;
+                const vd wr = ld(gr->wr + i), wi = ld(gr->wi + i);
+                const vd xi = wr * wr + wi * wi;
+                const vd ec = vexp(-(xi - xmin) / alpha2);
+                const vd ed = vexp(alpha1 * (xi - xmax));
+                st(im->exc + i, ec);
+                st(im->exd + i, ed);
+                zc += ec;
+                zd += ed;
+            }
+            st(im->zc + x, zc);
+            st(im->zd + x, zd);
+        }
+        for (size_t o = 0; o < nw; o += l) {
+            const double m = im->mu[o];
+            if (!(m > 0.0))
+                continue;
+            double zc = 0.0, zd = 0.0;
+            for (size_t x = o; x < o + l; ++x) {
+                zc += im->zc[x];
+                zd += im->zd[x];
+            }
+            const double pen_c = m / (tau * zc), pen_d = m / (tau * zd);
+            for (size_t x = o; x < o + l; ++x) {
+                im->zc[x] = pen_c;
+                im->zd[x] = pen_d;
+            }
+        }
+    }
+    for (size_t x = 0; x < nv; x += W) {
+        vd dc = {0}, dd = {0};
+        for (int kk = 0; kk < k_users; ++kk) {
+            dc += ld(im->qc + (size_t)kk * s + x);
+            dd += ld(im->qd + (size_t)kk * s + x);
+        }
+        dc = noise * dc;
+        dd = noise * dd;
+        if (!any || !penalized(im->mu + x)) {
+            for (size_t a = 0; a < mm; ++a) {
+                st(im->exc + a * s + x, dc);
+                st(im->exd + a * s + x, dd);
+            }
+            continue;
+        }
+        const vi on = ld(im->mu + x) > 0.0;
+        const vd pc = ld(im->zc + x), pd = ld(im->zd + x);
+        for (size_t a = 0; a < mm; ++a) {
+            const size_t i = a * s + x;
+            st(im->exc + i, pick(on, dc + pc * ld(im->exc + i), dc));
+            st(im->exd + i, pick(on, dd + pd * ld(im->exd + i), dd));
+        }
+    }
+}
+
 /* Image Dbar(w)^-1 Cbar(w) w of the iterates of the first n slots,
  * unnormalized, left in im->cwr / im->cwi; ok[g] is cleared when a
  * denominator block of slot g is not positive definite (that slot's
@@ -298,19 +431,15 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
     const size_t l = (size_t)l_ris, mm = (size_t)m, nw = (size_t)n_slots * l;
     const size_t ms = mm * s;
     const double tau = 1.0 / (double)(l_ris * m);
-    /* a slot's entries, row by row; one run when it fills the rows */
-    const size_t lrows = s == l ? 1 : mm, lcols = s == l ? ms : l;
     /* the products run over whole strips: the idle and padding columns up
      * to the last strip's end are computed as well, and nothing reads them */
-    const size_t nv = (nw + W - 1) / W * W;
+    const size_t nv = PAD(nw);
     const double *restrict wr = gr->wr;
     const double *restrict wi = gr->wi;
     double *restrict qc = im->qc;
     double *restrict qd = im->qd;
     double *restrict cwr = im->cwr;
     double *restrict cwi = im->cwi;
-    double *restrict exc = im->exc;
-    double *restrict exd = im->exd;
     double *restrict dbr = im->dbr;
     double *restrict dbi = im->dbi;
     double *restrict sr = im->sr;
@@ -344,56 +473,8 @@ static void ris_image(int k_users, int m, int l_ris, int n_slots, size_t s,
             }
         }
     }
-    /* each slot's diagonal shifts: the noise terms and the penalty
-     * softmax(-|w_i|^2 / alpha2) and softmax(alpha1 |w_i|^2) */
-    for (size_t g = 0; g < (size_t)n_slots; ++g) {
-        const size_t o = g * l;
-        double sum_inv_c = 0.0;
-        double sum_inv_d = 0.0;
-        for (int kk = 0; kk < k_users; ++kk) {
-            sum_inv_c += qc[(size_t)kk * s + o];
-            sum_inv_d += qd[(size_t)kk * s + o];
-        }
-        const double diag_c = inv_rs_ln2 * noise_over_p * sum_inv_c;
-        const double diag_d = inv_rs_ln2 * noise_over_p * sum_inv_d;
-        if (mu[g] > 0.0) {
-            double xmax = -1.0e300;
-            double xmin = 1.0e300;
-            for (size_t r = 0; r < lrows; ++r)
-                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
-                    double xi = wr[i] * wr[i] + wi[i] * wi[i];
-                    if (xi > xmax)
-                        xmax = xi;
-                    if (xi < xmin)
-                        xmin = xi;
-                }
-            double zc = 0.0;
-            double zd = 0.0;
-            for (size_t r = 0; r < lrows; ++r)
-                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
-                    double xi = wr[i] * wr[i] + wi[i] * wi[i];
-                    double ec = exp(-(xi - xmin) / alpha2);
-                    double ed = exp(alpha1 * (xi - xmax));
-                    exc[i] = ec;
-                    exd[i] = ed;
-                    zc += ec;
-                    zd += ed;
-                }
-            const double pen_c = mu[g] / (tau * zc);
-            const double pen_d = mu[g] / (tau * zd);
-            for (size_t r = 0; r < lrows; ++r)
-                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
-                    exc[i] = diag_c + pen_c * exc[i];
-                    exd[i] = diag_d + pen_d * exd[i];
-                }
-        } else {
-            for (size_t r = 0; r < lrows; ++r)
-                for (size_t i = r * s + o; i < r * s + o + lcols; ++i) {
-                    exc[i] = diag_c;
-                    exd[i] = diag_d;
-                }
-        }
-    }
+    penalty(k_users, mm, s, n_slots, l, gr, im, inv_rs_ln2 * noise_over_p,
+            tau, mu, alpha1, alpha2);
     /* the image Cbar w from the cached matvecs, and the lower triangles of
      * the Dbar blocks for the solve, the diagonal shifts folded into both */
     strip_cbar_dbar(k_users, mm, s, nv, gr, im, inv_rs_ln2);

@@ -52,7 +52,8 @@
  * splits stack and conj_rows once per run_joint; a round only reads them.
  * Every product's sum (over the N or LM columns, over the users) is held in
  * registers for a strip of W = 8 rows and stored once, in the order of a
- * plain loop.
+ * plain loop; G-hat's K columns are formed in one pass over each strip of
+ * conj_rows.
  */
 #include <math.h>
 #include <time.h>
@@ -125,32 +126,73 @@ static void split(size_t n, const double *x, double *restrict xr,
     }
 }
 
-/* y = A x for A held by columns, each row's sum over the columns in order */
-static void matvec(size_t rows, size_t cols, const double *restrict ar,
-                   const double *restrict ai, const double *restrict xr,
-                   const double *restrict xi, double *restrict yr,
-                   double *restrict yi)
+/* Rows r to r + n (n <= W) of Y = A X for the nx <= XG columns of X from
+ * x (at stride xs) into the columns of Y from y (at stride ys): each
+ * entry's sum over the columns c of A in order, held in a register, so the
+ * strip of A is read once for all of them.  Past the last row of A the
+ * strip reads zeros. */
+#define XG 4
+static inline __attribute__((always_inline)) void
+matmul_strip(size_t nx, size_t n, size_t r, size_t rows, size_t cols,
+             const double *restrict ar, const double *restrict ai,
+             const double *restrict xr, const double *restrict xi, size_t xs,
+             double *restrict yr, double *restrict yi, size_t ys)
 {
-    size_t r = 0;
-    for (; r + W <= rows; r += W) {
-        vd accr = {0}, acci = {0};
-        for (size_t c = 0; c < cols; ++c) {
-            const vd cr = ld(ar + c * rows + r), ci = ld(ai + c * rows + r);
-            accr += cr * xr[c] - ci * xi[c];
-            acci += cr * xi[c] + ci * xr[c];
+    vd accr[XG] = {{0}}, acci[XG] = {{0}};
+    for (size_t c = 0; c < cols; ++c) {
+        vd cr = {0}, ci = {0};
+        if (n == W) {
+            cr = ld(ar + c * rows + r);
+            ci = ld(ai + c * rows + r);
+        } else {
+            for (size_t t = 0; t < n; ++t) {
+                cr[t] = ar[c * rows + r + t];
+                ci[t] = ai[c * rows + r + t];
+            }
         }
-        st(yr + r, accr);
-        st(yi + r, acci);
+        for (size_t j = 0; j < nx; ++j) {
+            const double x_r = xr[j * xs + c], x_i = xi[j * xs + c];
+            accr[j] += cr * x_r - ci * x_i;
+            acci[j] += cr * x_i + ci * x_r;
+        }
     }
-    for (; r < rows; ++r) {
-        double accr = 0.0, acci = 0.0;
-        for (size_t c = 0; c < cols; ++c) {
-            const double cr = ar[c * rows + r], ci = ai[c * rows + r];
-            accr += cr * xr[c] - ci * xi[c];
-            acci += cr * xi[c] + ci * xr[c];
+    for (size_t j = 0; j < nx; ++j) {
+        if (n == W) {
+            st(yr + j * ys + r, accr[j]);
+            st(yi + j * ys + r, acci[j]);
+            continue;
         }
-        yr[r] = accr;
-        yi[r] = acci;
+        for (size_t t = 0; t < n; ++t) {
+            yr[j * ys + r + t] = accr[j][t];
+            yi[j * ys + r + t] = acci[j][t];
+        }
+    }
+}
+
+/* Y = A X for A (rows, cols) held by columns and the nx columns of X, each
+ * of cols entries at stride xs, into the columns of Y at stride ys: a strip
+ * of W rows of A at a time for a group of up to XG columns of X. */
+static void matmul(size_t rows, size_t cols, size_t nx,
+                   const double *ar, const double *ai, const double *xr,
+                   const double *xi, size_t xs, double *yr, double *yi,
+                   size_t ys)
+{
+    for (size_t j = 0; j < nx; j += XG) {
+        const size_t g = nx - j < XG ? nx - j : XG;
+        const double *gxr = xr + j * xs, *gxi = xi + j * xs;
+        double *gyr = yr + j * ys, *gyi = yi + j * ys;
+        for (size_t r = 0; r < rows; r += W) {
+            const size_t n = rows - r < W ? rows - r : W;
+#define STRIP(nx) matmul_strip(nx, n, r, rows, cols, ar, ai, gxr, gxi, xs, \
+                               gyr, gyi, ys)
+            switch (g) {
+            case 1: STRIP(1); break;
+            case 2: STRIP(2); break;
+            case 3: STRIP(3); break;
+            default: STRIP(XG);
+            }
+#undef STRIP
+        }
     }
 }
 
@@ -234,9 +276,8 @@ static void fill_quadratics(void *ctx, int p, size_t s, double *ctr,
     const size_t lm = l * mm, kn = k * nn, klm = k * lm, ts = TRI(mm) * s;
     const size_t lw = l + W;
     split(kn, src->f + 2 * (size_t)sc->lane[p] * kn, sc->fr, sc->fi);
-    for (size_t j = 0; j < k; ++j)
-        matvec(klm, nn, sc->cjr, sc->cji, sc->fr + j * nn, sc->fi + j * nn,
-               sc->gr + j * klm, sc->gi + j * klm);
+    matmul(klm, nn, k, sc->cjr, sc->cji, sc->fr, sc->fi, nn, sc->gr, sc->gi,
+           klm);
     double power = 0.0;
     for (size_t i = 0; i < kn; ++i) {
         power += sc->fr[i] * sc->fr[i];
@@ -328,7 +369,8 @@ static double objective(int k_users, int n, int l_ris, int m,
 {
     const size_t k = (size_t)k_users, nn = (size_t)n, l = (size_t)l_ris;
     const size_t mm = (size_t)m, kn = k * nn;
-    matvec(kn, l * mm, sc->str, sc->sti, sc->pr, sc->pi, sc->hr, sc->hi);
+    matmul(kn, l * mm, 1, sc->str, sc->sti, sc->pr, sc->pi, 0, sc->hr, sc->hi,
+           0);
     for (size_t i = 0; i < kn; ++i) {
         hp[2 * i] = sc->hr[i];
         hp[2 * i + 1] = sc->hi[i];

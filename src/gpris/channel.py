@@ -8,16 +8,19 @@ each link carries one error scale.
 
 A realization is synthesized in two phases.  The draw phase walks the links
 in stream order (the L BS-RIS links, then the K*L RIS-user links, users
-outer) and writes each link's shadowing normal, path angles and fading
-normals into preallocated arrays.  The array phase then forms every
-steering vector, path sum and cascade for all links in one broadcast pass.
-The draws stay in a per-link loop because the stream interleaves normals
-and uniforms link by link, and ziggurat normals consume a variable number
-of words: no bulk draw reproduces that interleaving, so bulk draws would
-change every realization.  The steering, synthesis and cascade helpers take
-leading batch axes and keep each entry's operation order (and the path sum
-accumulates from zeros in path order), so the array phase gives the same
-channels bit for bit as forming the links one at a time.
+outer) and writes each link's shadowing normal, its path angles' uniforms
+on [0, 1) (one ``random`` call per link, the angles in turn) and its fading
+normals into preallocated arrays.  The array phase then scales every angle
+as low + (high - low) * u, which is what ``Generator.uniform`` computes
+from the same doubles, and forms every steering vector, path sum and
+cascade for all links in one broadcast pass.  The draws stay in a per-link
+loop because the stream interleaves normals and uniforms link by link, and
+ziggurat normals consume a variable number of words: no bulk draw
+reproduces that interleaving, so bulk draws would change every realization.
+The steering, synthesis and cascade helpers take leading batch axes and keep
+each entry's operation order (and the path sum accumulates from zeros in
+path order), so the array phase gives the same channels bit for bit as
+forming the links one at a time.
 """
 
 from __future__ import annotations
@@ -194,32 +197,47 @@ def synthesize_channels(scenario: Scenario, rng: np.random.Generator) -> Channel
     d1 = _norms(ris_pos - bs)
     d2 = _norms(ris_pos[np.newaxis, :, :] - users[:, np.newaxis, :])
 
-    # draw phase: every link's draws in stream order
+    # draw phase: every link's draws in stream order, its path angles as
+    # one block of uniforms on [0, 1), one row per angle
     gamma1 = np.empty(l)
-    angles1 = np.empty((l, p1, 3))
+    u1 = np.empty((l, 3, p1))
     for li in range(l):
         gamma1[li] = path_gain_linear(pl, d1[li], rng.standard_normal())
-        angles1[li, :, 0] = rng.uniform(0.0, np.pi, size=p1)
-        angles1[li, :, 1] = rng.uniform(-np.pi, np.pi, size=p1)
-        angles1[li, :, 2] = rng.uniform(-np.pi / 2, np.pi / 2, size=p1)
+        rng.random(out=u1[li])
 
     gamma2 = np.empty((k, l))
-    angles2 = np.empty((k, l, p2, 2))
+    u2 = np.empty((k, l, 2, p2))
     normals = np.empty((k, l, 2, p2))
     for ki in range(k):
         for li in range(l):
             gamma2[ki, li] = path_gain_linear(pl, d2[ki][li], rng.standard_normal())
-            angles2[ki, li, :, 0] = rng.uniform(-np.pi, np.pi, size=p2)
-            angles2[ki, li, :, 1] = rng.uniform(-np.pi / 2, np.pi / 2, size=p2)
+            rng.random(out=u2[ki, li])
             rng.standard_normal(out=normals[ki, li])  # real parts, then imaginary
 
-    # array phase: all links at once (the fading as _cn_vector forms it)
+    # array phase: all links at once (the angles as Generator.uniform forms
+    # them, the fading as _cn_vector does)
+    angles1 = _uniform(u1)
+    angles2 = _uniform(u2)
     fading = (normals[:, :, 0] + 1j * normals[:, :, 1]) / np.sqrt(2)
     ratios = cfg.carrier_spacing_ratios
     bs_ris = synth_bs_ris(n, my, mz, ratios, gamma1, angles1)
     ris_user = synth_ris_user(my, mz, ratios, gamma2, angles2, fading)
     cascaded = cascade(bs_ris, ris_user)
     return ChannelSet(bs_ris, ris_user, cascaded, gamma1, gamma2)
+
+
+# the bounds of the path angles, one row each: BS AoD, RIS azimuth and RIS
+# elevation; a BS-RIS path has all three, a RIS-user path the last two
+_ANGLE_LOW = np.array([[0.0], [-np.pi], [-np.pi / 2]])
+_ANGLE_SCALE = np.array([[np.pi], [np.pi], [np.pi / 2]]) - _ANGLE_LOW
+
+
+def _uniform(u: np.ndarray) -> np.ndarray:
+    """Angles low + (high - low) * u, as Generator.uniform computes them from
+    its doubles, u's rows (axis -2) the last of the angles above; returned
+    with that axis last, (..., paths, angles)."""
+    n = u.shape[-2]
+    return np.moveaxis(_ANGLE_LOW[-n:] + _ANGLE_SCALE[-n:] * u, -2, -1)
 
 
 def _norms(x: np.ndarray) -> list:

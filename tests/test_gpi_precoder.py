@@ -73,8 +73,8 @@ def indefinite_problem(bad_block):
     return q, f0
 
 
-def random_quadratics(rng, dense):
-    est = rand_estimate(5, 3, 2, 2, rng, err=0.2, dense=dense)
+def random_quadratics(rng, dense, n=5, k=3):
+    est = rand_estimate(n, k, 2, 2, rng, err=0.2, dense=dense)
     return build_precoder_quadratics(est, rand_phases(2, 2, rng), 0.1)
 
 
@@ -316,14 +316,18 @@ class TestRunGpi:
                                      rel=1e-6, abs=1e-12)
 
     @needs_compiler
-    @pytest.mark.parametrize("quad", [False], ids=["isotropic"], indirect=True)
-    def test_backends_agree(self, quad, rng, monkeypatch):
-        # three lanes of the same quadratics from different starts (dense
-        # ones take the numpy loop, see test_dense_errors_take_the_numpy_loop),
-        # their blocks formed only when the numpy reference reads them
+    @pytest.mark.parametrize("n, k", [(5, 3), (8, 1), (12, 5), (20, 6)])
+    def test_backends_agree(self, rng, monkeypatch, n, k):
+        # three lanes of the same isotropic quadratics from different starts
+        # (dense ones take the numpy loop, see
+        # test_dense_errors_take_the_numpy_loop), their blocks formed only
+        # when the numpy reference reads them.  The compiled loop pads its N
+        # rows and 2K right-hand sides to whole strips of 8: N = 5, 12 and
+        # 20 leave padding rows, 2K = 2, 10 and 12 padding columns
+        quad = random_quadratics(rng, False, n, k)
         lanes = PrecoderQuadratics(np.stack([quad.h_hat] * 3), None,
                                    quad.noise_over_p, np.stack([quad.xi] * 3))
-        f0 = np.stack([rand_precoder(5, 3, rng).stacked for _ in range(3)])
+        f0 = np.stack([rand_precoder(n, k, rng).stacked for _ in range(3)])
         for tol in (1e-3, 1e-10):
             s = GpiSettings(tol=tol, max_iters=100)
             f, iters, step = run_gpi_precoder(lanes, f0, s)

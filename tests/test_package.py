@@ -179,6 +179,72 @@ def test_library_has_no_fused_multiply_add():
     assert fused == []
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or shutil.which("objdump") is None
+                    or not _kernel.available(),
+                    reason="needs Linux, objdump and a C compiler")
+def test_library_imports_no_exp():
+    # the RIS penalty's exp is the strip vexp of _loops.h: an exp import
+    # would mean some loop went back to libm's, one lane at a time
+    lib = _kernel._build(_kernel.find_compiler())
+    table = subprocess.run(["objdump", "-T", str(lib)], capture_output=True,
+                           text=True, check=True).stdout
+    assert "log2" in table  # the listing names the imports
+    assert re.findall(r"\bexp\w*\b", table) == []
+
+
+# a test harness of the strip exp, built apart from the library: vexp of
+# strips of x beside libm's exp of each entry
+_VEXP_HARNESS = """
+#include <math.h>
+#include "_loops.h"
+void both(long n, const double *x, double *strip, double *libm)
+{
+    for (long i = 0; i < n; i += W) {
+        st(strip + i, vexp(ld(x + i)));
+        for (long t = i; t < i + W; ++t)
+            libm[t] = exp(x[t]);
+    }
+}
+"""
+
+
+@pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
+def test_strip_exp_is_within_one_ulp_of_libm(tmp_path):
+    np = pytest.importorskip("numpy")
+    src = tmp_path / "harness.c"
+    src.write_text(_VEXP_HARNESS)
+    lib_path = tmp_path / "harness.so"
+    subprocess.run([_kernel.find_compiler(), *_kernel._FLAGS, "-Wno-psabi",
+                    f"-I{_kernel._DIR}", "-o", str(lib_path), str(src), "-lm"],
+                   check=True)
+    both = ctypes.CDLL(str(lib_path)).both
+    both.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 3
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(float).smallest_subnormal
+    # results exactly 1, inf or 0, as glibc's
+    exact = [0.0, -0.0, tiny, -tiny, 709.7827128933841, 710.0, 1e300, np.inf,
+             -745.1332191019412, -746.0, -1e300, -np.inf]
+    # the largest finite result, and subnormal ones down to the smallest
+    edges = [709.782712893384, -708.3964185322641, -708.4, -720.0, -740.0,
+             -745.1332191019411, np.nan, -np.nan]
+    x = np.concatenate([exact, edges, rng.uniform(-745.2, 709.8, 1 << 18),
+                        rng.uniform(-2.0, 0.0, 1 << 16)])  # the penalty's
+    x = np.concatenate([x, np.zeros(-len(x) % 8)])  # whole strips
+    strip, libm = np.empty_like(x), np.empty_like(x)
+    both(len(x), x.ctypes.data, strip.ctypes.data, libm.ctypes.data)
+    assert np.array_equal(strip[:len(exact)], libm[:len(exact)])
+    assert set(libm[:len(exact)]) == {0.0, 1.0, np.inf}
+    assert 0.0 < libm[len(exact) + 5] < 1e-323
+    nan = np.isnan(libm)
+    assert np.array_equal(np.isnan(strip), nan) and nan.sum() == 2
+    # exp is never negative, so the bits order the results: their
+    # difference counts ulps, inf one past the largest double
+    ulps = np.abs(strip[~nan].view(np.int64) - libm[~nan].view(np.int64))
+    worst = int(np.argmax(ulps))
+    assert ulps[worst] <= 1, f"{ulps[worst]} ulp at x = {x[~nan][worst]!r}"
+
+
 @pytest.mark.skipif(not _kernel.available(), reason="needs a C compiler")
 @pytest.mark.parametrize("src", _kernel._SOURCES, ids=lambda src: src.name)
 def test_kernel_source_compiles_without_warnings(src, tmp_path):
